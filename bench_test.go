@@ -335,6 +335,47 @@ func BenchmarkEdgeToWalkExec(b *testing.B) {
 	}
 }
 
+// BenchmarkEdgeToWalkBatchExec models the batches reroot.processComp
+// sends: 256 queries of 1–8 sources against one walk slice of ~n/4
+// vertices, plus 4 queries on distinct walks. Each distinct walk is
+// prepared once per batch, so the batch costs its sources rather than
+// queries × walk length.
+func BenchmarkEdgeToWalkBatchExec(b *testing.B) {
+	for _, n := range []int{4096, 100000} {
+		for _, w := range execWidths() {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
+				d, sources, path := benchQueryInstance(n, w)
+				rng := rand.New(rand.NewSource(11))
+				shared := path[:min(len(path), n/4)]
+				var qs []dstruct.WalkQuery
+				for q := 0; q < 260; q++ {
+					walk := shared
+					if q%65 == 64 {
+						lo := rng.Intn(len(path) / 2)
+						walk = path[lo : lo+len(path)/8+1]
+					}
+					src := make([]int, 1+rng.Intn(8))
+					for i := range src {
+						src[i] = sources[rng.Intn(len(sources))]
+					}
+					qs = append(qs, dstruct.WalkQuery{Sources: src, Walk: walk, FromEnd: true})
+				}
+				hit := false
+				for _, a := range d.EdgeToWalkBatch(qs, nil) {
+					hit = hit || a.OK
+				}
+				if !hit {
+					b.Fatal("no hit")
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					d.EdgeToWalkBatch(qs, nil)
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkBuildDExec(b *testing.B) {
 	for _, n := range []int{4096, 100000} {
 		for _, w := range execWidths() {

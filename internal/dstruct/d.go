@@ -272,8 +272,14 @@ func (d *D) edgeDeleted(u, v int) bool {
 	return ok
 }
 
+// hasBaseNumbering reports whether v is a vertex of the base tree. It runs
+// once per walk vertex and per source, so the patch-vertex lookup is
+// skipped in the common case of a D holding no patch vertices.
 func (d *D) hasBaseNumbering(v int) bool {
-	return v < d.T.N() && d.T.Present(v) && !d.IsPatchVertex(v)
+	if v >= d.T.N() || !d.T.Present(v) {
+		return false
+	}
+	return len(d.patchVerts) == 0 || !d.IsPatchVertex(v)
 }
 
 // Hit is a query result: graph edge (U, Z) with Z at index ZPos on the

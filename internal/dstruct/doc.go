@@ -40,6 +40,14 @@
 // search-effort counters go to a caller-supplied per-call *Stats — so any
 // number of goroutines may query one D concurrently between mutations.
 //
+// Query cost: EdgeToWalkBatch prepares each distinct walk of a batch once —
+// its base-tree run decomposition, plus the walk-position index when D
+// holds inserted-edge patches — and shares it across every query on that
+// walk. A batch of k total sources thus costs O(Σ|distinct walk| + k log n)
+// work per run, not O(Σ|walk per query| + k log n); the rerooting engine
+// sends many small-source queries against one walk slice, so the
+// difference is most of its query time.
+//
 // Execution vs accounting: D runs the paper's parallelism for real. Build
 // sorts the per-vertex neighbor rows across the machine's worker pool, and
 // the EdgeToWalk family shards large source batches over the same pool

@@ -9,8 +9,19 @@ package dstruct
 // Internally the walk is split into maximal runs that are monotone
 // ancestor-descendant paths of the *base* tree T (Section 5.2's reduction of
 // queries on T*_i paths to queries on T paths). In fully dynamic mode the
-// engine's walks are already T-paths, giving O(1) runs; in fault tolerant
-// mode a walk decomposes into the O(log^{2(i-1)} n) fragments of Theorem 9.
+// engine's walks are T*-paths that mix base-tree edges with back-edge hops,
+// so a walk splits into one run per maximal tree-monotone stretch; in fault
+// tolerant mode a walk decomposes into the O(log^{2(i-1)} n) fragments of
+// Theorem 9.
+//
+// Cost of a batch: the rerooting engine sends many small-source queries
+// against the same walk slice, so EdgeToWalkBatch prepares each *distinct*
+// walk once — its run decomposition, plus the walk-position index when D
+// holds inserted-edge patches — and shares it across every query on it.
+// Walks are keyed by identity (first-element pointer and length). A batch
+// of k total sources therefore costs O(Σ|distinct walk| + k log n) work per
+// run, not O(Σ|walk per query| + k log n). Stats still counts WalkQueries
+// and RunsSplit once per query, exactly as one-by-one calls would.
 //
 // Execution vs accounting: a batch of independent queries is *charged* by
 // the caller as one O(log n)-depth EREW step over k total sources (Theorems
@@ -69,7 +80,7 @@ func (d *D) splitRuns(walk []int) []run {
 }
 
 // SplitRunCount returns the number of base-tree fragments the walk
-// decomposes into (the paper's fragment count; 1 in fully dynamic mode).
+// decomposes into (the paper's fragment count).
 func (d *D) SplitRunCount(walk []int) int { return len(d.splitRuns(walk)) }
 
 func (r run) top(walk []int) int {
@@ -96,59 +107,52 @@ func (d *D) zPos(r run, walk []int, z int) int {
 	return r.hi - depth
 }
 
-// walkEval is the per-query preprocessed view of a walk: its base-tree run
-// decomposition, plus — on the sharded paths — a walk-position index
-// precomputed once up front. Shards share the index read-only (building it
-// lazily inside workers would race) and its O(|walk|) cost amortizes over
-// the large source set that triggered sharding. Serial scans leave pos nil
-// and build a goroutine-local index lazily, only when a patch edge is
-// actually encountered, so unpatched queries pay nothing.
+// walkEval is a walk prepared for evaluation: its base-tree run
+// decomposition plus a walk-position index, which only patch-edge hits
+// read. A batch prepares each distinct walk once and shares the walkEval
+// across every query on it. Serial scans build the index on first use, so
+// unpatched queries never pay for it; every fan-out builds it beforehand
+// (ensurePos), so workers only ever read a shared walkEval.
 type walkEval struct {
+	walk []int
 	runs []run
-	pos  map[int]int // shared read-only index; nil on the serial paths
+	pos  map[int]int
 }
 
-// prepWalk decomposes the walk and counts the query against st.
-func (d *D) prepWalk(walk []int, st *Stats) walkEval {
-	runs := d.splitRuns(walk)
+// prepWalk decomposes walk into runs.
+func (d *D) prepWalk(walk []int) *walkEval {
+	return &walkEval{walk: walk, runs: d.splitRuns(walk)}
+}
+
+// count charges one query on ev against st.
+func (ev *walkEval) count(st *Stats) {
 	st.WalkQueries++
-	st.RunsSplit += int64(len(runs))
-	return walkEval{runs: runs}
+	st.RunsSplit += int64(len(ev.runs))
 }
 
-// ensureSharedPos precomputes the walk-position index for a sharded
-// evaluation. Only inserted-edge patches consume walk positions, so a D
-// without them never builds the index.
-func (d *D) ensureSharedPos(ev *walkEval, walk []int) {
+// ensurePos builds the walk-position index ahead of a fan-out. Only
+// inserted-edge patches consume walk positions, so a D without them never
+// builds it.
+func (d *D) ensurePos(ev *walkEval) {
 	if ev.pos == nil && len(d.inserted) > 0 {
-		ev.pos = make(map[int]int, len(walk))
-		for i, v := range walk {
-			ev.pos[v] = i
-		}
+		ev.buildPos()
 	}
 }
 
-// posLookup resolves walk positions for patch-edge hits: through the
-// precomputed shared index when present, else through a private map built
-// on first use.
-type posLookup struct {
-	walk   []int
-	shared map[int]int
-	local  map[int]int
+func (ev *walkEval) buildPos() {
+	ev.pos = make(map[int]int, len(ev.walk))
+	for i, v := range ev.walk {
+		ev.pos[v] = i
+	}
 }
 
-func (p *posLookup) of(z int) (int, bool) {
-	m := p.shared
-	if m == nil {
-		if p.local == nil {
-			p.local = make(map[int]int, len(p.walk))
-			for i, v := range p.walk {
-				p.local[v] = i
-			}
-		}
-		m = p.local
+// posOf resolves the walk position of a patch-edge endpoint, building the
+// index on first use (never inside a fan-out: see ensurePos).
+func (ev *walkEval) posOf(z int) (int, bool) {
+	if ev.pos == nil {
+		ev.buildPos()
 	}
-	i, ok := m[z]
+	i, ok := ev.pos[z]
 	return i, ok
 }
 
@@ -184,13 +188,14 @@ func (d *D) EdgeToWalk(sources []int, walk []int, fromEnd bool, st *Stats) (Hit,
 	if st == nil {
 		st = new(Stats)
 	}
-	ev := d.prepWalk(walk, st)
-	return d.edgeToWalk(sources, walk, fromEnd, ev, st)
+	ev := d.prepWalk(walk)
+	ev.count(st)
+	return d.edgeToWalk(sources, fromEnd, ev, st)
 }
 
-func (d *D) edgeToWalk(sources, walk []int, fromEnd bool, ev walkEval, st *Stats) (Hit, bool) {
+func (d *D) edgeToWalk(sources []int, fromEnd bool, ev *walkEval, st *Stats) (Hit, bool) {
 	if !d.parallelOver(len(sources)) {
-		return d.edgeToWalkSerial(sources, walk, fromEnd, ev, st)
+		return d.edgeToWalkSerial(sources, fromEnd, ev, st)
 	}
 	// Shard the source set over the worker pool: each shard reduces to its
 	// private best, then the shards are reduced under the same order. The
@@ -200,12 +205,12 @@ func (d *D) edgeToWalk(sources, walk []int, fromEnd bool, ev walkEval, st *Stats
 		h  Hit
 		ok bool
 	}
-	d.ensureSharedPos(&ev, walk)
+	d.ensurePos(ev)
 	w := d.mach.Workers()
 	bests := make([]shardBest, w)
 	stats := make([]Stats, w)
 	d.mach.ExecSharded(len(sources), func(s, lo, hi int) {
-		h, ok := d.edgeToWalkSerial(sources[lo:hi], walk, fromEnd, ev, &stats[s])
+		h, ok := d.edgeToWalkSerial(sources[lo:hi], fromEnd, ev, &stats[s])
 		bests[s] = shardBest{h: h, ok: ok}
 	})
 	best := Hit{ZPos: -1}
@@ -223,12 +228,11 @@ func (d *D) edgeToWalk(sources, walk []int, fromEnd bool, ev walkEval, st *Stats
 
 // edgeToWalkSerial is the one-goroutine scan over sources; st receives the
 // search-effort counters (a private shard accumulator under parallelism).
-func (d *D) edgeToWalkSerial(sources, walk []int, fromEnd bool, ev walkEval, st *Stats) (Hit, bool) {
-	pl := posLookup{walk: walk, shared: ev.pos}
+func (d *D) edgeToWalkSerial(sources []int, fromEnd bool, ev *walkEval, st *Stats) (Hit, bool) {
 	best := Hit{ZPos: -1}
 	have := false
 	for _, u := range sources {
-		if h, ok := d.bestFromVertex(u, ev.runs, walk, fromEnd, &pl, st); ok {
+		if h, ok := d.bestFromVertex(u, ev, fromEnd, st); ok {
 			if !have || better(h, best, fromEnd) {
 				best, have = h, true
 			}
@@ -250,13 +254,14 @@ func (d *D) EdgeToWalkBySource(sources []int, walk []int, fromEnd bool, st *Stat
 	if st == nil {
 		st = new(Stats)
 	}
-	ev := d.prepWalk(walk, st)
-	return d.edgeToWalkBySource(sources, walk, fromEnd, ev, st)
+	ev := d.prepWalk(walk)
+	ev.count(st)
+	return d.edgeToWalkBySource(sources, fromEnd, ev, st)
 }
 
-func (d *D) edgeToWalkBySource(sources, walk []int, fromEnd bool, ev walkEval, st *Stats) (Hit, bool) {
+func (d *D) edgeToWalkBySource(sources []int, fromEnd bool, ev *walkEval, st *Stats) (Hit, bool) {
 	if !d.parallelOver(len(sources)) {
-		return d.bySourceSerial(sources, walk, fromEnd, ev, st)
+		return d.bySourceSerial(sources, fromEnd, ev, st)
 	}
 	// Per shard: the first source (lowest index) with a hit; reduce to the
 	// lowest-index shard with one. Identical to the serial early-exit scan —
@@ -266,12 +271,12 @@ func (d *D) edgeToWalkBySource(sources, walk []int, fromEnd bool, ev walkEval, s
 		h  Hit
 		ok bool
 	}
-	d.ensureSharedPos(&ev, walk)
+	d.ensurePos(ev)
 	w := d.mach.Workers()
 	firsts := make([]shardFirst, w)
 	stats := make([]Stats, w)
 	d.mach.ExecSharded(len(sources), func(s, lo, hi int) {
-		h, ok := d.bySourceSerial(sources[lo:hi], walk, fromEnd, ev, &stats[s])
+		h, ok := d.bySourceSerial(sources[lo:hi], fromEnd, ev, &stats[s])
 		firsts[s] = shardFirst{h: h, ok: ok}
 	})
 	for i := range stats {
@@ -287,10 +292,9 @@ func (d *D) edgeToWalkBySource(sources, walk []int, fromEnd bool, ev walkEval, s
 
 // bySourceSerial is the one-goroutine first-hit scan in source order, the
 // BySource counterpart of edgeToWalkSerial.
-func (d *D) bySourceSerial(sources, walk []int, fromEnd bool, ev walkEval, st *Stats) (Hit, bool) {
-	pl := posLookup{walk: walk, shared: ev.pos}
+func (d *D) bySourceSerial(sources []int, fromEnd bool, ev *walkEval, st *Stats) (Hit, bool) {
 	for _, u := range sources {
-		if h, ok := d.bestFromVertex(u, ev.runs, walk, fromEnd, &pl, st); ok {
+		if h, ok := d.bestFromVertex(u, ev, fromEnd, st); ok {
 			return h, true
 		}
 	}
@@ -321,13 +325,14 @@ type WalkAnswer struct {
 }
 
 // EdgeToWalkBatch answers a batch of independent queries, equivalent to
-// issuing them one by one in order. Batches with at least as many queries
-// as workers are distributed across the worker pool (each query evaluated
-// serially within its worker); smaller batches — where sharding by query
-// would leave workers idle — run query-by-query, each parallelizing over
-// its own source set. Callers account the batch's model cost analytically
-// (one O(log n)-depth step); this method charges nothing. st is the
-// per-call Stats accumulator (nil discards).
+// issuing them one by one in order (answers and Stats alike). Each distinct
+// walk is prepared once for the whole batch (see prepBatch). Batches with
+// at least as many queries as workers are distributed across the worker
+// pool (each query evaluated serially within its worker); smaller batches —
+// where sharding by query would leave workers idle — run query-by-query,
+// each parallelizing over its own source set. Callers account the batch's
+// model cost analytically (one O(log n)-depth step); this method charges
+// nothing. st is the per-call Stats accumulator (nil discards).
 func (d *D) EdgeToWalkBatch(qs []WalkQuery, st *Stats) []WalkAnswer {
 	out := make([]WalkAnswer, len(qs))
 	if len(qs) == 0 {
@@ -336,15 +341,25 @@ func (d *D) EdgeToWalkBatch(qs []WalkQuery, st *Stats) []WalkAnswer {
 	if st == nil {
 		st = new(Stats)
 	}
-	if d.mach == nil || d.mach.Workers() == 1 || len(qs) < d.mach.Workers() {
+	pool := d.mach != nil && d.mach.Workers() > 1 && len(qs) >= d.mach.Workers()
+	evs := d.prepBatch(qs, st)
+	if !pool {
 		for i, q := range qs {
-			if q.BySource {
-				out[i].Hit, out[i].OK = d.EdgeToWalkBySource(q.Sources, q.Walk, q.FromEnd, st)
+			if ev := evs[i]; ev == nil {
+				continue
+			} else if q.BySource {
+				out[i].Hit, out[i].OK = d.edgeToWalkBySource(q.Sources, q.FromEnd, ev, st)
 			} else {
-				out[i].Hit, out[i].OK = d.EdgeToWalk(q.Sources, q.Walk, q.FromEnd, st)
+				out[i].Hit, out[i].OK = d.edgeToWalk(q.Sources, q.FromEnd, ev, st)
 			}
 		}
 		return out
+	}
+	// Workers share the walkEvals read-only, so index them before fan-out.
+	for _, ev := range evs {
+		if ev != nil {
+			d.ensurePos(ev)
+		}
 	}
 	w := d.mach.Workers()
 	stats := make([]Stats, w)
@@ -352,19 +367,13 @@ func (d *D) EdgeToWalkBatch(qs []WalkQuery, st *Stats) []WalkAnswer {
 		sst := &stats[s]
 		for i := lo; i < hi; i++ {
 			q := qs[i]
-			if len(q.Walk) == 0 {
+			if ev := evs[i]; ev == nil {
 				continue
+			} else if q.BySource {
+				out[i].Hit, out[i].OK = d.bySourceSerial(q.Sources, q.FromEnd, ev, sst)
+			} else {
+				out[i].Hit, out[i].OK = d.edgeToWalkSerial(q.Sources, q.FromEnd, ev, sst)
 			}
-			if q.BySource {
-				ev := d.prepWalk(q.Walk, sst)
-				out[i].Hit, out[i].OK = d.bySourceSerial(q.Sources, q.Walk, q.FromEnd, ev, sst)
-				continue
-			}
-			if len(q.Sources) == 0 {
-				continue
-			}
-			ev := d.prepWalk(q.Walk, sst)
-			out[i].Hit, out[i].OK = d.edgeToWalkSerial(q.Sources, q.Walk, q.FromEnd, ev, sst)
 		}
 	})
 	for i := range stats {
@@ -373,8 +382,37 @@ func (d *D) EdgeToWalkBatch(qs []WalkQuery, st *Stats) []WalkAnswer {
 	return out
 }
 
+// prepBatch returns each query's prepared walk, nil for a query that a
+// one-by-one call would answer without looking at its walk (an empty walk,
+// or empty sources outside BySource), and charges every other query
+// against st as that call would. Walks are keyed by identity — the
+// first-element pointer and the length — so queries sharing a walk slice
+// share one walkEval.
+func (d *D) prepBatch(qs []WalkQuery, st *Stats) []*walkEval {
+	type walkKey struct {
+		first *int
+		n     int
+	}
+	evs := make([]*walkEval, len(qs))
+	seen := make(map[walkKey]*walkEval)
+	for i, q := range qs {
+		if len(q.Walk) == 0 || (!q.BySource && len(q.Sources) == 0) {
+			continue
+		}
+		k := walkKey{&q.Walk[0], len(q.Walk)}
+		ev := seen[k]
+		if ev == nil {
+			ev = d.prepWalk(q.Walk)
+			seen[k] = ev
+		}
+		ev.count(st)
+		evs[i] = ev
+	}
+	return evs
+}
+
 // bestFromVertex finds u's best hit across all runs plus patch edges.
-func (d *D) bestFromVertex(u int, runs []run, walk []int, fromEnd bool, pl *posLookup, st *Stats) (Hit, bool) {
+func (d *D) bestFromVertex(u int, ev *walkEval, fromEnd bool, st *Stats) (Hit, bool) {
 	best := Hit{ZPos: -1}
 	have := false
 	take := func(h Hit) {
@@ -383,19 +421,19 @@ func (d *D) bestFromVertex(u int, runs []run, walk []int, fromEnd bool, pl *posL
 		}
 	}
 	if d.hasBaseNumbering(u) {
-		for _, r := range runs {
+		for _, r := range ev.runs {
 			if r.patch {
 				continue
 			}
-			if z, ok := d.searchRun(u, r, walk, fromEnd, st); ok {
-				take(Hit{U: u, Z: z, ZPos: d.zPos(r, walk, z)})
+			if z, ok := d.searchRun(u, r, ev.walk, fromEnd, st); ok {
+				take(Hit{U: u, Z: z, ZPos: d.zPos(r, ev.walk, z)})
 			}
 		}
 	}
 	// Patch edges from u (inserted after Build): position via the walk index.
 	for _, z := range d.inserted[u] {
 		st.PatchScans++
-		if p, ok := pl.of(z); ok {
+		if p, ok := ev.posOf(z); ok {
 			take(Hit{U: u, Z: z, ZPos: p})
 		}
 	}
