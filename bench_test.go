@@ -410,13 +410,10 @@ func BenchmarkUpdateExec(b *testing.B) {
 					rng := rand.New(rand.NewSource(1))
 					g := GnpConnected(n, 3.0/float64(n), rng)
 					mach := pram.NewMachineWithWorkers(2*g.NumEdges()+g.NumVertexSlots()+1, w)
-					// ReuseTree: the single-tenant perf path rebuilds the tree
-					// in place per update (nothing here retains old trees).
 					m := NewMaintainerWith(g, Options{
 						RebuildD:     true,
 						FullRebuildD: mode == "rebuild",
 						Machine:      mach,
-						ReuseTree:    true,
 					})
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
@@ -447,7 +444,6 @@ func BenchmarkUpdateExecLowChurn(b *testing.B) {
 				m := NewMaintainerWith(g, Options{
 					RebuildD:     true,
 					FullRebuildD: mode == "rebuild",
-					ReuseTree:    true,
 				})
 				// A non-edge whose endpoints are tree-comparable: inserting
 				// it is a back edge, the lowest-churn update there is.
@@ -567,7 +563,7 @@ func lowChurnToggleSetup(b *testing.B) (*Maintainer, int, int) {
 	const n = 16384
 	rng := rand.New(rand.NewSource(1))
 	g := GnpConnected(n, 3.0/float64(n), rng)
-	m := NewMaintainerWith(g, Options{RebuildD: true, ReuseTree: true})
+	m := NewMaintainerWith(g, Options{RebuildD: true})
 	tr := m.Tree()
 	for x := 0; x < g.NumVertexSlots(); x++ {
 		if !tr.Present(x) || tr.Level(x) < 3 {

@@ -109,13 +109,6 @@ type Options struct {
 	// Sequential selects the Baswana-et-al-style sequential rerooting
 	// baseline instead of the paper's parallel scheduler.
 	Sequential bool
-	// ReuseTree rebuilds the DFS tree in place after every update
-	// (tree.Rebuild) instead of allocating a fresh one. Callers that retain
-	// trees across updates — notably the serving layer, which publishes the
-	// tree in immutable snapshots — must leave this off; single-tenant
-	// drivers that only inspect Tree() between updates can turn it on to
-	// make the per-update hot path allocation-free.
-	ReuseTree bool
 }
 
 // DynamicDFS maintains a DFS tree of a dynamic undirected graph.
@@ -131,7 +124,6 @@ type DynamicDFS struct {
 	fullRebuildD bool
 	headroom     int
 	sequential   bool
-	reuseTree    bool
 	lastStats    reroot.Stats
 	lastDelta    *Delta // nil when the last update yielded no usable delta
 	relocated    bool   // pseudo root relocated during the in-flight update
@@ -178,18 +170,17 @@ func New(g *graph.Graph, opt Options) *DynamicDFS {
 		fullRebuildD: opt.FullRebuildD,
 		headroom:     opt.Headroom,
 		sequential:   opt.Sequential,
-		reuseTree:    opt.ReuseTree,
 	}
 	dd.pseudo = dd.g.NumVertexSlots() + dd.headroom
 	dd.rebuildTreeFromScratch()
 	dd.d = dstruct.Build(dd.g, dd.t, dd.m)
 	if dd.rebuildD {
-		// Fully dynamic mode rebuilds D (and its embedded LCA index) in
-		// place after every update; the engine-facing index aliases D's so
-		// the same tree is never indexed twice.
+		// Fully dynamic mode refreshes D (and its embedded LCA index) after
+		// every update; the engine-facing index aliases D's so the same
+		// tree is never indexed twice.
 		dd.l = dd.d.LCA
 	} else {
-		dd.l = lca.NewWith(dd.t, dd.m)
+		dd.l = lca.Build(dd.t)
 	}
 	return dd
 }
@@ -212,7 +203,7 @@ func NewFromState(g *graph.Persistent, t *tree.Tree, d *dstruct.D, pseudo int, m
 	return &DynamicDFS{
 		g:        g,
 		t:        t,
-		l:        lca.NewWith(t, m),
+		l:        lca.Build(t),
 		d:        d,
 		m:        m,
 		pseudo:   pseudo,
@@ -228,8 +219,7 @@ func NewFromState(g *graph.Persistent, t *tree.Tree, d *dstruct.D, pseudo int, m
 // embeds) is built fresh from (g, t), so the result is exactly the
 // maintainer that produced the pair, minus per-update scratch. g and t are
 // retained, not copied: both are immutable under the maintainer's regime
-// (updates path-copy away from g; t is replaced, never mutated, because
-// ReuseTree stays off for restored maintainers).
+// (updates path-copy away from g; t is replaced, never mutated).
 func NewDynamicRestored(g *graph.Persistent, t *tree.Tree, pseudo, updates int, opt Options) *DynamicDFS {
 	m := opt.Machine
 	if m == nil {
@@ -364,25 +354,7 @@ func (dd *DynamicDFS) finish(e *reroot.Engine) error {
 	if dd.trace != nil {
 		t0 = time.Now()
 	}
-	var nt *tree.Tree
-	var err error
-	if dd.reuseTree {
-		nt, err = e.ResultInto(dd.t, dd.pseudo, dd.present())
-		if err != nil {
-			// ResultInto mutates dd.t in place before failing; unlike the
-			// fresh-tree path the old tree is gone, so recover a valid DFS
-			// tree of the (already mutated) graph from scratch rather than
-			// leaving the maintainer poisoned. The recovery renumbers the
-			// whole tree outside any tracked delta, so no incremental
-			// consumer may patch across it.
-			dd.rebuildTreeFromScratch()
-			dd.d.Rebuild(dd.g, dd.t, dd.m)
-			dd.l = dd.d.LCA
-			dd.lastDelta = nil
-		}
-	} else {
-		nt, err = e.Result(dd.pseudo, dd.present())
-	}
+	nt, err := e.Result(dd.pseudo, dd.present())
 	if dd.trace != nil {
 		dd.engineDur += time.Since(t0)
 	}
@@ -435,8 +407,8 @@ func (dd *DynamicDFS) installTree(nt *tree.Tree, moved, removed []int, sameTree 
 		dd.l = dd.d.LCA
 	} else {
 		// Fault-tolerant mode: D stays pinned to the base tree, so the
-		// engine-facing index is a separate buffer rebuilt on the new tree.
-		dd.l.Rebuild(dd.t)
+		// engine-facing index is a separate one built on the new tree.
+		dd.l = lca.Build(dd.t)
 	}
 	if tr := dd.trace; tr != nil {
 		dd.dmaintDur += time.Since(t0)
@@ -507,7 +479,7 @@ func (dd *DynamicDFS) relocatePseudo() {
 	} else {
 		// Unreachable today (InsertVertex rejects relocation in
 		// fault-tolerant mode), but never clobber a caller-shared D.
-		dd.l.Rebuild(dd.t)
+		dd.l = lca.Build(dd.t)
 		dd.d = dstruct.Build(dd.g, dd.t, dd.m)
 	}
 }

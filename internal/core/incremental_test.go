@@ -74,26 +74,6 @@ func TestIncrementalDMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// TestIncrementalDReuseTree re-runs the differential with ReuseTree on: the
-// tree object is renumbered in place before D.Update runs, so the test pins
-// that repositioning works from D's own lagging order keys, not the tree's.
-func TestIncrementalDReuseTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(223))
-	g := graph.GnpConnected(24, 0.12, rng)
-	dd := New(g, Options{RebuildD: true, ReuseTree: true})
-	for step := 0; step < 60; step++ {
-		op := randomUpdate(t, dd, rng)
-		if op == "" {
-			continue
-		}
-		check(t, dd, op)
-		if err := dd.D().CheckSynced(dd.Graph(), dd.Tree()); err != nil {
-			t.Fatalf("step %d (%s): %v", step, op, err)
-		}
-		diffQueries(t, dd, rng, op)
-	}
-}
-
 // TestIncrementalFallbackOnHugeChurn pins the churn-ratio fallback: deleting
 // the hub of a star moves every leaf at once (the patch set alone touches
 // every edge), so the update must take the full-rebuild branch, while a

@@ -81,11 +81,11 @@ func Build(g graph.Adjacency, t *tree.Tree, mach *pram.Machine) *D {
 	return d
 }
 
-// Rebuild reconstructs D over (g, t) in place, discarding all patches and
-// reusing the existing neighbor rows and LCA buffers. It is the ground-up
-// maintenance step of the fully dynamic maintainer (now the high-churn
-// fallback of Update) and keeps that path allocation-light. Queries answered
-// before Rebuild returns are invalid.
+// Rebuild reconstructs D over (g, t) in place, discarding all patches,
+// reusing the existing neighbor rows and building a fresh LCA index. It is
+// the ground-up maintenance step of the fully dynamic maintainer (now the
+// high-churn fallback of Update). Queries answered before Rebuild returns
+// are invalid.
 func (d *D) Rebuild(g graph.Adjacency, t *tree.Tree, mach *pram.Machine) {
 	clear(d.inserted)
 	clear(d.deletedE)
@@ -100,11 +100,7 @@ func (d *D) build(g graph.Adjacency, t *tree.Tree, mach *pram.Machine) {
 	n := t.N()
 	d.T = t
 	d.mach = mach
-	if d.LCA == nil {
-		d.LCA = lca.NewWith(t, mach)
-	} else {
-		d.LCA.RebuildWith(t, mach)
-	}
+	d.LCA = lca.Build(t)
 	d.key = t.PostInto(d.key)
 	if cap(d.nbr) >= n {
 		d.nbr = d.nbr[:n]

@@ -14,8 +14,7 @@ package dstruct
 //
 // The order keys make this safe: rows are sorted by D's own key array, a
 // lagging copy of the tree's post-order labels. Update removes moved and
-// deleted entries by binary search under the *previous* labels (valid even
-// when the owner has already renumbered the tree in place), bulk-refreshes
+// deleted entries by binary search under the *previous* labels, bulk-refreshes
 // the keys from the new numbering, then re-inserts the moved and patched
 // entries under the new labels.
 
@@ -24,6 +23,7 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/lca"
 	"repro/internal/pram"
 	"repro/internal/tree"
 )
@@ -61,7 +61,7 @@ type UpdateDelta struct {
 	Moved []int
 	// SameTree declares that the tree object and its numbering are exactly
 	// as they were when D was last maintained (a back-edge insert or delete):
-	// Update then skips the relabel pass and the LCA rebuild and only
+	// Update then skips the relabel pass and the LCA build and only
 	// absorbs the patch set.
 	SameTree bool
 }
@@ -80,10 +80,6 @@ const churnFallbackDen = 2
 // Build(g, t) would — with no accumulated patches — at a cost proportional
 // to the moved set rather than to m. High-churn updates fall back to
 // Rebuild. It reports whether the incremental path was taken.
-//
-// t may be the same object D currently points at, even renumbered in place
-// (the ReuseTree maintainers): the previous labels live in D's own key
-// array, not the tree.
 func (d *D) Update(g graph.Adjacency, t *tree.Tree, delta UpdateDelta) bool {
 	cost := 2 * len(d.deletedE)
 	for _, row := range d.inserted {
@@ -174,7 +170,7 @@ func (d *D) Update(g graph.Adjacency, t *tree.Tree, delta UpdateDelta) bool {
 	clear(d.patchVerts)
 	d.numPatches = 0
 	if !delta.SameTree {
-		d.LCA.RebuildWith(t, d.mach)
+		d.LCA = lca.Build(t)
 	}
 	if d.mach != nil {
 		// Model cost of the incremental pass: the repositionings are
@@ -240,8 +236,8 @@ func (d *D) CheckSynced(g graph.Adjacency, t *tree.Tree) error {
 	if d.T != t {
 		return fmt.Errorf("dstruct: D tree is not the maintained tree")
 	}
-	if d.LCA.Tree() != t {
-		return fmt.Errorf("dstruct: embedded LCA index on a stale tree")
+	if err := d.LCA.CheckSynced(t); err != nil {
+		return fmt.Errorf("dstruct: embedded LCA index: %w", err)
 	}
 	if d.numPatches != 0 || len(d.inserted) != 0 || len(d.deletedE) != 0 || len(d.patchVerts) != 0 {
 		return fmt.Errorf("dstruct: unabsorbed patches (%d ops, %d inserted rows, %d deleted edges, %d patch vertices)",

@@ -117,9 +117,8 @@ type Engine struct {
 
 // Scratch holds the per-update buffers of an engine so a maintainer can
 // reuse them across updates instead of reallocating (parent copy + visited
-// mask + moved/removed-vertex accumulators, the last per-update allocations
-// after the D/LCA/tree reuse). A Scratch must not be shared by engines
-// running concurrently.
+// mask + moved/removed-vertex accumulators). A Scratch must not be shared
+// by engines running concurrently.
 type Scratch struct {
 	parent  []int
 	visited []bool
@@ -249,19 +248,6 @@ func (e *Engine) Reroot(r0, rstar, attachParent int) error {
 func (e *Engine) Result(newRoot int, present []bool) (*tree.Tree, error) {
 	e.parent[newRoot] = tree.None
 	return tree.Build(newRoot, e.parent, present)
-}
-
-// ResultInto is Result rebuilding prev in place (tree.Rebuild) instead of
-// allocating a fresh tree. prev must not be retained by any reader — the
-// maintainer opts in via core.Options.ReuseTree; the serving layer, which
-// publishes trees in snapshots, must not use it. On error prev is left in
-// an unspecified state.
-func (e *Engine) ResultInto(prev *tree.Tree, newRoot int, present []bool) (*tree.Tree, error) {
-	e.parent[newRoot] = tree.None
-	if err := prev.Rebuild(newRoot, e.parent, present); err != nil {
-		return nil, err
-	}
-	return prev, nil
 }
 
 // phaseOf derives the phase a component is processed in: the smallest i

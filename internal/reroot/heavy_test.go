@@ -86,7 +86,7 @@ func TestQuickRerootValid(t *testing.T) {
 		}
 		tr := baseline.StaticDFSFrom(g, 0)
 		d := dstruct.Build(g, tr, nil)
-		e := New(tr, lca.New(tr), d, pram.NewMachine(tr.Live()))
+		e := New(tr, lca.Build(tr), d, pram.NewMachine(tr.Live()))
 		rstar := int(uint(seed*31) % uint(g.NumVertexSlots()))
 		if err := e.Reroot(0, rstar, tree.None); err != nil {
 			return false
@@ -156,7 +156,7 @@ func TestWalkBuilderGuards(t *testing.T) {
 	g := graph.Path(6)
 	tr := baseline.StaticDFSFrom(g, 0)
 	d := dstruct.Build(g, tr, nil)
-	e := New(tr, lca.New(tr), d, nil)
+	e := New(tr, lca.Build(tr), d, nil)
 
 	w := e.newWalk()
 	w.ascend(4, 1)

@@ -22,7 +22,7 @@ func rerootAndVerify(t *testing.T, g *graph.Graph, sub, rstar int) *Engine {
 		t.Fatalf("bad test setup: sub=%d rstar=%d", sub, rstar)
 	}
 	d := dstruct.Build(g, tr, nil)
-	e := New(tr, lca.New(tr), d, pram.NewMachine(tr.Live()))
+	e := New(tr, lca.Build(tr), d, pram.NewMachine(tr.Live()))
 	attach := tree.None
 	if sub != tr.Root {
 		attach = tr.Parent[sub]
@@ -138,7 +138,7 @@ func TestRerootRandomSubtree(t *testing.T) {
 			}
 		}
 		d := dstruct.Build(g, tr, nil)
-		e := New(tr, lca.New(tr), d, nil)
+		e := New(tr, lca.Build(tr), d, nil)
 		if err := e.Reroot(sub, rstar, attach); err != nil {
 			t.Fatalf("Reroot(%d,%d): %v", sub, rstar, err)
 		}
@@ -227,7 +227,7 @@ func TestRerootRejectsOutsideVertex(t *testing.T) {
 	g := graph.Path(6)
 	tr := baseline.StaticDFSFrom(g, 0)
 	d := dstruct.Build(g, tr, nil)
-	e := New(tr, lca.New(tr), d, nil)
+	e := New(tr, lca.Build(tr), d, nil)
 	// vertex 1's subtree is 1..5; rerooting T(2) at 1 must fail.
 	if err := e.Reroot(2, 1, tr.Parent[2]); err == nil {
 		t.Fatal("rerooting at vertex outside subtree accepted")

@@ -86,8 +86,8 @@
 // valid indefinitely.
 //
 // Publication is O(1) regardless of graph size. Both published structures
-// are persistent: the tree because the maintainer runs without the in-place
-// tree.Rebuild mode, and the graph because the maintainer mutates a
+// are persistent: the tree because the maintainer builds a fresh, immutable
+// tree for every update, and the graph because the maintainer mutates a
 // graph.Persistent — a path-copying adjacency whose every update produces a
 // new version sharing all untouched neighbor rows with its predecessors.
 // Freezing either is a pointer grab (core.DynamicDFS.Frozen); there is no

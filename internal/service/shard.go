@@ -103,7 +103,7 @@ func (gs *graphState) absorb(d *core.Delta) {
 
 // invalidatePending poisons the pending delta: called when an update was
 // rejected, because some rejection paths mutate state the delta cannot
-// account for (e.g. the in-place error recovery renumbers the whole tree).
+// account for (e.g. an engine failure after the graph already changed).
 func (gs *graphState) invalidatePending() {
 	gs.pendCount++
 	gs.pendInvalid = true
@@ -600,10 +600,10 @@ func (sh *shard) sealTrace(tr *obs.Trace, publish time.Duration, version uint64)
 
 // publish freezes gs's current state into a new immutable snapshot and
 // installs it. Both the graph (a persistent copy-on-write version) and the
-// tree (persistent; ReuseTree off) are shared zero-copy, so publication is
-// O(1) plus O(Δ) for stamping the pending tree delta: a pointer grab per
-// structure, one small Snapshot allocation, and a sort of the moved set —
-// no per-vertex or per-edge work regardless of graph size.
+// tree (immutable, built fresh per update) are shared zero-copy, so
+// publication is O(1) plus O(Δ) for stamping the pending tree delta: a
+// pointer grab per structure, one small Snapshot allocation, and a sort of
+// the moved set — no per-vertex or per-edge work regardless of graph size.
 func (sh *shard) publish(id GraphID, gs *graphState) *Snapshot {
 	dd := gs.dd
 	prev := gs.snap.Load()

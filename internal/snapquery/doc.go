@@ -6,8 +6,12 @@
 // A Handle pins exactly one snapshot version and lazily constructs a bundle
 // of indexes over it:
 //
-//   - Euler-tour/block-RMQ LCA (the paper's Theorem 5/6 Schieber–Vishkin
-//     stand-in) for LCA, SameComponent and TreePath;
+//   - the Euler-tour/block-RMQ LCA index of internal/lca (the paper's
+//     Theorem 5/6 Schieber–Vishkin stand-in, the same structure the update
+//     path queries) for LCA, SameComponent and TreePath. Its block width is
+//     8, chosen for the update path, which asks about three times as many
+//     LCA queries as this engine; at that width a build or patch still
+//     re-spans a sparse table only an eighth of the tour long;
 //   - binary-lifting ancestor tables for KthAncestor / AncestorAtLevel in
 //     O(log n) instead of the tree's O(depth) parent walk;
 //   - bottom-up subtree aggregates (height, min/max vertex label; size and
@@ -31,10 +35,10 @@
 // parent version's handle, and each tree index *patches* the parent's
 // immutable arrays instead of rebuilding:
 //
-//   - LCA: the new Euler tour is spliced — maximal clean subtrees are
-//     memcpy'd straight out of the parent's tour/depth arrays, only the
-//     dirty closure is walked — and the small block-level sparse table is
-//     re-spanned;
+//   - LCA: the new Euler tour is spliced (lca.Patch) — maximal clean
+//     subtrees are memcpy'd straight out of the parent's tour/depth arrays,
+//     only the dirty closure is walked — and the small block-level sparse
+//     table is re-spanned;
 //   - binary lifting: rows are copied and only the moved vertices' entries
 //     recomputed level-by-level (an unmoved vertex's ancestor chain is
 //     identical in both trees);

@@ -52,7 +52,7 @@ const patchChurnFactor = 4
 // A vertex clean on both sides roots a subtree with identical vertex set,
 // child order, and levels in both trees (unmoved vertices keep parent,
 // level, and relative order — the paper's reduction argument), which is
-// what lets patchLCAIndex splice and patchAggIndex copy.
+// what lets lca.Patch splice and patchAggIndex copy.
 //
 // The plan never sorts: affected is the concatenation of the mark2 walk's
 // path segments in reverse creation order. Within a segment the walk runs

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bicon"
 	"repro/internal/graph"
+	"repro/internal/lca"
 	"repro/internal/tree"
 )
 
@@ -62,7 +63,7 @@ type Handle struct {
 	planDone bool
 	plan     *patchPlan
 
-	lcaIdx  lazy[lcaIndex]
+	lcaIdx  lazy[lca.Index]
 	biconIx lazy[biconIndex]
 	aggIx   lazy[aggIndex]
 	liftIx  lazy[liftIndex]
@@ -194,10 +195,10 @@ func (h *Handle) check(op string, vs ...int) error {
 
 // ---- LCA family ----
 
-func (h *Handle) lca() *lcaIndex {
+func (h *Handle) lca() *lca.Index {
 	return derive(h, &h.lcaIdx,
-		func() *lcaIndex { return buildLCAIndex(h.t) },
-		func(par *Handle, plan *patchPlan) *lcaIndex {
+		func() *lca.Index { return lca.Build(h.t) },
+		func(par *Handle, plan *patchPlan) *lca.Index {
 			pix := par.lca()
 			if plan.sameTree {
 				return pix // identical tree object: share the index outright
@@ -205,18 +206,14 @@ func (h *Handle) lca() *lcaIndex {
 			if plan.shareClean {
 				// Pure detachment: no live root path changed, so the parent
 				// tour's range minima still land on the right LCAs for every
-				// live pair. Share the arrays and only flag the staleness
-				// (the tour keeps the detached vertices' occurrences).
-				return &lcaIndex{tour: pix.tour, depth: pix.depth, first: pix.first,
-					blockMin: pix.blockMin, sparse: pix.sparse,
-					stale: pix.stale || len(h.delta.Removed) > 0}
+				// live pair. Share the arrays, flagged stale when vertices
+				// were removed (the tour keeps their occurrences).
+				return pix.Shared(len(h.delta.Removed) > 0)
 			}
-			if pix.stale {
-				// Splicing needs exact segment offsets; a stale shared tour
-				// has phantom entries inside them. Decline and build fresh.
-				return nil
-			}
-			return patchLCAIndex(pix, h.t, plan)
+			// A stale parent declines (nil): splicing needs exact offsets.
+			return lca.Patch(pix, h.t, func(v int) bool {
+				return !plan.dirty1[v] && !plan.dirty2[v]
+			})
 		})
 }
 
@@ -227,7 +224,7 @@ func (h *Handle) LCA(u, v int) (int, error) {
 	if err := h.check("LCA", u, v); err != nil {
 		return -1, err
 	}
-	l := h.lca().lca(u, v)
+	l := h.lca().LCA(u, v)
 	if l == h.pseudo {
 		return -1, nil
 	}
@@ -576,60 +573,17 @@ func (h *Handle) SameBiconnectedComponent(u, v int) (bool, error) {
 // ground-up builds over the same tree — the differential oracle of the
 // patch path, mirroring dstruct.D's CheckSynced. A patched index must be
 // structurally identical to the fresh build on every entry a query can
-// reach: the full Euler tour (splice order equals walk order), every live
-// vertex's first occurrence and lifting rows, every live vertex's
-// aggregates. Entries at removed-vertex slots are intentionally stale in
-// patched arrays and are excluded. Slots not yet built are skipped, so the
-// oracle never triggers builds itself; nil means every built index is in
-// sync.
+// reach: the LCA index passes lca.Index.CheckSynced (which also holds the
+// rule for a tour shared across pure detachments), and every live vertex's
+// lifting rows and aggregates equal the fresh ones. Entries at
+// removed-vertex slots are intentionally stale in patched arrays and are
+// excluded. Slots not yet built are skipped, so the oracle never triggers
+// builds itself; nil means every built index is in sync.
 func (h *Handle) CheckSynced() error {
 	t := h.t
 	if got := h.lcaIdx.p.Load(); got != nil {
-		want := buildLCAIndex(t)
-		if got.stale {
-			// A tour shared across pure detachments is the exact tour of an
-			// ancestor version: dropping the occurrences of now-absent
-			// vertices and collapsing the adjacent duplicates each excision
-			// leaves behind must reproduce the fresh walk entry for entry,
-			// and every live vertex's first[] must point at one of its own
-			// occurrences (any occurrence is a valid RMQ endpoint).
-			j := 0
-			prev := int32(-1)
-			for i := range got.tour {
-				v := got.tour[i]
-				if !t.Present(int(v)) || (j > 0 && v == prev) {
-					continue
-				}
-				if j >= len(want.tour) || v != want.tour[j] || got.depth[i] != want.depth[j] {
-					return fmt.Errorf("snapquery: CheckSynced: stale tour normalizes to (%d,%d) at %d, want (%d,%d)",
-						v, got.depth[i], j, want.tour[min(j, len(want.tour)-1)], want.depth[min(j, len(want.tour)-1)])
-				}
-				prev = v
-				j++
-			}
-			if j != len(want.tour) {
-				return fmt.Errorf("snapquery: CheckSynced: stale tour normalizes to %d entries, want %d", j, len(want.tour))
-			}
-			for v := 0; v < t.N(); v++ {
-				if t.Present(v) && (got.first[v] < 0 || int(got.first[v]) >= len(got.tour) || got.tour[got.first[v]] != int32(v)) {
-					return fmt.Errorf("snapquery: CheckSynced: stale first[%d] = %d does not index an occurrence of %d", v, got.first[v], v)
-				}
-			}
-		} else {
-			if len(got.tour) != len(want.tour) {
-				return fmt.Errorf("snapquery: CheckSynced: tour length %d, want %d", len(got.tour), len(want.tour))
-			}
-			for i := range want.tour {
-				if got.tour[i] != want.tour[i] || got.depth[i] != want.depth[i] {
-					return fmt.Errorf("snapquery: CheckSynced: tour[%d] = (%d,%d), want (%d,%d)",
-						i, got.tour[i], got.depth[i], want.tour[i], want.depth[i])
-				}
-			}
-			for v := 0; v < t.N(); v++ {
-				if t.Present(v) && got.first[v] != want.first[v] {
-					return fmt.Errorf("snapquery: CheckSynced: first[%d] = %d, want %d", v, got.first[v], want.first[v])
-				}
-			}
+		if err := got.CheckSynced(t); err != nil {
+			return fmt.Errorf("snapquery: CheckSynced: %w", err)
 		}
 	}
 	if got := h.liftIx.p.Load(); got != nil {

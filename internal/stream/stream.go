@@ -81,6 +81,13 @@ func (s *Stream) insert(e graph.Edge) {
 	s.edges = append(s.edges, c)
 }
 
+// has reports whether e is in the stream (an input-validation lookup on the
+// simulation's index map, not a pass).
+func (s *Stream) has(e graph.Edge) bool {
+	_, ok := s.index[e.Canon()]
+	return ok
+}
+
 func (s *Stream) remove(e graph.Edge) bool {
 	c := e.Canon()
 	i, ok := s.index[c]
@@ -332,7 +339,7 @@ func (m *Maintainer) rebuildFromScratch(g *graph.Graph) {
 	full := baselineDFS(g, m.pseudo)
 	copy(parent, full)
 	m.t = tree.MustBuild(m.pseudo, parent, m.present())
-	m.l = lca.New(m.t)
+	m.l = lca.Build(m.t)
 }
 
 // baselineDFS computes parents of a DFS forest hung under pseudo.
@@ -426,7 +433,7 @@ func (m *Maintainer) finish(e *reroot.Engine, passesBefore int64, preBatches int
 		return fmt.Errorf("stream: rebuilding tree: %w", err)
 	}
 	m.t = nt
-	m.l = lca.New(nt)
+	m.l = lca.Build(nt)
 	m.lastStats = e.Stats
 	m.lastPasses = m.s.passes - passesBefore
 	m.lastScheduled = preBatches + e.Stats.Batches

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dstruct"
 	"repro/internal/graph"
 	"repro/internal/pram"
@@ -401,4 +402,78 @@ func TestStreamErrorPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = tree.None
+}
+
+// TestInsertVertexHeadroomExhausted fills the 64 vertex-ID slots below the
+// pseudo root, then checks that the rejected 65th insert leaves the
+// maintainer untouched: Snapshot still reconstructs the graph and the tree
+// still verifies against it.
+func TestInsertVertexHeadroomExhausted(t *testing.T) {
+	m := New(graph.Path(4))
+	mirror := graph.Path(4)
+	for i := 0; i < 64; i++ {
+		if _, err := m.InsertVertex(nil); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		if _, err := mirror.InsertVertex(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.InsertVertex(nil); err == nil {
+		t.Fatal("insert past the headroom accepted")
+	}
+	g := m.Snapshot()
+	if g.NumVertexSlots() != mirror.NumVertexSlots() || g.NumEdges() != mirror.NumEdges() {
+		t.Fatalf("snapshot has %d slots / %d edges, want %d / %d",
+			g.NumVertexSlots(), g.NumEdges(), mirror.NumVertexSlots(), mirror.NumEdges())
+	}
+	verifyAgainst(t, m, mirror, "after rejected insert")
+}
+
+// TestDuplicateInputMatchesCore runs one update sequence, with a repeated
+// edge insert and a vertex insert naming one neighbour twice, through the
+// core maintainer and the streaming one: every step must fail or succeed
+// alike, and the rejected steps must leave no trace in the stream.
+func TestDuplicateInputMatchesCore(t *testing.T) {
+	g := graph.Path(4)
+	dd := core.NewFullyDynamic(g)
+	m := New(g)
+	steps := []core.Update{
+		{Kind: core.InsertEdge, U: 0, V: 2},
+		{Kind: core.InsertEdge, U: 0, V: 2},
+		{Kind: core.InsertEdge, U: 2, V: 0},
+		{Kind: core.DeleteEdge, U: 0, V: 2},
+		{Kind: core.DeleteEdge, U: 0, V: 2},
+		{Kind: core.InsertEdge, U: 0, V: 1},
+		{Kind: core.InsertVertex, Neighbors: []int{2, 2}},
+		{Kind: core.InsertVertex, Neighbors: []int{3, 0, 3}},
+		{Kind: core.InsertVertex, Neighbors: []int{2, 0}},
+	}
+	for i, u := range steps {
+		_, coreErr := dd.Apply(u)
+		var err error
+		switch u.Kind {
+		case core.InsertEdge:
+			err = m.InsertEdge(u.U, u.V)
+		case core.DeleteEdge:
+			err = m.DeleteEdge(u.U, u.V)
+		case core.InsertVertex:
+			_, err = m.InsertVertex(u.Neighbors)
+		}
+		if (err == nil) != (coreErr == nil) {
+			t.Fatalf("step %d %v: stream error %v, core error %v", i, u, err, coreErr)
+		}
+		want := dd.Graph()
+		got := m.Snapshot()
+		if got.NumVertexSlots() != want.NumVertexSlots() || got.NumEdges() != want.NumEdges() {
+			t.Fatalf("step %d %v: stream graph %d slots / %d edges, core %d / %d",
+				i, u, got.NumVertexSlots(), got.NumEdges(), want.NumVertexSlots(), want.NumEdges())
+		}
+		for _, e := range got.Edges() {
+			if !want.HasEdge(e.U, e.V) {
+				t.Fatalf("step %d %v: stream holds edge %v core does not", i, u, e)
+			}
+		}
+		verifyAgainst(t, m, got, "after step")
+	}
 }

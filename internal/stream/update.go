@@ -13,6 +13,9 @@ func (m *Maintainer) InsertEdge(u, v int) error {
 	if !m.isVertex(u) || !m.isVertex(v) || u == v {
 		return fmt.Errorf("stream: bad edge (%d,%d)", u, v)
 	}
+	if m.s.has(graph.Edge{U: u, V: v}) {
+		return fmt.Errorf("stream: duplicate edge (%d,%d)", u, v)
+	}
 	p0 := m.s.passes
 	m.s.insert(graph.Edge{U: u, V: v})
 	w := m.l.LCA(u, v)
@@ -103,16 +106,21 @@ func (m *Maintainer) DeleteVertex(u int) error {
 // InsertVertex processes a vertex insertion (reduction case iv) and returns
 // the new vertex ID.
 func (m *Maintainer) InsertVertex(neighbors []int) (int, error) {
+	given := make(map[int]bool, len(neighbors))
 	for _, w := range neighbors {
 		if !m.isVertex(w) {
 			return -1, fmt.Errorf("stream: neighbor %d not a vertex", w)
 		}
+		if given[w] {
+			return -1, fmt.Errorf("stream: duplicate neighbor %d", w)
+		}
+		given[w] = true
 	}
 	u := m.slots
-	m.slots++
 	if u >= m.pseudo {
 		return -1, fmt.Errorf("stream: vertex headroom exhausted")
 	}
+	m.slots++
 	m.alive = append(m.alive, true)
 	p0 := m.s.passes
 	for _, w := range neighbors {

@@ -1,13 +1,11 @@
 // Package tree provides the rooted-tree toolkit the dynamic-DFS algorithms
-// run on: parent/children arrays, Euler tour, post-order numbering, levels
+// run on: parent/children arrays, pre/post-order numbering, levels
 // and subtree sizes (the functionality of Tarjan–Vishkin, Theorem 4 of the
 // paper), plus path and ancestry helpers.
 //
-// A Tree is immutable after Build as far as readers are concerned; the
-// dynamic algorithms either build a fresh Tree for each updated DFS tree
-// (the paper's T*_i) or, when the owner knows no reader retains the old
-// tree, renumber one in place with Rebuild to keep the per-update hot path
-// allocation-free.
+// A Tree is immutable after Build; the dynamic algorithms build a fresh
+// Tree for each updated DFS tree (the paper's T*_i), so readers may retain
+// any tree they were handed.
 package tree
 
 import "fmt"
@@ -36,57 +34,34 @@ type Tree struct {
 
 // Build constructs a Tree from a parent array. parent[root] must be None.
 // present[v]==false marks holes; present may be nil meaning all present.
+// parent is copied.
 func Build(root int, parent []int, present []bool) (*Tree, error) {
-	t := &Tree{}
-	if err := t.Rebuild(root, parent, present); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// Rebuild reconstructs t in place from a parent array, reusing every buffer
-// (parent, presence, children rows, and the pre/post/out/level/size
-// numbering arrays) that still has capacity. The fully dynamic maintainer
-// rebuilds its tree after every update; Rebuild keeps that hot path
-// allocation-light, mirroring the in-place rebuilds of D and the LCA index.
-//
-// Rebuild must only be used when the owner knows no reader retains the old
-// tree (the serving layer publishes persistent per-update trees instead).
-// On error the tree is left in an unspecified state and must not be queried.
-func (t *Tree) Rebuild(root int, parent []int, present []bool) error {
 	n := len(parent)
-	t.Root = root
-	t.Parent = append(t.Parent[:0], parent...)
-	t.present = resizeBools(t.present, n)
-	t.post = resizeInts(t.post, n)
-	t.pre = resizeInts(t.pre, n)
-	t.out = resizeInts(t.out, n)
-	t.level = resizeInts(t.level, n)
-	t.size = resizeInts(t.size, n)
-	if cap(t.children) >= n {
-		t.children = t.children[:n]
-	} else {
-		old := t.children
-		t.children = make([][]int, n)
-		copy(t.children, old)
+	t := &Tree{
+		Root:     root,
+		Parent:   append([]int(nil), parent...),
+		present:  make([]bool, n),
+		children: make([][]int, n),
+		post:     make([]int, n),
+		pre:      make([]int, n),
+		out:      make([]int, n),
+		level:    make([]int, n),
+		size:     make([]int, n),
 	}
 	for v := 0; v < n; v++ {
-		t.children[v] = t.children[v][:0]
 		t.present[v] = present == nil || present[v]
 		t.post[v], t.pre[v], t.out[v], t.level[v] = -1, -1, -1, -1
-		t.size[v] = 0 // Build-equivalent: holes report Size 0, not a stale value
 	}
-	t.live = 0
 	if root < 0 || root >= n || !t.present[root] {
-		return fmt.Errorf("tree: invalid root %d", root)
+		return nil, fmt.Errorf("tree: invalid root %d", root)
 	}
 	if parent[root] != None {
-		return fmt.Errorf("tree: root %d has parent %d", root, parent[root])
+		return nil, fmt.Errorf("tree: root %d has parent %d", root, parent[root])
 	}
 	for v := 0; v < n; v++ {
 		if !t.present[v] {
 			if parent[v] != None {
-				return fmt.Errorf("tree: hole %d has parent", v)
+				return nil, fmt.Errorf("tree: hole %d has parent", v)
 			}
 			continue
 		}
@@ -96,25 +71,29 @@ func (t *Tree) Rebuild(root int, parent []int, present []bool) error {
 			continue
 		}
 		if p < 0 || p >= n || !t.present[p] {
-			return fmt.Errorf("tree: vertex %d has invalid parent %d", v, p)
+			return nil, fmt.Errorf("tree: vertex %d has invalid parent %d", v, p)
 		}
-		t.children[p] = append(t.children[p], v)
+		t.size[p]++ // child count for now; number() overwrites size
 	}
-	return t.number()
-}
-
-func resizeInts(s []int, n int) []int {
-	if cap(s) >= n {
-		return s[:n]
+	// Every children row is a capped window of one backing array, filled in
+	// increasing ID order.
+	backing := make([]int, max(t.live-1, 0))
+	off := 0
+	for p := 0; p < n; p++ {
+		k := t.size[p]
+		t.children[p] = backing[off : off : off+k]
+		off += k
+		t.size[p] = 0
 	}
-	return make([]int, n)
-}
-
-func resizeBools(s []bool, n int) []bool {
-	if cap(s) >= n {
-		return s[:n]
+	for v := 0; v < n; v++ {
+		if v != root && t.present[v] {
+			t.children[parent[v]] = append(t.children[parent[v]], v)
+		}
 	}
-	return make([]bool, n)
+	if err := t.number(); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // MustBuild is Build that panics on error.
@@ -124,13 +103,6 @@ func MustBuild(root int, parent []int, present []bool) *Tree {
 		panic(err)
 	}
 	return t
-}
-
-// MustRebuild is Rebuild that panics on error.
-func (t *Tree) MustRebuild(root int, parent []int, present []bool) {
-	if err := t.Rebuild(root, parent, present); err != nil {
-		panic(err)
-	}
 }
 
 // number runs one iterative DFS from the root assigning pre/post/out/level/
@@ -199,7 +171,10 @@ func (t *Tree) Post(v int) int { return t.post[v] }
 // maintenance path uses it to refresh its relocatable order keys in one bulk
 // pass after a reroot has renumbered the tree.
 func (t *Tree) PostInto(dst []int) []int {
-	dst = resizeInts(dst, len(t.post))
+	if cap(dst) < len(t.post) {
+		dst = make([]int, len(t.post))
+	}
+	dst = dst[:len(t.post)]
 	copy(dst, t.post)
 	return dst
 }
@@ -287,53 +262,4 @@ func (t *Tree) Vertices() []int {
 		}
 	}
 	return out
-}
-
-// EulerTour returns the Euler tour of the tree as (tour, first) where tour
-// lists vertices of the 2·live-1 step walk and first[v] is the index of v's
-// first occurrence. Holes have first == -1. This is the input to the sparse
-// table LCA structure.
-func (t *Tree) EulerTour() (tour []int, first []int) {
-	return t.EulerTourInto(nil, nil)
-}
-
-// EulerTourInto is EulerTour reusing the capacity of the supplied slices,
-// for callers that recompute the tour once per update.
-func (t *Tree) EulerTourInto(tour []int, first []int) ([]int, []int) {
-	n := len(t.present)
-	if cap(first) >= n {
-		first = first[:n]
-	} else {
-		first = make([]int, n)
-	}
-	for i := range first {
-		first[i] = -1
-	}
-	if cap(tour) >= 2*t.live-1 {
-		tour = tour[:0]
-	} else {
-		tour = make([]int, 0, 2*t.live-1)
-	}
-	type frame struct{ v, ci int }
-	stack := []frame{{t.Root, 0}}
-	first[t.Root] = 0
-	tour = append(tour, t.Root)
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.ci < len(t.children[f.v]) {
-			c := t.children[f.v][f.ci]
-			f.ci++
-			if first[c] < 0 {
-				first[c] = len(tour)
-			}
-			tour = append(tour, c)
-			stack = append(stack, frame{c, 0})
-			continue
-		}
-		stack = stack[:len(stack)-1]
-		if len(stack) > 0 {
-			tour = append(tour, stack[len(stack)-1].v)
-		}
-	}
-	return tour, first
 }

@@ -156,26 +156,6 @@ func TestSubtreeVerticesAndSize(t *testing.T) {
 	}
 }
 
-func TestEulerTour(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	tr := randomTree(40, rng)
-	tour, first := tr.EulerTour()
-	if len(tour) != 2*40-1 {
-		t.Fatalf("tour length %d, want %d", len(tour), 2*40-1)
-	}
-	for v := 0; v < 40; v++ {
-		if first[v] < 0 || tour[first[v]] != v {
-			t.Fatalf("first[%d]=%d invalid", v, first[v])
-		}
-	}
-	for i := 1; i < len(tour); i++ {
-		a, b := tour[i-1], tour[i]
-		if tr.Parent[a] != b && tr.Parent[b] != a {
-			t.Fatalf("tour step %d: %d-%d not a tree edge", i, a, b)
-		}
-	}
-}
-
 func TestHoles(t *testing.T) {
 	parent := []int{None, 0, None, 1}
 	present := []bool{true, true, false, true}
