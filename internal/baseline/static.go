@@ -17,92 +17,88 @@ import (
 // Neighbors are visited in increasing vertex order, making the result
 // deterministic. Runs in O(m+n).
 func StaticDFS(g graph.Adjacency) *tree.Tree {
-	n := g.NumVertexSlots()
-	root := n
-	parent := make([]int, n+1)
-	present := make([]bool, n+1)
-	for i := range parent {
-		parent[i] = tree.None
-	}
-	present[root] = true
-	visited := make([]bool, n+1)
-	visited[root] = true
+	return StaticDFSUnder(g, g.NumVertexSlots())
+}
 
-	snap := g.Snapshot()
-	// Iterative DFS with explicit next-neighbor cursors.
-	cursor := make([]int, n)
-	stack := make([]int, 0, n)
+// StaticDFSUnder is StaticDFS with the pseudo root at ID root ≥
+// NumVertexSlots(); the IDs between the last vertex slot and root are holes
+// (the dynamic maintainers reserve them as vertex-insertion headroom).
+func StaticDFSUnder(g graph.Adjacency, root int) *tree.Tree {
+	n := g.NumVertexSlots()
+	d := newDFS(g, root+1)
+	present := make([]bool, root+1)
+	present[root] = true
 	for s := 0; s < n; s++ {
 		if !g.IsVertex(s) {
 			continue
 		}
 		present[s] = true
-		if visited[s] {
-			continue
-		}
-		visited[s] = true
-		parent[s] = root
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			row := snap.Row(v)
-			advanced := false
-			for cursor[v] < len(row) {
-				w := row[cursor[v]]
-				cursor[v]++
-				if !visited[w] {
-					visited[w] = true
-					parent[w] = v
-					stack = append(stack, w)
-					advanced = true
-					break
-				}
-			}
-			if !advanced {
-				stack = stack[:len(stack)-1]
-			}
+		if !d.visited[s] {
+			d.visit(s, root)
 		}
 	}
-	return tree.MustBuild(root, parent, present)
+	return tree.MustBuild(root, d.parent, present)
 }
 
 // StaticDFSFrom computes a DFS tree of the connected component of start,
 // rooted at start, with no pseudo-root. Vertices outside the component are
 // holes in the returned tree.
 func StaticDFSFrom(g graph.Adjacency, start int) *tree.Tree {
+	d := newDFS(g, g.NumVertexSlots())
+	d.visit(start, tree.None)
+	return tree.MustBuild(start, d.parent, d.visited)
+}
+
+// dfs is the state of one iterative DFS over a CSR snapshot: parent spans
+// the tree's ID range, visited and cursor the graph's slots.
+type dfs struct {
+	snap    *graph.CSR
+	parent  []int
+	visited []bool
+	cursor  []int
+	stack   []int
+}
+
+func newDFS(g graph.Adjacency, ids int) *dfs {
 	n := g.NumVertexSlots()
-	parent := make([]int, n)
-	present := make([]bool, n)
-	for i := range parent {
-		parent[i] = tree.None
+	d := &dfs{
+		snap:    g.Snapshot(),
+		parent:  make([]int, ids),
+		visited: make([]bool, n),
+		cursor:  make([]int, n),
+		stack:   make([]int, 0, n),
 	}
-	visited := make([]bool, n)
-	visited[start] = true
-	present[start] = true
-	snap := g.Snapshot()
-	cursor := make([]int, n)
-	stack := []int{start}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		row := snap.Row(v)
+	for i := range d.parent {
+		d.parent[i] = tree.None
+	}
+	return d
+}
+
+// visit hangs s under p and grows the DFS tree of s's component, taking
+// unvisited neighbours in row order with explicit next-neighbour cursors.
+func (d *dfs) visit(s, p int) {
+	d.visited[s] = true
+	d.parent[s] = p
+	d.stack = append(d.stack[:0], s)
+	for len(d.stack) > 0 {
+		v := d.stack[len(d.stack)-1]
+		row := d.snap.Row(v)
 		advanced := false
-		for cursor[v] < len(row) {
-			w := row[cursor[v]]
-			cursor[v]++
-			if !visited[w] {
-				visited[w] = true
-				present[w] = true
-				parent[w] = v
-				stack = append(stack, w)
+		for d.cursor[v] < len(row) {
+			w := row[d.cursor[v]]
+			d.cursor[v]++
+			if !d.visited[w] {
+				d.visited[w] = true
+				d.parent[w] = v
+				d.stack = append(d.stack, w)
 				advanced = true
 				break
 			}
 		}
 		if !advanced {
-			stack = stack[:len(stack)-1]
+			d.stack = d.stack[:len(d.stack)-1]
 		}
 	}
-	return tree.MustBuild(start, parent, present)
 }
 
 // Recompute is the trivial dynamic-DFS baseline: apply the update to the

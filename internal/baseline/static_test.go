@@ -35,6 +35,39 @@ func TestStaticDFSDeterministic(t *testing.T) {
 	}
 }
 
+// TestStaticDFSUnderHeadroom places the pseudo root past a block of
+// reserved IDs: the tree must be StaticDFS's with the root renamed and the
+// reserved IDs left as holes.
+func TestStaticDFSUnderHeadroom(t *testing.T) {
+	rng := rand.New(rand.NewSource(179))
+	g := graph.Gnp(30, 0.08, rng)
+	if err := g.DeleteVertex(7); err != nil {
+		t.Fatal(err)
+	}
+	n, root := g.NumVertexSlots(), g.NumVertexSlots()+5
+	want, got := StaticDFS(g), StaticDFSUnder(g, root)
+	if got.Root != root || got.N() != root+1 {
+		t.Fatalf("root %d over %d IDs, want %d over %d", got.Root, got.N(), root, root+1)
+	}
+	for v := 0; v < n; v++ {
+		p := want.Parent[v]
+		if p == n {
+			p = root
+		}
+		if got.Parent[v] != p || got.Present(v) != want.Present(v) {
+			t.Fatalf("vertex %d: parent %d present %v, want %d %v", v, got.Parent[v], got.Present(v), p, want.Present(v))
+		}
+	}
+	for v := n; v < root; v++ {
+		if got.Present(v) {
+			t.Fatalf("reserved ID %d present", v)
+		}
+	}
+	if err := verify.DFSForest(g, got, root); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStaticDFSFromComponent(t *testing.T) {
 	g := graph.New(6)
 	for _, e := range []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 4, V: 5}} {

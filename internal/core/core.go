@@ -5,21 +5,27 @@
 // and processes an online sequence of edge/vertex insertions and deletions.
 //
 // Every update runs the reduction algorithm of Section 3 — updating the DFS
-// tree reduces to independently rerooting disjoint subtrees — and delegates
-// the rerooting to internal/reroot. In the default fully dynamic mode, D is
-// maintained incrementally on the new tree after each update: the engine
-// reports the moved-vertex set and dstruct.D.Update repositions exactly the
-// entries naming moved vertices, falling back to the paper's m-processor
-// ground-up rebuild only on high-churn updates (or always, under
-// Options.FullRebuildD). With rebuilding disabled the maintainer
-// accumulates patches on the original D instead, which is the engine of the
-// fault-tolerant algorithm (Theorem 14).
+// tree reduces to independently rerooting disjoint subtrees. The reduction
+// lives in reroot.Planner, shared with the semi-streaming maintainer, and
+// the rerooting in reroot.Engine; this package adds input validation, the
+// graph.Persistent mutation, D's patches and maintenance, pseudo-root
+// relocation and the installation of each new tree.
+//
+// In the default fully dynamic mode, D is maintained incrementally on the
+// new tree after each update: the engine reports the moved-vertex set and
+// dstruct.D.Update repositions exactly the entries naming moved vertices,
+// falling back to the paper's m-processor ground-up rebuild only on
+// high-churn updates (or always, under Options.FullRebuildD). With
+// rebuilding disabled the maintainer accumulates patches on the original D
+// instead, which is the engine of the fault-tolerant algorithm
+// (Theorem 14).
 package core
 
 import (
 	"fmt"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/dstruct"
 	"repro/internal/graph"
 	"repro/internal/lca"
@@ -172,7 +178,7 @@ func New(g *graph.Graph, opt Options) *DynamicDFS {
 		sequential:   opt.Sequential,
 	}
 	dd.pseudo = dd.g.NumVertexSlots() + dd.headroom
-	dd.rebuildTreeFromScratch()
+	dd.t = baseline.StaticDFSUnder(dd.g, dd.pseudo)
 	dd.d = dstruct.Build(dd.g, dd.t, dd.m)
 	if dd.rebuildD {
 		// Fully dynamic mode refreshes D (and its embedded LCA index) after
@@ -294,69 +300,31 @@ func (dd *DynamicDFS) present() []bool {
 	return p
 }
 
-// rebuildTreeFromScratch recomputes T with the classical static algorithm
-// (preprocessing only).
-func (dd *DynamicDFS) rebuildTreeFromScratch() {
-	n := dd.g.NumVertexSlots()
-	parent := make([]int, dd.pseudo+1)
-	for i := range parent {
-		parent[i] = tree.None
+// apply runs an update's plan: an empty plan (a back-edge insert or delete)
+// keeps the tree and lets D absorb the update's patch; any other plan runs
+// on a fresh engine, whose result becomes the new tree. Every Reroot and
+// the tree rebuild are timed into the update's engine span.
+func (dd *DynamicDFS) apply(kind UpdateKind, p reroot.Plan) error {
+	if len(p.Steps) == 0 {
+		dd.lastStats = reroot.Stats{}
+		dd.installTree(dd.t, nil, nil, true)
+		return nil
 	}
-	visited := make([]bool, n)
-	snap := dd.g.Snapshot()
-	cursor := make([]int, n)
-	stack := make([]int, 0, n)
-	for s := 0; s < n; s++ {
-		if !dd.g.IsVertex(s) || visited[s] {
-			continue
-		}
-		visited[s] = true
-		parent[s] = dd.pseudo
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			row := snap.Row(v)
-			advanced := false
-			for cursor[v] < len(row) {
-				w := row[cursor[v]]
-				cursor[v]++
-				if !visited[w] {
-					visited[w] = true
-					parent[w] = v
-					stack = append(stack, w)
-					advanced = true
-					break
-				}
-			}
-			if !advanced {
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	dd.t = tree.MustBuild(dd.pseudo, parent, dd.present())
-}
-
-// reroot runs one engine rerooting, timing it into the update's engine
-// span when a trace is attached.
-func (dd *DynamicDFS) reroot(e *reroot.Engine, root, inside, on int) error {
-	if dd.trace == nil {
-		return e.Reroot(root, inside, on)
-	}
-	t0 := time.Now()
-	err := e.Reroot(root, inside, on)
-	dd.engineDur += time.Since(t0)
-	return err
-}
-
-// finish installs the engine's result as the new tree and refreshes D.
-func (dd *DynamicDFS) finish(e *reroot.Engine) error {
-	var t0 time.Time
+	e := dd.engine()
+	var spent *time.Duration
 	if dd.trace != nil {
+		spent = &dd.engineDur
+	}
+	if err := p.Run(e, spent); err != nil {
+		return fmt.Errorf("core: %v: %w", kind, err)
+	}
+	var t0 time.Time
+	if spent != nil {
 		t0 = time.Now()
 	}
 	nt, err := e.Result(dd.pseudo, dd.present())
-	if dd.trace != nil {
-		dd.engineDur += time.Since(t0)
+	if spent != nil {
+		*spent += time.Since(t0)
 	}
 	if err != nil {
 		return fmt.Errorf("core: rebuilding tree: %w", err)
@@ -429,6 +397,12 @@ func (dd *DynamicDFS) installTree(nt *tree.Tree, moved, removed []int, sameTree 
 	dd.relocated = false
 }
 
+// planner reduces the in-flight update against the current tree, charging
+// its deepest-edge batch to the maintainer's machine and query totals.
+func (dd *DynamicDFS) planner() reroot.Planner {
+	return reroot.NewPlanner(dd.t, dd.l, dd.d, dd.m, &dd.qstats)
+}
+
 // engine creates a rerooting engine for the current tree, drawing its
 // per-update buffers from the maintainer's reusable scratch.
 func (dd *DynamicDFS) engine() *reroot.Engine {
@@ -482,38 +456,4 @@ func (dd *DynamicDFS) relocatePseudo() {
 		dd.l = lca.Build(dd.t)
 		dd.d = dstruct.Build(dd.g, dd.t, dd.m)
 	}
-}
-
-// compRoot returns the root of v's component (the child of the pseudo root
-// on path(v, pseudo)).
-func (dd *DynamicDFS) compRoot(v int) int {
-	return dd.t.AncestorAtLevel(v, 1)
-}
-
-// lowestEdgeToPath finds the deepest edge from T(sub) landing on the tree
-// path [low..high] (high an ancestor of low), or ok=false. One batch of
-// independent queries in the PRAM accounting.
-func (dd *DynamicDFS) lowestEdgeToPath(sub, low, high int) (inside, on int, ok bool) {
-	ans := dd.lowestEdgesToPath([]int{sub}, low, high)[0]
-	if !ans.OK {
-		return 0, 0, false
-	}
-	return ans.Hit.U, ans.Hit.Z, true
-}
-
-// lowestEdgesToPath answers lowestEdgeToPath for several disjoint subtrees
-// against one shared path, issued as a single batch so the execution layer
-// fans every (subtree, path) query out over the worker pool at once. Each
-// subtree is charged its own batch step, exactly as the one-at-a-time calls
-// would be.
-func (dd *DynamicDFS) lowestEdgesToPath(subs []int, low, high int) []dstruct.WalkAnswer {
-	walk := dd.t.PathUp(low, high) // low..high; "lowest" = nearest low
-	lg := pram.Log2Ceil(dd.t.Live() + 1)
-	qs := make([]dstruct.WalkQuery, len(subs))
-	for i, sub := range subs {
-		src := dd.t.SubtreeVertices(sub, nil)
-		dd.m.Charge(lg, int64(len(src))*lg)
-		qs[i] = dstruct.WalkQuery{Sources: src, Walk: walk, FromEnd: false}
-	}
-	return dd.d.EdgeToWalkBatch(qs, &dd.qstats)
 }

@@ -182,6 +182,34 @@ func TestErrorPaths(t *testing.T) {
 	check(t, dd, "after error paths (state unchanged)")
 }
 
+// TestDeleteEdgeOutOfRange feeds DeleteEdge vertex IDs outside the graph:
+// each must come back as an error, never an index panic, and leave the
+// maintainer intact for the next update.
+func TestDeleteEdgeOutOfRange(t *testing.T) {
+	dd := NewFullyDynamic(graph.Path(4))
+	big, pseudo := 1<<20, dd.PseudoRoot()
+	for _, e := range [][2]int{{0, big}, {big, 0}, {-1, 0}, {0, -1}, {-1, big}, {3, pseudo}, {pseudo, 3}} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("DeleteEdge(%d,%d) panicked: %v", e[0], e[1], r)
+				}
+			}()
+			if err := dd.DeleteEdge(e[0], e[1]); err == nil {
+				t.Errorf("DeleteEdge(%d,%d) accepted", e[0], e[1])
+			}
+		}()
+	}
+	check(t, dd, "after out-of-range deletes")
+	if err := dd.DeleteEdge(2, 3); err != nil {
+		t.Fatal(err)
+	}
+	check(t, dd, "after a valid delete")
+	if err := dd.D().CheckSynced(dd.Graph(), dd.Tree()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // randomUpdate mutates dd with a random feasible update and returns a
 // description, or "" if skipped.
 func randomUpdate(t *testing.T, dd *DynamicDFS, rng *rand.Rand) string {

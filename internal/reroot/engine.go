@@ -101,10 +101,12 @@ type Engine struct {
 	Sequential bool
 
 	// TrackMoved opts in to moved-vertex accumulation (Moved): every Reroot
-	// and re-hanging SetParent then records the old-tree vertex set of the
-	// subtree it relocates. Off by default — owners that never consume the
-	// set (the streaming maintainer, fault-tolerant mode, the full-rebuild
-	// baseline) must not pay its O(|subtree|) walks. Set it before the first
+	// and re-hanging SetParent, including those a Plan.Run issues, then
+	// records the old-tree vertex set of the subtree it relocates. Off by
+	// default. Only the core maintainer's incremental D maintenance sets it;
+	// owners that never consume the set (the streaming maintainer, which
+	// runs the same plans, fault-tolerant mode, the full-rebuild baseline)
+	// must not pay its O(|subtree|) walks. Set it before the first
 	// Reroot/SetParent call.
 	TrackMoved bool
 

@@ -1,0 +1,178 @@
+package reroot
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/dstruct"
+	"repro/internal/lca"
+	"repro/internal/pram"
+	"repro/internal/tree"
+)
+
+// Step is one subtree relocation of the Section 3 reduction. With
+// Root == tree.None, T(Sub) is hung under Parent unchanged (Parent ==
+// tree.None detaches Sub from the tree); otherwise T(Sub) is rerooted at
+// Root and hung under Parent.
+type Step struct{ Sub, Root, Parent int }
+
+// Plan is the reduction of one update: the steps to run on an Engine, in
+// order, and the oracle query rounds (0 or 1) spent while planning. An
+// empty plan leaves the tree unchanged (a back-edge insert or delete).
+type Plan struct {
+	Steps  []Step
+	Rounds int
+}
+
+// Run performs the plan's steps on e. A non-nil spent accumulates the time
+// of every Reroot call.
+func (p Plan) Run(e *Engine, spent *time.Duration) error {
+	for _, s := range p.Steps {
+		if s.Root == tree.None {
+			e.SetParent(s.Sub, s.Parent)
+			continue
+		}
+		var t0 time.Time
+		if spent != nil {
+			t0 = time.Now()
+		}
+		err := e.Reroot(s.Sub, s.Root, s.Parent)
+		if spent != nil {
+			*spent += time.Since(t0)
+		}
+		if err != nil {
+			return fmt.Errorf("subtree %d: %w", s.Sub, err)
+		}
+	}
+	return nil
+}
+
+// Planner reduces one update to independent reroots of disjoint subtrees
+// (Section 3): updating the DFS tree of G becomes rerooting subtrees of it
+// and hanging them elsewhere. Every maintainer shares this reduction; only
+// the oracle answering its queries and the bookkeeping around it differ.
+type Planner struct {
+	t  *tree.Tree
+	l  *lca.Index
+	d  Oracle
+	m  *pram.Machine
+	st *dstruct.Stats
+}
+
+// NewPlanner returns a planner for one update. It reads only the tree t
+// before the update, t's LCA index l, and the oracle d, which answers
+// queries on the graph after the update. m is charged for the deepest-edge
+// batch; st, when non-nil, accumulates that batch's search effort.
+func NewPlanner(t *tree.Tree, l *lca.Index, d Oracle, m *pram.Machine, st *dstruct.Stats) Planner {
+	return Planner{t: t, l: l, d: d, m: m, st: st}
+}
+
+// InsertEdge reduces inserting (u,v), case (ii): a back edge leaves the
+// tree unchanged; otherwise, with w = LCA(u,v), the child subtree of w
+// containing v is rerooted at v and hung from u. w = pseudo root covers
+// merging two components.
+func (p Planner) InsertEdge(u, v int) Plan {
+	w := p.l.LCA(u, v)
+	if w == u || w == v {
+		return Plan{}
+	}
+	return Plan{Steps: []Step{{Sub: p.t.ChildToward(w, v), Root: v, Parent: u}}}
+}
+
+// DeleteEdge reduces deleting the graph edge (u,v), case (i): a back edge
+// leaves the tree unchanged; deleting tree edge (parent u, child v)
+// reroots T(v) at the inside end of its deepest edge to path(u, root of
+// u's component), or hangs T(v) under the pseudo root if the component
+// split.
+func (p Planner) DeleteEdge(u, v int) Plan {
+	if p.t.Parent[u] == v {
+		u, v = v, u // orient: u = parent
+	}
+	if p.t.Parent[v] != u {
+		return Plan{}
+	}
+	return p.rehang(make([]Step, 0, 1), []int{v}, u)
+}
+
+// DeleteVertex reduces deleting u, case (iii): u leaves the tree and every
+// child subtree T(v_i) is rerooted through its deepest edge to
+// path(parent(u), component root), or becomes a component of its own.
+func (p Planner) DeleteVertex(u int) Plan {
+	children := p.t.Children(u)
+	steps := make([]Step, 1, len(children)+1)
+	steps[0] = Step{Sub: u, Root: tree.None, Parent: tree.None}
+	pu := p.t.Parent[u]
+	if pu != p.t.Root {
+		return p.rehang(steps, children, pu)
+	}
+	// u was a component root: no path above to reattach through.
+	for _, vi := range children {
+		steps = append(steps, Step{Sub: vi, Root: tree.None, Parent: p.t.Root})
+	}
+	return Plan{Steps: steps}
+}
+
+// InsertVertex reduces inserting the new vertex u with the given
+// neighbors, case (iv): u becomes a child of one neighbor v_j; every
+// other neighbor v_i off path(v_j, root) pulls its hanging subtree
+// T(v'_i) to be rerooted at v_i and hung from u. Neighbours in the same
+// hanging subtree share one reroot (the extra edges become back edges).
+func (p Planner) InsertVertex(u int, neighbors []int) Plan {
+	if len(neighbors) == 0 {
+		return Plan{Steps: []Step{{Sub: u, Root: tree.None, Parent: p.t.Root}}}
+	}
+	// Arbitrary choice of v_j: the shallowest neighbor, which minimizes
+	// the number of hanging subtrees to reroot.
+	vj := neighbors[0]
+	for _, v := range neighbors[1:] {
+		if p.t.Level(v) < p.t.Level(vj) {
+			vj = v
+		}
+	}
+	steps := []Step{{Sub: u, Root: tree.None, Parent: vj}}
+	seen := make(map[int]bool)
+	for _, vi := range neighbors {
+		if vi == vj {
+			continue
+		}
+		a := p.l.LCA(vi, vj)
+		if a == vi {
+			continue // vi on path(vj, root): (u, vi) is a back edge
+		}
+		vPrime := p.t.ChildToward(a, vi)
+		if seen[vPrime] {
+			continue // same subtree already rerooted; extra edge is a back edge
+		}
+		seen[vPrime] = true
+		steps = append(steps, Step{Sub: vPrime, Root: vi, Parent: u})
+	}
+	return Plan{Steps: steps}
+}
+
+// rehang appends to steps one step per subtree in subs: T(sub) is rerooted
+// at the inside end of its deepest edge to path(low, root of low's
+// component) and hung from the edge's path end, or hung under the pseudo
+// root when no such edge exists. The queries share one path and are
+// independent, so they form one batch — one query round — with each
+// subtree charged its own O(log n)-depth step.
+func (p Planner) rehang(steps []Step, subs []int, low int) Plan {
+	if len(subs) == 0 {
+		return Plan{Steps: steps}
+	}
+	walk := p.t.PathUp(low, p.t.AncestorAtLevel(low, 1)) // "deepest" = nearest low
+	lg := pram.Log2Ceil(p.t.Live() + 1)
+	qs := make([]dstruct.WalkQuery, len(subs))
+	for i, sub := range subs {
+		src := p.t.SubtreeVertices(sub, nil)
+		p.m.Charge(lg, int64(len(src))*lg)
+		qs[i] = dstruct.WalkQuery{Sources: src, Walk: walk, FromEnd: false}
+	}
+	for i, ans := range p.d.EdgeToWalkBatch(qs, p.st) {
+		if ans.OK {
+			steps = append(steps, Step{Sub: subs[i], Root: ans.Hit.U, Parent: ans.Hit.Z})
+		} else {
+			steps = append(steps, Step{Sub: subs[i], Root: tree.None, Parent: p.t.Root})
+		}
+	}
+	return Plan{Steps: steps, Rounds: 1}
+}

@@ -114,6 +114,38 @@ func TestServiceBasic(t *testing.T) {
 
 // TestServiceSnapshotIsolation pins a snapshot, applies updates, and checks
 // the old snapshot is untouched while new snapshots advance.
+// TestServiceDeleteEdgeOutOfRange sends DeleteEdge updates naming vertex
+// IDs outside the graph: each future resolves with an error, the shard
+// loop survives, and the next Apply on the same graph succeeds.
+func TestServiceDeleteEdgeOutOfRange(t *testing.T) {
+	s := New(Config{Shards: 1})
+	defer s.Close()
+	mustCreate(t, s, "g", graph.Path(4))
+	for _, u := range []core.Update{
+		{Kind: core.DeleteEdge, U: 0, V: 1 << 20},
+		{Kind: core.DeleteEdge, U: -1, V: 0},
+	} {
+		fut, err := s.Apply("g", u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := fut.Wait(); err == nil {
+			t.Fatalf("DeleteEdge(%d,%d) accepted", u.U, u.V)
+		}
+	}
+	fut, err := s.Apply("g", core.Update{Kind: core.InsertEdge, U: 0, V: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, snap, err := fut.Wait()
+	if err != nil {
+		t.Fatalf("next update after rejections: %v", err)
+	}
+	if err := snap.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestServiceSnapshotIsolation(t *testing.T) {
 	s := New(Config{Shards: 1})
 	defer s.Close()

@@ -23,11 +23,21 @@
 // and on single-chain updates they coincide (Passes can exceed
 // ScheduledPasses only when the engine processes several independent
 // component chains, whose batches the synchronous schedule overlaps).
+//
+// The Section 3 reduction itself is not here: every update runs
+// reroot.Planner, the same code the core maintainer runs, with this
+// package's pass-counting oracle answering its queries (Section 6.1: only
+// who answers the D queries changes between models). The maintainer adds
+// what the stream model needs around it: validating updates against the
+// stream and mutating it, the incident-edge discovery pass of a vertex
+// deletion, and the pass bookkeeping, which takes the planner's query
+// round (0 or 1) and the engine's batches from the shared code.
 package stream
 
 import (
 	"fmt"
 
+	"repro/internal/baseline"
 	"repro/internal/dstruct"
 	"repro/internal/graph"
 	"repro/internal/lca"
@@ -303,6 +313,7 @@ type Maintainer struct {
 	o      *oracle
 	t      *tree.Tree
 	l      *lca.Index
+	mach   *pram.Machine // absorbs the model charges; the stream model counts passes
 	pseudo int
 	slots  int // graph vertex-ID slots
 	alive  []bool
@@ -320,6 +331,7 @@ func New(g *graph.Graph) *Maintainer {
 	m := &Maintainer{
 		s:     NewStream(g.Edges()),
 		slots: g.NumVertexSlots(),
+		mach:  pram.NewMachine(g.NumVertexSlots()),
 	}
 	m.o = &oracle{s: m.s}
 	m.pseudo = m.slots + 64
@@ -327,60 +339,9 @@ func New(g *graph.Graph) *Maintainer {
 	for v := 0; v < m.slots; v++ {
 		m.alive[v] = g.IsVertex(v)
 	}
-	m.rebuildFromScratch(g)
-	return m
-}
-
-func (m *Maintainer) rebuildFromScratch(g *graph.Graph) {
-	parent := make([]int, m.pseudo+1)
-	for i := range parent {
-		parent[i] = tree.None
-	}
-	full := baselineDFS(g, m.pseudo)
-	copy(parent, full)
-	m.t = tree.MustBuild(m.pseudo, parent, m.present())
+	m.t = baseline.StaticDFSUnder(g, m.pseudo)
 	m.l = lca.Build(m.t)
-}
-
-// baselineDFS computes parents of a DFS forest hung under pseudo.
-func baselineDFS(g *graph.Graph, pseudo int) []int {
-	n := g.NumVertexSlots()
-	parent := make([]int, pseudo+1)
-	for i := range parent {
-		parent[i] = tree.None
-	}
-	visited := make([]bool, n)
-	snap := g.Snapshot()
-	cursor := make([]int, n)
-	var stack []int
-	for s := 0; s < n; s++ {
-		if !g.IsVertex(s) || visited[s] {
-			continue
-		}
-		visited[s] = true
-		parent[s] = pseudo
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			row := snap.Row(v)
-			adv := false
-			for cursor[v] < len(row) {
-				w := row[cursor[v]]
-				cursor[v]++
-				if !visited[w] {
-					visited[w] = true
-					parent[w] = v
-					stack = append(stack, w)
-					adv = true
-					break
-				}
-			}
-			if !adv {
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return parent
+	return m
 }
 
 func (m *Maintainer) present() []bool {
@@ -420,27 +381,33 @@ func (m *Maintainer) ResidentWords() int {
 	return 6*m.t.N() + len(m.alive) + m.o.scratchPeak
 }
 
-func (m *Maintainer) engine() *reroot.Engine {
-	return reroot.NewWithScratch(m.t, m.l, m.o, pram.NewMachine(m.t.Live()), &m.scratch)
+// planner reduces the in-flight update against the current tree, with
+// every query answered by stream passes.
+func (m *Maintainer) planner() reroot.Planner {
+	return reroot.NewPlanner(m.t, m.l, m.o, m.mach, nil)
 }
 
-// finish installs the engine's result; preBatches is the number of
-// maintainer-level query rounds this update issued before (or outside) the
-// engine, each of them one pass of the synchronous schedule.
-func (m *Maintainer) finish(e *reroot.Engine, passesBefore int64, preBatches int) error {
-	nt, err := e.Result(m.pseudo, m.present())
-	if err != nil {
-		return fmt.Errorf("stream: rebuilding tree: %w", err)
+// apply runs an update's plan and records its pass accounting. discovery
+// is the number of passes (0 or 1) the update made before planning; the
+// synchronous schedule adds the plan's query round and the engine's
+// critical-path batches. An empty plan (a back edge) keeps the tree.
+func (m *Maintainer) apply(p reroot.Plan, passesBefore int64, discovery int) error {
+	m.lastStats = reroot.Stats{}
+	if len(p.Steps) > 0 {
+		e := reroot.NewWithScratch(m.t, m.l, m.o, m.mach, &m.scratch)
+		if err := p.Run(e, nil); err != nil {
+			return fmt.Errorf("stream: %w", err)
+		}
+		nt, err := e.Result(m.pseudo, m.present())
+		if err != nil {
+			return fmt.Errorf("stream: rebuilding tree: %w", err)
+		}
+		m.t, m.l, m.lastStats = nt, lca.Build(nt), e.Stats
 	}
-	m.t = nt
-	m.l = lca.Build(nt)
-	m.lastStats = e.Stats
 	m.lastPasses = m.s.passes - passesBefore
-	m.lastScheduled = preBatches + e.Stats.Batches
+	m.lastScheduled = discovery + p.Rounds + m.lastStats.Batches
 	return nil
 }
-
-func (m *Maintainer) compRoot(v int) int { return m.t.AncestorAtLevel(v, 1) }
 
 // Snapshot reconstructs the current graph from the stream with one pass.
 // It is a workload/test helper and not part of the maintainer's O(n)
@@ -460,33 +427,4 @@ func (m *Maintainer) Snapshot() *graph.Graph {
 		}
 	})
 	return g
-}
-
-// lowestEdgeToPath finds the deepest edge from T(sub) to path [low..high]
-// via one pass.
-func (m *Maintainer) lowestEdgeToPath(sub, low, high int) (int, int, bool) {
-	walk := m.t.PathUp(low, high)
-	src := m.t.SubtreeVertices(sub, nil)
-	hit, ok := m.o.EdgeToWalk(src, walk, false, nil)
-	if !ok {
-		return 0, 0, false
-	}
-	return hit.U, hit.Z, true
-}
-
-// lowestEdgesToPath answers lowestEdgeToPath for several disjoint subtrees
-// against one shared path as a single coalesced batch — one physical pass
-// for the whole family, the streaming counterpart of the core maintainer's
-// batched DeleteVertex round.
-func (m *Maintainer) lowestEdgesToPath(subs []int, low, high int) []dstruct.WalkAnswer {
-	walk := m.t.PathUp(low, high)
-	qs := make([]dstruct.WalkQuery, len(subs))
-	for i, sub := range subs {
-		qs[i] = dstruct.WalkQuery{
-			Sources: m.t.SubtreeVertices(sub, nil),
-			Walk:    walk,
-			FromEnd: false,
-		}
-	}
-	return m.o.EdgeToWalkBatch(qs, nil)
 }
