@@ -49,12 +49,13 @@ func BenchmarkUpdateParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			g := GnpConnected(n, 3.0/float64(n), rng)
-			m := NewMaintainer(g)
+			m := NewMaintainerWith(g, Options{RebuildD: true, Executor: Parallel})
+			es := newBenchEdges(g)
 			var rounds, depth int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d0 := m.Machine().Depth()
-				benchUpdate(b, m, rng)
+				benchUpdate(b, m, es, rng)
 				rounds += int64(m.LastStats().Rounds)
 				depth += m.Machine().Depth() - d0
 			}
@@ -69,10 +70,11 @@ func BenchmarkUpdateSequentialBaseline(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			g := GnpConnected(n, 3.0/float64(n), rng)
-			m := NewMaintainerWith(g, Options{RebuildD: true, Sequential: true})
+			m := NewMaintainerWith(g, Options{RebuildD: true, Executor: Sequential})
+			es := newBenchEdges(g)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchUpdate(b, m, rng)
+				benchUpdate(b, m, es, rng)
 			}
 		})
 	}
@@ -101,22 +103,67 @@ func BenchmarkUpdateStaticRecompute(b *testing.B) {
 }
 
 // benchUpdate alternates insert/delete so the graph stays near its initial
-// density across b.N iterations.
-func benchUpdate(b *testing.B, m *Maintainer, rng *rand.Rand) {
+// density across b.N iterations. es mirrors m's edge set.
+func benchUpdate(b *testing.B, m *Maintainer, es *benchEdges, rng *rand.Rand) {
 	b.Helper()
 	if rng.Intn(2) == 0 {
-		if e, ok := RandomNonEdge(m.Graph(), rng); ok {
+		if e, ok := es.nonEdge(m.Graph(), rng); ok {
 			if err := m.InsertEdge(e.U, e.V); err != nil {
 				b.Fatal(err)
 			}
+			es.add(e)
 			return
 		}
 	}
-	if e, ok := RandomEdge(m.Graph(), rng); ok {
+	if len(es.es) > 0 {
+		e := es.es[rng.Intn(len(es.es))]
 		if err := m.DeleteEdge(e.U, e.V); err != nil {
 			b.Fatal(err)
 		}
+		es.remove(e)
 	}
+}
+
+// benchEdges mirrors a maintainer's edge set so benchUpdate picks a random
+// edge in O(1): RandomEdge copies all m edges per pick, which would be a
+// sizable share of a cheap update's measured time.
+type benchEdges struct {
+	es  []Edge
+	pos map[Edge]int // index of each edge in es
+}
+
+func newBenchEdges(g Adjacency) *benchEdges {
+	p := &benchEdges{es: g.Edges(), pos: make(map[Edge]int, g.NumEdges())}
+	for i, e := range p.es {
+		p.pos[e] = i
+	}
+	return p
+}
+
+func (p *benchEdges) add(e Edge) {
+	p.pos[e] = len(p.es)
+	p.es = append(p.es, e)
+}
+
+// remove swap-removes e.
+func (p *benchEdges) remove(e Edge) {
+	i, last := p.pos[e], p.es[len(p.es)-1]
+	p.es[i], p.pos[last] = last, i
+	p.es = p.es[:len(p.es)-1]
+	delete(p.pos, e)
+}
+
+// nonEdge draws vertex pairs until one is a non-edge of g, which takes a
+// draw or two on the sparse benchmark graphs; it gives up after 64.
+func (p *benchEdges) nonEdge(g *PersistentGraph, rng *rand.Rand) (Edge, bool) {
+	n := g.NumVertexSlots()
+	for range 64 {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v && g.IsVertex(u) && g.IsVertex(v) && !g.HasEdge(u, v) {
+			return Edge{U: u, V: v}.Canon(), true
+		}
+	}
+	return Edge{}, false
 }
 
 // E2: fault tolerant batches.
@@ -394,37 +441,48 @@ func BenchmarkBuildDExec(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateExec compares D's two fully dynamic maintenance modes on
-// the same update stream: mode=incremental (the default — Update
-// repositions only moved entries, falling back to a rebuild on high churn)
-// vs mode=rebuild (Options.FullRebuildD, the paper's literal per-update
-// m-processor rebuild). On low-churn updates the incremental rows drop the
-// O(m) per-update term: their cost tracks the moved set, not the graph,
-// and flattens as n grows with fixed churn. incfrac/op reports the fraction
-// of updates that stayed on the incremental path.
+// BenchmarkUpdateExec compares the rerooting executors and D's two fully
+// dynamic maintenance modes on the same update stream: exec=dfs (the
+// default SubtreeDFS executor, one static DFS per rerooted subtree) vs
+// exec=parallel (the paper's Section 4 engine), and mode=incremental (the
+// default — Update repositions only moved entries, falling back to a
+// rebuild on high churn) vs mode=rebuild (Options.FullRebuildD, the
+// paper's literal per-update m-processor rebuild). On low-churn updates the
+// incremental rows drop the O(m) per-update term: their cost tracks the
+// moved set, not the graph, and flattens as n grows with fixed churn.
+// incfrac/op reports the fraction of updates that stayed on the
+// incremental path.
 func BenchmarkUpdateExec(b *testing.B) {
+	execs := []struct {
+		name string
+		x    Executor
+	}{{"dfs", SubtreeDFS}, {"parallel", Parallel}}
 	for _, n := range []int{4096, 100000} {
 		for _, w := range execWidths() {
-			for _, mode := range []string{"incremental", "rebuild"} {
-				b.Run(fmt.Sprintf("n=%d/workers=%d/mode=%s", n, w, mode), func(b *testing.B) {
-					rng := rand.New(rand.NewSource(1))
-					g := GnpConnected(n, 3.0/float64(n), rng)
-					mach := pram.NewMachineWithWorkers(2*g.NumEdges()+g.NumVertexSlots()+1, w)
-					m := NewMaintainerWith(g, Options{
-						RebuildD:     true,
-						FullRebuildD: mode == "rebuild",
-						Machine:      mach,
+			for _, x := range execs {
+				for _, mode := range []string{"incremental", "rebuild"} {
+					b.Run(fmt.Sprintf("n=%d/workers=%d/exec=%s/mode=%s", n, w, x.name, mode), func(b *testing.B) {
+						rng := rand.New(rand.NewSource(1))
+						g := GnpConnected(n, 3.0/float64(n), rng)
+						mach := pram.NewMachineWithWorkers(2*g.NumEdges()+g.NumVertexSlots()+1, w)
+						m := NewMaintainerWith(g, Options{
+							RebuildD:     true,
+							FullRebuildD: mode == "rebuild",
+							Machine:      mach,
+							Executor:     x.x,
+						})
+						es := newBenchEdges(g)
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							benchUpdate(b, m, es, rng)
+						}
+						b.StopTimer()
+						inc, reb := m.D().MaintenanceCounts()
+						if total := inc + reb; total > 0 {
+							b.ReportMetric(float64(inc)/float64(total), "incfrac/op")
+						}
 					})
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						benchUpdate(b, m, rng)
-					}
-					b.StopTimer()
-					inc, reb := m.D().MaintenanceCounts()
-					if total := inc + reb; total > 0 {
-						b.ReportMetric(float64(inc)/float64(total), "incfrac/op")
-					}
-				})
+				}
 			}
 		}
 	}

@@ -41,6 +41,12 @@ func mixedUpdate(m *dfs.Maintainer, rng *rand.Rand) bool {
 	return false
 }
 
+// paperMaintainer builds the fully dynamic maintainer on the paper's
+// Section 4 engine: every experiment reports that model's costs.
+func paperMaintainer(g *dfs.Graph) *dfs.Maintainer {
+	return dfs.NewMaintainerWith(g, dfs.Options{RebuildD: true, Executor: dfs.Parallel})
+}
+
 // runE1: per-update cost scaling of the parallel algorithm vs the
 // sequential rerooter and static recomputation.
 func runE1(seed int64) {
@@ -51,8 +57,8 @@ func runE1(seed int64) {
 		g := dfs.GnpConnected(n, 3.0/float64(n), rng)
 		m0 := g.NumEdges()
 
-		par := dfs.NewMaintainer(g)
-		seq := dfs.NewMaintainerWith(g, dfs.Options{RebuildD: true, Sequential: true})
+		par := paperMaintainer(g)
+		seq := dfs.NewMaintainerWith(g, dfs.Options{RebuildD: true, Executor: dfs.Sequential})
 
 		const updates = 20
 		var parDepth, parRounds, seqSteps int64

@@ -16,7 +16,7 @@ func runE5(seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		g := dfs.GnpConnected(n, 4.0/float64(n), rng)
 		t0 := time.Now()
-		m := dfs.NewMaintainer(g) // includes Build of D
+		m := paperMaintainer(g) // includes Build of D
 		buildNS := time.Since(t0).Nanoseconds()
 
 		// One batch of ~n independent queries: a full update exercises it;
@@ -58,8 +58,8 @@ func runE6(seed int64) {
 	for _, deg := range []int{2, 4, 8, 16, 32, 64} {
 		rng := rand.New(rand.NewSource(seed))
 		g := dfs.GnpConnected(n, float64(deg)/float64(n), rng)
-		par := dfs.NewMaintainer(g)
-		seq := dfs.NewMaintainerWith(g, dfs.Options{RebuildD: false, Sequential: true, Headroom: 128})
+		par := paperMaintainer(g)
+		seq := dfs.NewMaintainerWith(g, dfs.Options{RebuildD: false, Executor: dfs.Sequential, Headroom: 128})
 
 		var parW, seqW int64
 		const updates = 15
@@ -134,7 +134,7 @@ func runE7(seed int64) {
 		{"grid", dfs.GridGraph(32, 32)},
 		{"caterpillar", dfs.CycleOfCliques(64, 16)},
 	} {
-		m := dfs.NewMaintainer(w.g)
+		m := paperMaintainer(w.g)
 		var agg dfs.Stats
 		rngU := rand.New(rand.NewSource(seed + 3))
 		for i := 0; i < 25; i++ {

@@ -12,7 +12,10 @@
 // Four execution models are provided, mirroring the paper's results:
 //
 //   - Maintainer — fully dynamic DFS (Theorem 13): O(log³ n) model depth
-//     per update on m processors.
+//     per update on m processors under the Parallel executor. By default
+//     (SubtreeDFS) each reroot is instead one static DFS of the rerooted
+//     subtree, O(|T(r)| + m(T(r))) with no D query: the faster choice on
+//     few cores, and what Service runs. Options.Executor selects.
 //   - FaultTolerant — preprocess once, answer any batch of k updates
 //     without rebuilding D (Theorem 14).
 //   - Streaming — semi-streaming maintenance with O(n) resident words and
@@ -159,6 +162,20 @@ type Maintainer = core.DynamicDFS
 // Options configure a Maintainer.
 type Options = core.Options
 
+// Executor selects how a Maintainer runs each rerooting step
+// (Options.Executor).
+type Executor = core.Executor
+
+// Rerooting executors. SubtreeDFS, the zero value, is what NewMaintainer
+// and the Service run; Parallel is the paper's Section 4 engine, whose
+// costs the PRAM model columns report; Sequential is the Baswana et al.
+// baseline.
+const (
+	SubtreeDFS = core.SubtreeDFS
+	Parallel   = core.Parallel
+	Sequential = core.Sequential
+)
+
 // FaultTolerant is the preprocess-once structure of Theorem 14.
 type FaultTolerant = faulttol.FaultTolerant
 
@@ -274,11 +291,12 @@ func NewGraph(n int) *Graph { return graph.New(n) }
 // FromEdges builds a graph on n vertices from an edge list.
 func FromEdges(n int, edges []Edge) (*Graph, error) { return graph.FromEdges(n, edges) }
 
-// NewMaintainer builds the fully dynamic maintainer over a copy of g.
+// NewMaintainer builds the fully dynamic maintainer over a copy of g, with
+// the default SubtreeDFS executor.
 func NewMaintainer(g *Graph) *Maintainer { return core.NewFullyDynamic(g) }
 
-// NewMaintainerWith builds a maintainer with explicit options (sequential
-// baseline mode, custom machine, vertex-ID headroom).
+// NewMaintainerWith builds a maintainer with explicit options (rerooting
+// executor, custom machine, vertex-ID headroom).
 func NewMaintainerWith(g *Graph, opt Options) *Maintainer { return core.New(g, opt) }
 
 // Preprocess builds the fault-tolerant structure; maxUpdates bounds the

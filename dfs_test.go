@@ -85,7 +85,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestSequentialBaselineMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := GnpConnected(48, 0.08, rng)
-	seq := NewMaintainerWith(g, Options{RebuildD: true, Sequential: true})
+	seq := NewMaintainerWith(g, Options{RebuildD: true, Executor: Sequential})
 	for i := 0; i < 10; i++ {
 		if e, ok := RandomNonEdge(seq.Graph(), rng); ok {
 			if err := seq.InsertEdge(e.U, e.V); err != nil {

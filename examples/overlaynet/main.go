@@ -22,7 +22,7 @@ func main() {
 	rng := rand.New(rand.NewSource(7))
 	const n0 = 300
 	g := dfs.GnpConnected(n0, 4.0/float64(n0), rng)
-	m := dfs.NewMaintainer(g)
+	m := dfs.NewMaintainerWith(g, dfs.Options{RebuildD: true, Executor: dfs.Parallel})
 
 	fmt.Printf("overlay bootstrap: %d peers, %d links\n",
 		m.Graph().NumVertices(), m.Graph().NumEdges())

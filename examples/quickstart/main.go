@@ -14,7 +14,7 @@ import (
 func main() {
 	// A 3x3 grid.
 	g := dfs.GridGraph(3, 3)
-	m := dfs.NewMaintainer(g)
+	m := dfs.NewMaintainerWith(g, dfs.Options{RebuildD: true, Executor: dfs.Parallel})
 	fmt.Println("initial DFS tree (parent per vertex):")
 	printTree(m)
 

@@ -115,8 +115,8 @@ func TestParallelAndSequentialAgreeOnGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))
 	g := GnpConnected(32, 0.12, rng)
 	seq := script(g, 25, rng)
-	par := NewMaintainer(g)
-	sq := NewMaintainerWith(g, Options{RebuildD: true, Sequential: true})
+	par := NewMaintainerWith(g, Options{RebuildD: true, Executor: Parallel})
+	sq := NewMaintainerWith(g, Options{RebuildD: true, Executor: Sequential})
 	for i, u := range seq {
 		if _, err := par.Apply(u); err != nil {
 			t.Fatalf("step %d parallel: %v", i, err)
@@ -141,7 +141,7 @@ func TestQuickMaintainerAlwaysValid(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8 + int(uint(seed)%24)
 		g := GnpConnected(n, 3.0/float64(n), rng)
-		m := NewMaintainer(g)
+		m := NewMaintainerWith(g, Options{RebuildD: true, Executor: Parallel})
 		for _, u := range script(g, 12, rng) {
 			if _, err := m.Apply(u); err != nil {
 				return false

@@ -11,6 +11,15 @@
 // graph.Persistent mutation, D's patches and maintenance, pseudo-root
 // relocation and the installation of each new tree.
 //
+// Options.Executor selects how each reroot runs. The default, SubtreeDFS,
+// is a static DFS of the rerooted subtree's induced subgraph — valid
+// because every edge leaving the subtree ends above its new parent — and is
+// what the serving layer runs: O(|T(r)| + m(T(r))) per update with no D
+// query. Parallel is the paper's Section 4 engine (Theorem 13's polylog
+// depth on m processors, executed sequentially here); the experiments, the
+// fault-tolerant and the distributed maintainers select it, because its
+// costs are what they report. Sequential is the Baswana et al. baseline.
+//
 // In the default fully dynamic mode, D is maintained incrementally on the
 // new tree after each update: the engine reports the moved-vertex set and
 // dstruct.D.Update repositions exactly the entries naming moved vertices,
@@ -112,10 +121,30 @@ type Options struct {
 	// Machine receives the PRAM cost accounting; a fresh one is created if
 	// nil.
 	Machine *pram.Machine
-	// Sequential selects the Baswana-et-al-style sequential rerooting
-	// baseline instead of the paper's parallel scheduler.
-	Sequential bool
+	// Executor selects how each rerooting step of the Section 3 reduction
+	// runs. The zero value, SubtreeDFS, is the fastest on one core and is
+	// what the serving layer runs; Parallel selects the paper's Section 4
+	// engine (the model the experiments, the fault-tolerant and the
+	// distributed maintainers report on) and Sequential the Baswana et al.
+	// baseline. All three produce valid DFS trees, in general different
+	// ones.
+	Executor Executor
 }
+
+// Executor selects the rerooting executor; see reroot.Executor.
+type Executor = reroot.Executor
+
+// The rerooting executors (Options.Executor).
+const (
+	// SubtreeDFS reroots each subtree with one static DFS of the subgraph
+	// it induces: O(|T(r)| + m(T(r))) per step, no D query.
+	SubtreeDFS = reroot.SubtreeDFS
+	// Parallel runs the paper's Section 4 engine: polylog rounds of batched
+	// D queries, charged to the PRAM model.
+	Parallel = reroot.Parallel
+	// Sequential runs the sequential rerooting of Baswana et al.
+	Sequential = reroot.Sequential
+)
 
 // DynamicDFS maintains a DFS tree of a dynamic undirected graph.
 type DynamicDFS struct {
@@ -129,7 +158,8 @@ type DynamicDFS struct {
 	rebuildD     bool
 	fullRebuildD bool
 	headroom     int
-	sequential   bool
+	exec         Executor
+	present      []bool // presence mask reused by every tree build
 	lastStats    reroot.Stats
 	lastDelta    *Delta // nil when the last update yielded no usable delta
 	relocated    bool   // pseudo root relocated during the in-flight update
@@ -175,7 +205,7 @@ func New(g *graph.Graph, opt Options) *DynamicDFS {
 		rebuildD:     opt.RebuildD,
 		fullRebuildD: opt.FullRebuildD,
 		headroom:     opt.Headroom,
-		sequential:   opt.Sequential,
+		exec:         opt.Executor,
 	}
 	dd.pseudo = dd.g.NumVertexSlots() + dd.headroom
 	dd.t = baseline.StaticDFSUnder(dd.g, dd.pseudo)
@@ -201,8 +231,10 @@ func NewFullyDynamic(g *graph.Graph) *DynamicDFS {
 // shared original D while the tree evolves. g is a persistent version the
 // caller may keep sharing — the session never mutates it, it only advances
 // its own pointer past it. t must be g's DFS tree rooted at pseudo, and d
-// built on a tree whose queries remain valid for t (Theorem 9).
-func NewFromState(g *graph.Persistent, t *tree.Tree, d *dstruct.D, pseudo int, m *pram.Machine) *DynamicDFS {
+// built on a tree whose queries remain valid for t (Theorem 9). Of opt only
+// Machine and Executor apply: D stays pinned to its tree.
+func NewFromState(g *graph.Persistent, t *tree.Tree, d *dstruct.D, pseudo int, opt Options) *DynamicDFS {
+	m := opt.Machine
 	if m == nil {
 		m = pram.NewMachine(t.Live())
 	}
@@ -215,6 +247,7 @@ func NewFromState(g *graph.Persistent, t *tree.Tree, d *dstruct.D, pseudo int, m
 		pseudo:   pseudo,
 		rebuildD: false,
 		headroom: pseudo - g.NumVertexSlots(),
+		exec:     opt.Executor,
 	}
 }
 
@@ -240,7 +273,7 @@ func NewDynamicRestored(g *graph.Persistent, t *tree.Tree, pseudo, updates int, 
 		rebuildD:     true,
 		fullRebuildD: opt.FullRebuildD,
 		headroom:     pseudo - g.NumVertexSlots(),
-		sequential:   opt.Sequential,
+		exec:         opt.Executor,
 	}
 	dd.d = dstruct.Build(dd.g, dd.t, dd.m)
 	dd.l = dd.d.LCA
@@ -290,13 +323,20 @@ func (dd *DynamicDFS) QueryStats() dstruct.Stats { return dd.qstats }
 // Updates returns the number of updates processed.
 func (dd *DynamicDFS) Updates() int { return dd.updates }
 
-// present builds the presence mask for the tree (graph vertices + pseudo).
-func (dd *DynamicDFS) present() []bool {
-	p := make([]bool, dd.pseudo+1)
-	for v := 0; v < dd.g.NumVertexSlots(); v++ {
+// presentMask refills the maintainer's presence mask for the tree (graph
+// vertices + pseudo) and returns it. The mask is only borrowed: tree.Build
+// copies it, so one buffer serves every update.
+func (dd *DynamicDFS) presentMask() []bool {
+	p := dd.present
+	if cap(p) < dd.pseudo+1 {
+		p = make([]bool, dd.pseudo+1)
+	}
+	p = p[:dd.pseudo+1]
+	for v := range p {
 		p[v] = dd.g.IsVertex(v)
 	}
 	p[dd.pseudo] = true
+	dd.present = p
 	return p
 }
 
@@ -322,7 +362,7 @@ func (dd *DynamicDFS) apply(kind UpdateKind, p reroot.Plan) error {
 	if spent != nil {
 		t0 = time.Now()
 	}
-	nt, err := e.Result(dd.pseudo, dd.present())
+	nt, err := e.Result(dd.pseudo, dd.presentMask())
 	if spent != nil {
 		*spent += time.Since(t0)
 	}
@@ -407,7 +447,7 @@ func (dd *DynamicDFS) planner() reroot.Planner {
 // per-update buffers from the maintainer's reusable scratch.
 func (dd *DynamicDFS) engine() *reroot.Engine {
 	e := reroot.NewWithScratch(dd.t, dd.l, dd.d, dd.m, &dd.scratch)
-	e.Sequential = dd.sequential
+	e.Executor, e.G = dd.exec, dd.g
 	// Only the incremental D path consumes the moved set; other modes must
 	// not pay the subtree walks that accumulate it.
 	e.TrackMoved = dd.rebuildD && !dd.fullRebuildD
@@ -439,7 +479,7 @@ func (dd *DynamicDFS) relocatePseudo() {
 		}
 		parent[v] = p
 	}
-	dd.t = tree.MustBuild(dd.pseudo, parent, dd.present())
+	dd.t = tree.MustBuild(dd.pseudo, parent, dd.presentMask())
 	if dd.rebuildD {
 		if dd.fullRebuildD {
 			dd.d.Rebuild(dd.g, dd.t, dd.m)

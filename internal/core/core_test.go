@@ -274,7 +274,7 @@ func TestRandomUpdateSequences(t *testing.T) {
 func TestLongSequenceStatsClean(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	g := graph.GnpConnected(64, 0.06, rng)
-	dd := NewFullyDynamic(g)
+	dd := New(g, Options{RebuildD: true, Executor: Parallel})
 	var fallbacks, violations int
 	for step := 0; step < 120; step++ {
 		if op := randomUpdate(t, dd, rng); op != "" {

@@ -21,8 +21,8 @@ func TestParallelExecutionMatchesSerial(t *testing.T) {
 
 	mp := pram.NewMachineWithWorkers(2*g.NumEdges()+n, 8)
 	ms := pram.NewMachineWithWorkers(2*g.NumEdges()+n, 1)
-	par := New(g, Options{RebuildD: true, Machine: mp})
-	ser := New(g, Options{RebuildD: true, Machine: ms})
+	par := New(g, Options{RebuildD: true, Machine: mp, Executor: Parallel})
+	ser := New(g, Options{RebuildD: true, Machine: ms, Executor: Parallel})
 
 	sameTrees := func(ctx string) {
 		t.Helper()

@@ -18,7 +18,7 @@ func TestSoakLongSequence(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(239))
 	g := graph.GnpConnected(256, 3.0/256.0, rng)
-	dd := NewFullyDynamic(g)
+	dd := New(g, Options{RebuildD: true, Executor: Parallel})
 	worstRounds := 0
 	for step := 0; step < 400; step++ {
 		if op := randomUpdate(t, dd, rng); op == "" {

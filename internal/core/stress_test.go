@@ -19,7 +19,7 @@ func TestStressManySeeds(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 64 + int(seed%3)*64
 		g := graph.GnpConnected(n, 4.0/float64(n), rng)
-		dd := NewFullyDynamic(g)
+		dd := New(g, Options{RebuildD: true, Executor: Parallel})
 		for step := 0; step < 150; step++ {
 			if op := randomUpdate(t, dd, rng); op == "" {
 				continue

@@ -34,7 +34,7 @@ func New(g *graph.Graph, b int) *Maintainer {
 		}
 	}
 	m := &Maintainer{
-		dd: core.NewFullyDynamic(g),
+		dd: core.New(g, core.Options{RebuildD: true, Executor: core.Parallel}),
 		nw: NewNetwork(b),
 	}
 	m.nw.BuildBFS(m.dd.Graph())

@@ -49,7 +49,7 @@ func Preprocess(g *graph.Graph, maxUpdates int) *FaultTolerant {
 		maxUpdates = 64
 	}
 	m := pram.NewMachine(2*g.NumEdges() + g.NumVertexSlots() + 1)
-	dd := core.New(g, core.Options{RebuildD: false, Headroom: maxUpdates + 1, Machine: m})
+	dd := core.New(g, core.Options{RebuildD: false, Headroom: maxUpdates + 1, Machine: m, Executor: core.Parallel})
 	return &FaultTolerant{g0: dd.Graph(), dd0: dd, m: m, maxUpd: maxUpdates}
 }
 
@@ -82,7 +82,7 @@ func (ft *FaultTolerant) Apply(updates []core.Update) (*Result, error) {
 	// The persistent graph makes the session start free: it shares g0
 	// zero-copy and path-copies only what its updates touch, so a batch no
 	// longer pays an O(n+m) clone before its first update.
-	session := core.NewFromState(ft.g0, ft.dd0.Tree(), d, ft.dd0.PseudoRoot(), ft.m)
+	session := core.NewFromState(ft.g0, ft.dd0.Tree(), d, ft.dd0.PseudoRoot(), core.Options{Machine: ft.m, Executor: core.Parallel})
 	res := &Result{PseudoRoot: ft.dd0.PseudoRoot()}
 	for i, u := range updates {
 		if _, err := session.Apply(u); err != nil {

@@ -189,6 +189,17 @@ func (p *Persistent) Neighbors(v int, buf []int) []int {
 	return buf
 }
 
+// Row returns v's neighbors in increasing vertex order without copying
+// them, or nil for a non-vertex. The row is shared with this version (and
+// with every later version that did not touch v): callers must not modify
+// it.
+func (p *Persistent) Row(v int) []int32 {
+	if !p.IsVertex(v) {
+		return nil
+	}
+	return p.row(v)
+}
+
 // SortedNeighbors returns the neighbors of v in increasing vertex order.
 func (p *Persistent) SortedNeighbors(v int) []int {
 	return p.Neighbors(v, nil)

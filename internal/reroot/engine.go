@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dstruct"
+	"repro/internal/graph"
 	"repro/internal/lca"
 	"repro/internal/pram"
 	"repro/internal/tree"
@@ -94,11 +95,14 @@ type Engine struct {
 	scratch *Scratch // owns the moved-vertex accumulator (reused by the maintainer)
 	n0      int      // size of the subtree currently being rerooted
 
-	// Sequential disables the phase/stage scheduler and consumes every
-	// component with the plain walk-to-the-root traversal — the sequential
-	// rerooting of Baswana et al. (SODA 2016) that the paper parallelizes.
-	// Used as the Õ(n)-per-update baseline.
-	Sequential bool
+	// Executor selects how Reroot runs: the paper's Section 4 scheduler
+	// (Parallel, what New and NewWithScratch select), Baswana et al.'s
+	// sequential rerooting (Sequential, the Õ(n)-per-update baseline), or a
+	// static DFS of the rerooted subtree (SubtreeDFS, which reads G). Set it
+	// before the first Reroot call.
+	Executor Executor
+	// G is the graph after the update. Only SubtreeDFS reads it.
+	G *graph.Persistent
 
 	// TrackMoved opts in to moved-vertex accumulation (Moved): every Reroot
 	// and re-hanging SetParent, including those a Plan.Run issues, then
@@ -119,18 +123,20 @@ type Engine struct {
 
 // Scratch holds the per-update buffers of an engine so a maintainer can
 // reuse them across updates instead of reallocating (parent copy + visited
-// mask + moved/removed-vertex accumulators). A Scratch must not be shared
-// by engines running concurrently.
+// mask + moved/removed-vertex accumulators + the subtree search's stack). A
+// Scratch must not be shared by engines running concurrently.
 type Scratch struct {
 	parent  []int
 	visited []bool
 	moved   []int
 	removed []int
+	stack   []dfsFrame
 }
 
 // New creates an engine that writes rerooted parent assignments over a copy
-// of t's parent array. d must answer queries for the current graph (base
-// structure plus patches for the in-flight update).
+// of t's parent array and reroots with the Parallel executor. d must answer
+// queries for the current graph (base structure plus patches for the
+// in-flight update).
 func New(t *tree.Tree, l *lca.Index, d Oracle, m *pram.Machine) *Engine {
 	return NewWithScratch(t, l, d, m, nil)
 }
@@ -155,13 +161,14 @@ func NewWithScratch(t *tree.Tree, l *lca.Index, d Oracle, m *pram.Machine, s *Sc
 		s.visited = make([]bool, n)
 	}
 	return &Engine{
-		T:       t,
-		L:       l,
-		D:       d,
-		M:       m,
-		parent:  s.parent,
-		visited: s.visited,
-		scratch: s,
+		T:        t,
+		L:        l,
+		D:        d,
+		M:        m,
+		Executor: Parallel,
+		parent:   s.parent,
+		visited:  s.visited,
+		scratch:  s,
 	}
 }
 
@@ -223,6 +230,9 @@ func (e *Engine) Reroot(r0, rstar, attachParent int) error {
 	// Everything in the rerooted subtree may change relative post-order.
 	if e.TrackMoved {
 		e.scratch.moved = e.T.SubtreeVertices(r0, e.scratch.moved)
+	}
+	if e.Executor == SubtreeDFS {
+		return e.traverse(r0, rstar, attachParent)
 	}
 	e.n0 = e.T.Size(r0)
 	root := &Comp{
@@ -304,7 +314,7 @@ func (e *Engine) step(c *Comp) ([]*Comp, error) {
 	if rcPiece < 0 {
 		return nil, fmt.Errorf("reroot: entry vertex %d not in component %v", c.RC, c.Pieces)
 	}
-	if e.Sequential {
+	if e.Executor == Sequential {
 		e.Stats.Sequential++
 		return e.fallback(c, rcPiece)
 	}
@@ -375,7 +385,7 @@ func (e *Engine) chargeBatch(c *Comp, k int) {
 	if lg == 0 {
 		lg = 1
 	}
-	if e.Sequential {
+	if e.Executor == Sequential {
 		e.M.Charge(lg*lg*lg, lg*lg*lg)
 	} else {
 		e.M.Charge(0, int64(k)*lg)

@@ -13,7 +13,10 @@ import (
 // Step is one subtree relocation of the Section 3 reduction. With
 // Root == tree.None, T(Sub) is hung under Parent unchanged (Parent ==
 // tree.None detaches Sub from the tree); otherwise T(Sub) is rerooted at
-// Root and hung under Parent.
+// Root and hung under Parent. Every step the Planner makes keeps the tree
+// edges inside T(Sub) in the graph, and every other graph edge leaving
+// T(Sub) ends at Parent or above it; the SubtreeDFS executor relies on
+// both.
 type Step struct{ Sub, Root, Parent int }
 
 // Plan is the reduction of one update: the steps to run on an Engine, in

@@ -46,7 +46,7 @@ func FuzzMaintainerParity(f *testing.F) {
 			}
 		}
 		data = data[2+k:]
-		dd := core.NewFullyDynamic(g)
+		dd := core.New(g, core.Options{RebuildD: true, Executor: core.Parallel})
 		m := New(g)
 		checkParity(t, dd, m, "initial")
 		for step := 0; step < 40 && len(data) >= 3; step++ {
