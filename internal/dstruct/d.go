@@ -2,7 +2,7 @@ package dstruct
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/lca"
@@ -16,7 +16,7 @@ type D struct {
 	T   *tree.Tree
 	LCA *lca.Index
 
-	mach *pram.Machine // worker pool for build and query execution; nil = serial
+	mach *pram.Machine // worker pool for query execution; nil = serial
 
 	// key holds D's relocatable order labels: key[v] is v's position in T's
 	// post-order (-1 for holes), and every neighbor row is sorted by the key
@@ -26,7 +26,8 @@ type D struct {
 	// compare keys, never tree.Post directly.
 	key []int
 
-	nbr [][]int32 // nbr[v] = neighbors of v sorted by key (base graph only)
+	nbr   [][]int32 // nbr[v] = neighbors of v sorted by key (base graph only)
+	byKey []int32   // build scratch: the tree's vertices in key order
 
 	inserted   map[int][]int           // patch: inserted-edge adjacency
 	deletedE   map[graph.Edge]struct{} // patch: deleted base edges (canonical)
@@ -63,14 +64,11 @@ func (s *Stats) Add(o Stats) {
 	s.RunsSplit += o.RunsSplit
 }
 
-// buildParallelCutoff is the tree size below which Build/Rebuild fill the
-// neighbor rows serially (mirroring query.go's parallelSourceCutoff).
-const buildParallelCutoff = 2048
-
 // Build constructs D over graph g and its DFS tree t, charging the machine
 // the paper's preprocessing cost (Theorem 8: O(log n) depth on m
-// processors; per-vertex parallel merge sort of N(v)). mach may be nil, in
-// which case construction and all queries run serially.
+// processors; per-vertex parallel merge sort of N(v)). Construction itself
+// is one sequential O(n+m) bucket pass. mach may be nil, in which case all
+// queries run serially.
 func Build(g graph.Adjacency, t *tree.Tree, mach *pram.Machine) *D {
 	d := &D{
 		inserted:   make(map[int][]int),
@@ -107,54 +105,42 @@ func (d *D) build(g graph.Adjacency, t *tree.Tree, mach *pram.Machine) {
 	} else {
 		d.nbr = make([][]int32, n)
 	}
-	slots := g.NumVertexSlots()
-	if slots > n {
-		slots = n
-	}
-	// Per-vertex neighbor-row sorts are independent: shard the vertex range
-	// over the worker pool, each shard tracking its own max degree. Small
-	// trees fill serially — the per-update Rebuild of a small graph should
-	// not pay goroutine fan-out for microseconds of sorting.
-	par := mach != nil && mach.Workers() > 1 && n >= buildParallelCutoff
-	shardMax := make([]int, 1)
-	if par {
-		shardMax = make([]int, mach.Workers())
-	}
-	fillRange := func(shard, lo, hi int) {
-		var scratch []int
-		maxDeg := 0
-		for v := lo; v < hi; v++ {
-			if v >= slots || !g.IsVertex(v) {
-				d.nbr[v] = d.nbr[v][:0]
-				continue
-			}
-			scratch = g.Neighbors(v, scratch)
-			row := d.nbr[v][:0]
-			for _, w := range scratch {
-				row = append(row, int32(w))
-			}
-			// Order keys (post-order indices) are unique, so the sort is
-			// deterministic regardless of the map-iteration order Neighbors
-			// returns.
-			sort.Slice(row, func(i, j int) bool {
-				return d.key[row[i]] < d.key[row[j]]
-			})
-			d.nbr[v] = row
-			if len(row) > maxDeg {
-				maxDeg = len(row)
+	slots := min(g.NumVertexSlots(), n)
+	// Empty every row, giving the rows that must grow capped windows of one
+	// shared backing array, and list the tree's vertices in key order.
+	d.byKey = slices.Grow(d.byKey[:0], t.Live())[:t.Live()]
+	maxDeg, grow := 0, 0
+	for v := range d.nbr {
+		d.nbr[v] = d.nbr[v][:0]
+		if d.key[v] >= 0 {
+			d.byKey[d.key[v]] = int32(v)
+		}
+		if v < slots { // Degree is 0 for a non-vertex
+			deg := g.Degree(v)
+			maxDeg = max(maxDeg, deg)
+			if cap(d.nbr[v]) < deg {
+				grow += deg
 			}
 		}
-		shardMax[shard] = maxDeg
 	}
-	if par {
-		mach.ExecSharded(n, fillRange)
-	} else {
-		fillRange(0, 0, n)
+	backing := make([]int32, grow)
+	for v := 0; v < slots && grow > 0; v++ {
+		if deg := g.Degree(v); cap(d.nbr[v]) < deg {
+			d.nbr[v], backing = backing[:0:deg], backing[deg:]
+		}
 	}
-	maxDeg := 0
-	for _, m := range shardMax {
-		if m > maxDeg {
-			maxDeg = m
+	// Bucket pass: appending each vertex, in key order, to the rows of its
+	// neighbors leaves every row sorted by key with no comparison sort.
+	var scratch []int
+	for _, w := range d.byKey {
+		if int(w) >= slots || !g.IsVertex(int(w)) {
+			continue
+		}
+		scratch = g.Neighbors(int(w), scratch)
+		for _, u := range scratch {
+			if u < slots {
+				d.nbr[u] = append(d.nbr[u], w)
+			}
 		}
 	}
 	if mach != nil {

@@ -17,9 +17,9 @@
 //     moved and deleted entries by binary search under the previous labels,
 //     refreshes the keys from the new tree in one O(n) pass, and re-inserts
 //     the moved and patched entries under the new labels — O(Σ deg(moved) ·
-//     log) row work instead of the O(m log m) re-sort of a ground-up
-//     rebuild, with a churn-ratio fallback to Rebuild so the worst case
-//     never regresses past the paper's m-processor rebuild. Between updates
+//     log) row work instead of the O(n+m) pass of a ground-up rebuild, with
+//     a churn-ratio fallback to Rebuild so the worst case never regresses
+//     past the paper's m-processor rebuild. Between updates
 //     D carries no patches and is structurally identical to a fresh
 //     Build (CheckSynced audits exactly this).
 //
@@ -48,11 +48,16 @@
 // sends many small-source queries against one walk slice, so the
 // difference is most of its query time.
 //
-// Execution vs accounting: D runs the paper's parallelism for real. Build
-// sorts the per-vertex neighbor rows across the machine's worker pool, and
-// the EdgeToWalk family shards large source batches over the same pool
-// (see query.go). The machine's recorded depth/work stay purely analytic:
-// Build charges Theorem 8's preprocessing cost in one step, query batches
+// Build cost: the order keys are a permutation of the live vertices, so
+// Build and Rebuild fill every row in one O(n+m) bucket pass — each vertex,
+// taken in key order, is appended to the row of every neighbor — and no row
+// is ever comparison-sorted.
+//
+// Execution vs accounting: the EdgeToWalk family shards large source
+// batches over the machine's worker pool (see query.go); Build runs on the
+// calling goroutine. The machine's recorded depth/work stay purely
+// analytic: Build charges Theorem 8's preprocessing cost (a parallel merge
+// sort of every row on m processors) in one step, query batches
 // are charged by their callers as single O(log n)-depth steps (Theorems 6
 // and 8), and the execution layer itself charges nothing — so host
 // parallelism changes wall-clock time but never the model costs.

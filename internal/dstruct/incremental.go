@@ -9,8 +9,8 @@ package dstruct
 // relative position in the new numbering. A neighbor row therefore stays
 // sorted except where it names a moved vertex, and refreshing D reduces to
 // repositioning exactly those entries — O(Σ deg(moved) · log) row work plus
-// one O(n) relabel pass — instead of re-sorting every row (the O(m log m)
-// term of a ground-up Rebuild).
+// one O(n) relabel pass — instead of refilling every row (the O(n+m) bucket
+// pass of a ground-up Rebuild).
 //
 // The order keys make this safe: rows are sorted by D's own key array, a
 // lagging copy of the tree's post-order labels. Update removes moved and
@@ -20,6 +20,7 @@ package dstruct
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -145,9 +146,7 @@ func (d *D) Update(g graph.Adjacency, t *tree.Tree, delta UpdateDelta) bool {
 		for _, w := range scratch {
 			row = append(row, int32(w))
 		}
-		sort.Slice(row, func(i, j int) bool {
-			return d.key[row[i]] < d.key[row[j]]
-		})
+		slices.SortFunc(row, func(a, b int32) int { return d.key[a] - d.key[b] })
 		d.nbr[v] = row
 	}
 	for u, row := range d.inserted {

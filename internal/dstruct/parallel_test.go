@@ -16,7 +16,7 @@ import (
 // checks the shard interleavings.
 
 // buildPair returns two Ds over the same (g, t): one serial (nil machine)
-// and one whose queries and build run on a forced 8-worker pool.
+// and one whose queries run on a forced 8-worker pool.
 func buildPair(g *graph.Graph, rng *rand.Rand) (serial, parallel *D, _ *graph.Graph) {
 	tr := baseline.StaticDFS(g)
 	serial = Build(g, tr, nil)

@@ -25,9 +25,9 @@ type Tree struct {
 	// Numbering computed at Build time:
 	post  []int // post-order index (0..live-1); -1 for holes
 	pre   []int // pre-order (entry) index; -1 for holes
-	out   []int // exit counter for ancestor tests (pre/out interval nesting)
+	order []int // pre-order sequence: order[pre[v]] = v, so T(v) is a window
 	level []int // depth from root (root = 0)
-	size  []int // subtree sizes
+	size  []int // subtree sizes (0 for holes)
 
 	live int
 }
@@ -44,13 +44,12 @@ func Build(root int, parent []int, present []bool) (*Tree, error) {
 		children: make([][]int, n),
 		post:     make([]int, n),
 		pre:      make([]int, n),
-		out:      make([]int, n),
 		level:    make([]int, n),
 		size:     make([]int, n),
 	}
 	for v := 0; v < n; v++ {
 		t.present[v] = present == nil || present[v]
-		t.post[v], t.pre[v], t.out[v], t.level[v] = -1, -1, -1, -1
+		t.post[v], t.pre[v], t.level[v] = -1, -1, -1
 	}
 	if root < 0 || root >= n || !t.present[root] {
 		return nil, fmt.Errorf("tree: invalid root %d", root)
@@ -105,19 +104,21 @@ func MustBuild(root int, parent []int, present []bool) *Tree {
 	return t
 }
 
-// number runs one iterative DFS from the root assigning pre/post/out/level/
-// size. It also validates that the parent array is acyclic and spans all
-// present vertices.
+// number runs one iterative DFS from the root assigning pre/post/level/size
+// and recording the pre-order sequence. It also validates that the parent
+// array is acyclic and spans all present vertices.
 func (t *Tree) number() error {
 	type frame struct {
 		v, ci int
 	}
 	stack := make([]frame, 0, t.live)
+	t.order = make([]int, 0, t.live)
 	stack = append(stack, frame{t.Root, 0})
 	t.level[t.Root] = 0
 	preC, postC := 0, 0
 	t.pre[t.Root] = preC
 	preC++
+	t.order = append(t.order, t.Root)
 	visited := 1
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
@@ -130,6 +131,7 @@ func (t *Tree) number() error {
 			t.level[c] = t.level[f.v] + 1
 			t.pre[c] = preC
 			preC++
+			t.order = append(t.order, c)
 			visited++
 			stack = append(stack, frame{c, 0})
 			continue
@@ -138,7 +140,6 @@ func (t *Tree) number() error {
 		stack = stack[:len(stack)-1]
 		t.post[v] = postC
 		postC++
-		t.out[v] = preC
 		sz := 1
 		for _, c := range t.children[v] {
 			sz += t.size[c]
@@ -189,9 +190,11 @@ func (t *Tree) Level(v int) int { return t.level[v] }
 func (t *Tree) Size(v int) int { return t.size[v] }
 
 // IsAncestor reports whether a is an ancestor of v (not necessarily proper):
-// pre[a] <= pre[v] < out[a].
+// pre[v] falls in T(a)'s pre-order window [pre[a], pre[a]+size[a]). A hole
+// has an empty window and no pre-order index, so it is nobody's ancestor or
+// descendant.
 func (t *Tree) IsAncestor(a, v int) bool {
-	return t.pre[a] <= t.pre[v] && t.pre[v] < t.out[a]
+	return t.pre[a] <= t.pre[v] && t.pre[v] < t.pre[a]+t.size[a]
 }
 
 // InSubtree reports whether v lies in T(w). Identical to IsAncestor(w, v);
@@ -244,13 +247,10 @@ func (t *Tree) ChildToward(a, d int) int {
 	return t.AncestorAtLevel(d, t.level[a]+1)
 }
 
-// SubtreeVertices appends the vertices of T(v) to buf in pre-order.
+// SubtreeVertices appends the vertices of T(v) to buf in pre-order. T(v) is
+// the window of the pre-order sequence starting at pre[v]. v must be present.
 func (t *Tree) SubtreeVertices(v int, buf []int) []int {
-	buf = append(buf, v)
-	for _, c := range t.children[v] {
-		buf = t.SubtreeVertices(c, buf)
-	}
-	return buf
+	return append(buf, t.order[t.pre[v]:t.pre[v]+t.size[v]]...)
 }
 
 // Vertices returns all present vertices in increasing ID order.

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -169,5 +170,71 @@ func TestHoles(t *testing.T) {
 	vs := tr.Vertices()
 	if len(vs) != 3 {
 		t.Fatalf("Vertices()=%v", vs)
+	}
+}
+
+// holeyTree builds a random tree over n slots rooted at a pseudo root in the
+// last slot, the shape the maintainers run on: about a fifth of the other
+// slots are holes, and each live vertex hangs from a random earlier live
+// vertex or from the pseudo root.
+func holeyTree(n int, rng *rand.Rand) *Tree {
+	root := n - 1
+	parent := make([]int, n)
+	present := make([]bool, n)
+	live := []int{root}
+	for v := range parent {
+		parent[v] = None
+		if v == root || rng.Intn(5) == 0 {
+			continue
+		}
+		present[v] = true
+		parent[v] = live[rng.Intn(len(live))]
+		live = append(live, v)
+	}
+	present[root] = true
+	return MustBuild(root, parent, present)
+}
+
+// TestSubtreeWindowsMatchReferences checks the pre-order windows behind
+// SubtreeVertices and IsAncestor against a recursive subtree walk and a
+// parent walk, on trees with holes and a pseudo root, hole arguments
+// included.
+func TestSubtreeWindowsMatchReferences(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(90)
+		tr := holeyTree(n, rng)
+		var walk func(v int, buf []int) []int
+		walk = func(v int, buf []int) []int {
+			buf = append(buf, v)
+			for _, c := range tr.Children(v) {
+				buf = walk(c, buf)
+			}
+			return buf
+		}
+		isAnc := func(a, v int) bool {
+			if !tr.Present(a) || !tr.Present(v) {
+				return false
+			}
+			for ; v != None; v = tr.Parent[v] {
+				if v == a {
+					return true
+				}
+			}
+			return false
+		}
+		for a := 0; a < n; a++ {
+			if tr.Present(a) {
+				buf := []int{-7} // SubtreeVertices appends after existing entries
+				if got, want := tr.SubtreeVertices(a, buf), walk(a, []int{-7}); !slices.Equal(got, want) {
+					t.Fatalf("trial %d: SubtreeVertices(%d) = %v, want %v", trial, a, got, want)
+				}
+			}
+			for v := 0; v < n; v++ {
+				if got, want := tr.IsAncestor(a, v), isAnc(a, v); got != want {
+					t.Fatalf("trial %d: IsAncestor(%d,%d) = %v, want %v", trial, a, v, got, want)
+				}
+			}
+		}
 	}
 }

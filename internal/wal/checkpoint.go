@@ -101,13 +101,16 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if c.Seq, err = next(); err != nil {
 		return nil, err
 	}
+	// Every slot carries at least one degree byte and every parent entry at
+	// least one varint byte, so the remaining payload bounds both counts
+	// before anything is allocated from them.
 	slots64, err := next()
-	if err != nil || slots64 > 1<<30 {
+	if err != nil || slots64 > uint64(len(p)) {
 		return nil, fmt.Errorf("%w: bad slot count", ErrCorrupt)
 	}
 	slots := int(slots64)
 	pseudo64, err := next()
-	if err != nil || pseudo64 < slots64 || pseudo64 > 1<<31 {
+	if err != nil || pseudo64 < slots64 || pseudo64 >= uint64(len(p)) {
 		return nil, fmt.Errorf("%w: bad pseudo root", ErrCorrupt)
 	}
 	c.Pseudo = int(pseudo64)

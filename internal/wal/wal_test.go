@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -391,6 +392,22 @@ func TestCheckpointCorruption(t *testing.T) {
 		}
 		if !bytes.Equal(got.Encode(), data) {
 			t.Fatalf("pos %d: corrupt checkpoint decoded to different state", pos)
+		}
+	}
+}
+
+// TestCheckpointHostileHeaderCounts feeds CRC-valid blobs whose slot or
+// pseudo-root count promises far more entries than the payload holds. Each
+// must fail with ErrCorrupt before allocating per the count.
+func TestCheckpointHostileHeaderCounts(t *testing.T) {
+	for name, payload := range map[string][]byte{
+		// ID "", seq 0, slots 2^30.
+		"slots=2^30": binary.AppendUvarint([]byte{0, 0}, 1<<30),
+		// ID "", seq 0, slots 0, pseudo 2^31, m 0.
+		"pseudo=2^31": append(binary.AppendUvarint([]byte{0, 0, 0}, 1<<31), 0),
+	} {
+		if _, err := DecodeCheckpoint(frameCheckpoint(payload)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: decode = %v, want ErrCorrupt", name, err)
 		}
 	}
 }
