@@ -27,20 +27,8 @@ import (
 
 func sizes() []int { return []int{256, 1024, 4096} }
 
-// bigSizes extends sizes with the 10⁵-vertex instance the parallel-vs-
-// serial speedup comparisons are specified at.
+// bigSizes extends sizes with the 10⁵-vertex instance.
 func bigSizes() []int { return append(sizes(), 100000) }
-
-// execWidths returns the worker-pool widths for the execution-speedup
-// benchmark family: always the serial baseline, plus the host's cores when
-// it has more than one (on a single-core host the parallel rows would only
-// measure scheduling overhead).
-func execWidths() []int {
-	if w := runtime.GOMAXPROCS(0); w > 1 {
-		return []int{1, w}
-	}
-	return []int{1}
-}
 
 // E1: fully dynamic update vs baselines.
 
@@ -334,14 +322,12 @@ func deepTreeEdge(m *Maintainer) Edge {
 	return best
 }
 
-// E8: execution parallelism. The same model code runs with worker-pool
-// width 1 (the serial seed path) vs the host's cores; the recorded PRAM
-// depth/work are identical across widths (asserted by
-// core.TestParallelExecutionMatchesSerial) — only wall-clock changes.
+// E8: execution cost of D and the update path. Everything runs
+// sequentially; the PRAM machine only records model costs.
 
 // benchQueryInstance builds a D plus a deep root-to-leaf walk and the
 // off-walk source set, the shape of the engine's per-round batched queries.
-func benchQueryInstance(n, workers int) (*dstruct.D, []int, []int) {
+func benchQueryInstance(n int) (*dstruct.D, []int, []int) {
 	rng := rand.New(rand.NewSource(9))
 	g := GnpConnected(n, 4.0/float64(n), rng)
 	tr := StaticDFS(g)
@@ -362,23 +348,21 @@ func benchQueryInstance(n, workers int) (*dstruct.D, []int, []int) {
 			sources = append(sources, v)
 		}
 	}
-	d := dstruct.Build(g, tr, pram.NewMachineWithWorkers(2*g.NumEdges(), workers))
+	d := dstruct.Build(g, tr, pram.NewMachine(2*g.NumEdges()))
 	return d, sources, walk
 }
 
 func BenchmarkEdgeToWalkExec(b *testing.B) {
 	for _, n := range []int{4096, 100000} {
-		for _, w := range execWidths() {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
-				d, sources, walk := benchQueryInstance(n, w)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, ok := d.EdgeToWalk(sources, walk, true, nil); !ok {
-						b.Fatal("no hit")
-					}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			d, sources, walk := benchQueryInstance(n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := d.EdgeToWalk(sources, walk, true, nil); !ok {
+					b.Fatal("no hit")
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -389,55 +373,51 @@ func BenchmarkEdgeToWalkExec(b *testing.B) {
 // queries × walk length.
 func BenchmarkEdgeToWalkBatchExec(b *testing.B) {
 	for _, n := range []int{4096, 100000} {
-		for _, w := range execWidths() {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
-				d, sources, path := benchQueryInstance(n, w)
-				rng := rand.New(rand.NewSource(11))
-				shared := path[:min(len(path), n/4)]
-				var qs []dstruct.WalkQuery
-				for q := 0; q < 260; q++ {
-					walk := shared
-					if q%65 == 64 {
-						lo := rng.Intn(len(path) / 2)
-						walk = path[lo : lo+len(path)/8+1]
-					}
-					src := make([]int, 1+rng.Intn(8))
-					for i := range src {
-						src[i] = sources[rng.Intn(len(sources))]
-					}
-					qs = append(qs, dstruct.WalkQuery{Sources: src, Walk: walk, FromEnd: true})
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			d, sources, path := benchQueryInstance(n)
+			rng := rand.New(rand.NewSource(11))
+			shared := path[:min(len(path), n/4)]
+			var qs []dstruct.WalkQuery
+			for q := 0; q < 260; q++ {
+				walk := shared
+				if q%65 == 64 {
+					lo := rng.Intn(len(path) / 2)
+					walk = path[lo : lo+len(path)/8+1]
 				}
-				hit := false
-				for _, a := range d.EdgeToWalkBatch(qs, nil) {
-					hit = hit || a.OK
+				src := make([]int, 1+rng.Intn(8))
+				for i := range src {
+					src[i] = sources[rng.Intn(len(sources))]
 				}
-				if !hit {
-					b.Fatal("no hit")
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					d.EdgeToWalkBatch(qs, nil)
-				}
-			})
-		}
+				qs = append(qs, dstruct.WalkQuery{Sources: src, Walk: walk, FromEnd: true})
+			}
+			hit := false
+			for _, a := range d.EdgeToWalkBatch(qs, nil) {
+				hit = hit || a.OK
+			}
+			if !hit {
+				b.Fatal("no hit")
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.EdgeToWalkBatch(qs, nil)
+			}
+		})
 	}
 }
 
 func BenchmarkBuildDExec(b *testing.B) {
 	for _, n := range []int{4096, 100000} {
-		for _, w := range execWidths() {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(5))
-				g := GnpConnected(n, 4.0/float64(n), rng)
-				tr := StaticDFS(g)
-				mach := pram.NewMachineWithWorkers(2*g.NumEdges(), w)
-				d := dstruct.Build(g, tr, mach)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					d.Rebuild(g, tr, mach)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			g := GnpConnected(n, 4.0/float64(n), rng)
+			tr := StaticDFS(g)
+			mach := pram.NewMachine(2 * g.NumEdges())
+			d := dstruct.Build(g, tr, mach)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Rebuild(g, tr, mach)
+			}
+		})
 	}
 }
 
@@ -458,31 +438,29 @@ func BenchmarkUpdateExec(b *testing.B) {
 		x    Executor
 	}{{"dfs", SubtreeDFS}, {"parallel", Parallel}}
 	for _, n := range []int{4096, 100000} {
-		for _, w := range execWidths() {
-			for _, x := range execs {
-				for _, mode := range []string{"incremental", "rebuild"} {
-					b.Run(fmt.Sprintf("n=%d/workers=%d/exec=%s/mode=%s", n, w, x.name, mode), func(b *testing.B) {
-						rng := rand.New(rand.NewSource(1))
-						g := GnpConnected(n, 3.0/float64(n), rng)
-						mach := pram.NewMachineWithWorkers(2*g.NumEdges()+g.NumVertexSlots()+1, w)
-						m := NewMaintainerWith(g, Options{
-							RebuildD:     true,
-							FullRebuildD: mode == "rebuild",
-							Machine:      mach,
-							Executor:     x.x,
-						})
-						es := newBenchEdges(g)
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							benchUpdate(b, m, es, rng)
-						}
-						b.StopTimer()
-						inc, reb := m.D().MaintenanceCounts()
-						if total := inc + reb; total > 0 {
-							b.ReportMetric(float64(inc)/float64(total), "incfrac/op")
-						}
+		for _, x := range execs {
+			for _, mode := range []string{"incremental", "rebuild"} {
+				b.Run(fmt.Sprintf("n=%d/exec=%s/mode=%s", n, x.name, mode), func(b *testing.B) {
+					rng := rand.New(rand.NewSource(1))
+					g := GnpConnected(n, 3.0/float64(n), rng)
+					mach := pram.NewMachine(2*g.NumEdges() + g.NumVertexSlots() + 1)
+					m := NewMaintainerWith(g, Options{
+						RebuildD:     true,
+						FullRebuildD: mode == "rebuild",
+						Machine:      mach,
+						Executor:     x.x,
 					})
-				}
+					es := newBenchEdges(g)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						benchUpdate(b, m, es, rng)
+					}
+					b.StopTimer()
+					inc, reb := m.D().MaintenanceCounts()
+					if total := inc + reb; total > 0 {
+						b.ReportMetric(float64(inc)/float64(total), "incfrac/op")
+					}
+				})
 			}
 		}
 	}

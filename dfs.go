@@ -203,7 +203,7 @@ type QueryStats = dstruct.Stats
 // Service is the sharded, snapshot-isolated multi-graph serving layer.
 type Service = service.Service
 
-// ServiceConfig sizes a Service (shards, mailbox depth, per-shard workers).
+// ServiceConfig sizes a Service (shards, mailbox depth, caches, WAL).
 type ServiceConfig = service.Config
 
 // GraphID names one tenant graph of a Service.

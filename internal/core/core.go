@@ -397,7 +397,7 @@ func (dd *DynamicDFS) installTree(nt *tree.Tree, moved, removed []int, sameTree 
 	if dd.rebuildD {
 		if dd.fullRebuildD {
 			// Baseline mode: the paper's literal m-processor rebuild,
-			// executed in place on the worker pool.
+			// charged as such and executed in place sequentially.
 			dd.d.Rebuild(dd.g, dd.t, dd.m)
 			outcome = "rebuild"
 		} else {

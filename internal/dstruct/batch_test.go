@@ -93,16 +93,14 @@ func firstOffWalk(nbrs []int, onWalk map[int]bool) (int, bool) {
 // batch shaped like the rerooting engine's (many small-source queries on
 // one walk slice, plus sub-slices of it, distinct walks, empty walks and
 // source sets, BySource queries, patch edges and a patch vertex) must give
-// exactly the answers and Stats of issuing its queries one by one, on a
-// serial D and on a two-worker D.
+// exactly the answers and Stats of issuing its queries one by one.
 func TestEdgeToWalkBatchSharedWalks(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	for trial := 0; trial < 8; trial++ {
 		n := 600 + rng.Intn(400)
 		g := graph.GnpConnected(n, 5.0/float64(n), rng)
 		tr := baseline.StaticDFS(g)
-		serial := Build(g, tr, nil)
-		pooled := Build(g, tr, pram.NewMachineWithWorkers(g.NumVertices(), 2))
+		d := Build(g, tr, pram.NewMachine(g.NumVertices()))
 
 		shared := treePathWalk(tr, randomLive(g, rng, nil), randomLive(g, rng, nil))
 		walks := [][]int{shared, shared[:(len(shared)+1)/2], shared[len(shared)/2:]}
@@ -117,7 +115,7 @@ func TestEdgeToWalkBatchSharedWalks(t *testing.T) {
 		}
 		pv := -1
 		if trial%2 == 1 {
-			pv = patchAroundWalk(g, rng, shared, onWalk, serial, pooled)
+			pv = patchAroundWalk(g, rng, shared, onWalk, d)
 			walks = append(walks, append(append([]int(nil), shared...), pv))
 			onWalk[pv] = true
 		}
@@ -131,7 +129,7 @@ func TestEdgeToWalkBatchSharedWalks(t *testing.T) {
 			var sources []int
 			switch {
 			case q%17 == 0: // empty source set
-			case q%23 == 0: // large set, sharded on one-by-one calls
+			case q%23 == 0: // every vertex off the walks
 				sources = bigSourceSet(g, onWalk)
 			default:
 				for k := 1 + rng.Intn(8); k > 0; k-- {
@@ -144,46 +142,35 @@ func TestEdgeToWalkBatchSharedWalks(t *testing.T) {
 			if q%31 == 0 {
 				walk = nil
 			}
-			bySource := q%5 == 2 && len(sources) < parallelSourceCutoff
-			qs = append(qs, WalkQuery{Sources: sources, Walk: walk, FromEnd: rng.Intn(2) == 0, BySource: bySource})
+			qs = append(qs, WalkQuery{Sources: sources, Walk: walk, FromEnd: rng.Intn(2) == 0, BySource: q%5 == 2})
 		}
 
 		var firstWant []WalkAnswer
-		for name, d := range map[string]*D{"serial": serial, "pooled": pooled} {
-			for _, batch := range [][]WalkQuery{qs, qs[:1], qs[23:24]} {
-				var oneSt, batchSt Stats
-				want := make([]WalkAnswer, len(batch))
-				for i, q := range batch {
-					if q.BySource {
-						want[i].Hit, want[i].OK = d.EdgeToWalkBySource(q.Sources, q.Walk, q.FromEnd, &oneSt)
-					} else {
-						want[i].Hit, want[i].OK = d.EdgeToWalk(q.Sources, q.Walk, q.FromEnd, &oneSt)
-					}
+		for _, batch := range [][]WalkQuery{qs, qs[:1], qs[23:24]} {
+			var oneSt, batchSt Stats
+			want := make([]WalkAnswer, len(batch))
+			for i, q := range batch {
+				if q.BySource {
+					want[i].Hit, want[i].OK = d.EdgeToWalkBySource(q.Sources, q.Walk, q.FromEnd, &oneSt)
+				} else {
+					want[i].Hit, want[i].OK = d.EdgeToWalk(q.Sources, q.Walk, q.FromEnd, &oneSt)
 				}
-				got := d.EdgeToWalkBatch(batch, &batchSt)
-				for i := range batch {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d %s query %d: batch %v want %v", trial, name, i, got[i], want[i])
-					}
+			}
+			got := d.EdgeToWalkBatch(batch, &batchSt)
+			for i := range batch {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d query %d: batch %v want %v", trial, i, got[i], want[i])
 				}
-				if batchSt != oneSt {
-					t.Fatalf("trial %d %s (%d queries): batch stats %+v, one by one %+v",
-						trial, name, len(batch), batchSt, oneSt)
+			}
+			if batchSt != oneSt {
+				t.Fatalf("trial %d (%d queries): batch stats %+v, one by one %+v",
+					trial, len(batch), batchSt, oneSt)
+			}
+			if len(batch) == len(qs) {
+				if pv >= 0 && batchSt.PatchScans == 0 {
+					t.Fatalf("trial %d: no patch edge examined on a patched D", trial)
 				}
-				if len(batch) == len(qs) && pv >= 0 && batchSt.PatchScans == 0 {
-					t.Fatalf("trial %d %s: no patch edge examined on a patched D", trial, name)
-				}
-				if len(batch) == len(qs) {
-					if firstWant == nil {
-						firstWant = want
-					} else {
-						for i := range want {
-							if want[i] != firstWant[i] {
-								t.Fatalf("trial %d query %d: %s %v, other D %v", trial, i, name, want[i], firstWant[i])
-							}
-						}
-					}
-				}
+				firstWant = want
 			}
 		}
 		hits := 0
@@ -194,6 +181,115 @@ func TestEdgeToWalkBatchSharedWalks(t *testing.T) {
 		}
 		if hits == 0 {
 			t.Fatalf("trial %d: no query hit; the batch exercises nothing", trial)
+		}
+	}
+}
+
+// applyRandomPatches mutates g and records the same patches on every d.
+func applyRandomPatches(g *graph.Graph, rng *rand.Rand, ds ...*D) {
+	for k := 0; k < 6; k++ {
+		switch rng.Intn(4) {
+		case 0:
+			if e, ok := graph.RandomEdgeNotIn(g, rng); ok {
+				if g.InsertEdge(e.U, e.V) == nil {
+					for _, d := range ds {
+						d.PatchInsertEdge(e.U, e.V)
+					}
+				}
+			}
+		case 1:
+			if e, ok := graph.RandomExistingEdge(g, rng); ok {
+				if g.DeleteEdge(e.U, e.V) == nil {
+					for _, d := range ds {
+						d.PatchDeleteEdge(e.U, e.V)
+					}
+				}
+			}
+		case 2:
+			deg := 1 + rng.Intn(4)
+			var nbrs []int
+			seen := map[int]bool{}
+			for len(nbrs) < deg {
+				w := rng.Intn(g.NumVertexSlots())
+				if g.IsVertex(w) && !seen[w] {
+					seen[w] = true
+					nbrs = append(nbrs, w)
+				}
+			}
+			if v, err := g.InsertVertex(nbrs); err == nil {
+				for _, d := range ds {
+					d.PatchInsertVertex(v, nbrs)
+				}
+			}
+		case 3:
+			v := rng.Intn(g.NumVertexSlots())
+			if g.IsVertex(v) && g.NumVertices() > 3 {
+				nbrs := g.SortedNeighbors(v)
+				if g.DeleteVertex(v) == nil {
+					for _, d := range ds {
+						d.PatchDeleteVertex(v, nbrs)
+					}
+				}
+			}
+		}
+	}
+}
+
+// bigSourceSet returns every live vertex off the walk.
+func bigSourceSet(g *graph.Graph, onWalk map[int]bool) []int {
+	var sources []int
+	for v := 0; v < g.NumVertexSlots(); v++ {
+		if g.IsVertex(v) && !onWalk[v] {
+			sources = append(sources, v)
+		}
+	}
+	return sources
+}
+
+// TestEdgeToWalkBatchMatchesSequentialCalls checks that a batch of large
+// and small (possibly empty) source sets, on a patched and an unpatched D,
+// answers exactly like the same queries issued one by one.
+func TestEdgeToWalkBatchMatchesSequentialCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(107))
+	for trial := 0; trial < 10; trial++ {
+		n := 600 + rng.Intn(400)
+		g := graph.GnpConnected(n, 5.0/float64(n), rng)
+		d := Build(g, baseline.StaticDFS(g), pram.NewMachine(g.NumVertices()))
+		if trial%2 == 1 {
+			applyRandomPatches(g, rng, d)
+		}
+		var qs []WalkQuery
+		for q := 0; q < 12; q++ {
+			walk, onWalk := randomWalkInTree(g, rng)
+			if len(walk) == 0 {
+				continue
+			}
+			sources := bigSourceSet(g, onWalk)
+			if q%3 == 0 {
+				sources = sources[:rng.Intn(len(sources)+1)] // small and empty sets too
+			}
+			qs = append(qs, WalkQuery{
+				Sources:  sources,
+				Walk:     walk,
+				FromEnd:  rng.Intn(2) == 0,
+				BySource: q%4 == 3,
+			})
+		}
+		got := d.EdgeToWalkBatch(qs, nil)
+		if len(got) != len(qs) {
+			t.Fatalf("trial %d: %d answers for %d queries", trial, len(got), len(qs))
+		}
+		for i, q := range qs {
+			var want WalkAnswer
+			if q.BySource {
+				want.Hit, want.OK = d.EdgeToWalkBySource(q.Sources, q.Walk, q.FromEnd, nil)
+			} else {
+				want.Hit, want.OK = d.EdgeToWalk(q.Sources, q.Walk, q.FromEnd, nil)
+			}
+			if got[i] != want {
+				t.Fatalf("trial %d query %d (bySource=%v): batch %v want %v",
+					trial, i, q.BySource, got[i], want)
+			}
 		}
 	}
 }

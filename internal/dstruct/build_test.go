@@ -65,7 +65,7 @@ func TestBuildRowsIndependentOfGraphType(t *testing.T) {
 func TestRebuildAfterMixedPatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
 	g := holeyGraph(200, rng)
-	mach := pram.NewMachineWithWorkers(4096, 2)
+	mach := pram.NewMachine(4096)
 	d := Build(graph.PersistentOf(g), baseline.StaticDFS(g), mach)
 	live := func() int {
 		for {
@@ -120,5 +120,47 @@ func TestRebuildAfterMixedPatches(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		sameRows(t, d, Build(adj, tr, nil))
+	}
+}
+
+func TestRebuildMatchesFreshBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(109))
+	mach := pram.NewMachine(4096)
+	d := &D{}
+	for trial := 0; trial < 10; trial++ {
+		n := 300 + rng.Intn(500)
+		g := graph.GnpConnected(n, 4.0/float64(n), rng)
+		tr := baseline.StaticDFS(g)
+		if trial == 0 {
+			d = Build(g, tr, mach)
+		} else {
+			// Dirty the structure with patches (their graph consistency is
+			// irrelevant — Rebuild discards them), then rebuild in place
+			// over a completely different graph, as installTree does per
+			// update.
+			d.PatchInsertEdge(0, 1)
+			d.PatchInsertVertex(100000+trial, []int{0, 2})
+			d.PatchDeleteEdge(1, 2)
+			d.Rebuild(g, tr, mach)
+		}
+		if d.NumPatches() != 0 {
+			t.Fatalf("trial %d: rebuild left %d patches", trial, d.NumPatches())
+		}
+		fresh := Build(g, tr, nil)
+		for q := 0; q < 6; q++ {
+			walk, onWalk := randomWalkInTree(g, rng)
+			if len(walk) == 0 {
+				continue
+			}
+			sources := bigSourceSet(g, onWalk)
+			for _, fromEnd := range []bool{true, false} {
+				hr, okr := d.EdgeToWalk(sources, walk, fromEnd, nil)
+				hf, okf := fresh.EdgeToWalk(sources, walk, fromEnd, nil)
+				if okr != okf || hr != hf {
+					t.Fatalf("trial %d fromEnd=%v: rebuilt %v/%v fresh %v/%v",
+						trial, fromEnd, hr, okr, hf, okf)
+				}
+			}
+		}
 	}
 }

@@ -16,7 +16,7 @@ type D struct {
 	T   *tree.Tree
 	LCA *lca.Index
 
-	mach *pram.Machine // worker pool for query execution; nil = serial
+	mach *pram.Machine // accounting machine for maintenance charges; nil = uncharged
 
 	// key holds D's relocatable order labels: key[v] is v's position in T's
 	// post-order (-1 for holes), and every neighbor row is sorted by the key
@@ -42,8 +42,7 @@ type D struct {
 // Stats aggregates search-effort counters. The query path never mutates D:
 // every EdgeToWalk-family call accumulates into a caller-supplied per-call
 // Stats, so a built D serves concurrent queries from many goroutines as
-// long as each passes its own accumulator (parallel shards within one call
-// use private copies merged on completion, so the counters are exact).
+// long as each passes its own accumulator.
 type Stats struct {
 	Searches    int64 // per-source per-run binary searches (fast path)
 	ScanSteps   int64 // filtered-scan steps (slow path, Case B and skip-deleted)
@@ -53,8 +52,8 @@ type Stats struct {
 	RunsSplit   int64 // total base-tree fragments across all walk queries
 }
 
-// Add accumulates another Stats (a shard-local copy, or a per-call
-// accumulator being rolled into a running total) into s.
+// Add accumulates another Stats (a per-call accumulator being rolled into
+// a running total) into s.
 func (s *Stats) Add(o Stats) {
 	s.Searches += o.Searches
 	s.ScanSteps += o.ScanSteps
@@ -67,8 +66,8 @@ func (s *Stats) Add(o Stats) {
 // Build constructs D over graph g and its DFS tree t, charging the machine
 // the paper's preprocessing cost (Theorem 8: O(log n) depth on m
 // processors; per-vertex parallel merge sort of N(v)). Construction itself
-// is one sequential O(n+m) bucket pass. mach may be nil, in which case all
-// queries run serially.
+// is one sequential O(n+m) bucket pass. mach may be nil, in which case
+// nothing is charged.
 func Build(g graph.Adjacency, t *tree.Tree, mach *pram.Machine) *D {
 	d := &D{
 		inserted:   make(map[int][]int),

@@ -53,12 +53,12 @@
 // taken in key order, is appended to the row of every neighbor — and no row
 // is ever comparison-sorted.
 //
-// Execution vs accounting: the EdgeToWalk family shards large source
-// batches over the machine's worker pool (see query.go); Build runs on the
-// calling goroutine. The machine's recorded depth/work stay purely
+// Execution vs accounting: D executes sequentially — Build, Rebuild,
+// Update and every query run on the calling goroutine — and its machine is
+// an accountant only. The machine's recorded depth/work are purely
 // analytic: Build charges Theorem 8's preprocessing cost (a parallel merge
-// sort of every row on m processors) in one step, query batches
-// are charged by their callers as single O(log n)-depth steps (Theorems 6
-// and 8), and the execution layer itself charges nothing — so host
-// parallelism changes wall-clock time but never the model costs.
+// sort of every row on m processors) in one step, Update charges its
+// repositioning as one O(log n)-depth step, and query batches are charged
+// by their callers as single O(log n)-depth steps (Theorems 6 and 8) — so
+// the host's core count never changes the model costs.
 package dstruct

@@ -23,18 +23,10 @@ package dstruct
 // run, not O(Σ|walk per query| + k log n). Stats still counts WalkQueries
 // and RunsSplit once per query, exactly as one-by-one calls would.
 //
-// Execution vs accounting: a batch of independent queries is *charged* by
-// the caller as one O(log n)-depth EREW step over k total sources (Theorems
-// 6 and 8) — this file never touches the machine's counters. What the
-// machine provides here is its worker pool: large source sets are sharded
-// across workers (each shard keeping a private best Hit and private Stats),
-// then reduced under the same order — (extremal ZPos, then smallest U) —
-// the serial scan uses, so results are bit-identical to serial evaluation.
-
-// parallelSourceCutoff is the source-set size below which a query is
-// evaluated serially; under it the goroutine fan-out costs more than the
-// per-source binary searches it parallelizes.
-const parallelSourceCutoff = 256
+// Accounting: a batch of independent queries is *charged* by the caller as
+// one O(log n)-depth EREW step over k total sources (Theorems 6 and 8).
+// This file never touches the machine: every query runs serially on the
+// calling goroutine, scanning its sources in order.
 
 // run is a maximal T-monotone fragment of a walk.
 type run struct {
@@ -110,9 +102,8 @@ func (d *D) zPos(r run, walk []int, z int) int {
 // walkEval is a walk prepared for evaluation: its base-tree run
 // decomposition plus a walk-position index, which only patch-edge hits
 // read. A batch prepares each distinct walk once and shares the walkEval
-// across every query on it. Serial scans build the index on first use, so
-// unpatched queries never pay for it; every fan-out builds it beforehand
-// (ensurePos), so workers only ever read a shared walkEval.
+// across every query on it. The index is built on first use, so unpatched
+// queries never pay for it.
 type walkEval struct {
 	walk []int
 	runs []run
@@ -130,36 +121,17 @@ func (ev *walkEval) count(st *Stats) {
 	st.RunsSplit += int64(len(ev.runs))
 }
 
-// ensurePos builds the walk-position index ahead of a fan-out. Only
-// inserted-edge patches consume walk positions, so a D without them never
-// builds it.
-func (d *D) ensurePos(ev *walkEval) {
-	if ev.pos == nil && len(d.inserted) > 0 {
-		ev.buildPos()
-	}
-}
-
-func (ev *walkEval) buildPos() {
-	ev.pos = make(map[int]int, len(ev.walk))
-	for i, v := range ev.walk {
-		ev.pos[v] = i
-	}
-}
-
 // posOf resolves the walk position of a patch-edge endpoint, building the
-// index on first use (never inside a fan-out: see ensurePos).
+// index on first use.
 func (ev *walkEval) posOf(z int) (int, bool) {
 	if ev.pos == nil {
-		ev.buildPos()
+		ev.pos = make(map[int]int, len(ev.walk))
+		for i, v := range ev.walk {
+			ev.pos[v] = i
+		}
 	}
 	i, ok := ev.pos[z]
 	return i, ok
-}
-
-// parallelOver reports whether a scan over k sources should use the worker
-// pool.
-func (d *D) parallelOver(k int) bool {
-	return d.mach != nil && d.mach.Workers() > 1 && k >= parallelSourceCutoff
 }
 
 // better reports whether hit a beats hit b under the documented order:
@@ -193,42 +165,9 @@ func (d *D) EdgeToWalk(sources []int, walk []int, fromEnd bool, st *Stats) (Hit,
 	return d.edgeToWalk(sources, fromEnd, ev, st)
 }
 
+// edgeToWalk scans sources in order for the best hit under fromEnd; st
+// receives the search-effort counters.
 func (d *D) edgeToWalk(sources []int, fromEnd bool, ev *walkEval, st *Stats) (Hit, bool) {
-	if !d.parallelOver(len(sources)) {
-		return d.edgeToWalkSerial(sources, fromEnd, ev, st)
-	}
-	// Shard the source set over the worker pool: each shard reduces to its
-	// private best, then the shards are reduced under the same order. The
-	// order is total on the reachable hits (a walk's vertices are distinct,
-	// so ZPos determines Z), hence the result is independent of the split.
-	type shardBest struct {
-		h  Hit
-		ok bool
-	}
-	d.ensurePos(ev)
-	w := d.mach.Workers()
-	bests := make([]shardBest, w)
-	stats := make([]Stats, w)
-	d.mach.ExecSharded(len(sources), func(s, lo, hi int) {
-		h, ok := d.edgeToWalkSerial(sources[lo:hi], fromEnd, ev, &stats[s])
-		bests[s] = shardBest{h: h, ok: ok}
-	})
-	best := Hit{ZPos: -1}
-	have := false
-	for _, b := range bests {
-		if b.ok && (!have || better(b.h, best, fromEnd)) {
-			best, have = b.h, true
-		}
-	}
-	for i := range stats {
-		st.Add(stats[i])
-	}
-	return best, have
-}
-
-// edgeToWalkSerial is the one-goroutine scan over sources; st receives the
-// search-effort counters (a private shard accumulator under parallelism).
-func (d *D) edgeToWalkSerial(sources []int, fromEnd bool, ev *walkEval, st *Stats) (Hit, bool) {
 	best := Hit{ZPos: -1}
 	have := false
 	for _, u := range sources {
@@ -259,40 +198,9 @@ func (d *D) EdgeToWalkBySource(sources []int, walk []int, fromEnd bool, st *Stat
 	return d.edgeToWalkBySource(sources, fromEnd, ev, st)
 }
 
+// edgeToWalkBySource is the first-hit scan in source order: it stops at
+// the first source with an edge to the walk.
 func (d *D) edgeToWalkBySource(sources []int, fromEnd bool, ev *walkEval, st *Stats) (Hit, bool) {
-	if !d.parallelOver(len(sources)) {
-		return d.bySourceSerial(sources, fromEnd, ev, st)
-	}
-	// Per shard: the first source (lowest index) with a hit; reduce to the
-	// lowest-index shard with one. Identical to the serial early-exit scan —
-	// every source is evaluated independently — except that later sources
-	// are also examined, so Stats records more search effort.
-	type shardFirst struct {
-		h  Hit
-		ok bool
-	}
-	d.ensurePos(ev)
-	w := d.mach.Workers()
-	firsts := make([]shardFirst, w)
-	stats := make([]Stats, w)
-	d.mach.ExecSharded(len(sources), func(s, lo, hi int) {
-		h, ok := d.bySourceSerial(sources[lo:hi], fromEnd, ev, &stats[s])
-		firsts[s] = shardFirst{h: h, ok: ok}
-	})
-	for i := range stats {
-		st.Add(stats[i])
-	}
-	for _, f := range firsts {
-		if f.ok {
-			return f.h, true
-		}
-	}
-	return Hit{}, false
-}
-
-// bySourceSerial is the one-goroutine first-hit scan in source order, the
-// BySource counterpart of edgeToWalkSerial.
-func (d *D) bySourceSerial(sources []int, fromEnd bool, ev *walkEval, st *Stats) (Hit, bool) {
 	for _, u := range sources {
 		if h, ok := d.bestFromVertex(u, ev, fromEnd, st); ok {
 			return h, true
@@ -326,13 +234,10 @@ type WalkAnswer struct {
 
 // EdgeToWalkBatch answers a batch of independent queries, equivalent to
 // issuing them one by one in order (answers and Stats alike). Each distinct
-// walk is prepared once for the whole batch (see prepBatch). Batches with
-// at least as many queries as workers are distributed across the worker
-// pool (each query evaluated serially within its worker); smaller batches —
-// where sharding by query would leave workers idle — run query-by-query,
-// each parallelizing over its own source set. Callers account the batch's
-// model cost analytically (one O(log n)-depth step); this method charges
-// nothing. st is the per-call Stats accumulator (nil discards).
+// walk is prepared once for the whole batch (see prepBatch). Callers
+// account the batch's model cost analytically (one O(log n)-depth step);
+// this method charges nothing. st is the per-call Stats accumulator (nil
+// discards).
 func (d *D) EdgeToWalkBatch(qs []WalkQuery, st *Stats) []WalkAnswer {
 	out := make([]WalkAnswer, len(qs))
 	if len(qs) == 0 {
@@ -341,43 +246,15 @@ func (d *D) EdgeToWalkBatch(qs []WalkQuery, st *Stats) []WalkAnswer {
 	if st == nil {
 		st = new(Stats)
 	}
-	pool := d.mach != nil && d.mach.Workers() > 1 && len(qs) >= d.mach.Workers()
 	evs := d.prepBatch(qs, st)
-	if !pool {
-		for i, q := range qs {
-			if ev := evs[i]; ev == nil {
-				continue
-			} else if q.BySource {
-				out[i].Hit, out[i].OK = d.edgeToWalkBySource(q.Sources, q.FromEnd, ev, st)
-			} else {
-				out[i].Hit, out[i].OK = d.edgeToWalk(q.Sources, q.FromEnd, ev, st)
-			}
+	for i, q := range qs {
+		if ev := evs[i]; ev == nil {
+			continue
+		} else if q.BySource {
+			out[i].Hit, out[i].OK = d.edgeToWalkBySource(q.Sources, q.FromEnd, ev, st)
+		} else {
+			out[i].Hit, out[i].OK = d.edgeToWalk(q.Sources, q.FromEnd, ev, st)
 		}
-		return out
-	}
-	// Workers share the walkEvals read-only, so index them before fan-out.
-	for _, ev := range evs {
-		if ev != nil {
-			d.ensurePos(ev)
-		}
-	}
-	w := d.mach.Workers()
-	stats := make([]Stats, w)
-	d.mach.ExecSharded(len(qs), func(s, lo, hi int) {
-		sst := &stats[s]
-		for i := lo; i < hi; i++ {
-			q := qs[i]
-			if ev := evs[i]; ev == nil {
-				continue
-			} else if q.BySource {
-				out[i].Hit, out[i].OK = d.bySourceSerial(q.Sources, q.FromEnd, ev, sst)
-			} else {
-				out[i].Hit, out[i].OK = d.edgeToWalkSerial(q.Sources, q.FromEnd, ev, sst)
-			}
-		}
-	})
-	for i := range stats {
-		st.Add(stats[i])
 	}
 	return out
 }

@@ -1,44 +1,34 @@
 // Package pram provides the EREW PRAM cost model the paper's theorems are
-// stated in, realized as an accounting machine plus parallel primitives.
+// stated in, realized as an accounting machine.
 //
-// Real shared-memory hosts are not PRAMs, so the package separates two
-// concerns:
+// The machine is an accountant only: it executes nothing. Every algorithm
+// runs sequentially on the calling goroutine, and each call site that
+// implements a step of the paper's parallel algorithms charges, through
+// Charge, the model time ("depth", parallel steps) and work (total
+// operations) that the paper's theorems charge for that step on an EREW
+// PRAM with the machine's processor budget. Benchmarks report both, so the
+// O(log³ n) shape of Theorem 1 is observable independent of host constant
+// factors, and the recorded costs cannot depend on the host's core count.
 //
-//   - Execution: primitives run with a bounded goroutine pool so wall-clock
-//     benchmarks see genuine parallelism on large inputs.
-//   - Accounting: every primitive analytically charges the model time
-//     ("depth", parallel steps) and work (total operations) that the paper's
-//     theorems charge for it on an EREW PRAM with the machine's processor
-//     budget. Benchmarks report both, so the O(log³ n) shape of Theorem 1 is
-//     observable independent of host constant factors.
+// Charging conventions at the Charge call sites (matching Section 5 of the
+// paper; lg = ⌈log₂ n⌉ via Log2Ceil):
 //
-// The split has two kinds of entry points:
+//   - A batch of k independent D-queries / LCA queries: depth lg,
+//     work k·lg (Theorems 6 and 8).
+//   - Building D: one parallel merge sort per adjacency row, all rows at
+//     once on m processors — depth ⌈log₂ Δ⌉, work 2m·⌈log₂ Δ⌉ for maximum
+//     degree Δ (Cole's merge sort, Theorems 7 and 8). Repositioning k moved
+//     entries incrementally: depth lg, work k·lg.
+//   - One rerooted subtree traversed sequentially (the subtree-DFS
+//     executor): depth = work = vertices reached + row entries scanned.
+//   - Sequential-mode engine query batches model Baswana et al.'s structure
+//     D₀: depth = work = lg³ per batch.
 //
-//   - Charged primitives (ParFor, ParDo, Reduce, SortBy, ...) do both:
-//     they execute on the worker pool and record the model cost of the
-//     matching EREW primitive.
-//   - Execution-only primitives (Exec, ExecSharded) run on the worker pool
-//     but charge nothing. They exist for callers whose model cost is
-//     accounted analytically elsewhere — e.g. one batch of independent
-//     D-queries is charged as a single O(log n)-depth step at the call site
-//     (Theorems 6 and 8), while its real execution fans the sources out over
-//     the pool. Using a charged primitive there would double-count.
-//
-// Charging conventions (matching Section 5 of the paper):
-//
-//   - ParFor over n unit-work items: depth ⌈n/P⌉, work n.
-//   - Reduce / min / max over n items: depth ⌈log₂ n⌉ (+⌈n/P⌉ when n > P), work n.
-//   - PrefixSum: same as Reduce.
-//   - Sort of n keys: depth ⌈log₂ n⌉, work n·⌈log₂ n⌉ (Cole's parallel merge
-//     sort, Theorem 7; execution uses a conventional parallel merge sort,
-//     which only affects constants, not the recorded model costs).
-//   - A batch of k independent D-queries / LCA queries: depth ⌈log₂ n⌉,
-//     work k·⌈log₂ n⌉ (Theorems 6 and 8).
+// Charge calls from concurrent goroutines are safe: the counters are
+// atomic, so readers such as a metrics scrape may sample them at any time.
 package pram
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -47,43 +37,36 @@ import (
 // Machine is an EREW PRAM cost accountant with a processor budget. The zero
 // value is not usable; use NewMachine.
 type Machine struct {
-	procs   atomic.Int64 // model processor budget (n or m in the theorems)
-	workers int          // real goroutine parallelism (fixed at creation)
+	procs atomic.Int64 // model processor budget (n or m in the theorems)
 
 	depth atomic.Int64
 	work  atomic.Int64
-	steps atomic.Int64 // number of charged primitive invocations
+	steps atomic.Int64 // number of Charge calls
 }
 
 // NewMachine returns a machine with the given model processor budget.
-// procs <= 0 defaults to 1. The worker-pool width defaults to GOMAXPROCS.
+// procs <= 0 defaults to 1.
 func NewMachine(procs int) *Machine {
-	return NewMachineWithWorkers(procs, runtime.GOMAXPROCS(0))
-}
-
-// NewMachineWithWorkers is NewMachine with an explicit worker-pool width,
-// for differential tests and benchmarks that pin the execution parallelism
-// independently of the host's core count. workers <= 0 defaults to 1.
-func NewMachineWithWorkers(procs, workers int) *Machine {
 	if procs <= 0 {
 		procs = 1
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	m := &Machine{workers: workers}
+	m := &Machine{}
 	m.procs.Store(int64(procs))
 	return m
 }
+
+// NewMachineWithWorkers returns NewMachine(procs).
+//
+// Deprecated: workers is ignored; the machine executes nothing. Use
+// NewMachine.
+func NewMachineWithWorkers(procs, workers int) *Machine { return NewMachine(procs) }
 
 // Procs returns the model processor budget.
 func (m *Machine) Procs() int { return int(m.procs.Load()) }
 
 // SetProcs changes the model processor budget (e.g. m processors for
-// preprocessing, n for updates, per Theorem 1). It is safe to call while
-// worker goroutines are charging against the machine: the budget is stored
-// atomically, and primitives already in flight charge under whichever budget
-// they observed.
+// preprocessing, n for updates, per Theorem 1). The budget is stored
+// atomically, so it may be changed while other goroutines read it.
 func (m *Machine) SetProcs(p int) {
 	if p <= 0 {
 		p = 1
@@ -91,17 +74,13 @@ func (m *Machine) SetProcs(p int) {
 	m.procs.Store(int64(p))
 }
 
-// Workers returns the machine's real goroutine parallelism (the worker-pool
-// width used by the execution half of every primitive).
-func (m *Machine) Workers() int { return m.workers }
-
 // Depth returns the accumulated model parallel time.
 func (m *Machine) Depth() int64 { return m.depth.Load() }
 
 // Work returns the accumulated model work (total operations).
 func (m *Machine) Work() int64 { return m.work.Load() }
 
-// Steps returns the number of charged primitive invocations.
+// Steps returns the number of Charge calls.
 func (m *Machine) Steps() int64 { return m.steps.Load() }
 
 // Reset zeroes the accumulated costs.
@@ -112,21 +91,19 @@ func (m *Machine) Reset() {
 }
 
 // ObsPublish registers the machine's model-cost gauges (depth, work, steps,
-// procs) and its fixed worker-pool width under prefix, implementing
-// obs.Source: the serving layer publishes each shard's machine through the
-// same registry as its latency histograms. Every gauge is an atomic load,
-// so sampling never contends with charging.
+// procs) under prefix, implementing obs.Source: the serving layer publishes
+// each shard's machine through the same registry as its latency
+// histograms. Every gauge is an atomic load, so sampling never contends
+// with charging.
 func (m *Machine) ObsPublish(r *obs.Registry, prefix string) {
 	r.Gauge(prefix+"depth", m.Depth)
 	r.Gauge(prefix+"work", m.Work)
 	r.Gauge(prefix+"steps", m.Steps)
 	r.Gauge(prefix+"procs", m.procs.Load)
-	workers := int64(m.workers)
-	r.Gauge(prefix+"workers", func() int64 { return workers })
 }
 
-// Charge adds an explicit (depth, work) cost, for callers implementing their
-// own primitives on top of the machine.
+// Charge adds the model cost (depth, work) of one parallel step; negative
+// components are ignored.
 func (m *Machine) Charge(depth, work int64) {
 	if depth > 0 {
 		m.depth.Add(depth)
@@ -147,142 +124,4 @@ func Log2Ceil(n int) int64 {
 		d++
 	}
 	return d
-}
-
-func (m *Machine) parForDepth(n int) int64 {
-	p := m.procs.Load()
-	d := (int64(n) + p - 1) / p
-	if d < 1 && n > 0 {
-		d = 1
-	}
-	return d
-}
-
-// serialCutoff is the size below which primitives run serially; below this
-// the goroutine fan-out costs more than it saves.
-const serialCutoff = 2048
-
-// ParFor runs fn(i) for i in [0,n) in parallel and charges ⌈n/P⌉ depth and
-// n work. fn must be safe to call concurrently for distinct i and must not
-// write locations shared between iterations (the EREW discipline).
-func (m *Machine) ParFor(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	m.Charge(m.parForDepth(n), int64(n))
-	if n < serialCutoff || m.workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + m.workers - 1) / m.workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// ParDo runs the given thunks in parallel and charges the depth of one
-// round (the thunks account their own inner costs against the machine).
-// Execution is bounded by the worker-pool width: at most Workers()
-// goroutines run at once, pulling thunks from a shared queue, so large
-// thunk lists do not oversubscribe the host.
-func (m *Machine) ParDo(fns ...func()) {
-	if len(fns) == 0 {
-		return
-	}
-	m.Charge(1, int64(len(fns)))
-	if len(fns) == 1 || m.workers == 1 {
-		for _, fn := range fns {
-			fn()
-		}
-		return
-	}
-	w := m.workers
-	if w > len(fns) {
-		w = len(fns)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(fns) {
-					return
-				}
-				fns[i]()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ExecSharded partitions [0,n) into at most Workers() contiguous shards and
-// runs fn(shard, lo, hi) concurrently, one goroutine per shard. It returns
-// the number of shards used (shard indices are 0..shards-1, so callers can
-// give each shard a private accumulator slot and reduce afterwards).
-//
-// ExecSharded is execution-only: it charges nothing against the machine.
-// It is the execution half of operations whose model cost the caller
-// accounts analytically — e.g. a batch of independent D-queries charged as
-// one O(log n)-depth step (Theorems 6 and 8) — so the recorded depth/work
-// stay exactly the paper's regardless of how the host runs the batch.
-func (m *Machine) ExecSharded(n int, fn func(shard, lo, hi int)) int {
-	if n <= 0 {
-		return 0
-	}
-	w := m.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		fn(0, 0, n)
-		return 1
-	}
-	chunk := (n + w - 1) / w
-	shards := (n + chunk - 1) / chunk
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		lo := s * chunk
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			fn(s, lo, hi)
-		}(s, lo, hi)
-	}
-	wg.Wait()
-	return shards
-}
-
-// Exec runs fn(i) for i in [0,n) on the worker pool without charging any
-// model cost (see ExecSharded). fn must be safe to call concurrently for
-// distinct i.
-func (m *Machine) Exec(n int, fn func(i int)) {
-	if n < serialCutoff || m.workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	m.ExecSharded(n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
 }

@@ -1,11 +1,9 @@
 package pram
 
 import (
-	"math/rand"
-	"sort"
-	"sync/atomic"
 	"testing"
-	"testing/quick"
+
+	"repro/internal/obs"
 )
 
 func TestLog2Ceil(t *testing.T) {
@@ -17,27 +15,13 @@ func TestLog2Ceil(t *testing.T) {
 	}
 }
 
-func TestParForCoversAllIndices(t *testing.T) {
-	m := NewMachine(64)
-	for _, n := range []int{0, 1, 100, 5000} {
-		hits := make([]int32, n)
-		m.ParFor(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d hit %d times", n, i, h)
-			}
-		}
-	}
-}
-
-func TestParForAccounting(t *testing.T) {
+func TestChargeAccounting(t *testing.T) {
 	m := NewMachine(10)
-	m.ParFor(100, func(int) {})
-	if m.Depth() != 10 {
-		t.Fatalf("depth=%d want ceil(100/10)=10", m.Depth())
-	}
-	if m.Work() != 100 {
-		t.Fatalf("work=%d want 100", m.Work())
+	m.Charge(10, 100)
+	m.Charge(0, 5)
+	m.Charge(-3, -4) // negative components are ignored, the step still counts
+	if m.Depth() != 10 || m.Work() != 105 || m.Steps() != 3 {
+		t.Fatalf("depth=%d work=%d steps=%d want 10/105/3", m.Depth(), m.Work(), m.Steps())
 	}
 	m.Reset()
 	if m.Depth() != 0 || m.Work() != 0 || m.Steps() != 0 {
@@ -45,204 +29,8 @@ func TestParForAccounting(t *testing.T) {
 	}
 }
 
-func TestReduce(t *testing.T) {
-	m := NewMachine(8)
-	for _, n := range []int{1, 7, 4096} {
-		xs := make([]int, n)
-		want := 0
-		for i := range xs {
-			xs[i] = i * 3
-			want += i * 3
-		}
-		got := Reduce(m, xs, 0, func(a, b int) int { return a + b })
-		if got != want {
-			t.Fatalf("n=%d: sum=%d want %d", n, got, want)
-		}
-	}
-	if Reduce(m, nil, -7, func(a, b int) int { return a + b }) != -7 {
-		t.Fatal("empty Reduce should return zero value")
-	}
-}
-
-func TestMinIndexBy(t *testing.T) {
-	m := NewMachine(8)
-	xs := []int{5, 2, 9, 2, 7}
-	if i := MinIndexBy(m, xs, func(a, b int) bool { return a < b }); i != 1 {
-		t.Fatalf("MinIndexBy=%d want 1 (lowest index tie-break)", i)
-	}
-	if i := MinIndexBy(m, nil, func(a, b int) bool { return a < b }); i != -1 {
-		t.Fatalf("empty MinIndexBy=%d want -1", i)
-	}
-}
-
-func TestPrefixSum(t *testing.T) {
-	m := NewMachine(4)
-	xs := []int{1, 2, 3, 4}
-	if total := PrefixSum(m, xs); total != 10 {
-		t.Fatalf("total=%d", total)
-	}
-	want := []int{1, 3, 6, 10}
-	for i := range xs {
-		if xs[i] != want[i] {
-			t.Fatalf("prefix[%d]=%d want %d", i, xs[i], want[i])
-		}
-	}
-}
-
-func TestSortBySmallAndLarge(t *testing.T) {
-	m := NewMachine(16)
-	rng := rand.New(rand.NewSource(41))
-	for _, n := range []int{0, 1, 2, 100, 10000} {
-		xs := make([]int, n)
-		for i := range xs {
-			xs[i] = rng.Intn(1000)
-		}
-		ref := append([]int(nil), xs...)
-		sort.Ints(ref)
-		SortInts(m, xs)
-		for i := range xs {
-			if xs[i] != ref[i] {
-				t.Fatalf("n=%d: sorted[%d]=%d want %d", n, i, xs[i], ref[i])
-			}
-		}
-	}
-}
-
-func TestSortByIsStable(t *testing.T) {
-	type kv struct{ k, seq int }
-	m := NewMachine(16)
-	rng := rand.New(rand.NewSource(43))
-	n := 8192 // above serialCutoff to exercise the parallel merge path
-	xs := make([]kv, n)
-	for i := range xs {
-		xs[i] = kv{k: rng.Intn(50), seq: i}
-	}
-	SortBy(m, xs, func(a, b kv) bool { return a.k < b.k })
-	for i := 1; i < n; i++ {
-		if xs[i-1].k > xs[i].k {
-			t.Fatal("not sorted")
-		}
-		if xs[i-1].k == xs[i].k && xs[i-1].seq > xs[i].seq {
-			t.Fatal("not stable")
-		}
-	}
-}
-
-func TestSortProperty(t *testing.T) {
-	m := NewMachine(8)
-	f := func(xs []int16) bool {
-		ys := make([]int, len(xs))
-		for i, x := range xs {
-			ys[i] = int(x)
-		}
-		SortInts(m, ys)
-		return sort.IntsAreSorted(ys)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFilter(t *testing.T) {
-	m := NewMachine(8)
-	xs := []int{1, 2, 3, 4, 5, 6}
-	got := Filter(m, xs, func(x int) bool { return x%2 == 0 })
-	if len(got) != 3 || got[0] != 2 || got[2] != 6 {
-		t.Fatalf("Filter=%v", got)
-	}
-}
-
-func TestParDo(t *testing.T) {
-	m := NewMachine(4)
-	var a, b atomic.Int32
-	m.ParDo(func() { a.Store(1) }, func() { b.Store(2) })
-	if a.Load() != 1 || b.Load() != 2 {
-		t.Fatal("ParDo did not run all thunks")
-	}
-	m.ParDo() // no-op
-}
-
-func TestSortAccountingMatchesTheorem(t *testing.T) {
-	// Theorem 7 (Cole): sorting n keys charges ceil(log2 n) depth.
-	m := NewMachine(1 << 20)
-	xs := make([]int, 1024)
-	SortInts(m, xs)
-	if m.Depth() != 10 {
-		t.Fatalf("sort depth=%d want log2(1024)=10", m.Depth())
-	}
-	if m.Work() != 1024*10 {
-		t.Fatalf("sort work=%d want n log n", m.Work())
-	}
-}
-
-func TestParDoBoundedFanOut(t *testing.T) {
-	m := NewMachine(4)
-	// Many more thunks than workers: all must run exactly once, with at most
-	// Workers() in flight at any moment.
-	const n = 1000
-	var inFlight, peak, ran atomic.Int32
-	fns := make([]func(), n)
-	for i := range fns {
-		fns[i] = func() {
-			cur := inFlight.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
-			}
-			ran.Add(1)
-			inFlight.Add(-1)
-		}
-	}
-	m.ParDo(fns...)
-	if ran.Load() != n {
-		t.Fatalf("ran %d of %d thunks", ran.Load(), n)
-	}
-	if int(peak.Load()) > m.Workers() {
-		t.Fatalf("peak concurrency %d exceeds worker cap %d", peak.Load(), m.Workers())
-	}
-}
-
-func TestExecShardedCoversAllIndices(t *testing.T) {
-	m := NewMachine(8)
-	for _, n := range []int{0, 1, 3, 100, 5000} {
-		hits := make([]int32, n)
-		shards := m.ExecSharded(n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
-		})
-		if n > 0 && (shards < 1 || shards > m.Workers()) {
-			t.Fatalf("n=%d: %d shards with %d workers", n, shards, m.Workers())
-		}
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d hit %d times", n, i, h)
-			}
-		}
-		if m.Depth() != 0 || m.Work() != 0 || m.Steps() != 0 {
-			t.Fatal("ExecSharded must not charge the machine")
-		}
-	}
-}
-
-func TestExecChargesNothing(t *testing.T) {
-	m := NewMachine(8)
-	hits := make([]int32, 4096)
-	m.Exec(len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d hit %d times", i, h)
-		}
-	}
-	if m.Depth() != 0 || m.Work() != 0 || m.Steps() != 0 {
-		t.Fatal("Exec must not charge the machine")
-	}
-}
-
 func TestSetProcsConcurrentWithCharges(t *testing.T) {
-	// SetProcs during in-flight ParFor/Charge must be race-free (run under
+	// SetProcs while another goroutine charges must be race-free (run under
 	// -race) and never produce a non-positive budget.
 	m := NewMachine(3)
 	done := make(chan struct{})
@@ -253,11 +41,14 @@ func TestSetProcsConcurrentWithCharges(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		m.ParFor(3000, func(int) {})
+		if m.Procs() < 1 {
+			t.Fatalf("procs=%d", m.Procs())
+		}
+		m.Charge(1, int64(m.Procs()))
 	}
 	<-done
-	if m.Procs() != 100 {
-		t.Fatalf("procs=%d want 100", m.Procs())
+	if m.Procs() != 100 || m.Steps() != 50 {
+		t.Fatalf("procs=%d steps=%d want 100/50", m.Procs(), m.Steps())
 	}
 }
 
@@ -267,8 +58,28 @@ func TestSetProcs(t *testing.T) {
 		t.Fatalf("default procs=%d", m.Procs())
 	}
 	m.SetProcs(5)
-	m.ParFor(10, func(int) {})
-	if m.Depth() != 2 {
-		t.Fatalf("depth=%d want 2", m.Depth())
+	if m.Procs() != 5 {
+		t.Fatalf("procs=%d want 5", m.Procs())
+	}
+	m.SetProcs(-2)
+	if m.Procs() != 1 {
+		t.Fatalf("procs=%d after SetProcs(-2), want 1", m.Procs())
+	}
+}
+
+func TestObsPublishGauges(t *testing.T) {
+	m := NewMachine(4)
+	m.Charge(2, 3)
+	r := obs.NewRegistry()
+	m.ObsPublish(r, "pram.")
+	snap := r.Snapshot()
+	want := map[string]int64{"pram.depth": 2, "pram.work": 3, "pram.steps": 1, "pram.procs": 4}
+	if len(snap) != len(want) {
+		t.Fatalf("published %v, want exactly %v", snap, want)
+	}
+	for k, v := range want {
+		if snap[k] != v {
+			t.Fatalf("%s = %v, want %d", k, snap[k], v)
+		}
 	}
 }

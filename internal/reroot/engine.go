@@ -75,8 +75,8 @@ type Oracle interface {
 	HasEdgeToWalk(sources, walk []int, st *dstruct.Stats) bool
 	// EdgeToWalkBatch answers a batch of independent queries, equivalent to
 	// issuing them one by one in order. The paper's rounds are built from
-	// such batches; implementations may execute the whole batch at once
-	// (dstruct.D fans it out over the PRAM worker pool, the semi-streaming
+	// such batches; implementations may prepare the whole batch at once
+	// (dstruct.D prepares each distinct walk once, the semi-streaming
 	// oracle answers each query with its own pass).
 	EdgeToWalkBatch(qs []dstruct.WalkQuery, st *dstruct.Stats) []dstruct.WalkAnswer
 }

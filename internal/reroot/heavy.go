@@ -339,7 +339,7 @@ func (e *Engine) eligible(c *Comp, roots []int, target []int) []int {
 
 // eligibleGroups answers several independent eligibility families against
 // one shared target in a single batch round — one physical pass for the
-// streaming oracle, one worker-pool dispatch for D — returning the
+// streaming oracle, one batch call for D — returning the
 // eligible roots of each group in input order.
 func (e *Engine) eligibleGroups(c *Comp, groups [][]int, target []int) [][]int {
 	total := 0

@@ -254,7 +254,7 @@ func (e *Engine) processComp(c *Comp, walk []int, remaining []Piece) ([]*Comp, e
 	}
 	// Subtree→path and path→path connectivity: all pairs are independent
 	// existence queries, issued as one batch (one coalesced round of the
-	// model; one worker-pool dispatch of the execution).
+	// model; one D batch call, preparing each walk once).
 	var connQs []dstruct.WalkQuery
 	var connUnions [][2]int
 	for si, s := range subs {

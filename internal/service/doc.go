@@ -5,7 +5,7 @@
 // # Shard routing
 //
 // A Service runs a fixed set of shards. Each shard owns one goroutine (the
-// update loop), one pram.Machine (worker pool + merged PRAM accounting for
+// update loop), one accounting-only pram.Machine (the merged PRAM costs of
 // everything that runs on the shard), and the maintainers of every graph
 // assigned to it. A graph ID is hashed (FNV-1a) to pick its shard at
 // creation, and at any moment exactly one shard owns the graph, so all

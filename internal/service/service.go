@@ -38,9 +38,10 @@ type Config struct {
 	// MailboxDepth is the per-shard buffered-channel depth; submissions
 	// block (backpressure) when a mailbox is full. Default 256.
 	MailboxDepth int
-	// Workers is the worker-pool width of each shard's machine — the
-	// intra-query execution parallelism. With many shards on one host the
-	// shard loops themselves are the parallelism, so the default is 1.
+	// Workers is ignored. Each shard's pram.Machine is an accountant only
+	// and executes nothing; the shard loops are the service's parallelism.
+	//
+	// Deprecated: setting Workers has no effect.
 	Workers int
 	// Headroom is the vertex-ID headroom reserved per graph for vertex
 	// insertions. Default 64.
@@ -89,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MailboxDepth <= 0 {
 		c.MailboxDepth = 256
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	if c.Headroom <= 0 {
 		c.Headroom = 64
@@ -208,7 +206,7 @@ func Open(cfg Config) (*Service, error) {
 		sh := &shard{
 			svc:     s,
 			idx:     i,
-			mach:    pram.NewMachineWithWorkers(1, cfg.Workers),
+			mach:    pram.NewMachine(1),
 			mailbox: make(chan task, cfg.MailboxDepth),
 			graphs:  make(map[GraphID]*graphState),
 			qcache:  snapquery.NewCache(cfg.QueryCache),

@@ -110,8 +110,8 @@ func (gs *graphState) invalidatePending() {
 }
 
 // shard owns a set of graphs, the goroutine that applies their updates, and
-// the pram.Machine whose worker pool and merged depth/work accounting all
-// of them share.
+// the accounting-only pram.Machine whose merged depth/work all of them
+// share.
 type shard struct {
 	// svc points back to the owning Service for routing decisions (straggler
 	// forwarding after a migration flip, durable route removal on drop). nil

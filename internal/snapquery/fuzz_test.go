@@ -1,0 +1,121 @@
+package snapquery
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+)
+
+// byteIntner decodes a fuzzed byte string into the choices of
+// applyRandomUpdate. Each draw consumes one byte (two when n > 256); once
+// the bytes run out it counts upward, so a rejection loop such as "pick a
+// live vertex" still terminates.
+type byteIntner struct {
+	data []byte
+	k    int
+}
+
+func (b *byteIntner) Intn(n int) int {
+	switch {
+	case n > 256 && len(b.data) >= 2:
+		v := int(b.data[0])<<8 | int(b.data[1])
+		b.data = b.data[2:]
+		return v % n
+	case len(b.data) > 0:
+		v := int(b.data[0])
+		b.data = b.data[1:]
+		return v % n
+	}
+	b.k++
+	return b.k % n
+}
+
+// FuzzSnapqueryPatch decodes a fuzzed byte string into a version chain:
+// the first byte picks the base graph, the rest drives applyRandomUpdate's
+// update mix on a maintainer with little headroom (so pseudo-root
+// relocations break the chain). Every version's handle is derived from its
+// predecessor whenever the maintainer reports a delta; after every step it
+// must pass CheckSynced and answer exactly like a fresh build.
+func FuzzSnapqueryPatch(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{7, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{19, 3, 3, 3, 3, 3, 9, 9, 9, 6, 6, 6, 6, 6, 6})
+	f.Add([]byte{200, 9, 1, 9, 2, 9, 3, 0, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 6 + int(data[0])%26
+		g := graph.GnpConnected(n, 3.0/float64(n), rand.New(rand.NewSource(int64(data[0]))))
+		dd := core.New(g, core.Options{RebuildD: true, Headroom: 4})
+		h := New(dd.Frozen(), dd.Tree(), dd.PseudoRoot())
+		h.Warm()
+		src := &byteIntner{data: data[1:]}
+		for step := 0; step < 48 && len(src.data) > 0; step++ {
+			if !applyRandomUpdate(t, dd, src) {
+				continue
+			}
+			var nh *Handle
+			if d := dd.LastDelta(); d != nil {
+				nh = NewDerived(h, dd.Frozen(), dd.Tree(), dd.PseudoRoot(), coreDelta(d))
+			} else {
+				nh = New(dd.Frozen(), dd.Tree(), dd.PseudoRoot())
+			}
+			nh.Warm()
+			if err := nh.CheckSynced(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			sameAnswers(t, step, nh, New(dd.Frozen(), dd.Tree(), dd.PseudoRoot()))
+			h = nh
+		}
+	})
+}
+
+// sameAnswers compares every per-vertex answer of h against fresh, a
+// handle built from scratch over the same snapshot, plus one pairwise
+// query per vertex.
+func sameAnswers(t *testing.T, step int, h, fresh *Handle) {
+	t.Helper()
+	live := liveVertices(h.Tree(), h.PseudoRoot())
+	for i, u := range live {
+		v := live[(7*i+3)%len(live)]
+		check := func(op string, got, want any, gerr, werr error) {
+			t.Helper()
+			if (gerr == nil) != (werr == nil) || !equalAnswer(got, want) {
+				t.Fatalf("step %d: %s(%d,%d) = %v/%v, fresh %v/%v", step, op, u, v, got, gerr, want, werr)
+			}
+		}
+		gl, ge := h.LCA(u, v)
+		wl, we := fresh.LCA(u, v)
+		check("LCA", gl, wl, ge, we)
+		gk, ge := h.KthAncestor(u, i%5)
+		wk, we := fresh.KthAncestor(u, i%5)
+		check("KthAncestor", gk, wk, ge, we)
+		gd, ge := h.Depth(u)
+		wd, we := fresh.Depth(u)
+		check("Depth", gd, wd, ge, we)
+		ga, ge := h.SubtreeAgg(u)
+		wa, we := fresh.SubtreeAgg(u)
+		check("SubtreeAgg", ga, wa, ge, we)
+		gp, ge := h.TreePath(u, v)
+		wp, we := fresh.TreePath(u, v)
+		check("TreePath", gp, wp, ge, we)
+		gc, ge := h.BiconnectedComponentOf(u)
+		wc, we := fresh.BiconnectedComponentOf(u)
+		check("BiconnectedComponentOf", gc, wc, ge, we)
+	}
+	if !slices.Equal(h.ArticulationPoints(), fresh.ArticulationPoints()) ||
+		!slices.Equal(h.Bridges(), fresh.Bridges()) {
+		t.Fatalf("step %d: articulation points or bridges differ from a fresh build", step)
+	}
+}
+
+func equalAnswer(a, b any) bool {
+	if pa, ok := a.([]int); ok {
+		return slices.Equal(pa, b.([]int))
+	}
+	return a == b
+}

@@ -2,6 +2,7 @@ package snapquery
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,9 +18,13 @@ func coreDelta(d *core.Delta) Delta {
 	return Delta{Moved: d.Moved, Removed: d.Removed, SameTree: d.SameTree}
 }
 
+// intner draws the choices of applyRandomUpdate: a *rand.Rand, or the
+// fuzzer's byte decoder.
+type intner interface{ Intn(n int) int }
+
 // applyRandomUpdate applies one random valid update to dd, returning false
 // when the drawn update was a no-op (e.g. no edge left to delete).
-func applyRandomUpdate(t *testing.T, dd *core.DynamicDFS, rng *rand.Rand) bool {
+func applyRandomUpdate(t *testing.T, dd *core.DynamicDFS, rng intner) bool {
 	t.Helper()
 	g := dd.Frozen()
 	slots := g.NumVertexSlots()
@@ -55,7 +60,9 @@ func applyRandomUpdate(t *testing.T, dd *core.DynamicDFS, rng *rand.Rand) bool {
 	case 6, 7, 8: // insert vertex (with a few random neighbors)
 		var nbrs []int
 		for i := rng.Intn(3); i > 0; i-- {
-			nbrs = append(nbrs, pick())
+			if v := pick(); !slices.Contains(nbrs, v) {
+				nbrs = append(nbrs, v)
+			}
 		}
 		if _, err := dd.InsertVertex(nbrs); err != nil {
 			t.Fatalf("InsertVertex(%v): %v", nbrs, err)

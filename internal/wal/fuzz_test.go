@@ -81,3 +81,50 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 	})
 }
+
+// frameRoute wraps payload in a route frame header with a matching length
+// and CRC, so the decoder gets past the frame checks to the body.
+func frameRoute(payload []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	return append(out, payload...)
+}
+
+// FuzzRoutesDecode drives arbitrary route-record bodies, framed with a
+// valid length and CRC, through decodeRouteFrame. A decode either fails
+// with ErrCorrupt or consumes the whole frame and yields a record whose
+// appendRouteFrame re-encoding decodes to the same record, consuming the
+// whole re-encoded frame.
+func FuzzRoutesDecode(f *testing.F) {
+	for _, r := range []RouteRecord{
+		{Graph: "g1", Shard: 3, Seq: 17},
+		{Graph: "", Shard: -1, Seq: 0},
+		{Graph: "tenant/with/slashes", Shard: 1 << 20, Seq: 1 << 62},
+	} {
+		f.Add(appendRouteFrame(nil, &r)[8:])
+	}
+	f.Add([]byte{})
+	f.Add([]byte{recRoute})
+	f.Add(binary.AppendUvarint([]byte{recRoute}, 1<<40))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		frame := frameRoute(payload)
+		r, n, err := decodeRouteFrame(frame)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error does not wrap ErrCorrupt: %v", err)
+			}
+			return
+		}
+		if n != len(frame) {
+			t.Fatalf("decoded %+v from %d of the frame's %d bytes", r, n, len(frame))
+		}
+		reenc := appendRouteFrame(nil, &r)
+		back, m, err := decodeRouteFrame(reenc)
+		if err != nil {
+			t.Fatalf("re-encoded route %+v does not decode: %v", r, err)
+		}
+		if back != r || m != len(reenc) {
+			t.Fatalf("route changed across re-encode: %+v (%d of %d bytes) vs %+v", back, m, len(reenc), r)
+		}
+	})
+}
