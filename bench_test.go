@@ -120,7 +120,7 @@ type benchEdges struct {
 	pos map[Edge]int // index of each edge in es
 }
 
-func newBenchEdges(g Adjacency) *benchEdges {
+func newBenchEdges(g *Graph) *benchEdges {
 	p := &benchEdges{es: g.Edges(), pos: make(map[Edge]int, g.NumEdges())}
 	for i, e := range p.es {
 		p.pos[e] = i
@@ -143,7 +143,7 @@ func (p *benchEdges) remove(e Edge) {
 
 // nonEdge draws vertex pairs until one is a non-edge of g, which takes a
 // draw or two on the sparse benchmark graphs; it gives up after 64.
-func (p *benchEdges) nonEdge(g *PersistentGraph, rng *rand.Rand) (Edge, bool) {
+func (p *benchEdges) nonEdge(g *Graph, rng *rand.Rand) (Edge, bool) {
 	n := g.NumVertexSlots()
 	for range 64 {
 		u, v := rng.Intn(n), rng.Intn(n)
@@ -177,11 +177,12 @@ func BenchmarkFaultTolerantBatch(b *testing.B) {
 }
 
 func randomDeleteBatch(g *Graph, k int, rng *rand.Rand) []Update {
-	scratch := g.Clone()
+	scratch := g
 	var batch []Update
 	for len(batch) < k {
 		if e, ok := RandomEdge(scratch, rng); ok {
-			if scratch.DeleteEdge(e.U, e.V) == nil {
+			if ng, err := scratch.DeleteEdge(e.U, e.V); err == nil {
+				scratch = ng
 				batch = append(batch, Update{Kind: DeleteEdge, U: e.U, V: e.V})
 			}
 		}
@@ -197,18 +198,20 @@ func BenchmarkStreamingUpdate(b *testing.B) {
 			rng := rand.New(rand.NewSource(3))
 			g := GnpConnected(n, 3.0/float64(n), rng)
 			s := NewStreaming(g)
-			mirror := g.Clone()
+			mirror := g
 			var passes int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if e, ok := RandomNonEdge(mirror, rng); ok && i%2 == 0 {
-					if mirror.InsertEdge(e.U, e.V) == nil {
+					if ng, err := mirror.InsertEdge(e.U, e.V); err == nil {
+						mirror = ng
 						if err := s.InsertEdge(e.U, e.V); err != nil {
 							b.Fatal(err)
 						}
 					}
 				} else if e, ok := RandomEdge(mirror, rng); ok {
-					if mirror.DeleteEdge(e.U, e.V) == nil {
+					if ng, err := mirror.DeleteEdge(e.U, e.V); err == nil {
+						mirror = ng
 						if err := s.DeleteEdge(e.U, e.V); err != nil {
 							b.Fatal(err)
 						}

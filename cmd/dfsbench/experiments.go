@@ -136,26 +136,29 @@ func runE2(seed int64) {
 }
 
 func randomBatch(g *dfs.Graph, k int, rng *rand.Rand) []dfs.Update {
-	scratch := g.Clone()
+	scratch := g
 	var batch []dfs.Update
 	for len(batch) < k {
 		switch rng.Intn(3) {
 		case 0:
 			if e, ok := dfs.RandomNonEdge(scratch, rng); ok {
-				if scratch.InsertEdge(e.U, e.V) == nil {
+				if ng, err := scratch.InsertEdge(e.U, e.V); err == nil {
+					scratch = ng
 					batch = append(batch, dfs.Update{Kind: dfs.InsertEdge, U: e.U, V: e.V})
 				}
 			}
 		case 1:
 			if e, ok := dfs.RandomEdge(scratch, rng); ok {
-				if scratch.DeleteEdge(e.U, e.V) == nil {
+				if ng, err := scratch.DeleteEdge(e.U, e.V); err == nil {
+					scratch = ng
 					batch = append(batch, dfs.Update{Kind: dfs.DeleteEdge, U: e.U, V: e.V})
 				}
 			}
 		default:
 			v := rng.Intn(scratch.NumVertexSlots())
 			if scratch.IsVertex(v) && scratch.NumVertices() > 8 {
-				if scratch.DeleteVertex(v) == nil {
+				if ng, err := scratch.DeleteVertex(v); err == nil {
+					scratch = ng
 					batch = append(batch, dfs.Update{Kind: dfs.DeleteVertex, U: v})
 				}
 			}

@@ -181,7 +181,7 @@ func main() {
 					return
 				}
 				mine = append(mine, ids[i])
-				mirrors[ids[i]] = snap.Graph.Mutable()
+				mirrors[ids[i]] = snap.Graph
 				if ack != nil {
 					fmt.Fprintf(ack, "R %s %d\n", ids[i], snap.Version)
 				}
@@ -207,15 +207,21 @@ func main() {
 					id := mine[pick]
 					mirror := mirrors[id]
 					var u dfs.Update
+					var err error
 					if e, ok := dfs.RandomNonEdge(mirror, rng); ok && rng.Intn(2) == 0 {
-						mirror.InsertEdge(e.U, e.V)
+						mirror, err = mirror.InsertEdge(e.U, e.V)
 						u = dfs.Update{Kind: dfs.InsertEdge, U: e.U, V: e.V}
 					} else if e, ok := dfs.RandomEdge(mirror, rng); ok {
-						mirror.DeleteEdge(e.U, e.V)
+						mirror, err = mirror.DeleteEdge(e.U, e.V)
 						u = dfs.Update{Kind: dfs.DeleteEdge, U: e.U, V: e.V}
 					} else {
 						continue
 					}
+					if err != nil {
+						fatal <- err
+						return
+					}
+					mirrors[id] = mirror
 					items = append(items, dfs.BatchItem{Graph: id, Update: u})
 				}
 				if ack != nil {
@@ -632,9 +638,9 @@ func recoverVerify(svc *dfs.Service, ackDir string, graphs, n int, deg float64, 
 				var aerr error
 				switch {
 				case in.kind == int(dfs.InsertEdge):
-					aerr = mirror.InsertEdge(in.u, in.v)
+					mirror, aerr = mirror.InsertEdge(in.u, in.v)
 				case in.kind == int(dfs.DeleteEdge):
-					aerr = mirror.DeleteEdge(in.u, in.v)
+					mirror, aerr = mirror.DeleteEdge(in.u, in.v)
 				default:
 					aerr = fmt.Errorf("unexpected update kind %d", in.kind)
 				}

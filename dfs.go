@@ -115,20 +115,15 @@ var (
 	ErrGraphExists = service.ErrGraphExists
 )
 
-// Graph is a mutable simple undirected graph with stable vertex IDs.
-type Graph = graph.Graph
-
-// PersistentGraph is an immutable copy-on-write graph: every update applied
-// by a Maintainer produces a new version sharing all untouched adjacency
-// rows with its predecessor. Maintainer.Graph, GraphSnapshot.Graph and
-// FaultTolerantResult.Graph expose this type; it is safe to read
-// concurrently and to retain across any number of later updates.
-type PersistentGraph = graph.Persistent
-
-// Adjacency is the read-only view shared by Graph and PersistentGraph; the
-// library's read-side helpers (Verify, StaticDFS, workload pickers) accept
-// either representation through it.
-type Adjacency = graph.Adjacency
+// Graph is an immutable simple undirected graph with stable vertex IDs.
+// Each update (InsertEdge, DeleteEdge, InsertVertex, DeleteVertex) returns
+// a new version sharing all untouched adjacency rows with its predecessor,
+// so g, err = g.InsertEdge(u, v) keeps a local copy current. Constructors
+// share the Graph they are given instead of copying it; Maintainer.Graph,
+// GraphSnapshot.Graph and FaultTolerantResult.Graph return versions that
+// are safe to read concurrently and to retain across any number of later
+// updates.
+type Graph = graph.Persistent
 
 // Edge is an undirected edge.
 type Edge = graph.Edge
@@ -285,14 +280,12 @@ type QueryHandle = service.QueryHandle
 // subtree: size, height, and min/max vertex label.
 type SubtreeAgg = snapquery.Agg
 
-// NewGraph returns a graph with n isolated vertices.
-func NewGraph(n int) *Graph { return graph.New(n) }
-
-// FromEdges builds a graph on n vertices from an edge list.
+// FromEdges builds a graph on n vertices from an edge list. It rejects
+// self-loops, duplicate edges and endpoints outside [0, n).
 func FromEdges(n int, edges []Edge) (*Graph, error) { return graph.FromEdges(n, edges) }
 
-// NewMaintainer builds the fully dynamic maintainer over a copy of g, with
-// the default SubtreeDFS executor.
+// NewMaintainer builds the fully dynamic maintainer over g (retained,
+// immutable), with the default SubtreeDFS executor.
 func NewMaintainer(g *Graph) *Maintainer { return core.NewFullyDynamic(g) }
 
 // NewMaintainerWith builds a maintainer with explicit options (rerooting
@@ -351,7 +344,7 @@ func OpenService(cfg ServiceConfig) (*Service, error) { return service.Open(cfg)
 // (graph, DFS tree) pair — a retained GraphSnapshot's fields, or a paused
 // Maintainer's Graph/Tree/PseudoRoot. The serving layer's Service.Query is
 // the cached equivalent.
-func NewSnapshotQuery(g Adjacency, t *Tree, pseudoRoot int) *QueryHandle {
+func NewSnapshotQuery(g *Graph, t *Tree, pseudoRoot int) *QueryHandle {
 	return snapquery.New(g, t, pseudoRoot)
 }
 
@@ -364,11 +357,11 @@ func NewDistributed(g *Graph, b int) *Distributed { return distributed.New(g, b)
 
 // StaticDFS computes a DFS tree of g with the classical O(m+n) algorithm
 // under the pseudo-root convention (root ID = g.NumVertexSlots()).
-func StaticDFS(g Adjacency) *Tree { return baseline.StaticDFS(g) }
+func StaticDFS(g *Graph) *Tree { return baseline.StaticDFS(g) }
 
 // Verify checks that t is a DFS tree of g under the pseudo-root convention
 // used by the maintainers: nil means valid.
-func Verify(g Adjacency, t *Tree, pseudoRoot int) error {
+func Verify(g *Graph, t *Tree, pseudoRoot int) error {
 	return verify.DFSForest(g, t, pseudoRoot)
 }
 
@@ -379,6 +372,6 @@ type Biconnectivity = bicon.Analysis
 
 // AnalyzeBiconnectivity computes articulation points, bridges and
 // biconnected components of g from its DFS tree t.
-func AnalyzeBiconnectivity(g Adjacency, t *Tree, pseudoRoot int) *Biconnectivity {
+func AnalyzeBiconnectivity(g *Graph, t *Tree, pseudoRoot int) *Biconnectivity {
 	return bicon.Analyze(g, t, pseudoRoot, nil)
 }

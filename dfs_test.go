@@ -187,7 +187,4 @@ func TestGeneratorsExported(t *testing.T) {
 	if err != nil || g.NumEdges() != 1 {
 		t.Fatal("FromEdges broken")
 	}
-	if NewGraph(4).NumVertices() != 4 {
-		t.Fatal("NewGraph broken")
-	}
 }

@@ -54,16 +54,18 @@ func main() {
 func randomFailures(g *dfs.Graph, k int, rng *rand.Rand) ([]dfs.Update, string) {
 	var batch []dfs.Update
 	desc := ""
-	scratch := g.Clone()
+	scratch := g
 	for len(batch) < k {
 		if rng.Intn(3) == 0 && scratch.NumVertices() > 8 {
 			v := rng.Intn(scratch.NumVertexSlots())
-			if scratch.IsVertex(v) && scratch.DeleteVertex(v) == nil {
+			if ng, err := scratch.DeleteVertex(v); err == nil {
+				scratch = ng
 				batch = append(batch, dfs.Update{Kind: dfs.DeleteVertex, U: v})
 				desc += fmt.Sprintf("switch %d ", v)
 			}
 		} else if e, ok := dfs.RandomEdge(scratch, rng); ok {
-			if scratch.DeleteEdge(e.U, e.V) == nil {
+			if ng, err := scratch.DeleteEdge(e.U, e.V); err == nil {
+				scratch = ng
 				batch = append(batch, dfs.Update{Kind: dfs.DeleteEdge, U: e.U, V: e.V})
 				desc += fmt.Sprintf("link %v ", e)
 			}

@@ -14,19 +14,21 @@ import (
 // script is a reproducible update sequence generated against a scratch
 // graph so every update is feasible.
 func script(g *Graph, steps int, rng *rand.Rand) []Update {
-	scratch := g.Clone()
+	scratch := g
 	var out []Update
 	for len(out) < steps {
 		switch rng.Intn(4) {
 		case 0:
 			if e, ok := RandomNonEdge(scratch, rng); ok {
-				if scratch.InsertEdge(e.U, e.V) == nil {
+				if ng, err := scratch.InsertEdge(e.U, e.V); err == nil {
+					scratch = ng
 					out = append(out, Update{Kind: InsertEdge, U: e.U, V: e.V})
 				}
 			}
 		case 1:
 			if e, ok := RandomEdge(scratch, rng); ok {
-				if scratch.DeleteEdge(e.U, e.V) == nil {
+				if ng, err := scratch.DeleteEdge(e.U, e.V); err == nil {
+					scratch = ng
 					out = append(out, Update{Kind: DeleteEdge, U: e.U, V: e.V})
 				}
 			}
@@ -37,13 +39,15 @@ func script(g *Graph, steps int, rng *rand.Rand) []Update {
 					nbrs = append(nbrs, v)
 				}
 			}
-			if _, err := scratch.InsertVertex(nbrs); err == nil {
+			if ng, _, err := scratch.InsertVertex(nbrs); err == nil {
+				scratch = ng
 				out = append(out, Update{Kind: InsertVertex, Neighbors: nbrs})
 			}
 		default:
 			if scratch.NumVertices() > 6 {
 				v := rng.Intn(scratch.NumVertexSlots())
-				if scratch.IsVertex(v) && scratch.DeleteVertex(v) == nil {
+				if ng, err := scratch.DeleteVertex(v); err == nil {
+					scratch = ng
 					out = append(out, Update{Kind: DeleteVertex, U: v})
 				}
 			}

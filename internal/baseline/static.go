@@ -16,14 +16,14 @@ import (
 // graphs yield a single tree whose root children are component roots.
 // Neighbors are visited in increasing vertex order, making the result
 // deterministic. Runs in O(m+n).
-func StaticDFS(g graph.Adjacency) *tree.Tree {
+func StaticDFS(g *graph.Persistent) *tree.Tree {
 	return StaticDFSUnder(g, g.NumVertexSlots())
 }
 
 // StaticDFSUnder is StaticDFS with the pseudo root at ID root ≥
 // NumVertexSlots(); the IDs between the last vertex slot and root are holes
 // (the dynamic maintainers reserve them as vertex-insertion headroom).
-func StaticDFSUnder(g graph.Adjacency, root int) *tree.Tree {
+func StaticDFSUnder(g *graph.Persistent, root int) *tree.Tree {
 	n := g.NumVertexSlots()
 	d := newDFS(g, root+1)
 	present := make([]bool, root+1)
@@ -43,26 +43,26 @@ func StaticDFSUnder(g graph.Adjacency, root int) *tree.Tree {
 // StaticDFSFrom computes a DFS tree of the connected component of start,
 // rooted at start, with no pseudo-root. Vertices outside the component are
 // holes in the returned tree.
-func StaticDFSFrom(g graph.Adjacency, start int) *tree.Tree {
+func StaticDFSFrom(g *graph.Persistent, start int) *tree.Tree {
 	d := newDFS(g, g.NumVertexSlots())
 	d.visit(start, tree.None)
 	return tree.MustBuild(start, d.parent, d.visited)
 }
 
-// dfs is the state of one iterative DFS over a CSR snapshot: parent spans
-// the tree's ID range, visited and cursor the graph's slots.
+// dfs is the state of one iterative DFS over g's rows: parent spans the
+// tree's ID range, visited and cursor the graph's slots.
 type dfs struct {
-	snap    *graph.CSR
+	g       *graph.Persistent
 	parent  []int
 	visited []bool
 	cursor  []int
 	stack   []int
 }
 
-func newDFS(g graph.Adjacency, ids int) *dfs {
+func newDFS(g *graph.Persistent, ids int) *dfs {
 	n := g.NumVertexSlots()
 	d := &dfs{
-		snap:    g.Snapshot(),
+		g:       g,
 		parent:  make([]int, ids),
 		visited: make([]bool, n),
 		cursor:  make([]int, n),
@@ -82,10 +82,10 @@ func (d *dfs) visit(s, p int) {
 	d.stack = append(d.stack[:0], s)
 	for len(d.stack) > 0 {
 		v := d.stack[len(d.stack)-1]
-		row := d.snap.Row(v)
+		row := d.g.Row(v)
 		advanced := false
 		for d.cursor[v] < len(row) {
-			w := row[d.cursor[v]]
+			w := int(row[d.cursor[v]])
 			d.cursor[v]++
 			if !d.visited[w] {
 				d.visited[w] = true
@@ -104,49 +104,38 @@ func (d *dfs) visit(s, p int) {
 // Recompute is the trivial dynamic-DFS baseline: apply the update to the
 // graph and recompute the DFS tree from scratch (O(m+n) per update).
 type Recompute struct {
-	G *graph.Graph
+	G *graph.Persistent
 	T *tree.Tree
 }
 
-// NewRecompute builds the baseline over a clone of g.
-func NewRecompute(g *graph.Graph) *Recompute {
-	c := g.Clone()
-	return &Recompute{G: c, T: StaticDFS(c)}
+// NewRecompute builds the baseline over g, which it retains (immutable).
+func NewRecompute(g *graph.Persistent) *Recompute {
+	return &Recompute{G: g, T: StaticDFS(g)}
+}
+
+// set installs the updated graph and recomputes the tree.
+func (r *Recompute) set(g *graph.Persistent, err error) error {
+	if err != nil {
+		return err
+	}
+	r.G, r.T = g, StaticDFS(g)
+	return nil
 }
 
 // InsertEdge applies the update and recomputes.
-func (r *Recompute) InsertEdge(u, v int) error {
-	if err := r.G.InsertEdge(u, v); err != nil {
-		return err
-	}
-	r.T = StaticDFS(r.G)
-	return nil
-}
+func (r *Recompute) InsertEdge(u, v int) error { return r.set(r.G.InsertEdge(u, v)) }
 
 // DeleteEdge applies the update and recomputes.
-func (r *Recompute) DeleteEdge(u, v int) error {
-	if err := r.G.DeleteEdge(u, v); err != nil {
-		return err
-	}
-	r.T = StaticDFS(r.G)
-	return nil
-}
+func (r *Recompute) DeleteEdge(u, v int) error { return r.set(r.G.DeleteEdge(u, v)) }
 
 // InsertVertex applies the update and recomputes, returning the new ID.
 func (r *Recompute) InsertVertex(neighbors []int) (int, error) {
-	v, err := r.G.InsertVertex(neighbors)
-	if err != nil {
+	g, v, err := r.G.InsertVertex(neighbors)
+	if err := r.set(g, err); err != nil {
 		return -1, err
 	}
-	r.T = StaticDFS(r.G)
 	return v, nil
 }
 
 // DeleteVertex applies the update and recomputes.
-func (r *Recompute) DeleteVertex(v int) error {
-	if err := r.G.DeleteVertex(v); err != nil {
-		return err
-	}
-	r.T = StaticDFS(r.G)
-	return nil
-}
+func (r *Recompute) DeleteVertex(v int) error { return r.set(r.G.DeleteVertex(v)) }

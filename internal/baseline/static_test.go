@@ -40,8 +40,8 @@ func TestStaticDFSDeterministic(t *testing.T) {
 // reserved IDs left as holes.
 func TestStaticDFSUnderHeadroom(t *testing.T) {
 	rng := rand.New(rand.NewSource(179))
-	g := graph.Gnp(30, 0.08, rng)
-	if err := g.DeleteVertex(7); err != nil {
+	g, err := graph.Gnp(30, 0.08, rng).DeleteVertex(7)
+	if err != nil {
 		t.Fatal(err)
 	}
 	n, root := g.NumVertexSlots(), g.NumVertexSlots()+5
@@ -69,12 +69,7 @@ func TestStaticDFSUnderHeadroom(t *testing.T) {
 }
 
 func TestStaticDFSFromComponent(t *testing.T) {
-	g := graph.New(6)
-	for _, e := range []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 4, V: 5}} {
-		if err := g.InsertEdge(e.U, e.V); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := graph.MustFromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 4, V: 5}})
 	tr := StaticDFSFrom(g, 1)
 	if tr.Root != 1 || !tr.Present(0) || !tr.Present(2) {
 		t.Fatal("component of 1 not covered")
@@ -88,8 +83,8 @@ func TestStaticDFSFromComponent(t *testing.T) {
 }
 
 func TestStaticDFSWithHoles(t *testing.T) {
-	g := graph.Cycle(8)
-	if err := g.DeleteVertex(3); err != nil {
+	g, err := graph.Cycle(8).DeleteVertex(3)
+	if err != nil {
 		t.Fatal(err)
 	}
 	tr := StaticDFS(g)
@@ -137,7 +132,7 @@ func TestRecomputeBaseline(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 	}
-	// Clone isolation: the original graph must be untouched.
+	// The retained input graph is immutable: updates derive new versions.
 	if g.NumVertices() != 25 {
 		t.Fatal("baseline mutated the input graph")
 	}

@@ -37,7 +37,7 @@ type Analysis struct {
 // of g with respect to its DFS tree t. Vertices adjacent to the pseudo root
 // (pass pseudo = tree.None when absent) are treated as component roots.
 // mach, when non-nil, is charged the parallel tree-contraction cost.
-func Analyze(g graph.Adjacency, t *tree.Tree, pseudo int, mach *pram.Machine) *Analysis {
+func Analyze(g *graph.Persistent, t *tree.Tree, pseudo int, mach *pram.Machine) *Analysis {
 	n := t.N()
 	a := &Analysis{
 		t:      t,

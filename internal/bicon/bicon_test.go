@@ -11,15 +11,15 @@ import (
 )
 
 // naiveArticulation removes each vertex in turn and counts components.
-func naiveArticulation(g *graph.Graph) []int {
+func naiveArticulation(g *graph.Persistent) []int {
 	var out []int
 	_, base := g.ConnectedComponents()
 	for v := 0; v < g.NumVertexSlots(); v++ {
 		if !g.IsVertex(v) || g.Degree(v) == 0 {
 			continue
 		}
-		c := g.Clone()
-		if err := c.DeleteVertex(v); err != nil {
+		c, err := g.DeleteVertex(v)
+		if err != nil {
 			panic(err)
 		}
 		_, k := c.ConnectedComponents()
@@ -34,12 +34,12 @@ func naiveArticulation(g *graph.Graph) []int {
 }
 
 // naiveBridges removes each edge in turn.
-func naiveBridges(g *graph.Graph) []graph.Edge {
+func naiveBridges(g *graph.Persistent) []graph.Edge {
 	var out []graph.Edge
 	_, base := g.ConnectedComponents()
 	for _, e := range g.Edges() {
-		c := g.Clone()
-		if err := c.DeleteEdge(e.U, e.V); err != nil {
+		c, err := g.DeleteEdge(e.U, e.V)
+		if err != nil {
 			panic(err)
 		}
 		if _, k := c.ConnectedComponents(); k > base {
@@ -49,7 +49,7 @@ func naiveBridges(g *graph.Graph) []graph.Edge {
 	return out
 }
 
-func analyze(g *graph.Graph) *Analysis {
+func analyze(g *graph.Persistent) *Analysis {
 	t := baseline.StaticDFS(g)
 	return Analyze(g, t, g.NumVertexSlots(), nil)
 }

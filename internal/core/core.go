@@ -189,9 +189,10 @@ func (dd *DynamicDFS) SetTrace(t *obs.Trace) {
 	dd.engineDur, dd.dmaintDur = 0, 0
 }
 
-// New builds the maintainer over a private persistent copy of g: computes
-// the initial DFS tree (static preprocessing) and the data structure D.
-func New(g *graph.Graph, opt Options) *DynamicDFS {
+// New builds the maintainer over g, which it retains (immutable: updates
+// derive new versions and never write into it): computes the initial DFS
+// tree (static preprocessing) and the data structure D.
+func New(g *graph.Persistent, opt Options) *DynamicDFS {
 	if opt.Headroom <= 0 {
 		opt.Headroom = 64
 	}
@@ -200,7 +201,7 @@ func New(g *graph.Graph, opt Options) *DynamicDFS {
 		m = pram.NewMachine(2*g.NumEdges() + g.NumVertexSlots() + 1)
 	}
 	dd := &DynamicDFS{
-		g:            graph.PersistentOf(g),
+		g:            g,
 		m:            m,
 		rebuildD:     opt.RebuildD,
 		fullRebuildD: opt.FullRebuildD,
@@ -222,7 +223,7 @@ func New(g *graph.Graph, opt Options) *DynamicDFS {
 }
 
 // NewFullyDynamic is New with fully dynamic defaults.
-func NewFullyDynamic(g *graph.Graph) *DynamicDFS {
+func NewFullyDynamic(g *graph.Persistent) *DynamicDFS {
 	return New(g, Options{RebuildD: true})
 }
 

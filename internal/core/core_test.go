@@ -49,12 +49,7 @@ func TestInsertEdgeCross(t *testing.T) {
 }
 
 func TestInsertEdgeMergesComponents(t *testing.T) {
-	g := graph.New(6)
-	for _, e := range []graph.Edge{{U: 0, V: 1}, {U: 3, V: 4}, {U: 4, V: 5}} {
-		if err := g.InsertEdge(e.U, e.V); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := graph.MustFromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 3, V: 4}, {U: 4, V: 5}})
 	dd := NewFullyDynamic(g)
 	check(t, dd, "initial forest")
 	if err := dd.InsertEdge(1, 5); err != nil {

@@ -40,15 +40,14 @@ func FuzzExecutorParity(f *testing.F) {
 			return
 		}
 		n := 4 + int(data[0])%9
-		g := graph.New(n)
+		var edges []graph.Edge
 		k := min(int(data[1])%24, len(data)-2)
 		for _, b := range data[2 : 2+k] {
-			if u, v := int(b>>4)%n, int(b&15)%n; u != v && !g.HasEdge(u, v) {
-				if err := g.InsertEdge(u, v); err != nil {
-					t.Fatal(err)
-				}
+			if e := (graph.Edge{U: int(b>>4) % n, V: int(b&15) % n}).Canon(); e.U != e.V && !slices.Contains(edges, e) {
+				edges = append(edges, e)
 			}
 		}
+		g := graph.MustFromEdges(n, edges)
 		data = data[2+k:]
 		dfs := New(g, Options{RebuildD: true})
 		par := New(g, Options{RebuildD: true, Executor: Parallel})

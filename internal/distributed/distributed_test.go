@@ -26,13 +26,7 @@ func TestNetworkBFSCosts(t *testing.T) {
 }
 
 func TestNetworkBFSForest(t *testing.T) {
-	g := graph.New(5)
-	if err := g.InsertEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.InsertEdge(3, 4); err != nil {
-		t.Fatal(err)
-	}
+	g := graph.MustFromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 3, V: 4}})
 	nw := NewNetwork(2)
 	nw.BuildBFS(g)
 	if nw.Depth() != 1 {

@@ -22,7 +22,7 @@ type Maintainer struct {
 
 // New builds the maintainer. b is the message size in words; pass 0 to use
 // the paper's CONGEST(n/D) choice computed from the initial graph.
-func New(g *graph.Graph, b int) *Maintainer {
+func New(g *graph.Persistent, b int) *Maintainer {
 	if b <= 0 {
 		d := g.Diameter()
 		if d < 1 {

@@ -44,7 +44,7 @@ func NewNetwork(b int) *Network {
 // component, rooted at the component's smallest vertex ID (the paper's
 // choice). Costs O(depth) rounds and O(m) messages — every edge carries one
 // exploration message each way, as in the standard flooding construction.
-func (nw *Network) BuildBFS(g graph.Adjacency) {
+func (nw *Network) BuildBFS(g *graph.Persistent) {
 	n := g.NumVertexSlots()
 	parent := make([]int, n)
 	for i := range parent {

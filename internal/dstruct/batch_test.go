@@ -39,7 +39,7 @@ func treePathWalk(tr *tree.Tree, x, y int) []int {
 }
 
 // randomLive returns a uniformly random live vertex of g outside skip.
-func randomLive(g *graph.Graph, rng *rand.Rand, skip map[int]bool) int {
+func randomLive(g *graph.Persistent, rng *rand.Rand, skip map[int]bool) int {
 	for {
 		v := rng.Intn(g.NumVertexSlots())
 		if g.IsVertex(v) && !skip[v] {
@@ -50,10 +50,15 @@ func randomLive(g *graph.Graph, rng *rand.Rand, skip map[int]bool) int {
 
 // patchAroundWalk records, on g and every d, a deleted base edge and an
 // inserted edge touching the walk, plus a patch vertex adjacent to it. It
-// returns the patch vertex.
-func patchAroundWalk(g *graph.Graph, rng *rand.Rand, walk []int, onWalk map[int]bool, ds ...*D) int {
+// returns the updated graph and the patch vertex.
+func patchAroundWalk(g *graph.Persistent, rng *rand.Rand, walk []int, onWalk map[int]bool, ds ...*D) (*graph.Persistent, int) {
 	for _, z := range walk {
-		if u, ok := firstOffWalk(g.SortedNeighbors(z), onWalk); ok && g.DeleteEdge(u, z) == nil {
+		if u, ok := firstOffWalk(g.SortedNeighbors(z), onWalk); ok {
+			ng, err := g.DeleteEdge(u, z)
+			if err != nil {
+				panic(err)
+			}
+			g = ng
 			for _, d := range ds {
 				d.PatchDeleteEdge(u, z)
 			}
@@ -62,7 +67,8 @@ func patchAroundWalk(g *graph.Graph, rng *rand.Rand, walk []int, onWalk map[int]
 	}
 	for tries := 0; tries < 100; tries++ {
 		u, z := randomLive(g, rng, onWalk), walk[rng.Intn(len(walk))]
-		if !g.HasEdge(u, z) && g.InsertEdge(u, z) == nil {
+		if ng, err := g.InsertEdge(u, z); err == nil {
+			g = ng
 			for _, d := range ds {
 				d.PatchInsertEdge(u, z)
 			}
@@ -70,14 +76,14 @@ func patchAroundWalk(g *graph.Graph, rng *rand.Rand, walk []int, onWalk map[int]
 		}
 	}
 	nbrs := []int{walk[0], walk[len(walk)/2], randomLive(g, rng, onWalk)}
-	pv, err := g.InsertVertex(nbrs)
+	g, pv, err := g.InsertVertex(nbrs)
 	if err != nil {
 		panic(err)
 	}
 	for _, d := range ds {
 		d.PatchInsertVertex(pv, nbrs)
 	}
-	return pv
+	return g, pv
 }
 
 func firstOffWalk(nbrs []int, onWalk map[int]bool) (int, bool) {
@@ -115,7 +121,7 @@ func TestEdgeToWalkBatchSharedWalks(t *testing.T) {
 		}
 		pv := -1
 		if trial%2 == 1 {
-			pv = patchAroundWalk(g, rng, shared, onWalk, d)
+			g, pv = patchAroundWalk(g, rng, shared, onWalk, d)
 			walks = append(walks, append(append([]int(nil), shared...), pv))
 			onWalk[pv] = true
 		}
@@ -185,13 +191,15 @@ func TestEdgeToWalkBatchSharedWalks(t *testing.T) {
 	}
 }
 
-// applyRandomPatches mutates g and records the same patches on every d.
-func applyRandomPatches(g *graph.Graph, rng *rand.Rand, ds ...*D) {
+// applyRandomPatches applies random updates to g, records the same patches
+// on every d, and returns the updated graph.
+func applyRandomPatches(g *graph.Persistent, rng *rand.Rand, ds ...*D) *graph.Persistent {
 	for k := 0; k < 6; k++ {
 		switch rng.Intn(4) {
 		case 0:
 			if e, ok := graph.RandomEdgeNotIn(g, rng); ok {
-				if g.InsertEdge(e.U, e.V) == nil {
+				if ng, err := g.InsertEdge(e.U, e.V); err == nil {
+					g = ng
 					for _, d := range ds {
 						d.PatchInsertEdge(e.U, e.V)
 					}
@@ -199,7 +207,8 @@ func applyRandomPatches(g *graph.Graph, rng *rand.Rand, ds ...*D) {
 			}
 		case 1:
 			if e, ok := graph.RandomExistingEdge(g, rng); ok {
-				if g.DeleteEdge(e.U, e.V) == nil {
+				if ng, err := g.DeleteEdge(e.U, e.V); err == nil {
+					g = ng
 					for _, d := range ds {
 						d.PatchDeleteEdge(e.U, e.V)
 					}
@@ -216,7 +225,8 @@ func applyRandomPatches(g *graph.Graph, rng *rand.Rand, ds ...*D) {
 					nbrs = append(nbrs, w)
 				}
 			}
-			if v, err := g.InsertVertex(nbrs); err == nil {
+			if ng, v, err := g.InsertVertex(nbrs); err == nil {
+				g = ng
 				for _, d := range ds {
 					d.PatchInsertVertex(v, nbrs)
 				}
@@ -225,7 +235,8 @@ func applyRandomPatches(g *graph.Graph, rng *rand.Rand, ds ...*D) {
 			v := rng.Intn(g.NumVertexSlots())
 			if g.IsVertex(v) && g.NumVertices() > 3 {
 				nbrs := g.SortedNeighbors(v)
-				if g.DeleteVertex(v) == nil {
+				if ng, err := g.DeleteVertex(v); err == nil {
+					g = ng
 					for _, d := range ds {
 						d.PatchDeleteVertex(v, nbrs)
 					}
@@ -233,10 +244,11 @@ func applyRandomPatches(g *graph.Graph, rng *rand.Rand, ds ...*D) {
 			}
 		}
 	}
+	return g
 }
 
 // bigSourceSet returns every live vertex off the walk.
-func bigSourceSet(g *graph.Graph, onWalk map[int]bool) []int {
+func bigSourceSet(g *graph.Persistent, onWalk map[int]bool) []int {
 	var sources []int
 	for v := 0; v < g.NumVertexSlots(); v++ {
 		if g.IsVertex(v) && !onWalk[v] {
@@ -256,7 +268,7 @@ func TestEdgeToWalkBatchMatchesSequentialCalls(t *testing.T) {
 		g := graph.GnpConnected(n, 5.0/float64(n), rng)
 		d := Build(g, baseline.StaticDFS(g), pram.NewMachine(g.NumVertices()))
 		if trial%2 == 1 {
-			applyRandomPatches(g, rng, d)
+			g = applyRandomPatches(g, rng, d)
 		}
 		var qs []WalkQuery
 		for q := 0; q < 12; q++ {

@@ -68,7 +68,7 @@ func (s *Stats) Add(o Stats) {
 // processors; per-vertex parallel merge sort of N(v)). Construction itself
 // is one sequential O(n+m) bucket pass. mach may be nil, in which case
 // nothing is charged.
-func Build(g graph.Adjacency, t *tree.Tree, mach *pram.Machine) *D {
+func Build(g *graph.Persistent, t *tree.Tree, mach *pram.Machine) *D {
 	d := &D{
 		inserted:   make(map[int][]int),
 		deletedE:   make(map[graph.Edge]struct{}),
@@ -83,7 +83,7 @@ func Build(g graph.Adjacency, t *tree.Tree, mach *pram.Machine) *D {
 // the ground-up maintenance step of the fully dynamic maintainer (now the
 // high-churn fallback of Update). Queries answered before Rebuild returns
 // are invalid.
-func (d *D) Rebuild(g graph.Adjacency, t *tree.Tree, mach *pram.Machine) {
+func (d *D) Rebuild(g *graph.Persistent, t *tree.Tree, mach *pram.Machine) {
 	clear(d.inserted)
 	clear(d.deletedE)
 	clear(d.patchVerts)
@@ -93,7 +93,7 @@ func (d *D) Rebuild(g graph.Adjacency, t *tree.Tree, mach *pram.Machine) {
 	d.build(g, t, mach)
 }
 
-func (d *D) build(g graph.Adjacency, t *tree.Tree, mach *pram.Machine) {
+func (d *D) build(g *graph.Persistent, t *tree.Tree, mach *pram.Machine) {
 	n := t.N()
 	d.T = t
 	d.mach = mach

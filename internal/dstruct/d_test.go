@@ -11,7 +11,7 @@ import (
 
 // naiveEdgeToWalk is the brute-force reference: scan every (source, walk)
 // pair against the current graph.
-func naiveEdgeToWalk(g *graph.Graph, sources, walk []int, fromEnd bool) (Hit, bool) {
+func naiveEdgeToWalk(g *graph.Persistent, sources, walk []int, fromEnd bool) (Hit, bool) {
 	pos := map[int]int{}
 	for i, v := range walk {
 		pos[v] = i
@@ -43,7 +43,7 @@ func naiveEdgeToWalk(g *graph.Graph, sources, walk []int, fromEnd bool) (Hit, bo
 
 // randomWalkInTree returns a tree path of t as an explicit vertex sequence:
 // a descendant-to-ancestor walk from a random vertex.
-func randomWalkInTree(g *graph.Graph, rng *rand.Rand) ([]int, map[int]bool) {
+func randomWalkInTree(g *graph.Persistent, rng *rand.Rand) ([]int, map[int]bool) {
 	t := baseline.StaticDFS(g)
 	n := g.NumVertexSlots()
 	v := rng.Intn(n)
@@ -108,13 +108,15 @@ func TestEdgeToWalkWithPatches(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0:
 				if e, ok := graph.RandomEdgeNotIn(g, rng); ok {
-					if g.InsertEdge(e.U, e.V) == nil {
+					if ng, err := g.InsertEdge(e.U, e.V); err == nil {
+						g = ng
 						d.PatchInsertEdge(e.U, e.V)
 					}
 				}
 			case 1:
 				if e, ok := graph.RandomExistingEdge(g, rng); ok {
-					if g.DeleteEdge(e.U, e.V) == nil {
+					if ng, err := g.DeleteEdge(e.U, e.V); err == nil {
+						g = ng
 						d.PatchDeleteEdge(e.U, e.V)
 					}
 				}
@@ -129,14 +131,16 @@ func TestEdgeToWalkWithPatches(t *testing.T) {
 						nbrs = append(nbrs, w)
 					}
 				}
-				if v, err := g.InsertVertex(nbrs); err == nil {
+				if ng, v, err := g.InsertVertex(nbrs); err == nil {
+					g = ng
 					d.PatchInsertVertex(v, nbrs)
 				}
 			case 3:
 				v := rng.Intn(g.NumVertexSlots())
 				if g.IsVertex(v) && g.NumVertices() > 3 {
 					nbrs := g.SortedNeighbors(v)
-					if g.DeleteVertex(v) == nil {
+					if ng, err := g.DeleteVertex(v); err == nil {
+						g = ng
 						d.PatchDeleteVertex(v, nbrs)
 					}
 				}
@@ -172,8 +176,8 @@ func TestEdgeToWalkWithPatches(t *testing.T) {
 func TestEdgeToWalkBySource(t *testing.T) {
 	// Path graph 0-1-2-3-4 with extra edge (0,3): walk = [3,2], sources in
 	// order [4, 0]: source 4 has edge to 3 -> picked first.
-	g := graph.Path(5)
-	if err := g.InsertEdge(0, 3); err != nil {
+	g, err := graph.Path(5).InsertEdge(0, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
 	tr := baseline.StaticDFS(g)
@@ -218,7 +222,7 @@ func TestPatchVertexOnWalk(t *testing.T) {
 	g := graph.Path(4)
 	tr := baseline.StaticDFS(g)
 	d := Build(g, tr, nil)
-	v, err := g.InsertVertex([]int{1, 3})
+	_, v, err := g.InsertVertex([]int{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +242,7 @@ func TestDeletedEdgeSkipped(t *testing.T) {
 	g := graph.Star(5)
 	tr := baseline.StaticDFS(g)
 	d := Build(g, tr, nil)
-	if err := g.DeleteEdge(0, 2); err != nil {
+	if _, err := g.DeleteEdge(0, 2); err != nil {
 		t.Fatal(err)
 	}
 	d.PatchDeleteEdge(0, 2)

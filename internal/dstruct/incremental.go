@@ -81,7 +81,7 @@ const churnFallbackDen = 2
 // Build(g, t) would — with no accumulated patches — at a cost proportional
 // to the moved set rather than to m. High-churn updates fall back to
 // Rebuild. It reports whether the incremental path was taken.
-func (d *D) Update(g graph.Adjacency, t *tree.Tree, delta UpdateDelta) bool {
+func (d *D) Update(g *graph.Persistent, t *tree.Tree, delta UpdateDelta) bool {
 	cost := 2 * len(d.deletedE)
 	for _, row := range d.inserted {
 		cost += len(row)
@@ -231,7 +231,7 @@ func (d *D) MaintenanceCounts() (incremental, rebuilds int64) {
 // equal to the vertex's adjacency sorted by key, retired rows empty, no
 // accumulated patches, and the embedded LCA index on t. The incremental
 // path's differential tests call it after every update; it is O(m + n).
-func (d *D) CheckSynced(g graph.Adjacency, t *tree.Tree) error {
+func (d *D) CheckSynced(g *graph.Persistent, t *tree.Tree) error {
 	if d.T != t {
 		return fmt.Errorf("dstruct: D tree is not the maintained tree")
 	}

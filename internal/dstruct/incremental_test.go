@@ -94,7 +94,8 @@ func TestUpdateSameTreeAbsorbsPatches(t *testing.T) {
 	if !ok {
 		t.Fatal("no insertable edge")
 	}
-	if err := g.InsertEdge(ins.U, ins.V); err != nil {
+	var err error
+	if g, err = g.InsertEdge(ins.U, ins.V); err != nil {
 		t.Fatal(err)
 	}
 	d.PatchInsertEdge(ins.U, ins.V)
@@ -102,7 +103,7 @@ func TestUpdateSameTreeAbsorbsPatches(t *testing.T) {
 	if !ok {
 		t.Fatal("no deletable edge")
 	}
-	if err := g.DeleteEdge(del.U, del.V); err != nil {
+	if g, err = g.DeleteEdge(del.U, del.V); err != nil {
 		t.Fatal(err)
 	}
 	d.PatchDeleteEdge(del.U, del.V)

@@ -22,11 +22,13 @@ func TestQuickEdgeToWalk(t *testing.T) {
 		if seed%2 == 0 {
 			for k := 0; k < 3; k++ {
 				if e, ok := graph.RandomEdgeNotIn(g, rng); ok && k%2 == 0 {
-					if g.InsertEdge(e.U, e.V) == nil {
+					if ng, err := g.InsertEdge(e.U, e.V); err == nil {
+						g = ng
 						d.PatchInsertEdge(e.U, e.V)
 					}
 				} else if e, ok := graph.RandomExistingEdge(g, rng); ok {
-					if g.DeleteEdge(e.U, e.V) == nil {
+					if ng, err := g.DeleteEdge(e.U, e.V); err == nil {
+						g = ng
 						d.PatchDeleteEdge(e.U, e.V)
 					}
 				}

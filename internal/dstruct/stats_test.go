@@ -18,7 +18,7 @@ func statsWorkload(t *testing.T, seed int64) (*D, []WalkQuery) {
 	n := 900 + rng.Intn(400)
 	g := graph.GnpConnected(n, 5.0/float64(n), rng)
 	d := Build(g, baseline.StaticDFS(g), pram.NewMachine(g.NumVertices()))
-	applyRandomPatches(g, rng, d)
+	g = applyRandomPatches(g, rng, d)
 	var qs []WalkQuery
 	for q := 0; q < 16; q++ {
 		walk, onWalk := randomWalkInTree(g, rng)

@@ -44,7 +44,7 @@ type Result struct {
 
 // Preprocess builds the structure. maxUpdates sizes the vertex-ID headroom
 // for inserted vertices (the paper's k ≤ log n; pass 0 for a default of 64).
-func Preprocess(g *graph.Graph, maxUpdates int) *FaultTolerant {
+func Preprocess(g *graph.Persistent, maxUpdates int) *FaultTolerant {
 	if maxUpdates <= 0 {
 		maxUpdates = 64
 	}

@@ -44,19 +44,21 @@ func TestMultiUpdateBatch(t *testing.T) {
 		ft := Preprocess(g, 8)
 		// Build a batch of up to 4 mixed updates; apply them to a scratch
 		// graph in lockstep to produce feasible updates.
-		scratch := g.Clone()
+		scratch := g
 		var batch []core.Update
 		for len(batch) < 4 {
 			switch rng.Intn(4) {
 			case 0:
 				if e, ok := graph.RandomEdgeNotIn(scratch, rng); ok {
-					if scratch.InsertEdge(e.U, e.V) == nil {
+					if ng, err := scratch.InsertEdge(e.U, e.V); err == nil {
+						scratch = ng
 						batch = append(batch, core.Update{Kind: core.InsertEdge, U: e.U, V: e.V})
 					}
 				}
 			case 1:
 				if e, ok := graph.RandomExistingEdge(scratch, rng); ok {
-					if scratch.DeleteEdge(e.U, e.V) == nil {
+					if ng, err := scratch.DeleteEdge(e.U, e.V); err == nil {
+						scratch = ng
 						batch = append(batch, core.Update{Kind: core.DeleteEdge, U: e.U, V: e.V})
 					}
 				}
@@ -67,13 +69,15 @@ func TestMultiUpdateBatch(t *testing.T) {
 						nbrs = append(nbrs, v)
 					}
 				}
-				if _, err := scratch.InsertVertex(nbrs); err == nil {
+				if ng, _, err := scratch.InsertVertex(nbrs); err == nil {
+					scratch = ng
 					batch = append(batch, core.Update{Kind: core.InsertVertex, Neighbors: nbrs})
 				}
 			case 3:
 				v := rng.Intn(n)
 				if scratch.IsVertex(v) && scratch.NumVertices() > 4 {
-					if scratch.DeleteVertex(v) == nil {
+					if ng, err := scratch.DeleteVertex(v); err == nil {
+						scratch = ng
 						batch = append(batch, core.Update{Kind: core.DeleteVertex, U: v})
 					}
 				}
@@ -136,10 +140,11 @@ func TestFragmentsGrowWithBatchIndex(t *testing.T) {
 	g := graph.GnpConnected(128, 0.04, rng)
 	ft := Preprocess(g, 8)
 	var batch []core.Update
-	scratch := g.Clone()
+	scratch := g
 	for len(batch) < 6 {
 		if e, ok := graph.RandomEdgeNotIn(scratch, rng); ok {
-			if scratch.InsertEdge(e.U, e.V) == nil {
+			if ng, err := scratch.InsertEdge(e.U, e.V); err == nil {
+				scratch = ng
 				batch = append(batch, core.Update{Kind: core.InsertEdge, U: e.U, V: e.V})
 			}
 		}

@@ -74,11 +74,12 @@ func TestRepeatedHeavyBatches(t *testing.T) {
 	ft := Preprocess(g, 6)
 	size0 := ft.SizeWords()
 	for b := 0; b < 25; b++ {
-		scratch := g.Clone()
+		scratch := g
 		var batch []core.Update
 		for len(batch) < 5 {
 			if e, ok := graph.RandomExistingEdge(scratch, rng); ok {
-				if scratch.DeleteEdge(e.U, e.V) == nil {
+				if ng, err := scratch.DeleteEdge(e.U, e.V); err == nil {
+					scratch = ng
 					batch = append(batch, core.Update{Kind: core.DeleteEdge, U: e.U, V: e.V})
 				}
 			}

@@ -1,18 +1,10 @@
 // Package graph provides the undirected dynamic graph substrate used by the
-// dynamic-DFS algorithms. Two representations support the paper's extended
-// update model (edge insert/delete, vertex insert with an arbitrary edge
-// set, vertex delete):
-//
-//   - Graph, a mutable map-based adjacency for single-owner drivers and the
-//     workload generators;
-//   - Persistent, an immutable path-copying adjacency whose mutations return
-//     a new version sharing all untouched rows with its predecessor, so a
-//     version can be published to concurrent readers in O(1) and retained
-//     forever (the serving layer's snapshot substrate).
-//
-// Both satisfy the read-only Adjacency interface consumed by verification,
-// D construction, and the static baselines; CSR is the flat immutable
-// snapshot layout the PRAM-style routines iterate over.
+// dynamic-DFS algorithms: Persistent, an immutable path-copying adjacency
+// supporting the paper's extended update model (edge insert/delete, vertex
+// insert with an arbitrary edge set, vertex delete). Each mutation returns a
+// new version sharing all untouched rows with its predecessor, so a version
+// can be published to concurrent readers in O(1) and retained forever (the
+// serving layer's snapshot substrate).
 //
 // Vertices are dense integers 0..n-1. A deleted vertex leaves a hole: its ID
 // stays allocated but IsVertex reports false and it has no incident edges.
@@ -20,10 +12,7 @@
 // DFS structures rely on.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Edge is an undirected edge between two vertices.
 type Edge struct {
@@ -49,332 +38,14 @@ func (e Edge) Other(x int) int {
 
 func (e Edge) String() string { return fmt.Sprintf("(%d,%d)", e.U, e.V) }
 
-// Graph is a mutable simple undirected graph.
-type Graph struct {
-	adj     []map[int]struct{} // adj[v] = neighbor set; nil for deleted vertices
-	alive   []bool
-	m       int // number of edges
-	nAlive  int // number of live vertices
-	version uint64
-}
+// Graph is the name the repository benchmark compiles against.
+//
+// Deprecated: use Persistent. Remove together with the benchmark's other
+// shims (pram.NewMachineWithWorkers, ServiceConfig.Workers).
+type Graph = Persistent
 
-// New returns a graph with n isolated vertices.
-func New(n int) *Graph {
-	g := &Graph{
-		adj:    make([]map[int]struct{}, n),
-		alive:  make([]bool, n),
-		nAlive: n,
-	}
-	for i := range g.adj {
-		g.adj[i] = make(map[int]struct{})
-		g.alive[i] = true
-	}
-	return g
-}
-
-// FromEdges builds a graph on n vertices with the given edge set.
-// Duplicate and self-loop edges are rejected.
-func FromEdges(n int, edges []Edge) (*Graph, error) {
-	g := New(n)
-	for _, e := range edges {
-		if err := g.InsertEdge(e.U, e.V); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
-// MustFromEdges is FromEdges that panics on error; intended for tests and
-// generators with known-valid input.
-func MustFromEdges(n int, edges []Edge) *Graph {
-	g, err := FromEdges(n, edges)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
-// NumVertexSlots returns the number of allocated vertex IDs (including holes
-// left by deleted vertices).
-func (g *Graph) NumVertexSlots() int { return len(g.adj) }
-
-// NumVertices returns the number of live vertices.
-func (g *Graph) NumVertices() int { return g.nAlive }
-
-// NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int { return g.m }
-
-// Version increments on every successful mutation; snapshots record it so
-// stale snapshots can be detected.
-func (g *Graph) Version() uint64 { return g.version }
-
-// IsVertex reports whether v is a live vertex.
-func (g *Graph) IsVertex(v int) bool {
-	return v >= 0 && v < len(g.adj) && g.alive[v]
-}
-
-// HasEdge reports whether edge (u,v) exists.
-func (g *Graph) HasEdge(u, v int) bool {
-	if !g.IsVertex(u) || !g.IsVertex(v) {
-		return false
-	}
-	_, ok := g.adj[u][v]
-	return ok
-}
-
-// Degree returns the degree of v, or 0 for a non-vertex.
-func (g *Graph) Degree(v int) int {
-	if !g.IsVertex(v) {
-		return 0
-	}
-	return len(g.adj[v])
-}
-
-// Neighbors appends the neighbors of v to buf and returns it, in unspecified
-// order. It allocates only when buf lacks capacity.
-func (g *Graph) Neighbors(v int, buf []int) []int {
-	if !g.IsVertex(v) {
-		return buf[:0]
-	}
-	buf = buf[:0]
-	for w := range g.adj[v] {
-		buf = append(buf, w)
-	}
-	return buf
-}
-
-// SortedNeighbors returns the neighbors of v in increasing vertex order.
-func (g *Graph) SortedNeighbors(v int) []int {
-	ns := g.Neighbors(v, nil)
-	sort.Ints(ns)
-	return ns
-}
-
-// InsertEdge adds edge (u,v).
-func (g *Graph) InsertEdge(u, v int) error {
-	if u == v {
-		return fmt.Errorf("graph: self loop (%d,%d)", u, v)
-	}
-	if !g.IsVertex(u) || !g.IsVertex(v) {
-		return fmt.Errorf("graph: edge (%d,%d) touches non-vertex", u, v)
-	}
-	if _, ok := g.adj[u][v]; ok {
-		return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
-	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
-	g.m++
-	g.version++
-	return nil
-}
-
-// DeleteEdge removes edge (u,v).
-func (g *Graph) DeleteEdge(u, v int) error {
-	if !g.HasEdge(u, v) {
-		return fmt.Errorf("graph: no edge (%d,%d)", u, v)
-	}
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
-	g.m--
-	g.version++
-	return nil
-}
-
-// InsertVertex adds a new vertex connected to the given neighbors and returns
-// its ID. Neighbors must be distinct live vertices.
-func (g *Graph) InsertVertex(neighbors []int) (int, error) {
-	v := len(g.adj)
-	seen := make(map[int]struct{}, len(neighbors))
-	for _, w := range neighbors {
-		if !g.IsVertex(w) {
-			return -1, fmt.Errorf("graph: new vertex neighbor %d is not a vertex", w)
-		}
-		if _, dup := seen[w]; dup {
-			return -1, fmt.Errorf("graph: duplicate neighbor %d", w)
-		}
-		seen[w] = struct{}{}
-	}
-	g.adj = append(g.adj, make(map[int]struct{}, len(neighbors)))
-	g.alive = append(g.alive, true)
-	g.nAlive++
-	for _, w := range neighbors {
-		g.adj[v][w] = struct{}{}
-		g.adj[w][v] = struct{}{}
-		g.m++
-	}
-	g.version++
-	return v, nil
-}
-
-// DeleteVertex removes v and all its incident edges. The ID becomes a hole.
-func (g *Graph) DeleteVertex(v int) error {
-	if !g.IsVertex(v) {
-		return fmt.Errorf("graph: delete of non-vertex %d", v)
-	}
-	for w := range g.adj[v] {
-		delete(g.adj[w], v)
-		g.m--
-	}
-	g.adj[v] = nil
-	g.alive[v] = false
-	g.nAlive--
-	g.version++
-	return nil
-}
-
-// Edges returns all edges in canonical (min,max) order, sorted.
-func (g *Graph) Edges() []Edge {
-	es := make([]Edge, 0, g.m)
-	for u := range g.adj {
-		if !g.alive[u] {
-			continue
-		}
-		for v := range g.adj[u] {
-			if u < v {
-				es = append(es, Edge{u, v})
-			}
-		}
-	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
-		}
-		return es[i].V < es[j].V
-	})
-	return es
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		adj:     make([]map[int]struct{}, len(g.adj)),
-		alive:   append([]bool(nil), g.alive...),
-		m:       g.m,
-		nAlive:  g.nAlive,
-		version: g.version,
-	}
-	for v, nb := range g.adj {
-		if nb == nil {
-			continue
-		}
-		c.adj[v] = make(map[int]struct{}, len(nb))
-		for w := range nb {
-			c.adj[v][w] = struct{}{}
-		}
-	}
-	return c
-}
-
-// CSR is an immutable compressed-sparse-row snapshot of a graph, the layout
-// the PRAM-style routines iterate over. Holes (deleted vertices) have empty
-// rows.
-type CSR struct {
-	Off     []int // len n+1
-	Dst     []int // len 2m
-	N       int   // vertex slots
-	M       int   // edges
-	Version uint64
-}
-
-// Snapshot builds a CSR copy of the current graph. Neighbor lists are sorted
-// by vertex ID for determinism.
-func (g *Graph) Snapshot() *CSR {
-	n := len(g.adj)
-	c := &CSR{
-		Off:     make([]int, n+1),
-		Dst:     make([]int, 0, 2*g.m),
-		N:       n,
-		M:       g.m,
-		Version: g.version,
-	}
-	for v := 0; v < n; v++ {
-		c.Off[v] = len(c.Dst)
-		if g.alive[v] {
-			c.Dst = append(c.Dst, g.SortedNeighbors(v)...)
-		}
-	}
-	c.Off[n] = len(c.Dst)
-	return c
-}
-
-// Row returns the neighbor slice of v in the snapshot.
-func (c *CSR) Row(v int) []int { return c.Dst[c.Off[v]:c.Off[v+1]] }
-
-// Degree returns the degree of v in the snapshot.
-func (c *CSR) Degree(v int) int { return c.Off[v+1] - c.Off[v] }
-
-// ConnectedComponents labels live vertices with component IDs (0-based,
-// contiguous) and returns (labels, count). Dead vertices get label -1.
-func (g *Graph) ConnectedComponents() ([]int, int) {
-	n := len(g.adj)
-	label := make([]int, n)
-	for i := range label {
-		label[i] = -1
-	}
-	next := 0
-	stack := make([]int, 0, n)
-	for s := 0; s < n; s++ {
-		if !g.alive[s] || label[s] >= 0 {
-			continue
-		}
-		label[s] = next
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for w := range g.adj[v] {
-				if label[w] < 0 {
-					label[w] = next
-					stack = append(stack, w)
-				}
-			}
-		}
-		next++
-	}
-	return label, next
-}
-
-// IsConnected reports whether all live vertices are in one component.
-func (g *Graph) IsConnected() bool {
-	if g.nAlive == 0 {
-		return true
-	}
-	_, k := g.ConnectedComponents()
-	return k == 1
-}
-
-// Diameter returns the diameter of the graph (max eccentricity over live
-// vertices) computed by BFS from every vertex, or -1 if disconnected or
-// empty. Intended for experiment setup on moderate sizes, not hot paths.
-func (g *Graph) Diameter() int {
-	if g.nAlive == 0 || !g.IsConnected() {
-		return -1
-	}
-	n := len(g.adj)
-	dist := make([]int, n)
-	queue := make([]int, 0, n)
-	diam := 0
-	for s := 0; s < n; s++ {
-		if !g.alive[s] {
-			continue
-		}
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[s] = 0
-		queue = append(queue[:0], s)
-		for h := 0; h < len(queue); h++ {
-			v := queue[h]
-			for w := range g.adj[v] {
-				if dist[w] < 0 {
-					dist[w] = dist[v] + 1
-					if dist[w] > diam {
-						diam = dist[w]
-					}
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return diam
-}
+// PersistentOf returns p.
+//
+// Deprecated: a Persistent is already immutable and needs no copy. Remove
+// together with the benchmark's other shims.
+func PersistentOf(p *Persistent) *Persistent { return p }

@@ -2,41 +2,43 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
 func TestInsertDeleteEdge(t *testing.T) {
-	g := New(4)
-	if err := g.InsertEdge(0, 1); err != nil {
+	g0 := NewPersistent(4)
+	g, err := g0.InsertEdge(0, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !g.HasEdge(1, 0) {
 		t.Fatal("edge (1,0) missing after insert (0,1)")
 	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("NumEdges = %d, want 1", g.NumEdges())
+	if g.NumEdges() != 1 || g0.NumEdges() != 0 {
+		t.Fatalf("NumEdges = %d (predecessor %d), want 1 (0)", g.NumEdges(), g0.NumEdges())
 	}
-	if err := g.InsertEdge(0, 1); err == nil {
+	if _, err := g.InsertEdge(0, 1); err == nil {
 		t.Fatal("duplicate insert accepted")
 	}
-	if err := g.InsertEdge(2, 2); err == nil {
+	if _, err := g.InsertEdge(2, 2); err == nil {
 		t.Fatal("self loop accepted")
 	}
-	if err := g.DeleteEdge(1, 0); err != nil {
+	g2, err := g.DeleteEdge(1, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if g.HasEdge(0, 1) || g.NumEdges() != 0 {
-		t.Fatal("edge survives deletion")
+	if g2.HasEdge(0, 1) || g2.NumEdges() != 0 || !g.HasEdge(0, 1) {
+		t.Fatal("edge survives deletion, or deletion leaked into the predecessor")
 	}
-	if err := g.DeleteEdge(0, 1); err == nil {
+	if _, err := g2.DeleteEdge(0, 1); err == nil {
 		t.Fatal("double delete accepted")
 	}
 }
 
 func TestVertexUpdates(t *testing.T) {
-	g := Path(3)
-	v, err := g.InsertVertex([]int{0, 2})
+	g, v, err := Path(3).InsertVertex([]int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestVertexUpdates(t *testing.T) {
 	if g.NumVertices() != 4 || g.NumEdges() != 4 {
 		t.Fatalf("n=%d m=%d, want 4,4", g.NumVertices(), g.NumEdges())
 	}
-	if err := g.DeleteVertex(1); err != nil {
+	if g, err = g.DeleteVertex(1); err != nil {
 		t.Fatal(err)
 	}
 	if g.IsVertex(1) || g.HasEdge(0, 1) || g.HasEdge(1, 2) {
@@ -55,54 +57,46 @@ func TestVertexUpdates(t *testing.T) {
 	if g.NumVertices() != 3 || g.NumEdges() != 2 {
 		t.Fatalf("after delete: n=%d m=%d, want 3,2", g.NumVertices(), g.NumEdges())
 	}
-	if _, err := g.InsertVertex([]int{1}); err == nil {
+	if _, _, err := g.InsertVertex([]int{1}); err == nil {
 		t.Fatal("neighbor may not be a deleted vertex")
 	}
-	if err := g.DeleteVertex(1); err == nil {
+	if _, err := g.DeleteVertex(1); err == nil {
 		t.Fatal("double vertex delete accepted")
 	}
 }
 
-func TestSnapshotMatchesGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	g := Gnp(50, 0.2, rng)
-	s := g.Snapshot()
-	if s.M != g.NumEdges() {
-		t.Fatalf("snapshot m=%d, graph m=%d", s.M, g.NumEdges())
-	}
-	for v := 0; v < 50; v++ {
-		row := s.Row(v)
-		if len(row) != g.Degree(v) {
-			t.Fatalf("v=%d: row len %d, degree %d", v, len(row), g.Degree(v))
-		}
-		for _, w := range row {
-			if !g.HasEdge(v, w) {
-				t.Fatalf("snapshot edge (%d,%d) not in graph", v, w)
-			}
-		}
-		for i := 1; i < len(row); i++ {
-			if row[i-1] >= row[i] {
-				t.Fatalf("v=%d: row not sorted", v)
-			}
+// TestFromEdgesRejects pins the bulk builder's input checks.
+func TestFromEdgesRejects(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		n     int
+		edges []Edge
+	}{
+		{"self loop", 3, []Edge{{0, 1}, {2, 2}}},
+		{"duplicate", 3, []Edge{{0, 1}, {1, 2}, {0, 1}}},
+		{"reversed duplicate", 3, []Edge{{0, 1}, {1, 0}}},
+		{"endpoint past n", 3, []Edge{{0, 3}}},
+		{"negative endpoint", 3, []Edge{{-1, 2}}},
+		{"negative n", -1, nil},
+	} {
+		if _, err := FromEdges(c.n, c.edges); err == nil {
+			t.Errorf("%s: FromEdges(%d, %v) accepted", c.name, c.n, c.edges)
 		}
 	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	g := Path(4)
-	c := g.Clone()
-	if err := c.DeleteEdge(0, 1); err != nil {
+	g, err := FromEdges(5, []Edge{{3, 1}, {0, 4}, {1, 0}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.HasEdge(0, 1) {
-		t.Fatal("clone mutation leaked into original")
+	if want := []Edge{{0, 1}, {0, 4}, {1, 3}}; !reflect.DeepEqual(g.Edges(), want) ||
+		g.NumVertices() != 5 || g.NumEdges() != 3 {
+		t.Fatalf("FromEdges: n=%d edges %v, want 5 and %v", g.NumVertices(), g.Edges(), want)
 	}
 }
 
 func TestGenerators(t *testing.T) {
 	cases := []struct {
 		name string
-		g    *Graph
+		g    *Persistent
 		n, m int
 		conn bool
 	}{
@@ -165,10 +159,7 @@ func TestGnpExtremes(t *testing.T) {
 }
 
 func TestConnectedComponents(t *testing.T) {
-	g := New(6)
-	mustInsert(g, 0, 1)
-	mustInsert(g, 2, 3)
-	mustInsert(g, 3, 4)
+	g := MustFromEdges(6, []Edge{{0, 1}, {2, 3}, {3, 4}})
 	label, k := g.ConnectedComponents()
 	if k != 3 {
 		t.Fatalf("components=%d, want 3", k)
@@ -179,7 +170,8 @@ func TestConnectedComponents(t *testing.T) {
 	if label[0] == label[2] || label[2] == label[5] {
 		t.Fatalf("merged distinct components: %v", label)
 	}
-	if err := g.DeleteVertex(5); err != nil {
+	g, err := g.DeleteVertex(5)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if label, k = g.ConnectedComponents(); k != 2 || label[5] != -1 {
@@ -197,9 +189,7 @@ func TestDiameter(t *testing.T) {
 	if d := Complete(5).Diameter(); d != 1 {
 		t.Fatalf("K5 diameter=%d want 1", d)
 	}
-	g := New(4)
-	mustInsert(g, 0, 1)
-	if d := g.Diameter(); d != -1 {
+	if d := MustFromEdges(4, []Edge{{0, 1}}).Diameter(); d != -1 {
 		t.Fatalf("disconnected diameter=%d want -1", d)
 	}
 }

@@ -2,47 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-)
-
-// Adjacency is the read-only view shared by the mutable Graph and the
-// immutable Persistent graph. Everything that only inspects a graph —
-// verification, D construction, static DFS baselines, workload pickers —
-// accepts this interface so it can run against either representation.
-type Adjacency interface {
-	// NumVertexSlots returns the number of allocated vertex IDs (holes
-	// included).
-	NumVertexSlots() int
-	// NumVertices returns the number of live vertices.
-	NumVertices() int
-	// NumEdges returns the number of edges.
-	NumEdges() int
-	// Version increments on every successful mutation (for Persistent, each
-	// derived version carries its predecessor's count plus one).
-	Version() uint64
-	// IsVertex reports whether v is a live vertex.
-	IsVertex(v int) bool
-	// HasEdge reports whether edge (u,v) exists.
-	HasEdge(u, v int) bool
-	// Degree returns the degree of v, or 0 for a non-vertex.
-	Degree(v int) int
-	// Neighbors appends the neighbors of v to buf and returns it.
-	Neighbors(v int, buf []int) []int
-	// SortedNeighbors returns the neighbors of v in increasing ID order.
-	SortedNeighbors(v int) []int
-	// Edges returns all edges in canonical (min,max) order, sorted.
-	Edges() []Edge
-	// Snapshot builds an immutable CSR copy.
-	Snapshot() *CSR
-	// ConnectedComponents labels live vertices with component IDs.
-	ConnectedComponents() ([]int, int)
-	// IsConnected reports whether all live vertices share one component.
-	IsConnected() bool
-}
-
-var (
-	_ Adjacency = (*Graph)(nil)
-	_ Adjacency = (*Persistent)(nil)
 )
 
 // pchunkShift sizes the copy-on-write granularity: 1<<pchunkShift vertex
@@ -82,58 +43,95 @@ type Persistent struct {
 }
 
 // NewPersistent returns an edgeless persistent graph with n live vertices.
-func NewPersistent(n int) *Persistent {
-	p := &Persistent{
-		chunks: make([]*pchunk, (n+pchunkMask)>>pchunkShift),
-		slots:  n,
-		nAlive: n,
+func NewPersistent(n int) *Persistent { return MustFromEdges(n, nil) }
+
+// FromEdges builds a graph on n live vertices with the given edge set. It
+// rejects self-loops, duplicate edges and endpoints outside [0, n).
+func FromEdges(n int, edges []Edge) (*Persistent, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
-	for i := range p.chunks {
-		c := &pchunk{}
-		lo := i << pchunkShift
-		for b := 0; b < pchunkSize && lo+b < n; b++ {
-			c.alive |= 1 << uint(b)
+	deg := make([]int, n)
+	for _, e := range edges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			return nil, fmt.Errorf("graph: edge (%d,%d) touches non-vertex", e.U, e.V)
 		}
-		p.chunks[i] = c
+		deg[e.U]++
+		deg[e.V]++
+	}
+	// All rows share one backing array; each row's capacity ends at its
+	// degree, and mutations copy rows rather than append to them.
+	back := make([]int32, 2*len(edges))
+	rows := make([][]int32, n)
+	for v, d := range deg {
+		rows[v], back = back[:0:d], back[d:]
+	}
+	for _, e := range edges {
+		rows[e.U] = append(rows[e.U], int32(e.V))
+		rows[e.V] = append(rows[e.V], int32(e.U))
+	}
+	live := make([]bool, n)
+	for v := range rows {
+		slices.Sort(rows[v])
+		live[v] = true
+	}
+	return FromRows(live, rows)
+}
+
+// MustFromEdges is FromEdges that panics on error; intended for tests and
+// generators with known-valid input.
+func MustFromEdges(n int, edges []Edge) *Persistent {
+	p, err := FromEdges(n, edges)
+	if err != nil {
+		panic(err)
 	}
 	return p
 }
 
-// PersistentOf builds a persistent version of any adjacency (typically the
-// mutable Graph a caller constructed with the generators). The input is not
-// retained.
-func PersistentOf(g Adjacency) *Persistent {
-	n := g.NumVertexSlots()
-	p := &Persistent{
-		chunks: make([]*pchunk, (n+pchunkMask)>>pchunkShift),
-		slots:  n,
-		m:      g.NumEdges(),
-		nAlive: g.NumVertices(),
-	}
-	var buf []int
+// FromRows builds a graph from one neighbor row per vertex slot, the layout
+// a checkpoint stores. live[v] false marks a hole, whose row must be empty.
+// Every row must be strictly increasing and name only live vertices other
+// than its owner, and w in v's row must imply v in w's row. The rows are
+// retained, not copied: the caller must not modify them afterwards.
+func FromRows(live []bool, rows [][]int32) (*Persistent, error) {
+	n := len(rows)
+	p := &Persistent{chunks: make([]*pchunk, (n+pchunkMask)>>pchunkShift), slots: n}
 	for i := range p.chunks {
-		c := &pchunk{}
-		lo := i << pchunkShift
-		for b := 0; b < pchunkSize && lo+b < n; b++ {
-			v := lo + b
-			if !g.IsVertex(v) {
-				continue
-			}
-			c.alive |= 1 << uint(b)
-			buf = g.Neighbors(v, buf)
-			if len(buf) == 0 {
-				continue
-			}
-			row := make([]int32, len(buf))
-			for j, w := range buf {
-				row[j] = int32(w)
-			}
-			sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
-			c.rows[b] = row
-		}
-		p.chunks[i] = c
+		p.chunks[i] = &pchunk{}
 	}
-	return p
+	for v, row := range rows {
+		if !live[v] {
+			if len(row) != 0 {
+				return nil, fmt.Errorf("graph: hole %d has degree %d", v, len(row))
+			}
+			continue
+		}
+		c := p.chunks[v>>pchunkShift]
+		c.alive |= 1 << uint(v&pchunkMask)
+		if len(row) > 0 {
+			c.rows[v&pchunkMask] = row
+		}
+		p.nAlive++
+		p.m += len(row)
+	}
+	for v, row := range rows {
+		for i, w := range row {
+			switch {
+			case int(w) == v:
+				return nil, fmt.Errorf("graph: self loop (%d,%d)", v, w)
+			case i > 0 && w == row[i-1]:
+				return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", v, w)
+			case i > 0 && w < row[i-1]:
+				return nil, fmt.Errorf("graph: row %d is not sorted", v)
+			case !p.IsVertex(int(w)):
+				return nil, fmt.Errorf("graph: edge (%d,%d) touches non-vertex", v, w)
+			case !p.HasEdge(int(w), v):
+				return nil, fmt.Errorf("graph: asymmetric row entry (%d,%d)", v, w)
+			}
+		}
+	}
+	p.m /= 2
+	return p, nil
 }
 
 // NumVertexSlots returns the number of allocated vertex IDs.
@@ -221,28 +219,6 @@ func (p *Persistent) Edges() []Edge {
 	return es
 }
 
-// Snapshot builds a CSR copy; rows are already sorted, so this is a single
-// linear pass.
-func (p *Persistent) Snapshot() *CSR {
-	c := &CSR{
-		Off:     make([]int, p.slots+1),
-		Dst:     make([]int, 0, 2*p.m),
-		N:       p.slots,
-		M:       p.m,
-		Version: p.version,
-	}
-	for v := 0; v < p.slots; v++ {
-		c.Off[v] = len(c.Dst)
-		if p.IsVertex(v) {
-			for _, w := range p.row(v) {
-				c.Dst = append(c.Dst, int(w))
-			}
-		}
-	}
-	c.Off[p.slots] = len(c.Dst)
-	return c
-}
-
 // ConnectedComponents labels live vertices with component IDs (0-based,
 // contiguous) and returns (labels, count). Dead vertices get label -1.
 func (p *Persistent) ConnectedComponents() ([]int, int) {
@@ -282,24 +258,37 @@ func (p *Persistent) IsConnected() bool {
 	return k == 1
 }
 
-// Mutable returns a fresh mutable Graph with the same vertices and edges
-// (for drivers that keep a scratch mirror of a published snapshot).
-func (p *Persistent) Mutable() *Graph {
-	g := New(p.slots)
-	for v := 0; v < p.slots; v++ {
-		if !p.IsVertex(v) {
-			g.adj[v] = nil
-			g.alive[v] = false
-			g.nAlive--
+// Diameter returns the diameter of the graph (max eccentricity over live
+// vertices) computed by BFS from every vertex, or -1 if disconnected or
+// empty. Intended for experiment setup on moderate sizes, not hot paths.
+func (p *Persistent) Diameter() int {
+	if p.nAlive == 0 || !p.IsConnected() {
+		return -1
+	}
+	dist := make([]int, p.slots)
+	queue := make([]int, 0, p.slots)
+	diam := 0
+	for s := 0; s < p.slots; s++ {
+		if !p.IsVertex(s) {
 			continue
 		}
-		for _, w := range p.row(v) {
-			g.adj[v][int(w)] = struct{}{}
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[s] = 0
+		queue = append(queue[:0], s)
+		for h := 0; h < len(queue); h++ {
+			v := queue[h]
+			for _, w32 := range p.row(v) {
+				if w := int(w32); dist[w] < 0 {
+					dist[w] = dist[v] + 1
+					diam = max(diam, dist[w])
+					queue = append(queue, w)
+				}
+			}
 		}
 	}
-	g.m = p.m
-	g.version = p.version
-	return g
+	return diam
 }
 
 // pmut accumulates one mutation: a shallow spine copy whose chunks are

@@ -7,17 +7,75 @@ import (
 	"testing"
 )
 
-// applyRandomUpdate makes the same random update to the mutable mirror and
-// the persistent graph, returning the new persistent version (or p itself
-// when the picked update was a no-op for both).
-func applyRandomUpdate(t *testing.T, p *Persistent, mirror *Graph, rng *rand.Rand) *Persistent {
+// edgeSet is the reference model the persistent graph is checked against:
+// a liveness flag per vertex slot and a set of canonical edges.
+type edgeSet struct {
+	live  []bool
+	edges map[Edge]bool
+}
+
+func modelOf(p *Persistent) *edgeSet {
+	s := &edgeSet{edges: map[Edge]bool{}}
+	for v := 0; v < p.NumVertexSlots(); v++ {
+		s.live = append(s.live, p.IsVertex(v))
+	}
+	for _, e := range p.Edges() {
+		s.edges[e] = true
+	}
+	return s
+}
+
+func (s *edgeSet) neighbors(v int) []int {
+	var out []int
+	for u := range s.live {
+		if s.edges[Edge{u, v}.Canon()] {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// components labels live vertices by the smallest vertex of their
+// component, in order of that vertex, as ConnectedComponents numbers them.
+func (s *edgeSet) components() ([]int, int) {
+	root := make([]int, len(s.live))
+	for v := range root {
+		root[v] = v
+	}
+	var find func(int) int
+	find = func(v int) int {
+		if root[v] != v {
+			root[v] = find(root[v])
+		}
+		return root[v]
+	}
+	for e := range s.edges {
+		a, b := find(e.U), find(e.V)
+		root[max(a, b)] = min(a, b)
+	}
+	label, byRoot := make([]int, len(s.live)), map[int]int{}
+	for v := range s.live {
+		label[v] = -1
+		if s.live[v] {
+			r := find(v)
+			if _, ok := byRoot[r]; !ok {
+				byRoot[r] = len(byRoot)
+			}
+			label[v] = byRoot[r]
+		}
+	}
+	return label, len(byRoot)
+}
+
+// applyRandomUpdate makes the same random update to the model and the
+// persistent graph, returning the new persistent version (or p itself when
+// the picked update was a no-op for both).
+func applyRandomUpdate(t *testing.T, p *Persistent, model *edgeSet, rng *rand.Rand) *Persistent {
 	t.Helper()
 	switch rng.Intn(4) {
 	case 0:
-		if e, ok := RandomEdgeNotIn(mirror, rng); ok {
-			if err := mirror.InsertEdge(e.U, e.V); err != nil {
-				t.Fatal(err)
-			}
+		if e, ok := RandomEdgeNotIn(p, rng); ok {
+			model.edges[e.Canon()] = true
 			np, err := p.InsertEdge(e.U, e.V)
 			if err != nil {
 				t.Fatalf("persistent InsertEdge%v: %v", e, err)
@@ -25,10 +83,8 @@ func applyRandomUpdate(t *testing.T, p *Persistent, mirror *Graph, rng *rand.Ran
 			return np
 		}
 	case 1:
-		if e, ok := RandomExistingEdge(mirror, rng); ok {
-			if err := mirror.DeleteEdge(e.U, e.V); err != nil {
-				t.Fatal(err)
-			}
+		if e, ok := RandomExistingEdge(p, rng); ok {
+			delete(model.edges, e.Canon())
 			np, err := p.DeleteEdge(e.U, e.V)
 			if err != nil {
 				t.Fatalf("persistent DeleteEdge%v: %v", e, err)
@@ -37,29 +93,33 @@ func applyRandomUpdate(t *testing.T, p *Persistent, mirror *Graph, rng *rand.Ran
 		}
 	case 2:
 		var nbrs []int
-		for v := 0; v < mirror.NumVertexSlots(); v++ {
-			if mirror.IsVertex(v) && rng.Float64() < 0.2 {
+		for v, live := range model.live {
+			if live && rng.Float64() < 0.2 {
 				nbrs = append(nbrs, v)
 			}
 		}
-		mv, err := mirror.InsertVertex(nbrs)
-		if err != nil {
-			t.Fatal(err)
+		mv := len(model.live)
+		model.live = append(model.live, true)
+		for _, w := range nbrs {
+			model.edges[Edge{w, mv}] = true
 		}
 		np, pv, err := p.InsertVertex(nbrs)
 		if err != nil {
 			t.Fatalf("persistent InsertVertex(%v): %v", nbrs, err)
 		}
 		if pv != mv {
-			t.Fatalf("InsertVertex ID: persistent %d, mutable %d", pv, mv)
+			t.Fatalf("InsertVertex ID: persistent %d, model %d", pv, mv)
 		}
 		return np
 	case 3:
-		if mirror.NumVertices() > 2 {
-			v := rng.Intn(mirror.NumVertexSlots())
-			if mirror.IsVertex(v) {
-				if err := mirror.DeleteVertex(v); err != nil {
-					t.Fatal(err)
+		if p.NumVertices() > 2 {
+			v := rng.Intn(len(model.live))
+			if model.live[v] {
+				model.live[v] = false
+				for e := range model.edges {
+					if e.U == v || e.V == v {
+						delete(model.edges, e)
+					}
 				}
 				np, err := p.DeleteVertex(v)
 				if err != nil {
@@ -72,72 +132,85 @@ func applyRandomUpdate(t *testing.T, p *Persistent, mirror *Graph, rng *rand.Ran
 	return p
 }
 
-// assertSame checks every read-API answer of p against the mutable mirror.
-func assertSame(t *testing.T, p *Persistent, mirror *Graph, ctx string) {
+// assertSame checks every read-API answer of p against the model.
+func assertSame(t *testing.T, p *Persistent, model *edgeSet, ctx string) {
 	t.Helper()
-	if p.NumVertexSlots() != mirror.NumVertexSlots() ||
-		p.NumVertices() != mirror.NumVertices() ||
-		p.NumEdges() != mirror.NumEdges() {
-		t.Fatalf("%s: sizes: persistent (%d,%d,%d) vs mutable (%d,%d,%d)", ctx,
-			p.NumVertexSlots(), p.NumVertices(), p.NumEdges(),
-			mirror.NumVertexSlots(), mirror.NumVertices(), mirror.NumEdges())
-	}
-	for v := 0; v < mirror.NumVertexSlots(); v++ {
-		if p.IsVertex(v) != mirror.IsVertex(v) {
-			t.Fatalf("%s: IsVertex(%d): %v vs %v", ctx, v, p.IsVertex(v), mirror.IsVertex(v))
-		}
-		if p.Degree(v) != mirror.Degree(v) {
-			t.Fatalf("%s: Degree(%d): %d vs %d", ctx, v, p.Degree(v), mirror.Degree(v))
-		}
-		if !reflect.DeepEqual(p.SortedNeighbors(v), mirror.SortedNeighbors(v)) {
-			t.Fatalf("%s: SortedNeighbors(%d): %v vs %v", ctx, v,
-				p.SortedNeighbors(v), mirror.SortedNeighbors(v))
+	n := 0
+	for _, live := range model.live {
+		if live {
+			n++
 		}
 	}
-	if !reflect.DeepEqual(p.Edges(), mirror.Edges()) {
+	if p.NumVertexSlots() != len(model.live) || p.NumVertices() != n || p.NumEdges() != len(model.edges) {
+		t.Fatalf("%s: sizes: persistent (%d,%d,%d) vs model (%d,%d,%d)", ctx,
+			p.NumVertexSlots(), p.NumVertices(), p.NumEdges(), len(model.live), n, len(model.edges))
+	}
+	var edges []Edge
+	for v, live := range model.live {
+		if p.IsVertex(v) != live {
+			t.Fatalf("%s: IsVertex(%d): %v vs %v", ctx, v, p.IsVertex(v), live)
+		}
+		want := model.neighbors(v)
+		if got := p.SortedNeighbors(v); len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: SortedNeighbors(%d): %v vs %v", ctx, v, got, want)
+		}
+		if p.Degree(v) != len(want) || len(p.Row(v)) != len(want) {
+			t.Fatalf("%s: Degree(%d) %d, len(Row) %d vs %d", ctx, v, p.Degree(v), len(p.Row(v)), len(want))
+		}
+		for _, w := range want {
+			if w > v {
+				edges = append(edges, Edge{v, w})
+			}
+		}
+	}
+	if got := p.Edges(); len(got) != len(edges) || len(edges) > 0 && !reflect.DeepEqual(got, edges) {
 		t.Fatalf("%s: edge sets differ", ctx)
 	}
-	pc, mc := p.Snapshot(), mirror.Snapshot()
-	if !reflect.DeepEqual(pc.Off, mc.Off) || !reflect.DeepEqual(pc.Dst, mc.Dst) ||
-		pc.N != mc.N || pc.M != mc.M {
-		t.Fatalf("%s: CSR snapshots differ", ctx)
-	}
 	pl, pk := p.ConnectedComponents()
-	ml, mk := mirror.ConnectedComponents()
+	ml, mk := model.components()
 	if pk != mk || !reflect.DeepEqual(pl, ml) {
 		t.Fatalf("%s: components differ: %d vs %d", ctx, pk, mk)
 	}
 }
 
-// TestPersistentMatchesMutable drives persistent and mutable graphs through
-// identical random update sequences (all four kinds) and demands identical
-// read-API answers, error behaviour included, after every step.
+// TestPersistentMatchesMutable drives the persistent graph and a mutable
+// edge-set model through identical random update sequences (all four
+// kinds) and demands identical read-API answers after every step.
 func TestPersistentMatchesMutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	for trial := 0; trial < 12; trial++ {
 		n := 5 + rng.Intn(140) // spans the 64-vertex chunk boundary
-		mirror := Gnp(n, 2.5/float64(n), rng)
-		p := PersistentOf(mirror)
-		assertSame(t, p, mirror, "initial")
+		p := Gnp(n, 2.5/float64(n), rng)
+		model := modelOf(p)
+		assertSame(t, p, model, "initial")
 		for step := 0; step < 40; step++ {
-			p = applyRandomUpdate(t, p, mirror, rng)
-			assertSame(t, p, mirror, "step")
+			p = applyRandomUpdate(t, p, model, rng)
+			assertSame(t, p, model, "step")
 		}
-		// Error parity on a few rejected updates.
+		// Rejected updates.
 		if _, err := p.InsertEdge(0, 0); err == nil {
 			t.Fatal("self loop accepted")
 		}
 		if _, err := p.DeleteEdge(-1, 3); err == nil {
 			t.Fatal("bogus delete accepted")
 		}
-		if _, _, err := p.InsertVertex([]int{1, 1}); err == nil && mirror.IsVertex(1) {
+		if _, _, err := p.InsertVertex([]int{1, 1}); err == nil && model.live[1] {
 			t.Fatal("duplicate neighbor accepted")
 		}
 		if _, err := p.DeleteVertex(p.NumVertexSlots() + 5); err == nil {
 			t.Fatal("delete of non-vertex accepted")
 		}
-		// Mutable() round-trips the final state.
-		assertSame(t, p, p.Mutable(), "mutable-roundtrip")
+		// FromEdges plus the holes rebuilds the final state.
+		rebuilt := MustFromEdges(p.NumVertexSlots(), p.Edges())
+		for v, live := range model.live {
+			if !live {
+				var err error
+				if rebuilt, err = rebuilt.DeleteVertex(v); err != nil {
+					t.Fatalf("rebuild: DeleteVertex(%d): %v", v, err)
+				}
+			}
+		}
+		assertSame(t, rebuilt, model, "rebuild")
 	}
 }
 
@@ -149,8 +222,8 @@ func TestPersistentMatchesMutable(t *testing.T) {
 func TestPersistentVersionRetention(t *testing.T) {
 	rng := rand.New(rand.NewSource(419))
 	n := 96
-	mirror := GnpConnected(n, 3.0/float64(n), rng)
-	p := PersistentOf(mirror)
+	p := GnpConnected(n, 3.0/float64(n), rng)
+	model := modelOf(p)
 
 	type epoch struct {
 		p     *Persistent
@@ -183,7 +256,7 @@ func TestPersistentVersionRetention(t *testing.T) {
 		}(r)
 	}
 	for step := 0; step < steps; step++ {
-		p = applyRandomUpdate(t, p, mirror, rng)
+		p = applyRandomUpdate(t, p, model, rng)
 		history = append(history, epoch{p, p.Edges()})
 		versions <- p
 	}
@@ -196,5 +269,5 @@ func TestPersistentVersionRetention(t *testing.T) {
 				i, len(got), len(ep.edges))
 		}
 	}
-	assertSame(t, p, mirror, "final")
+	assertSame(t, p, model, "final")
 }

@@ -45,19 +45,16 @@ func TestHeavyOnDeepSkew(t *testing.T) {
 	for _, n := range []int{32, 64, 128} {
 		// Lollipop: path of n/2 vertices into a clique of n/2, plus chords
 		// from the clique back to the path's start.
-		g := graph.Path(n)
+		edges := []graph.Edge{{U: 0, V: n - 1}}
+		for v := 1; v < n; v++ {
+			edges = append(edges, graph.Edge{U: v - 1, V: v})
+		}
 		for u := n / 2; u < n; u++ {
 			for v := u + 2; v < n; v++ {
-				if !g.HasEdge(u, v) {
-					if err := g.InsertEdge(u, v); err != nil {
-						t.Fatal(err)
-					}
-				}
+				edges = append(edges, graph.Edge{U: u, V: v})
 			}
 		}
-		if err := g.InsertEdge(0, n-1); err != nil {
-			t.Fatal(err)
-		}
+		g := graph.MustFromEdges(n, edges)
 		for rstar := 0; rstar < n; rstar += 7 {
 			e := rerootAndVerify(t, g, 0, rstar)
 			if e.Stats.GenericFall > 0 || e.Stats.Violations > 0 {
@@ -73,7 +70,7 @@ func TestQuickRerootValid(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + int(uint(seed)%48)
-		var g *graph.Graph
+		var g *graph.Persistent
 		switch seed % 4 {
 		case 0:
 			g = graph.GnpConnected(n, 3.0/float64(n), rng)

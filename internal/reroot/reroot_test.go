@@ -15,7 +15,7 @@ import (
 
 // rerootAndVerify reroots T(sub) of g's DFS tree at rstar and checks the
 // result is a DFS tree of g. Returns the engine for stats assertions.
-func rerootAndVerify(t *testing.T, g *graph.Graph, sub, rstar int) *Engine {
+func rerootAndVerify(t *testing.T, g *graph.Persistent, sub, rstar int) *Engine {
 	t.Helper()
 	tr := baseline.StaticDFSFrom(g, findRoot(g))
 	if !tr.Present(sub) || !tr.IsAncestor(sub, rstar) {
@@ -52,7 +52,7 @@ func presentOf(tr *tree.Tree) []bool {
 	return p
 }
 
-func findRoot(g *graph.Graph) int {
+func findRoot(g *graph.Persistent) int {
 	for v := 0; v < g.NumVertexSlots(); v++ {
 		if g.IsVertex(v) {
 			return v
@@ -203,7 +203,7 @@ func TestRerootRoundBound(t *testing.T) {
 
 func TestRerootDegenerate(t *testing.T) {
 	// Single vertex.
-	g := graph.New(1)
+	g := graph.NewPersistent(1)
 	rerootAndVerify(t, g, 0, 0)
 	// Single edge.
 	g2 := graph.Path(2)

@@ -35,22 +35,22 @@ func TestSubtreeDFSKeepsStructure(t *testing.T) {
 		want:   []int{tree.None, 2, 3, 4, 0, 7, 7, 2},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := graph.New(len(tc.parent))
+			var edges []graph.Edge
 			for _, e := range tc.edges {
-				if err := g.InsertEdge(e[0], e[1]); err != nil {
-					t.Fatal(err)
-				}
+				edges = append(edges, graph.Edge{U: e[0], V: e[1]})
 			}
+			g := graph.MustFromEdges(len(tc.parent), edges)
 			old := tree.MustBuild(0, tc.parent, nil)
 			if err := verify.DFSTree(g, old, tree.None); err != nil {
 				t.Fatalf("bad test setup: %v", err)
 			}
-			if err := g.DeleteEdge(0, 1); err != nil {
+			g, err := g.DeleteEdge(0, 1)
+			if err != nil {
 				t.Fatal(err)
 			}
 			m := pram.NewMachine(old.Live())
 			e := New(old, nil, nil, m) // SubtreeDFS asks neither LCA nor oracle
-			e.Executor, e.G = SubtreeDFS, graph.PersistentOf(g)
+			e.Executor, e.G = SubtreeDFS, g
 			if err := (Plan{Steps: []Step{{Sub: 1, Root: 4, Parent: 0}}}).Run(e, nil); err != nil {
 				t.Fatal(err)
 			}

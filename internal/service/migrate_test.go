@@ -72,7 +72,7 @@ func TestMigrateGraphBasic(t *testing.T) {
 	}
 
 	// The graph keeps taking writes and queries on its new shard.
-	drive(t, s, id, after.Graph.Mutable(), rng, 10)
+	drive(t, s, id, after.Graph, rng, 10)
 	if err := s.CheckSynced(id); err != nil {
 		t.Fatalf("CheckSynced after migration: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestMigrateDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// More writes after the flip land on the destination's log.
-	drive(t, s, id, want.Graph.Mutable(), rng, 8)
+	drive(t, s, id, want.Graph, rng, 8)
 	want, _ = s.Snapshot(id)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestMigrationSoak(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(200 + i)))
 			snap, _ := s.Snapshot(ids[i])
-			g := snap.Graph.Mutable()
+			g := snap.Graph
 			for n := 0; n < perG; n++ {
 				var u core.Update
 				if e, ok := graph.RandomEdgeNotIn(g, rng); ok && n%2 == 0 {
@@ -253,7 +253,7 @@ func TestMigrationSoak(t *testing.T) {
 					continue // rejected by the maintainer: not acked
 				}
 				acked[i].Add(1)
-				g = snap.Graph.Mutable()
+				g = snap.Graph
 			}
 		}(i)
 	}
@@ -392,8 +392,8 @@ func TestRebalancerMovesHotGraph(t *testing.T) {
 	s.rebalanceOnce(cfg, st, time.Now()) // prime the baseline
 
 	for tick := 0; tick < 2; tick++ {
-		drive(t, s, whale, s.mustSnap(t, whale).Graph.Mutable(), rng, 30)
-		drive(t, s, sib, s.mustSnap(t, sib).Graph.Mutable(), rng, 10)
+		drive(t, s, whale, s.mustSnap(t, whale).Graph, rng, 30)
+		drive(t, s, sib, s.mustSnap(t, sib).Graph, rng, 10)
 		s.rebalanceOnce(cfg, st, time.Now())
 	}
 	m := s.Metrics()
@@ -413,7 +413,7 @@ func TestRebalancerMovesHotGraph(t *testing.T) {
 	}
 	// Cooldown: further hot ticks must not ping-pong the sibling back.
 	for tick := 0; tick < 3; tick++ {
-		drive(t, s, whale, s.mustSnap(t, whale).Graph.Mutable(), rng, 20)
+		drive(t, s, whale, s.mustSnap(t, whale).Graph, rng, 20)
 		s.rebalanceOnce(cfg, st, time.Now())
 	}
 	if got := s.Metrics().Migrations; got != 1 {

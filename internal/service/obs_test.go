@@ -15,7 +15,7 @@ import (
 )
 
 // drive applies n random edge toggles to id, waiting for each.
-func drive(t *testing.T, s *Service, id GraphID, g *graph.Graph, rng *rand.Rand, n int) {
+func drive(t *testing.T, s *Service, id GraphID, g *graph.Persistent, rng *rand.Rand, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		var u core.Update
@@ -35,7 +35,7 @@ func drive(t *testing.T, s *Service, id GraphID, g *graph.Graph, rng *rand.Rand,
 		if _, snap, err := fut.Wait(); err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		} else {
-			g = snap.Graph.Mutable()
+			g = snap.Graph
 		}
 	}
 }
@@ -143,7 +143,7 @@ func TestMetricsConcurrentRace(t *testing.T) {
 	s := New(Config{Shards: 4})
 	defer s.Close()
 	rng := rand.New(rand.NewSource(12))
-	graphs := make(map[GraphID]*graph.Graph)
+	graphs := make(map[GraphID]*graph.Persistent)
 	for _, id := range []GraphID{"a", "b", "c"} {
 		g := graph.GnpConnected(96, 4.0/96, rand.New(rand.NewSource(int64(len(graphs)))))
 		mustCreate(t, s, id, g)
@@ -155,7 +155,7 @@ func TestMetricsConcurrentRace(t *testing.T) {
 	var writers sync.WaitGroup
 	for id, g := range graphs {
 		writers.Add(1)
-		go func(id GraphID, g *graph.Graph) {
+		go func(id GraphID, g *graph.Persistent) {
 			defer writers.Done()
 			wrng := rand.New(rand.NewSource(int64(id[0])))
 			for i := 0; ; i++ {

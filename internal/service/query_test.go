@@ -121,7 +121,7 @@ func TestServiceQueryEvictThenRequery(t *testing.T) {
 	s := New(Config{Shards: 1, QueryCache: 2})
 	defer s.Close()
 	g := graph.GnpConnected(60, 0.1, rng)
-	mirror := g.Clone()
+	mirror := g
 	if _, err := s.CreateGraph("e", g); err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +134,10 @@ func TestServiceQueryEvictThenRequery(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		var u core.Update
 		if e, ok := graph.RandomEdgeNotIn(mirror, rng); ok && i%2 == 0 {
-			mirror.InsertEdge(e.U, e.V)
+			mirror = mustGraph(mirror.InsertEdge(e.U, e.V))
 			u = core.Update{Kind: core.InsertEdge, U: e.U, V: e.V}
 		} else if e, ok := graph.RandomExistingEdge(mirror, rng); ok {
-			mirror.DeleteEdge(e.U, e.V)
+			mirror = mustGraph(mirror.DeleteEdge(e.U, e.V))
 			u = core.Update{Kind: core.DeleteEdge, U: e.U, V: e.V}
 		} else {
 			t.Fatal("no update possible")
@@ -216,11 +216,11 @@ func TestServiceQueryConcurrent(t *testing.T) {
 	s := New(Config{Shards: 2, QueryCache: 3})
 	defer s.Close()
 	ids := make([]GraphID, graphs)
-	mirrors := make([]*graph.Graph, graphs)
+	mirrors := make([]*graph.Persistent, graphs)
 	for i := range ids {
 		ids[i] = GraphID(fmt.Sprintf("g%d", i))
 		g := graph.GnpConnected(n, 0.1, rng)
-		mirrors[i] = g.Clone()
+		mirrors[i] = g
 		if _, err := s.CreateGraph(ids[i], g); err != nil {
 			t.Fatal(err)
 		}
@@ -240,10 +240,10 @@ func TestServiceQueryConcurrent(t *testing.T) {
 			for i, mirror := range mirrors {
 				var u core.Update
 				if e, ok := graph.RandomEdgeNotIn(mirror, wrng); ok && step%2 == 0 {
-					mirror.InsertEdge(e.U, e.V)
+					mirrors[i] = mustGraph(mirror.InsertEdge(e.U, e.V))
 					u = core.Update{Kind: core.InsertEdge, U: e.U, V: e.V}
 				} else if e, ok := graph.RandomExistingEdge(mirror, wrng); ok {
-					mirror.DeleteEdge(e.U, e.V)
+					mirrors[i] = mustGraph(mirror.DeleteEdge(e.U, e.V))
 					u = core.Update{Kind: core.DeleteEdge, U: e.U, V: e.V}
 				} else {
 					continue

@@ -324,9 +324,13 @@ func (s *Service) SlowTraces() []obs.Trace {
 func (s *Service) NumShards() int { return len(s.shards) }
 
 // CreateGraph registers g under id on its shard and waits for the initial
-// snapshot (static DFS preprocessing runs on the shard loop). g is cloned;
-// the caller keeps ownership of its copy.
-func (s *Service) CreateGraph(id GraphID, g *graph.Graph) (*Snapshot, error) {
+// snapshot (static DFS preprocessing runs on the shard loop). g is
+// retained, immutable: the caller may keep reading and deriving versions
+// from it.
+func (s *Service) CreateGraph(id GraphID, g *graph.Persistent) (*Snapshot, error) {
+	if g == nil {
+		return nil, fmt.Errorf("service: create graph %q: nil graph", id)
+	}
 	fut := newFuture()
 	if err := s.shardFor(id).submit(task{kind: taskCreate, id: id, g: g, fut: fut}); err != nil {
 		return nil, err

@@ -12,7 +12,7 @@ import (
 	"repro/internal/graph"
 )
 
-func mustCreate(t *testing.T, s *Service, id GraphID, g *graph.Graph) *Snapshot {
+func mustCreate(t *testing.T, s *Service, id GraphID, g *graph.Persistent) *Snapshot {
 	t.Helper()
 	snap, err := s.CreateGraph(id, g)
 	if err != nil {
@@ -22,6 +22,40 @@ func mustCreate(t *testing.T, s *Service, id GraphID, g *graph.Graph) *Snapshot 
 		t.Fatalf("initial snapshot of %q invalid: %v", id, err)
 	}
 	return snap
+}
+
+// mustGraph unwraps a graph update the test's mirror knows is valid.
+func mustGraph(g *graph.Persistent, err error) *graph.Persistent {
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// TestCreateGraphRejectsNil: a nil graph is refused before it reaches the
+// shard loop, which would otherwise dereference it and take the process
+// down; the shard keeps serving its other graphs.
+func TestCreateGraphRejectsNil(t *testing.T) {
+	s := New(Config{Shards: 1})
+	defer s.Close()
+	if snap, err := s.CreateGraph("nil", nil); err == nil || snap != nil {
+		t.Fatalf("CreateGraph(nil) = %v, %v; want an error", snap, err)
+	}
+	if _, err := s.Snapshot("nil"); !errors.Is(err, ErrUnknownGraph) {
+		t.Fatalf("rejected graph is registered: %v", err)
+	}
+	mustCreate(t, s, "live", graph.Path(8))
+	fut, err := s.Apply("live", core.Update{Kind: core.InsertEdge, U: 0, V: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, snap, err := fut.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Verify(); err != nil || !snap.Graph.HasEdge(0, 7) {
+		t.Fatalf("shard stopped serving after the rejected create: %v", err)
+	}
 }
 
 func TestServiceBasic(t *testing.T) {
@@ -194,16 +228,16 @@ func TestServiceSnapshotLongevity(t *testing.T) {
 	const n, pinAfter, updates = 64, 7, 1000
 	g := graph.GnpConnected(n, 4.0/float64(n), rng)
 	snap := mustCreate(t, s, "long", g)
-	mirror := snap.Graph.Mutable()
+	mirror := snap.Graph
 
 	apply := func(k int) {
 		for applied := 0; applied < k; {
 			var u core.Update
 			if e, ok := graph.RandomEdgeNotIn(mirror, rng); ok && rng.Intn(2) == 0 {
-				mirror.InsertEdge(e.U, e.V)
+				mirror = mustGraph(mirror.InsertEdge(e.U, e.V))
 				u = core.Update{Kind: core.InsertEdge, U: e.U, V: e.V}
 			} else if e, ok := graph.RandomExistingEdge(mirror, rng); ok {
-				mirror.DeleteEdge(e.U, e.V)
+				mirror = mustGraph(mirror.DeleteEdge(e.U, e.V))
 				u = core.Update{Kind: core.DeleteEdge, U: e.U, V: e.V}
 			} else {
 				continue
@@ -300,16 +334,16 @@ func TestServiceConcurrentReadersWriters(t *testing.T) {
 				errc <- err
 				return
 			}
-			mirror := snap.Graph.Mutable()
+			mirror := snap.Graph
 			nextUpdate := func() (core.Update, bool) {
 				if rng.Intn(2) == 0 {
 					if e, ok := graph.RandomEdgeNotIn(mirror, rng); ok {
-						mirror.InsertEdge(e.U, e.V)
+						mirror = mustGraph(mirror.InsertEdge(e.U, e.V))
 						return core.Update{Kind: core.InsertEdge, U: e.U, V: e.V}, true
 					}
 				}
 				if e, ok := graph.RandomExistingEdge(mirror, rng); ok {
-					mirror.DeleteEdge(e.U, e.V)
+					mirror = mustGraph(mirror.DeleteEdge(e.U, e.V))
 					return core.Update{Kind: core.DeleteEdge, U: e.U, V: e.V}, true
 				}
 				return core.Update{}, false
@@ -451,14 +485,14 @@ func TestServiceCloseDrains(t *testing.T) {
 	g := graph.GnpConnected(48, 4.0/48, rng)
 	snap := mustCreate(t, s, "drain", g)
 
-	mirror := snap.Graph.Mutable()
+	mirror := snap.Graph
 	var futs []*Future
 	for i := 0; i < 20; i++ {
 		e, ok := graph.RandomEdgeNotIn(mirror, rng)
 		if !ok {
 			break
 		}
-		mirror.InsertEdge(e.U, e.V)
+		mirror = mustGraph(mirror.InsertEdge(e.U, e.V))
 		fut, err := s.Apply("drain", core.Update{Kind: core.InsertEdge, U: e.U, V: e.V})
 		if err != nil {
 			t.Fatal(err)

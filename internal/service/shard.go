@@ -36,10 +36,10 @@ const maxForwardHops = 16
 type task struct {
 	kind     taskKind
 	id       GraphID
-	g        *graph.Graph // create: initial graph (cloned by the maintainer)
-	upd      core.Update  // apply
-	entries  []batchEntry // batch
-	fn       func()       // func (migration protocol steps; tests: wedge or probe the loop)
+	g        *graph.Persistent // create: initial graph (retained, immutable)
+	upd      core.Update       // apply
+	entries  []batchEntry      // batch
+	fn       func()            // func (migration protocol steps; tests: wedge or probe the loop)
 	fut      *Future
 	hops     int       // times forwarded across shards after a migration flip
 	enqueued time.Time // stamped by submit; mailbox wait = receive - enqueued

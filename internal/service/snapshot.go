@@ -19,9 +19,10 @@ import (
 // any number of later updates (they will simply be reading an old version;
 // later updates path-copy away from it without ever writing into it).
 //
-// Graph exposes the read API of graph.Adjacency (IsVertex, HasEdge, Degree,
-// Neighbors, Edges, Snapshot() CSR, ...); drivers that want a private
-// mutable mirror call Graph.Mutable().
+// Graph exposes the read API of *graph.Persistent (IsVertex, HasEdge, Degree,
+// Row, Edges, ...). A driver that keeps a private mirror starts from Graph
+// and derives its own versions (g, err = g.InsertEdge(u, v)); the snapshot
+// never sees them.
 type Snapshot struct {
 	ID         GraphID
 	Version    uint64 // updates applied to the graph when published

@@ -17,13 +17,8 @@ import (
 // edgeSet flattens a snapshot's graph into a canonical (u<v) edge set.
 func edgeSet(g *graph.Persistent) map[[2]int]bool {
 	out := map[[2]int]bool{}
-	csr := g.Snapshot()
-	for v := 0; v < g.NumVertexSlots(); v++ {
-		for _, w := range csr.Dst[csr.Off[v]:csr.Off[v+1]] {
-			if v < w {
-				out[[2]int{v, w}] = true
-			}
-		}
+	for _, e := range g.Edges() {
+		out[[2]int{e.U, e.V}] = true
 	}
 	return out
 }
@@ -601,7 +596,7 @@ func copyWALDir(t *testing.T, src, dst string) {
 
 // replayMirror rebuilds the expected maintainer state: g with updates
 // applied in order.
-func replayMirror(t *testing.T, g *graph.Graph, updates []core.Update) *core.DynamicDFS {
+func replayMirror(t *testing.T, g *graph.Persistent, updates []core.Update) *core.DynamicDFS {
 	t.Helper()
 	mir := core.New(g, core.Options{RebuildD: true, Headroom: 64})
 	for i, u := range updates {

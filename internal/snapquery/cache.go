@@ -107,7 +107,7 @@ func (c *Cache) observe(graphName string, outcome buildOutcome, d time.Duration)
 // Handle returns the cached handle for key, creating (and caching) it from
 // the supplied frozen snapshot parts on first use. The hit path is a map
 // lookup plus an LRU bump — no allocation, no index work.
-func (c *Cache) Handle(key Key, g graph.Adjacency, t *tree.Tree, pseudo int) *Handle {
+func (c *Cache) Handle(key Key, g *graph.Persistent, t *tree.Tree, pseudo int) *Handle {
 	return c.HandleDerived(key, g, t, pseudo, Key{}, nil, Delta{})
 }
 
@@ -118,7 +118,7 @@ func (c *Cache) Handle(key Key, g graph.Adjacency, t *tree.Tree, pseudo int) *Ha
 // foreign tree in), the new handle is linked to it so its indexes patch
 // rather than rebuild. A missing or stale parent entry silently degrades to
 // the fresh-build path. parentTree nil means no delta is available.
-func (c *Cache) HandleDerived(key Key, g graph.Adjacency, t *tree.Tree, pseudo int, parentKey Key, parentTree *tree.Tree, delta Delta) *Handle {
+func (c *Cache) HandleDerived(key Key, g *graph.Persistent, t *tree.Tree, pseudo int, parentKey Key, parentTree *tree.Tree, delta Delta) *Handle {
 	start := time.Now()
 	defer func() { c.resolveHist.Record(time.Since(start)) }()
 	c.mu.Lock()

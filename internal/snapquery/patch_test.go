@@ -134,16 +134,7 @@ func TestDifferentialOracleRandomMixed(t *testing.T) {
 // correct.
 func TestDifferentialChurnFallback(t *testing.T) {
 	const n = 40
-	g := graph.New(n)
-	for v := 1; v < n; v++ {
-		if err := g.InsertEdge(v-1, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.InsertEdge(0, n-1); err != nil {
-		t.Fatal(err)
-	}
-	dd := core.NewFullyDynamic(g)
+	dd := core.NewFullyDynamic(graph.Cycle(n))
 	h := New(dd.Frozen(), dd.Tree(), dd.PseudoRoot())
 	h.Warm()
 	if err := dd.DeleteEdge(0, 1); err != nil {
@@ -311,7 +302,7 @@ func TestConcurrentChainPatching(t *testing.T) {
 
 	type published struct {
 		version    uint64
-		g          graph.Adjacency
+		g          *graph.Persistent
 		t          *tree.Tree
 		pseudo     int
 		parent     uint64

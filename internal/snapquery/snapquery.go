@@ -46,7 +46,7 @@ type lazy[T any] struct {
 // graph updates.
 type Handle struct {
 	key     Key
-	g       graph.Adjacency
+	g       *graph.Persistent
 	t       *tree.Tree
 	pseudo  int
 	observe func(string, buildOutcome, time.Duration) // cache metrics observer (graph, outcome, cost); nil standalone
@@ -72,7 +72,7 @@ type Handle struct {
 // New builds an uncached handle over a frozen (graph, tree, pseudo root)
 // triple, e.g. a retained service Snapshot or a paused maintainer. pseudo
 // is the artificial forest root (tree.None when the root is a real vertex).
-func New(g graph.Adjacency, t *tree.Tree, pseudo int) *Handle {
+func New(g *graph.Persistent, t *tree.Tree, pseudo int) *Handle {
 	return &Handle{key: Key{}, g: g, t: t, pseudo: pseudo}
 }
 
@@ -80,7 +80,7 @@ func New(g graph.Adjacency, t *tree.Tree, pseudo int) *Handle {
 // on hand: the tree indexes will patch parent's arrays instead of building
 // from scratch whenever the delta permits (falling back silently when it
 // does not). parent must pin the version delta was measured against.
-func NewDerived(parent *Handle, g graph.Adjacency, t *tree.Tree, pseudo int, delta Delta) *Handle {
+func NewDerived(parent *Handle, g *graph.Persistent, t *tree.Tree, pseudo int, delta Delta) *Handle {
 	h := New(g, t, pseudo)
 	if parent != nil {
 		h.delta = delta
@@ -100,7 +100,7 @@ func (h *Handle) Version() uint64 { return h.key.Version }
 func (h *Handle) Tree() *tree.Tree { return h.t }
 
 // Graph returns the pinned graph version (read-only).
-func (h *Handle) Graph() graph.Adjacency { return h.g }
+func (h *Handle) Graph() *graph.Persistent { return h.g }
 
 // PseudoRoot returns the artificial forest root (tree.None if absent).
 func (h *Handle) PseudoRoot() int { return h.pseudo }

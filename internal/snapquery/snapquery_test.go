@@ -222,7 +222,7 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 25; trial++ {
 		n := 12 + rng.Intn(60)
-		var g *graph.Graph
+		var g *graph.Persistent
 		switch trial % 3 {
 		case 0:
 			g = graph.GnpConnected(n, 0.15, rng)
@@ -285,7 +285,7 @@ func TestCacheLRUAndEvictionSafety(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := NewCache(2)
 	type ver struct {
-		g  *graph.Graph
+		g  *graph.Persistent
 		tr *tree.Tree
 		h  *Handle
 	}

@@ -327,7 +327,7 @@ type Maintainer struct {
 // New builds the maintainer: the preprocessing DFS tree is computed from
 // the initial stream (preprocessing is outside the per-update pass budget,
 // as in the paper where the initial tree is given).
-func New(g *graph.Graph) *Maintainer {
+func New(g *graph.Persistent) *Maintainer {
 	m := &Maintainer{
 		s:     NewStream(g.Edges()),
 		slots: g.NumVertexSlots(),
@@ -412,19 +412,17 @@ func (m *Maintainer) apply(p reroot.Plan, passesBefore int64, discovery int) err
 // Snapshot reconstructs the current graph from the stream with one pass.
 // It is a workload/test helper and not part of the maintainer's O(n)
 // resident state (the pass is counted like any other).
-func (m *Maintainer) Snapshot() *graph.Graph {
-	g := graph.New(m.slots)
+func (m *Maintainer) Snapshot() *graph.Persistent {
+	var edges []graph.Edge
+	m.s.Pass(func(e graph.Edge) { edges = append(edges, e) })
+	g := graph.MustFromEdges(m.slots, edges)
 	for v := 0; v < m.slots; v++ {
 		if !m.alive[v] {
-			if err := g.DeleteVertex(v); err != nil {
+			var err error
+			if g, err = g.DeleteVertex(v); err != nil {
 				panic(err)
 			}
 		}
 	}
-	m.s.Pass(func(e graph.Edge) {
-		if err := g.InsertEdge(e.U, e.V); err != nil {
-			panic(err)
-		}
-	})
 	return g
 }

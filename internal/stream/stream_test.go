@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 // mirror applies the same updates to a plain graph so the streaming tree
 // can be verified against ground truth.
-func verifyAgainst(t *testing.T, m *Maintainer, g *graph.Graph, ctx string) {
+func verifyAgainst(t *testing.T, m *Maintainer, g *graph.Persistent, ctx string) {
 	t.Helper()
 	if err := verify.DFSForest(g, m.Tree(), m.PseudoRoot()); err != nil {
 		t.Fatalf("%s: %v", ctx, err)
@@ -27,13 +28,14 @@ func TestStreamingRandomSequences(t *testing.T) {
 		n := 8 + rng.Intn(24)
 		g := graph.GnpConnected(n, 3.0/float64(n), rng)
 		m := New(g)
-		mirror := g.Clone()
+		mirror := g
 		verifyAgainst(t, m, mirror, "initial")
 		for step := 0; step < 25; step++ {
 			switch rng.Intn(4) {
 			case 0:
 				if e, ok := graph.RandomEdgeNotIn(mirror, rng); ok {
-					if mirror.InsertEdge(e.U, e.V) == nil {
+					if ng, err := mirror.InsertEdge(e.U, e.V); err == nil {
+						mirror = ng
 						if err := m.InsertEdge(e.U, e.V); err != nil {
 							t.Fatal(err)
 						}
@@ -42,7 +44,8 @@ func TestStreamingRandomSequences(t *testing.T) {
 				}
 			case 1:
 				if e, ok := graph.RandomExistingEdge(mirror, rng); ok {
-					if mirror.DeleteEdge(e.U, e.V) == nil {
+					if ng, err := mirror.DeleteEdge(e.U, e.V); err == nil {
+						mirror = ng
 						if err := m.DeleteEdge(e.U, e.V); err != nil {
 							t.Fatal(err)
 						}
@@ -56,7 +59,8 @@ func TestStreamingRandomSequences(t *testing.T) {
 						nbrs = append(nbrs, v)
 					}
 				}
-				if _, err := mirror.InsertVertex(nbrs); err == nil {
+				if ng, _, err := mirror.InsertVertex(nbrs); err == nil {
+					mirror = ng
 					if _, err := m.InsertVertex(nbrs); err != nil {
 						t.Fatal(err)
 					}
@@ -65,7 +69,8 @@ func TestStreamingRandomSequences(t *testing.T) {
 			case 3:
 				if mirror.NumVertices() > 4 {
 					v := rng.Intn(mirror.NumVertexSlots())
-					if mirror.IsVertex(v) && mirror.DeleteVertex(v) == nil {
+					if ng, err := mirror.DeleteVertex(v); err == nil {
+						mirror = ng
 						if err := m.DeleteVertex(v); err != nil {
 							t.Fatal(err)
 						}
@@ -83,11 +88,12 @@ func TestScheduledPassesPolylog(t *testing.T) {
 	for _, n := range []int{64, 256} {
 		g := graph.GnpConnected(n, 3.0/float64(n), rng)
 		m := New(g)
-		mirror := g.Clone()
+		mirror := g
 		worst := 0
 		for step := 0; step < 30; step++ {
 			if e, ok := graph.RandomEdgeNotIn(mirror, rng); ok {
-				if mirror.InsertEdge(e.U, e.V) == nil {
+				if ng, err := mirror.InsertEdge(e.U, e.V); err == nil {
+					mirror = ng
 					if err := m.InsertEdge(e.U, e.V); err != nil {
 						t.Fatal(err)
 					}
@@ -209,11 +215,11 @@ func TestBatchedUpdatePassParity(t *testing.T) {
 		{U: 1, V: 6}, {U: 6, V: 7},
 	})
 	m := New(g)
-	mirror := g.Clone()
 	if err := m.DeleteVertex(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := mirror.DeleteVertex(1); err != nil {
+	mirror, err := g.DeleteVertex(1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	verifyAgainst(t, m, mirror, "hub delete")
@@ -229,18 +235,18 @@ func TestBatchedUpdatePassParity(t *testing.T) {
 	// physical pass count must equal the synchronous schedule exactly.
 	cg := graph.Cycle(64)
 	cm := New(cg)
-	cmirror := cg.Clone()
+	cmirror := cg
 	for _, e := range [][2]int{{5, 6}, {20, 21}, {40, 41}, {62, 63}} {
 		for _, op := range []string{"del", "ins"} {
-			var err error
+			var err, merr error
 			if op == "del" {
 				err = cm.DeleteEdge(e[0], e[1])
-				cmirror.DeleteEdge(e[0], e[1])
+				cmirror, merr = cmirror.DeleteEdge(e[0], e[1])
 			} else {
 				err = cm.InsertEdge(e[0], e[1])
-				cmirror.InsertEdge(e[0], e[1])
+				cmirror, merr = cmirror.InsertEdge(e[0], e[1])
 			}
-			if err != nil {
+			if err = errors.Join(err, merr); err != nil {
 				t.Fatal(err)
 			}
 			verifyAgainst(t, cm, cmirror, op)
@@ -269,7 +275,7 @@ func TestHeavyScenarioPassAccounting(t *testing.T) {
 		n := 24 + rng.Intn(40)
 		g := graph.GnpConnected(n, 0.25, rng)
 		m := New(g)
-		mirror := g.Clone()
+		mirror := g
 		lg := 1
 		for p := 1; p < n; p <<= 1 {
 			lg++
@@ -277,15 +283,17 @@ func TestHeavyScenarioPassAccounting(t *testing.T) {
 		for step := 0; step < 30; step++ {
 			var err error
 			if e, ok := graph.RandomExistingEdge(mirror, rng); ok && step%3 != 0 {
-				if mirror.DeleteEdge(e.U, e.V) != nil {
+				ng, gerr := mirror.DeleteEdge(e.U, e.V)
+				if gerr != nil {
 					continue
 				}
-				err = m.DeleteEdge(e.U, e.V)
+				mirror, err = ng, m.DeleteEdge(e.U, e.V)
 			} else if e, ok := graph.RandomEdgeNotIn(mirror, rng); ok {
-				if mirror.InsertEdge(e.U, e.V) != nil {
+				ng, gerr := mirror.InsertEdge(e.U, e.V)
+				if gerr != nil {
 					continue
 				}
-				err = m.InsertEdge(e.U, e.V)
+				mirror, err = ng, m.InsertEdge(e.U, e.V)
 			} else {
 				continue
 			}
@@ -318,16 +326,18 @@ func TestPassesNeverBelowScheduled(t *testing.T) {
 		n := 16 + rng.Intn(48)
 		g := graph.GnpConnected(n, 3.0/float64(n), rng)
 		m := New(g)
-		mirror := g.Clone()
+		mirror := g
 		for step := 0; step < 25; step++ {
 			if e, ok := graph.RandomExistingEdge(mirror, rng); ok && step%2 == 0 {
-				if mirror.DeleteEdge(e.U, e.V) == nil {
+				if ng, err := mirror.DeleteEdge(e.U, e.V); err == nil {
+					mirror = ng
 					if err := m.DeleteEdge(e.U, e.V); err != nil {
 						t.Fatal(err)
 					}
 				}
 			} else if e, ok := graph.RandomEdgeNotIn(mirror, rng); ok {
-				if mirror.InsertEdge(e.U, e.V) == nil {
+				if ng, err := mirror.InsertEdge(e.U, e.V); err == nil {
+					mirror = ng
 					if err := m.InsertEdge(e.U, e.V); err != nil {
 						t.Fatal(err)
 					}
@@ -348,10 +358,11 @@ func TestResidentMemoryLinear(t *testing.T) {
 	n := 256
 	g := graph.GnpConnected(n, 8.0/float64(n), rng) // m ≈ 4n
 	m := New(g)
-	mirror := g.Clone()
+	mirror := g
 	for step := 0; step < 20; step++ {
 		if e, ok := graph.RandomEdgeNotIn(mirror, rng); ok {
-			if mirror.InsertEdge(e.U, e.V) == nil {
+			if ng, err := mirror.InsertEdge(e.U, e.V); err == nil {
+				mirror = ng
 				if err := m.InsertEdge(e.U, e.V); err != nil {
 					t.Fatal(err)
 				}
@@ -415,7 +426,8 @@ func TestInsertVertexHeadroomExhausted(t *testing.T) {
 		if _, err := m.InsertVertex(nil); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
-		if _, err := mirror.InsertVertex(nil); err != nil {
+		var err error
+		if mirror, _, err = mirror.InsertVertex(nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,7 +20,7 @@ import (
 //     to pseudoRoot (pass pseudoRoot = tree.None when there is none).
 //  3. Every edge of g is a back edge w.r.t. t (one endpoint ancestor of the
 //     other) — tree edges satisfy this trivially.
-func DFSTree(g graph.Adjacency, t *tree.Tree, pseudoRoot int) error {
+func DFSTree(g *graph.Persistent, t *tree.Tree, pseudoRoot int) error {
 	n := g.NumVertexSlots()
 	if pseudoRoot == tree.None {
 		if t.N() != n {
@@ -66,7 +66,7 @@ func DFSTree(g graph.Adjacency, t *tree.Tree, pseudoRoot int) error {
 // edge not incident to the pseudo root must be a graph edge, and every graph
 // edge must be a back edge. Each child subtree of the pseudo root must be a
 // single connected component of g.
-func DFSForest(g graph.Adjacency, t *tree.Tree, pseudoRoot int) error {
+func DFSForest(g *graph.Persistent, t *tree.Tree, pseudoRoot int) error {
 	n := g.NumVertexSlots()
 	if t.Root != pseudoRoot {
 		return fmt.Errorf("verify: root is %d, want pseudo-root %d", t.Root, pseudoRoot)
@@ -128,7 +128,7 @@ func DFSForest(g graph.Adjacency, t *tree.Tree, pseudoRoot int) error {
 // by the vertex set of sub (used to check rerooted subtrees in isolation):
 // tree edges are graph edges, and no graph edge internal to the vertex set
 // is a cross edge.
-func SubtreeDFS(g graph.Adjacency, sub *tree.Tree) error {
+func SubtreeDFS(g *graph.Persistent, sub *tree.Tree) error {
 	inSet := make(map[int]bool, sub.Live())
 	for _, v := range sub.Vertices() {
 		inSet[v] = true

@@ -22,7 +22,8 @@ func TestDFSTreeAccepts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Back edge is fine.
-	if err := g.InsertEdge(0, 3); err != nil {
+	g, err := g.InsertEdge(0, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := DFSTree(g, pathTree(5), tree.None); err != nil {
@@ -34,8 +35,8 @@ func TestDFSTreeRejectsCrossEdge(t *testing.T) {
 	// Star graph with a path tree: edge (0,2) becomes a cross edge if the
 	// tree is 0-1, 1-2 ... build: tree parent = star from 0 is fine; use a
 	// graph with edge between two siblings.
-	g := graph.Star(4)
-	if err := g.InsertEdge(1, 2); err != nil {
+	g, err := graph.Star(4).InsertEdge(1, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	parent := []int{tree.None, 0, 0, 0}
@@ -55,8 +56,8 @@ func TestDFSTreeRejectsFakeTreeEdge(t *testing.T) {
 }
 
 func TestDFSTreeRejectsPresenceMismatch(t *testing.T) {
-	g := graph.Path(4)
-	if err := g.DeleteVertex(3); err != nil {
+	g, err := graph.Path(4).DeleteVertex(3)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := DFSTree(g, pathTree(4), tree.None); err == nil {
@@ -66,13 +67,7 @@ func TestDFSTreeRejectsPresenceMismatch(t *testing.T) {
 
 func TestDFSForestPseudoRoot(t *testing.T) {
 	// Two components hung under pseudo root 6 (slots 0..3 + headroom).
-	g := graph.New(4)
-	if err := g.InsertEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.InsertEdge(2, 3); err != nil {
-		t.Fatal(err)
-	}
+	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
 	parent := []int{6, 0, 6, 2, tree.None, tree.None, tree.None}
 	present := []bool{true, true, true, true, false, false, true}
 	tr := tree.MustBuild(6, parent, present)
@@ -107,7 +102,8 @@ func TestSubtreeDFS(t *testing.T) {
 	}
 	// A chord (1,3) makes the same tree invalid... it is a back edge
 	// actually (1 ancestor of 3) — still fine.
-	if err := g.InsertEdge(1, 3); err != nil {
+	g, err := g.InsertEdge(1, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := SubtreeDFS(g, tr); err != nil {

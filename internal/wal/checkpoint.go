@@ -31,9 +31,9 @@ type Checkpoint struct {
 
 // Encode serializes c into a single CRC-framed blob.
 func (c *Checkpoint) Encode() []byte {
-	csr := c.Graph.Snapshot()
-	slots := c.Graph.NumVertexSlots()
-	out := make([]byte, 0, 64+len(c.ID)+slots/4+len(csr.Dst)*2+(c.Pseudo+1)*2)
+	g := c.Graph
+	slots := g.NumVertexSlots()
+	out := make([]byte, 0, 64+len(c.ID)+slots/4+g.NumEdges()*4+(c.Pseudo+1)*2)
 	out = append(out, ckptMagic[:]...)
 	out = append(out, 0, 0, 0, 0, 0, 0, 0, 0) // len+crc placeholder
 	out = binary.AppendUvarint(out, uint64(len(c.ID)))
@@ -44,18 +44,21 @@ func (c *Checkpoint) Encode() []byte {
 	// Liveness bitmap over the vertex slots.
 	bitmap := make([]byte, (slots+7)/8)
 	for v := 0; v < slots; v++ {
-		if c.Graph.IsVertex(v) {
+		if g.IsVertex(v) {
 			bitmap[v>>3] |= 1 << uint(v&7)
 		}
 	}
 	out = append(out, bitmap...)
-	// Adjacency: per-slot degree, then the concatenated sorted rows.
-	out = binary.AppendUvarint(out, uint64(csr.M))
+	// Adjacency: per-slot degree, then the concatenated sorted rows (a
+	// hole's row is empty).
+	out = binary.AppendUvarint(out, uint64(g.NumEdges()))
 	for v := 0; v < slots; v++ {
-		out = binary.AppendUvarint(out, uint64(csr.Off[v+1]-csr.Off[v]))
+		out = binary.AppendUvarint(out, uint64(len(g.Row(v))))
 	}
-	for _, w := range csr.Dst {
-		out = binary.AppendUvarint(out, uint64(w))
+	for v := 0; v < slots; v++ {
+		for _, w := range g.Row(v) {
+			out = binary.AppendUvarint(out, uint64(w))
+		}
 	}
 	// DFS tree: parent per slot 0..Pseudo (zigzag; tree.None encodes -1).
 	for v := 0; v <= c.Pseudo; v++ {
@@ -125,6 +128,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err != nil || m64 > 1<<40 {
 		return nil, fmt.Errorf("%w: bad edge count", ErrCorrupt)
 	}
+	// Each row entry takes at least one byte, which bounds every degree
+	// and their sum by the remaining payload before the rows are allocated.
 	deg := make([]int, slots)
 	total := 0
 	for v := range deg {
@@ -132,45 +137,41 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		if err != nil {
 			return nil, err
 		}
+		if d > uint64(len(p)) {
+			return nil, fmt.Errorf("%w: degree %d of vertex %d overruns the checkpoint", ErrCorrupt, d, v)
+		}
 		deg[v] = int(d)
 		total += int(d)
 	}
 	if total != 2*int(m64) {
 		return nil, fmt.Errorf("%w: degree sum %d != 2m=%d", ErrCorrupt, total, 2*m64)
 	}
-	// Rebuild a mutable graph, then freeze it persistent.
-	g := graph.New(slots)
-	for v := 0; v < slots; v++ {
-		if !alive(v) {
-			if deg[v] != 0 {
-				return nil, fmt.Errorf("%w: hole %d has degree %d", ErrCorrupt, v, deg[v])
-			}
-			if err := g.DeleteVertex(v); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-		}
+	if total > len(p) {
+		return nil, fmt.Errorf("%w: truncated adjacency", ErrCorrupt)
 	}
-	for v := 0; v < slots; v++ {
-		for i := 0; i < deg[v]; i++ {
-			w64, err := next()
+	// Read the rows straight into one backing array; FromRows rejects holes
+	// with edges, self-loops, unsorted or repeated entries, edges to holes
+	// and asymmetric entries.
+	live := make([]bool, slots)
+	rows := make([][]int32, slots)
+	back := make([]int32, total)
+	for v := range rows {
+		live[v] = alive(v)
+		rows[v], back = back[:deg[v]:deg[v]], back[deg[v]:]
+		for i := range rows[v] {
+			w, err := next()
 			if err != nil {
 				return nil, err
 			}
-			w := int(w64)
-			if w >= slots || !alive(w) {
+			if w >= uint64(slots) {
 				return nil, fmt.Errorf("%w: edge (%d,%d) leaves the vertex set", ErrCorrupt, v, w)
 			}
-			if v < w { // each edge appears in both rows; insert once
-				if err := g.InsertEdge(v, w); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-				}
-			} else if !g.HasEdge(w, v) {
-				return nil, fmt.Errorf("%w: asymmetric row entry (%d,%d)", ErrCorrupt, v, w)
-			}
+			rows[v][i] = int32(w)
 		}
 	}
-	if g.NumEdges() != int(m64) {
-		return nil, fmt.Errorf("%w: reconstructed %d edges, header says %d", ErrCorrupt, g.NumEdges(), m64)
+	g, err := graph.FromRows(live, rows)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	// DFS tree parents (slots..Pseudo-1 are headroom holes; Pseudo roots).
 	parent := make([]int, c.Pseudo+1)
@@ -194,7 +195,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: checkpoint tree: %v", ErrCorrupt, err)
 	}
-	c.Graph = graph.PersistentOf(g)
+	c.Graph = g
 	c.Tree = t
 	return c, nil
 }

@@ -30,10 +30,13 @@
 // # Checkpoints
 //
 // A Checkpoint serializes one graph's full state at an update boundary:
-// the persistent adjacency as a CSR, the DFS tree's parent array, the
-// pseudo root and the update count. Because published versions are
-// immutable, capturing one is a pointer grab; serialization cost is O(n+m)
-// but happens off the per-update path (every Options.CheckpointEvery
+// the liveness bitmap, each slot's degree followed by the sorted adjacency
+// rows read straight from the persistent graph, the DFS tree's parent
+// array, the pseudo root and the update count. Decoding fills the rows
+// directly and rejects any the encoder cannot have written (self-loops,
+// repeated or unsorted entries, edges to holes, asymmetric entries).
+// Because published versions are immutable, capturing one is a pointer
+// grab; serialization cost is O(n+m) but happens off the per-update path (every Options.CheckpointEvery
 // records, at graph creation, and at drops). After a shard checkpoints
 // every graph it owns, the log prefix those checkpoints cover is dead and
 // the log is truncated; recovery loads the newest valid checkpoint per

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/tree"
 )
 
 // FuzzRecordDecode drives arbitrary bytes through the frame decoder. The
@@ -48,6 +51,85 @@ func frameCheckpoint(payload []byte) []byte {
 	return append(out, payload...)
 }
 
+// checkpointPayload encodes a checkpoint body (everything after the frame
+// header) over the given adjacency rows as written, with live marking the
+// vertices that are not holes. Every live vertex hangs off the pseudo root,
+// which sits just past the slots, so only the rows can be at fault.
+func checkpointPayload(rows [][]int, live []bool) []byte {
+	slots, total := len(rows), 0
+	p := binary.AppendUvarint(nil, 1)
+	p = append(p, 'h')
+	p = binary.AppendUvarint(p, 7)
+	p = binary.AppendUvarint(p, uint64(slots))
+	p = binary.AppendUvarint(p, uint64(slots))
+	bitmap := make([]byte, (slots+7)/8)
+	for v, ok := range live {
+		if ok {
+			bitmap[v>>3] |= 1 << uint(v&7)
+		}
+	}
+	p = append(p, bitmap...)
+	for _, row := range rows {
+		total += len(row)
+	}
+	p = binary.AppendUvarint(p, uint64(total/2))
+	for _, row := range rows {
+		p = binary.AppendUvarint(p, uint64(len(row)))
+	}
+	for _, row := range rows {
+		for _, w := range row {
+			p = binary.AppendUvarint(p, uint64(w))
+		}
+	}
+	for v := 0; v <= slots; v++ {
+		parent := int64(tree.None)
+		if v < slots && live[v] {
+			parent = int64(slots)
+		}
+		p = binary.AppendVarint(p, parent)
+	}
+	return p
+}
+
+// hostileLive is the liveness of every hostileRows case: slot 3 is a hole.
+var hostileLive = []bool{true, true, true, false}
+
+// hostileRows are adjacencies a checkpoint can carry under a valid CRC that
+// no graph has. Each keeps the degree sum equal to twice the edge count, so
+// the decoder must find the fault in the rows themselves; want is a
+// fragment of the error it must report. The encoder writes every row
+// strictly increasing, so an unsorted row is rejected too.
+var hostileRows = []struct {
+	name string
+	rows [][]int
+	want string
+}{
+	{"self-loop", [][]int{{0, 2}, {0, 2}, {0, 1}, nil}, "self loop"},
+	{"duplicated entry", [][]int{{1, 1}, {0, 2}, {0, 1}, nil}, "duplicate edge"},
+	{"asymmetric entry", [][]int{{1}, {2}, nil, nil}, "asymmetric"},
+	{"edge to a hole", [][]int{{1, 3}, {0, 2}, {1, 3}, nil}, "non-vertex"},
+	{"edge past the slots", [][]int{{1, 9}, {0, 2}, {1, 9}, nil}, "leaves the vertex set"},
+	{"hole with edges", [][]int{{1, 3}, {0}, nil, {0}}, "hole 3"},
+	{"unsorted row", [][]int{{2, 1}, {0, 2}, {0, 1}, nil}, "not sorted"},
+}
+
+// TestCheckpointHostileRows feeds each hostile adjacency through
+// DecodeCheckpoint and requires ErrCorrupt naming the fault; the same
+// payload over valid rows must decode.
+func TestCheckpointHostileRows(t *testing.T) {
+	valid := [][]int{{1, 2}, {0, 2}, {0, 1}, nil}
+	c, err := DecodeCheckpoint(frameCheckpoint(checkpointPayload(valid, hostileLive)))
+	if err != nil || c.Graph.NumEdges() != 3 || c.Graph.IsVertex(3) {
+		t.Fatalf("valid rows: %v", err)
+	}
+	for _, h := range hostileRows {
+		_, err := DecodeCheckpoint(frameCheckpoint(checkpointPayload(h.rows, hostileLive)))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), h.want) {
+			t.Errorf("%s: decode error %v, want ErrCorrupt mentioning %q", h.name, err, h.want)
+		}
+	}
+}
+
 // FuzzCheckpointDecode drives arbitrary checkpoint bodies, framed with a
 // valid length and CRC, through DecodeCheckpoint. A decode either fails with
 // ErrCorrupt or yields a checkpoint whose re-encoding decodes to the same
@@ -57,6 +139,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0})
 	f.Add(binary.AppendUvarint([]byte{0, 0}, 1<<30))
 	f.Add(append(binary.AppendUvarint([]byte{0, 0, 0}, 1<<31), 0))
+	for _, h := range hostileRows {
+		f.Add(checkpointPayload(h.rows, hostileLive))
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		c, err := DecodeCheckpoint(frameCheckpoint(payload))
 		if err != nil {

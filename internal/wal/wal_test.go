@@ -330,13 +330,9 @@ func TestInjectorFailSync(t *testing.T) {
 
 func buildCheckpoint(t testing.TB) *Checkpoint {
 	t.Helper()
-	g := graph.New(6)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {1, 4}} {
-		if err := g.InsertEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.DeleteVertex(5); err != nil { // a hole in the slot space
+	g := graph.MustFromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}, {U: 1, V: 4}})
+	g, err := g.DeleteVertex(5) // a hole in the slot space
+	if err != nil {
 		t.Fatal(err)
 	}
 	dd := core.New(g, core.Options{})

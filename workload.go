@@ -42,11 +42,11 @@ func GridGraph(rows, cols int) *Graph { return graph.Grid(rows, cols) }
 func CycleOfCliques(k, s int) *Graph { return graph.CycleOfCliques(k, s) }
 
 // RandomNonEdge returns a uniformly random absent edge, if one exists.
-func RandomNonEdge(g Adjacency, rng *rand.Rand) (Edge, bool) {
+func RandomNonEdge(g *Graph, rng *rand.Rand) (Edge, bool) {
 	return graph.RandomEdgeNotIn(g, rng)
 }
 
 // RandomEdge returns a uniformly random present edge, if one exists.
-func RandomEdge(g Adjacency, rng *rand.Rand) (Edge, bool) {
+func RandomEdge(g *Graph, rng *rand.Rand) (Edge, bool) {
 	return graph.RandomExistingEdge(g, rng)
 }
