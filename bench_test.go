@@ -424,17 +424,13 @@ func BenchmarkBuildDExec(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateExec compares the rerooting executors and D's two fully
-// dynamic maintenance modes on the same update stream: exec=dfs (the
-// default SubtreeDFS executor, one static DFS per rerooted subtree) vs
-// exec=parallel (the paper's Section 4 engine), and mode=incremental (the
-// default — Update repositions only moved entries, falling back to a
-// rebuild on high churn) vs mode=rebuild (Options.FullRebuildD, the
-// paper's literal per-update m-processor rebuild). On low-churn updates the
-// incremental rows drop the O(m) per-update term: their cost tracks the
-// moved set, not the graph, and flattens as n grows with fixed churn.
-// incfrac/op reports the fraction of updates that stayed on the
-// incremental path.
+// BenchmarkUpdateExec compares the rerooting executors on the same update
+// stream: exec=dfs (the default SubtreeDFS executor, one static DFS per
+// rerooted subtree) vs exec=parallel (the paper's Section 4 engine), both
+// with D maintained incrementally (Update repositions only moved entries,
+// falling back to a rebuild on high churn). On low-churn updates the cost
+// tracks the moved set, not the graph. incfrac/op reports the fraction of
+// updates that stayed on the incremental path.
 func BenchmarkUpdateExec(b *testing.B) {
 	execs := []struct {
 		name string
@@ -442,29 +438,22 @@ func BenchmarkUpdateExec(b *testing.B) {
 	}{{"dfs", SubtreeDFS}, {"parallel", Parallel}}
 	for _, n := range []int{4096, 100000} {
 		for _, x := range execs {
-			for _, mode := range []string{"incremental", "rebuild"} {
-				b.Run(fmt.Sprintf("n=%d/exec=%s/mode=%s", n, x.name, mode), func(b *testing.B) {
-					rng := rand.New(rand.NewSource(1))
-					g := GnpConnected(n, 3.0/float64(n), rng)
-					mach := pram.NewMachine(2*g.NumEdges() + g.NumVertexSlots() + 1)
-					m := NewMaintainerWith(g, Options{
-						RebuildD:     true,
-						FullRebuildD: mode == "rebuild",
-						Machine:      mach,
-						Executor:     x.x,
-					})
-					es := newBenchEdges(g)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						benchUpdate(b, m, es, rng)
-					}
-					b.StopTimer()
-					inc, reb := m.D().MaintenanceCounts()
-					if total := inc + reb; total > 0 {
-						b.ReportMetric(float64(inc)/float64(total), "incfrac/op")
-					}
-				})
-			}
+			b.Run(fmt.Sprintf("n=%d/exec=%s", n, x.name), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				g := GnpConnected(n, 3.0/float64(n), rng)
+				mach := pram.NewMachine(2*g.NumEdges() + g.NumVertexSlots() + 1)
+				m := NewMaintainerWith(g, Options{RebuildD: true, Machine: mach, Executor: x.x})
+				es := newBenchEdges(g)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchUpdate(b, m, es, rng)
+				}
+				b.StopTimer()
+				inc, reb := m.D().MaintenanceCounts()
+				if total := inc + reb; total > 0 {
+					b.ReportMetric(float64(inc)/float64(total), "incfrac/op")
+				}
+			})
 		}
 	}
 }
@@ -472,49 +461,42 @@ func BenchmarkUpdateExec(b *testing.B) {
 // BenchmarkUpdateExecLowChurn isolates the acceptance shape for incremental
 // D maintenance: a fixed-churn workload (alternating back-edge insert/delete
 // of one far-apart vertex pair — the tree never changes) across growing n.
-// Under mode=rebuild the per-update cost grows with m; under
-// mode=incremental it stays flat.
+// The per-update cost stays flat as n, and with it m, grows.
 func BenchmarkUpdateExecLowChurn(b *testing.B) {
 	for _, n := range []int{4096, 16384, 100000} {
-		for _, mode := range []string{"incremental", "rebuild"} {
-			b.Run(fmt.Sprintf("n=%d/mode=%s", n, mode), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(1))
-				g := GnpConnected(n, 3.0/float64(n), rng)
-				m := NewMaintainerWith(g, Options{
-					RebuildD:     true,
-					FullRebuildD: mode == "rebuild",
-				})
-				// A non-edge whose endpoints are tree-comparable: inserting
-				// it is a back edge, the lowest-churn update there is.
-				tr := m.Tree()
-				u, v := -1, -1
-				for x := 0; x < g.NumVertexSlots() && u < 0; x++ {
-					if !tr.Present(x) || tr.Level(x) < 3 {
-						continue
-					}
-					a := tr.Parent[tr.Parent[tr.Parent[x]]]
-					if a != m.PseudoRoot() && !m.Graph().HasEdge(x, a) {
-						u, v = x, a
-					}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			g := GnpConnected(n, 3.0/float64(n), rng)
+			m := NewMaintainerWith(g, Options{RebuildD: true})
+			// A non-edge whose endpoints are tree-comparable: inserting
+			// it is a back edge, the lowest-churn update there is.
+			tr := m.Tree()
+			u, v := -1, -1
+			for x := 0; x < g.NumVertexSlots() && u < 0; x++ {
+				if !tr.Present(x) || tr.Level(x) < 3 {
+					continue
 				}
-				if u < 0 {
-					b.Skip("no comparable non-edge found")
+				a := tr.Parent[tr.Parent[tr.Parent[x]]]
+				if a != m.PseudoRoot() && !m.Graph().HasEdge(x, a) {
+					u, v = x, a
 				}
-				_ = rng
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var err error
-					if i%2 == 0 {
-						err = m.InsertEdge(u, v)
-					} else {
-						err = m.DeleteEdge(u, v)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
+			}
+			if u < 0 {
+				b.Skip("no comparable non-edge found")
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if i%2 == 0 {
+					err = m.InsertEdge(u, v)
+				} else {
+					err = m.DeleteEdge(u, v)
 				}
-			})
-		}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

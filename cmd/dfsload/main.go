@@ -390,12 +390,12 @@ func main() {
 	// one's exact meter sample alongside.
 	if hot := svc.HotGraphs(*hotK); len(hot) > 0 {
 		fmt.Printf("\n%-4s %-14s %5s %8s %8s %12s %10s %9s %12s\n",
-			"hot", "graph", "shard", "updates", "rejects", "apply", "wal bytes", "idx b/p", "est cost")
+			"hot", "graph", "shard", "updates", "rejects", "apply", "wal bytes", "idx build", "est cost")
 		for i, hg := range hot {
-			fmt.Printf("%-4d %-14s %5d %8d %8d %12v %10d %4d/%-4d %12v\n",
+			fmt.Printf("%-4d %-14s %5d %8d %8d %12v %10d %9d %12v\n",
 				i+1, hg.Graph, hg.Shard, hg.Applied, hg.Rejected,
 				hg.ApplyTime.Round(time.Microsecond), hg.WALBytes,
-				hg.IndexBuilds, hg.IndexPatches,
+				hg.IndexBuilds,
 				time.Duration(hg.EstCost).Round(time.Microsecond))
 		}
 	}
@@ -416,7 +416,6 @@ func main() {
 	fmt.Printf("         snapshot publish %s\n", pq(m.PublishHist))
 	fmt.Printf("         query resolve   %s\n", pq(m.QueryResolveHist))
 	fmt.Printf("         index build     %s\n", pq(m.IndexBuildHist))
-	fmt.Printf("         index patch     %s\n", pq(m.IndexPatchHist))
 
 	// Where the update loops' wall-clock went, stage by stage.
 	if total := m.Stages.Total(); total > 0 {
@@ -460,13 +459,6 @@ func main() {
 			idxQueries.Load(), float64(idxQueries.Load())/secs,
 			100*float64(m.IndexCacheHits)/float64(lookups), lookups,
 			m.IndexCacheEvictions, m.IndexBuilds, m.IndexBuildTime.Round(time.Microsecond))
-		meanPatch := time.Duration(0)
-		if m.IndexPatches > 0 {
-			meanPatch = m.IndexPatchTime / time.Duration(m.IndexPatches)
-		}
-		fmt.Printf("index maintenance: %d patched vs %d fresh-built (%d fallbacks), mean patch %v\n",
-			m.IndexPatches, m.IndexBuilds, m.IndexPatchFallbacks,
-			meanPatch.Round(time.Microsecond))
 	}
 }
 

@@ -59,14 +59,16 @@
 // (articulation points, bridges, component IDs) from derived indexes —
 // each built at most once per snapshot version under a singleflight guard
 // and retained in a bounded per-shard LRU, so warm queries do zero index
-// construction. NewSnapshotQuery is the standalone (uncached) equivalent
-// for any frozen graph+tree pair.
+// construction. The LCA index, which also answers the level ancestors, is
+// the maintainer's own, published with each snapshot, so those queries
+// build nothing even on a new version. NewSnapshotQuery is the standalone
+// (uncached) equivalent for any frozen graph+tree pair.
 //
 // # Observability
 //
 // Service.Metrics samples per-shard operational counters with lock-free
 // log-bucketed latency histograms (update apply, mailbox wait, snapshot
-// publish, batch size, index build/patch, query resolution) and a
+// publish, batch size, index build, query resolution) and a
 // cumulative stage-time breakdown of the update loops; Service.SlowTraces
 // returns the slowest retained per-update stage traces. Metrics is a pure
 // read: rates derive from monotonic cumulative counters cut into windows by
@@ -75,11 +77,11 @@
 // sampler's ring buffers give every shard a scrape-independent time-series
 // (Service.History). Cost is attributed per tenant: every graph carries a
 // TenantMeter (applied/rejected updates, apply/engine/dmaint time, WAL
-// bytes, index builds/patches — Service.TenantMetrics), and a per-shard
+// bytes, index builds — Service.TenantMetrics), and a per-shard
 // Space-Saving sketch ranks the most expensive graphs with bounded memory
 // (Service.HotGraphs). Service.DebugHandler serves all of it — metrics,
 // tenants, history, slow traces, a Prometheus text exposition at
-// /debug/metrics, expvar and pprof — as a live HTTP debug endpoint
+// /debug/metrics and pprof — as a live HTTP debug endpoint
 // (cmd/dfsload mounts it under -debugaddr). Tracing is nil-gated in the
 // maintainer, so single-tenant users pay nothing.
 package dfs
@@ -222,7 +224,7 @@ type ServiceShardMetrics = service.ShardMetrics
 
 // TenantMetrics is one graph's cumulative cost attribution — applied and
 // rejected updates, apply/engine/dmaint wall-clock, WAL bytes appended,
-// index builds/patches — sampled lock-free by Service.TenantMetrics.
+// index builds — sampled lock-free by Service.TenantMetrics.
 type TenantMetrics = service.TenantMetrics
 
 // TenantCounters is the raw counter sample embedded in TenantMetrics.
@@ -261,11 +263,6 @@ type UpdateTrace = obs.Trace
 // StageTimes is the cumulative per-stage wall-clock breakdown within
 // ServiceMetrics: where the update loops' time actually went.
 type StageTimes = service.StageTimes
-
-// MetricsRegistry is the pull-based observability registry behind
-// Service.Obs and the /debug/obs endpoint: named sampling functions over
-// the service's shards, machines and index caches.
-type MetricsRegistry = obs.Registry
 
 // QueryHandle is the snapshot analytics engine's version-pinned handle:
 // LCA, level/k-th ancestors, subtree aggregates, tree paths and the full
@@ -345,7 +342,7 @@ func OpenService(cfg ServiceConfig) (*Service, error) { return service.Open(cfg)
 // Maintainer's Graph/Tree/PseudoRoot. The serving layer's Service.Query is
 // the cached equivalent.
 func NewSnapshotQuery(g *Graph, t *Tree, pseudoRoot int) *QueryHandle {
-	return snapquery.New(g, t, pseudoRoot)
+	return snapquery.New(g, t, pseudoRoot, nil)
 }
 
 // NewStreaming builds the semi-streaming maintainer over g's edges.

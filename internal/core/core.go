@@ -24,7 +24,7 @@
 // new tree after each update: the engine reports the moved-vertex set and
 // dstruct.D.Update repositions exactly the entries naming moved vertices,
 // falling back to the paper's m-processor ground-up rebuild only on
-// high-churn updates (or always, under Options.FullRebuildD). With
+// high-churn updates. With
 // rebuilding disabled the maintainer accumulates patches on the original D
 // instead, which is the engine of the fault-tolerant algorithm
 // (Theorem 14).
@@ -76,30 +76,6 @@ type Update struct {
 	Neighbors []int
 }
 
-// Delta describes how one applied update changed the DFS tree, retained on
-// the update result for downstream consumers: the serving layer stamps it
-// onto published snapshots so the analytics engine can patch its derived
-// indexes version-to-version instead of rebuilding them (the same
-// information dstruct.D.Update consumes to maintain D incrementally). A
-// Delta is immutable: the maintainer copies the engine's scratch-owned
-// accumulators before the next update reuses them.
-type Delta struct {
-	// Moved lists the vertices whose root path changed: the old-tree vertex
-	// sets of every rerooted or re-hung subtree plus newly attached vertices.
-	// Every other present vertex keeps its parent, its level, and its
-	// relative pre/post order — the reduction argument the incremental
-	// consumers rely on.
-	Moved []int
-	// Removed lists the vertices the update deleted from the tree (the
-	// deleted vertex of a DeleteVertex update). They appear in the previous
-	// tree but not the new one, and never appear in Moved.
-	Removed []int
-	// SameTree declares that the tree object and its numbering are exactly
-	// as before the update (a back-edge insert or delete): only the graph's
-	// edge set changed.
-	SameTree bool
-}
-
 // Options configure a DynamicDFS.
 type Options struct {
 	// RebuildD controls whether D is refreshed after every update (fully
@@ -107,14 +83,8 @@ type Options struct {
 	// tree accumulating patches (the fault tolerant algorithm's use). In
 	// refresh mode D is maintained incrementally from the engine's
 	// moved-vertex set, falling back to a ground-up rebuild on high-churn
-	// updates; see FullRebuildD.
+	// updates.
 	RebuildD bool
-	// FullRebuildD forces refresh mode to rebuild D from scratch after
-	// every update — the paper's literal m-processor rebuild (Theorem 13) —
-	// instead of maintaining it incrementally. It exists as the benchmark
-	// baseline and for differential tests; production callers should leave
-	// it off.
-	FullRebuildD bool
 	// Headroom reserves vertex-ID slots between the graph and the pseudo
 	// root so vertex insertions do not displace it. Default 64.
 	Headroom int
@@ -155,15 +125,12 @@ type DynamicDFS struct {
 	m      *pram.Machine
 	pseudo int
 
-	rebuildD     bool
-	fullRebuildD bool
-	headroom     int
-	exec         Executor
-	present      []bool // presence mask reused by every tree build
-	lastStats    reroot.Stats
-	lastDelta    *Delta // nil when the last update yielded no usable delta
-	relocated    bool   // pseudo root relocated during the in-flight update
-	updates      int
+	rebuildD  bool
+	headroom  int
+	exec      Executor
+	present   []bool // presence mask reused by every tree build
+	lastStats reroot.Stats
+	updates   int
 
 	qstats  dstruct.Stats // query search effort accumulated across updates
 	scratch reroot.Scratch
@@ -179,7 +146,7 @@ type DynamicDFS struct {
 
 // SetTrace attaches (or, with nil, detaches) the per-update trace the next
 // Apply fills in: the engine and D-maintenance stage durations, the
-// maintenance outcome ("incremental", "fallback", "rebuild", "pinned"), the
+// maintenance outcome ("incremental", "fallback", "pinned"), the
 // back-edge SameTree tag, and the moved/removed set sizes. The serving
 // layer attaches a fresh trace around every update it applies; single-
 // tenant drivers may do the same. The attached trace stays installed until
@@ -201,12 +168,11 @@ func New(g *graph.Persistent, opt Options) *DynamicDFS {
 		m = pram.NewMachine(2*g.NumEdges() + g.NumVertexSlots() + 1)
 	}
 	dd := &DynamicDFS{
-		g:            g,
-		m:            m,
-		rebuildD:     opt.RebuildD,
-		fullRebuildD: opt.FullRebuildD,
-		headroom:     opt.Headroom,
-		exec:         opt.Executor,
+		g:        g,
+		m:        m,
+		rebuildD: opt.RebuildD,
+		headroom: opt.Headroom,
+		exec:     opt.Executor,
 	}
 	dd.pseudo = dd.g.NumVertexSlots() + dd.headroom
 	dd.t = baseline.StaticDFSUnder(dd.g, dd.pseudo)
@@ -266,15 +232,14 @@ func NewDynamicRestored(g *graph.Persistent, t *tree.Tree, pseudo, updates int, 
 		m = pram.NewMachine(2*g.NumEdges() + g.NumVertexSlots() + 1)
 	}
 	dd := &DynamicDFS{
-		g:            g,
-		t:            t,
-		m:            m,
-		pseudo:       pseudo,
-		updates:      updates,
-		rebuildD:     true,
-		fullRebuildD: opt.FullRebuildD,
-		headroom:     pseudo - g.NumVertexSlots(),
-		exec:         opt.Executor,
+		g:        g,
+		t:        t,
+		m:        m,
+		pseudo:   pseudo,
+		updates:  updates,
+		rebuildD: true,
+		headroom: pseudo - g.NumVertexSlots(),
+		exec:     opt.Executor,
 	}
 	dd.d = dstruct.Build(dd.g, dd.t, dd.m)
 	dd.l = dd.d.LCA
@@ -308,13 +273,11 @@ func (dd *DynamicDFS) Machine() *pram.Machine { return dd.m }
 // LastStats returns the rerooting statistics of the most recent update.
 func (dd *DynamicDFS) LastStats() reroot.Stats { return dd.lastStats }
 
-// LastDelta returns the immutable tree delta of the most recent update, or
-// nil when no usable delta exists: before the first update, in the
-// full-rebuild and fault-tolerant modes (which do not track the moved set),
-// after a pseudo-root relocation (the whole numbering changed), and after an
-// error-recovery rebuild. Callers may retain the returned Delta across later
-// updates.
-func (dd *DynamicDFS) LastDelta() *Delta { return dd.lastDelta }
+// LCA returns the LCA index of the current tree: in fully dynamic mode D's
+// embedded index, otherwise one built for the engine. It always indexes
+// Tree(), and like the tree it is immutable and replaced, never mutated, so
+// a caller may publish it with the tree and query it after later updates.
+func (dd *DynamicDFS) LCA() *lca.Index { return dd.l }
 
 // QueryStats returns the D-query search effort accumulated over every
 // update processed so far (each update's engine threads a per-call
@@ -381,12 +344,8 @@ func (dd *DynamicDFS) apply(kind UpdateKind, p reroot.Plan) error {
 // whose relative post-order can differ from the previous tree), removed the
 // vertices the update deleted from the tree; sameTree is set by the
 // back-edge fast paths, where the tree object and its numbering are
-// untouched and D only needs to absorb the update's patches. It also stamps
-// dd.lastDelta for downstream incremental consumers: moved/removed are
-// copied (they alias the engine's per-update scratch), and the delta is
-// withheld entirely in the modes that do not track the moved set and across
-// a pseudo-root relocation, whose renaming invalidates the locality
-// argument.
+// untouched and D only needs to absorb the update's patches (and keeps its
+// LCA index).
 func (dd *DynamicDFS) installTree(nt *tree.Tree, moved, removed []int, sameTree bool) {
 	dd.t = nt
 	dd.updates++
@@ -396,21 +355,14 @@ func (dd *DynamicDFS) installTree(nt *tree.Tree, moved, removed []int, sameTree 
 	}
 	outcome := "pinned"
 	if dd.rebuildD {
-		if dd.fullRebuildD {
-			// Baseline mode: the paper's literal m-processor rebuild,
-			// charged as such and executed in place sequentially.
-			dd.d.Rebuild(dd.g, dd.t, dd.m)
-			outcome = "rebuild"
+		// Incremental maintenance: reposition only the entries naming moved
+		// vertices and absorb the update's patches; D falls back to the
+		// full rebuild by itself when the churn ratio makes the incremental
+		// pass more expensive.
+		if dd.d.Update(dd.g, dd.t, dstruct.UpdateDelta{Moved: moved, SameTree: sameTree}) {
+			outcome = "incremental"
 		} else {
-			// Incremental maintenance: reposition only the entries naming
-			// moved vertices and absorb the update's patches; D falls back
-			// to the full rebuild by itself when the churn ratio makes the
-			// incremental pass more expensive.
-			if dd.d.Update(dd.g, dd.t, dstruct.UpdateDelta{Moved: moved, SameTree: sameTree}) {
-				outcome = "incremental"
-			} else {
-				outcome = "fallback"
-			}
+			outcome = "fallback"
 		}
 		// dd.l aliases the freshly maintained index.
 		dd.l = dd.d.LCA
@@ -426,16 +378,6 @@ func (dd *DynamicDFS) installTree(nt *tree.Tree, moved, removed []int, sameTree 
 		tr.SameTree = sameTree
 		tr.Moved, tr.Removed = len(moved), len(removed)
 	}
-	if dd.rebuildD && !dd.fullRebuildD && !dd.relocated {
-		dd.lastDelta = &Delta{
-			Moved:    append([]int(nil), moved...),
-			Removed:  append([]int(nil), removed...),
-			SameTree: sameTree,
-		}
-	} else {
-		dd.lastDelta = nil
-	}
-	dd.relocated = false
 }
 
 // planner reduces the in-flight update against the current tree, charging
@@ -449,9 +391,9 @@ func (dd *DynamicDFS) planner() reroot.Planner {
 func (dd *DynamicDFS) engine() *reroot.Engine {
 	e := reroot.NewWithScratch(dd.t, dd.l, dd.d, dd.m, &dd.scratch)
 	e.Executor, e.G = dd.exec, dd.g
-	// Only the incremental D path consumes the moved set; other modes must
-	// not pay the subtree walks that accumulate it.
-	e.TrackMoved = dd.rebuildD && !dd.fullRebuildD
+	// Only the incremental D path consumes the moved set; the pinned mode
+	// must not pay the subtree walks that accumulate it.
+	e.TrackMoved = dd.rebuildD
 	return e
 }
 
@@ -459,10 +401,6 @@ func (dd *DynamicDFS) engine() *reroot.Engine {
 // headroom, renaming it in the tree (all other vertex IDs are stable) and
 // rebuilding the derived structures.
 func (dd *DynamicDFS) relocatePseudo() {
-	// Relocation renames the root and renumbers the whole tree; the in-flight
-	// update's moved set no longer bounds what changed, so its delta is
-	// withheld (the flag is consumed by installTree at the end of the update).
-	dd.relocated = true
 	oldPseudo := dd.pseudo
 	dd.headroom *= 2
 	dd.pseudo = dd.g.NumVertexSlots() + dd.headroom
@@ -482,14 +420,10 @@ func (dd *DynamicDFS) relocatePseudo() {
 	}
 	dd.t = tree.MustBuild(dd.pseudo, parent, dd.presentMask())
 	if dd.rebuildD {
-		if dd.fullRebuildD {
-			dd.d.Rebuild(dd.g, dd.t, dd.m)
-		} else {
-			// Renaming the pseudo root moves no graph vertex relative to any
-			// other (the root's children keep their ID order), so this is a
-			// relabel-only incremental update with an empty moved set.
-			dd.d.Update(dd.g, dd.t, dstruct.UpdateDelta{})
-		}
+		// Renaming the pseudo root moves no graph vertex relative to any
+		// other (the root's children keep their ID order), so this is a
+		// relabel-only incremental update with an empty moved set.
+		dd.d.Update(dd.g, dd.t, dstruct.UpdateDelta{})
 		dd.l = dd.d.LCA
 	} else {
 		// Unreachable today (InsertVertex rejects relocation in

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/tree"
 	"repro/internal/verify"
 )
 
@@ -14,9 +13,11 @@ import (
 // one decoded update sequence. The two executors run the same reduction
 // and build different, equally valid DFS trees, so parent arrays are not
 // compared: after every step both must agree on whether the update was
-// rejected, hold the same graph, carry a valid DFS forest with D in sync,
-// and the SubtreeDFS side's Delta must name every vertex whose parent
-// changed (the incremental consumers rely on it).
+// rejected, hold the same graph, and carry a valid DFS forest with D in
+// sync. D's incremental pass is fed only the executor's moved set, so
+// D.CheckSynced fails when that set misses a vertex; it also checks D's
+// embedded LCA index, the one LCA() returns and the serving layer
+// publishes.
 //
 // Input layout: byte 0 picks n (4..12), byte 1 the number of initial edge
 // bytes (each packs two endpoints in its nibbles), then three bytes per
@@ -55,7 +56,6 @@ func FuzzExecutorParity(f *testing.F) {
 		for step := 0; step < 40 && len(data) >= 3; step++ {
 			u := decodeFuzzUpdate(dfs, data[0], data[1], data[2])
 			data = data[3:]
-			prev := dfs.Tree()
 			_, dfsErr := dfs.Apply(u)
 			_, parErr := par.Apply(u)
 			ctx := fmt.Sprintf("step %d %+v", step, u)
@@ -63,9 +63,6 @@ func FuzzExecutorParity(f *testing.F) {
 				t.Fatalf("%s: subtree-DFS error %v, parallel error %v", ctx, dfsErr, parErr)
 			}
 			checkExecutorParity(t, dfs, par, ctx)
-			if dfsErr == nil {
-				checkDeltaCoversMoves(t, prev, dfs, ctx)
-			}
 		}
 	})
 }
@@ -136,30 +133,8 @@ func checkExecutorParity(t *testing.T, dfs, par *DynamicDFS, ctx string) {
 		if err := dd.D().CheckSynced(dd.Graph(), dd.Tree()); err != nil {
 			t.Fatalf("%s: %s: %v", ctx, name, err)
 		}
-	}
-}
-
-// checkDeltaCoversMoves asserts that every present vertex of dd's tree
-// whose parent differs from prev's is new or listed in the update's Delta.
-// A nil delta (a pseudo-root relocation) promises nothing.
-func checkDeltaCoversMoves(t *testing.T, prev *tree.Tree, dd *DynamicDFS, ctx string) {
-	t.Helper()
-	delta := dd.LastDelta()
-	if delta == nil {
-		return
-	}
-	moved := make(map[int]bool, len(delta.Moved))
-	for _, v := range delta.Moved {
-		moved[v] = true
-	}
-	nt := dd.Tree()
-	for v := 0; v < nt.N(); v++ {
-		if !nt.Present(v) || !prev.Present(v) || moved[v] {
-			continue
-		}
-		if nt.Parent[v] != prev.Parent[v] {
-			t.Fatalf("%s: parent of %d changed %d -> %d, but the delta's moved set %v omits it",
-				ctx, v, prev.Parent[v], nt.Parent[v], delta.Moved)
+		if dd.LCA() != dd.D().LCA {
+			t.Fatalf("%s: %s: LCA() is not D's embedded index", ctx, name)
 		}
 	}
 }

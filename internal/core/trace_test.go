@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dstruct"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
@@ -94,31 +95,21 @@ func TestApplyTraceStages(t *testing.T) {
 	}
 }
 
-// TestApplyTraceRebuildOutcome pins the forced-rebuild tag.
+// TestApplyTraceRebuildOutcome pins the tag of a ground-up D rebuild: on
+// a cycle, deleting one tree edge reroots nearly the whole tree, so D's
+// incremental pass declines on churn and rebuilds ("fallback").
 func TestApplyTraceRebuildOutcome(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	g := graph.GnpConnected(128, 3.0/128, rng)
-	dd := New(g, Options{RebuildD: true, FullRebuildD: true})
+	dd := New(graph.Cycle(128), Options{RebuildD: true})
 	var trace obs.Trace
 	dd.SetTrace(&trace)
-	// Any successful update in FullRebuildD mode rebuilds D from scratch.
-	eu, ev := -1, -1
-	for a := 0; a < 128 && eu < 0; a++ {
-		for b := a + 1; b < 128; b++ {
-			if !dd.Graph().HasEdge(a, b) {
-				eu, ev = a, b
-				break
-			}
-		}
-	}
-	if eu < 0 {
-		t.Skip("graph is complete")
-	}
-	if err := dd.InsertEdge(eu, ev); err != nil {
+	if err := dd.DeleteEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if trace.Outcome != "rebuild" {
-		t.Fatalf("FullRebuildD outcome %q, want rebuild", trace.Outcome)
+	if trace.Outcome != "fallback" {
+		t.Fatalf("churn-heavy outcome %q (moved %d), want fallback", trace.Outcome, trace.Moved)
+	}
+	if got := dd.D().LastMaintenance(); got != dstruct.MaintenanceRebuild {
+		t.Fatalf("D maintenance %v, want rebuild", got)
 	}
 	if trace.DMaint <= 0 {
 		t.Fatalf("rebuild dmaint span %v, want > 0", trace.DMaint)

@@ -21,7 +21,6 @@ func (dd *DynamicDFS) Apply(u Update) (int, error) {
 // InsertEdge inserts edge (u,v); see reroot.Planner.InsertEdge for the
 // reduction (case ii).
 func (dd *DynamicDFS) InsertEdge(u, v int) error {
-	dd.lastDelta = nil // re-established by installTree on success
 	ng, err := dd.g.InsertEdge(u, v)
 	if err != nil {
 		return err
@@ -35,7 +34,6 @@ func (dd *DynamicDFS) InsertEdge(u, v int) error {
 // reduction (case i). Whether (u,v) is a tree edge is decided only after the
 // graph has validated it.
 func (dd *DynamicDFS) DeleteEdge(u, v int) error {
-	dd.lastDelta = nil // re-established by installTree on success
 	ng, err := dd.g.DeleteEdge(u, v)
 	if err != nil {
 		return err
@@ -48,7 +46,6 @@ func (dd *DynamicDFS) DeleteEdge(u, v int) error {
 // DeleteVertex deletes vertex u; see reroot.Planner.DeleteVertex for the
 // reduction (case iii).
 func (dd *DynamicDFS) DeleteVertex(u int) error {
-	dd.lastDelta = nil // re-established by installTree on success
 	if !dd.g.IsVertex(u) {
 		return fmt.Errorf("core: delete of non-vertex %d", u)
 	}
@@ -65,7 +62,6 @@ func (dd *DynamicDFS) DeleteVertex(u int) error {
 // InsertVertex inserts a vertex adjacent to neighbors and returns its ID;
 // see reroot.Planner.InsertVertex for the reduction (case iv).
 func (dd *DynamicDFS) InsertVertex(neighbors []int) (int, error) {
-	dd.lastDelta = nil // re-established by installTree on success
 	if dd.g.NumVertexSlots()+1 >= dd.pseudo {
 		// The next ID would collide with the pseudo root. In fully dynamic
 		// mode D is rebuilt per update anyway, so relocate the pseudo root

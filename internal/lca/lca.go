@@ -20,12 +20,12 @@
 // every query, width 32 cost churn updates 3–19% more CPU than width 8; the
 // longer scans outweighed the cheaper build.
 //
-// Consecutive trees of the dynamic maintainer share almost all of their
-// Euler tour (unmoved subtrees keep their vertex sets, child order and
-// levels), so besides Build the package offers Patch, which splices clean
-// subtrees' tour segments out of a previous index, and Shared, which reuses
-// a previous index verbatim across a pure detachment. CheckSynced is the
-// differential oracle for all three.
+// The core maintainer builds one index per DFS tree (D's embedded index)
+// and the serving layer publishes that same index with each snapshot, so
+// the snapshot analytics engine reads it instead of building its own.
+// Besides LCA, the index answers level-ancestor queries (AncestorAtDepth)
+// by binary search over the same block minima. CheckSynced is the
+// differential oracle: an index must equal a fresh Build of its tree.
 package lca
 
 import (
@@ -39,60 +39,19 @@ import (
 const block = 8
 
 // Index answers LCA queries over one frozen tree. All arrays are immutable
-// after Build/Patch, so an Index may be shared by any number of readers and
-// by later indexes (Shared).
+// after Build, so an Index may be shared by any number of readers.
 type Index struct {
-	tour   []int32   // Euler walk, 2·live-1 vertices when exact (see stale)
+	tour   []int32   // Euler walk, 2·live-1 vertices
 	depth  []int32   // depth[i] = level of tour[i]
 	first  []int32   // first occurrence of v in tour; -1 for holes
 	pre    []uint8   // offset in i's block of the min depth on [block start, i]
 	suf    []uint8   // offset in i's block of the min depth on [i, block end]
 	sparse [][]int32 // sparse[k][b]: min position over blocks [b, b+2^k)
-
-	// stale marks a tour shared across one or more pure detachments (no
-	// surviving vertex moved): it is the exact tour of an earlier tree and
-	// still answers every query on vertices of the current one — removed
-	// vertices' leftover occurrences lie strictly below any live range
-	// minimum — but its segment offsets no longer match the current tree,
-	// so it cannot serve as the base of a later Patch.
-	stale bool
 }
 
 // Build constructs the index from scratch: one Euler walk plus the
 // block-minima span pass.
-func Build(t *tree.Tree) *Index { return build(t, nil) }
-
-// Patch derives the index of t from par, the index of an earlier tree, by
-// splicing the Euler tour: one walk over t that copies par's tour segment
-// for every child subtree T(c) with clean(c) and emits the rest vertex by
-// vertex. clean(c) must hold only when T(c) has the same vertex set, child
-// order and levels in both trees (no vertex moved, removed or added inside
-// it); its segment is then byte-identical in both tours. first and the
-// block spans are refilled in one O(tour) int32 pass each.
-//
-// Patch returns nil when par is stale: a shared tour's segment offsets
-// include the detached vertices' occurrences, so the caller must Build.
-func Patch(par *Index, t *tree.Tree, clean func(v int) bool) *Index {
-	if par.stale {
-		return nil
-	}
-	return build(t, func(ix *Index, c int) bool {
-		if c >= len(par.first) || par.first[c] < 0 || !clean(c) {
-			return false
-		}
-		lo := par.first[c]
-		hi := lo + int32(2*t.Size(c)-1)
-		ix.tour = append(ix.tour, par.tour[lo:hi]...)
-		ix.depth = append(ix.depth, par.depth[lo:hi]...)
-		return true
-	})
-}
-
-// build walks t's Euler tour into a fresh index, then fills first and the
-// spans. For every child c the walk first offers splice(ix, c) (when
-// non-nil), which may append T(c)'s whole segment itself and return true;
-// the walk then skips T(c) and only re-emits c's parent.
-func build(t *tree.Tree, splice func(ix *Index, c int) bool) *Index {
+func Build(t *tree.Tree) *Index {
 	m := 2*t.Live() - 1
 	ix := &Index{
 		tour:  make([]int32, 0, m),
@@ -111,10 +70,6 @@ func build(t *tree.Tree, splice func(ix *Index, c int) bool) *Index {
 		if kids := t.Children(f.v); f.ci < len(kids) {
 			c := kids[f.ci]
 			f.ci++
-			if splice != nil && splice(ix, c) {
-				emit(f.v)
-				continue
-			}
 			emit(c)
 			stack = append(stack, frame{c, 0})
 			continue
@@ -134,17 +89,6 @@ func build(t *tree.Tree, splice func(ix *Index, c int) bool) *Index {
 	}
 	ix.span()
 	return ix
-}
-
-// Shared returns an index over the current tree that reuses ix's arrays
-// verbatim. It is valid only when no vertex of the current tree changed its
-// root path since ix's tree (a pure detachment, or no change at all).
-// detached reports whether vertices were removed since; the result is then
-// stale and declines to serve as a Patch base.
-func (ix *Index) Shared(detached bool) *Index {
-	cp := *ix
-	cp.stale = ix.stale || detached
-	return &cp
 }
 
 // span computes the in-block prefix/suffix minima and the sparse table over
@@ -220,57 +164,64 @@ func (ix *Index) LCA(u, v int) int {
 	return int(ix.tour[int32(best)])
 }
 
-// CheckSynced verifies that ix answers for t: an exact index must equal
-// Build(t) entry for entry (tour, depths, every live vertex's first
-// occurrence); a stale one must reduce to Build(t)'s tour after dropping
-// the occurrences of vertices absent from t and collapsing the adjacent
-// duplicates each excision leaves, with every live first[] indexing one of
-// the vertex's own occurrences (any occurrence is a valid RMQ endpoint).
-// Either way the in-block minima and the sparse table must be those of
-// ix's own tour. Entries at hole slots are not checked. It is O(n) and
-// allocates a fresh index; nil means in sync.
+// AncestorAtDepth returns the ancestor of tree vertex v whose level is d
+// (v itself when d >= v's level), or -1 when d is above the root. It is the
+// tour entry at the largest position <= first[v] whose depth is <= d: every
+// entry after the ancestor's last visit before first[v] lies inside the
+// subtree of its child toward v, so deeper than d. The search scans v's own
+// block, then jumps leftward over whole blocks whose minimum is deeper than
+// d with the sparse table (largest jumps first), then scans the block it
+// stops at: O(log n), no extra arrays.
+func (ix *Index) AncestorAtDepth(v, d int) int {
+	p := ix.first[v]
+	if p < 0 {
+		panic(fmt.Sprintf("lca: level-ancestor query on non-tree vertex %d", v))
+	}
+	dd := int32(d)
+	lo := p / block * block
+	for q := p; q >= lo; q-- {
+		if ix.depth[q] <= dd {
+			return int(ix.tour[q])
+		}
+	}
+	r := int(p/block) - 1 // rightmost candidate block
+	for k := len(ix.sparse) - 1; k >= 0 && r >= 0; k-- {
+		if l := r - (1 << k) + 1; l >= 0 && ix.depth[ix.sparse[k][l]] > dd {
+			r = l - 1
+		}
+	}
+	if r < 0 {
+		return -1
+	}
+	for q := int32(r*block + block - 1); ; q-- {
+		if ix.depth[q] <= dd {
+			return int(ix.tour[q])
+		}
+	}
+}
+
+// CheckSynced verifies that ix answers for t: it must equal Build(t) entry
+// for entry (tour, depths, every live vertex's first occurrence), and its
+// in-block minima and sparse table must be those of its own tour. Entries
+// at hole slots are not checked. It is O(n) and allocates a fresh index;
+// nil means in sync.
 func (ix *Index) CheckSynced(t *tree.Tree) error {
 	want := Build(t)
-	if ix.stale {
-		j := 0
-		prev := int32(-1)
-		for i, v := range ix.tour {
-			if !t.Present(int(v)) || (j > 0 && v == prev) {
-				continue
-			}
-			if j >= len(want.tour) || v != want.tour[j] || ix.depth[i] != want.depth[j] {
-				k := min(j, len(want.tour)-1)
-				return fmt.Errorf("lca: stale tour normalizes to (%d,%d) at %d, want (%d,%d)",
-					v, ix.depth[i], j, want.tour[k], want.depth[k])
-			}
-			prev = v
-			j++
+	if len(ix.tour) != len(want.tour) || len(ix.depth) != len(want.tour) {
+		return fmt.Errorf("lca: tour length %d (depth %d), want %d", len(ix.tour), len(ix.depth), len(want.tour))
+	}
+	for i := range want.tour {
+		if ix.tour[i] != want.tour[i] || ix.depth[i] != want.depth[i] {
+			return fmt.Errorf("lca: tour[%d] = (%d,%d), want (%d,%d)",
+				i, ix.tour[i], ix.depth[i], want.tour[i], want.depth[i])
 		}
-		if j != len(want.tour) {
-			return fmt.Errorf("lca: stale tour normalizes to %d entries, want %d", j, len(want.tour))
-		}
-		for v := 0; v < t.N(); v++ {
-			if t.Present(v) && (v >= len(ix.first) || ix.first[v] < 0 || int(ix.first[v]) >= len(ix.tour) || ix.tour[ix.first[v]] != int32(v)) {
-				return fmt.Errorf("lca: stale first[%d] does not index an occurrence of %d", v, v)
-			}
-		}
-	} else {
-		if len(ix.tour) != len(want.tour) || len(ix.depth) != len(want.tour) {
-			return fmt.Errorf("lca: tour length %d (depth %d), want %d", len(ix.tour), len(ix.depth), len(want.tour))
-		}
-		for i := range want.tour {
-			if ix.tour[i] != want.tour[i] || ix.depth[i] != want.depth[i] {
-				return fmt.Errorf("lca: tour[%d] = (%d,%d), want (%d,%d)",
-					i, ix.tour[i], ix.depth[i], want.tour[i], want.depth[i])
-			}
-		}
-		if len(ix.first) != t.N() {
-			return fmt.Errorf("lca: first sized %d, tree has %d slots", len(ix.first), t.N())
-		}
-		for v := 0; v < t.N(); v++ {
-			if t.Present(v) && ix.first[v] != want.first[v] {
-				return fmt.Errorf("lca: first[%d] = %d, want %d", v, ix.first[v], want.first[v])
-			}
+	}
+	if len(ix.first) != t.N() {
+		return fmt.Errorf("lca: first sized %d, tree has %d slots", len(ix.first), t.N())
+	}
+	for v := 0; v < t.N(); v++ {
+		if t.Present(v) && ix.first[v] != want.first[v] {
+			return fmt.Errorf("lca: first[%d] = %d, want %d", v, ix.first[v], want.first[v])
 		}
 	}
 	spanned := &Index{tour: ix.tour, depth: ix.depth}

@@ -58,15 +58,34 @@ func naiveLCA(t *tree.Tree, u, v int) int {
 	}
 }
 
+// naiveAncestorAtDepth walks parent pointers up to level d (-1 above the
+// root; v itself when d is at or below v's level).
+func naiveAncestorAtDepth(t *tree.Tree, v, d int) int {
+	for x := v; x != tree.None; x = t.Parent[x] {
+		if t.Level(x) <= d {
+			return x
+		}
+	}
+	return -1
+}
+
 // checkAgainstNaive compares ix with the parent walk on every pair of live
-// vertices when there are few, on trials random pairs otherwise, and
-// demands CheckSynced(t) pass.
+// vertices when there are few, on trials random pairs otherwise, checks
+// AncestorAtDepth at every level from above the root to below v for every
+// live vertex, and demands CheckSynced(t) pass.
 func checkAgainstNaive(t *testing.T, name string, tr *tree.Tree, ix *Index, rng *rand.Rand, trials int) {
 	t.Helper()
 	if err := ix.CheckSynced(tr); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	vs := tr.Vertices()
+	for _, v := range vs {
+		for d := -1; d <= tr.Level(v)+1; d++ {
+			if got, want := ix.AncestorAtDepth(v, d), naiveAncestorAtDepth(tr, v, d); got != want {
+				t.Fatalf("%s: AncestorAtDepth(%d,%d)=%d want %d", name, v, d, got, want)
+			}
+		}
+	}
 	check := func(u, v int) {
 		if got, want := ix.LCA(u, v), naiveLCA(tr, u, v); got != want {
 			t.Fatalf("%s: LCA(%d,%d)=%d want %d", name, u, v, got, want)
@@ -110,28 +129,6 @@ func TestLCAHolesAndPseudoForest(t *testing.T) {
 	}
 }
 
-// TestPatchAndShared splices an index out of itself (every child subtree
-// clean), out of nothing (none clean) and shares it across a detachment:
-// each must pass CheckSynced and answer like the parent walk. A stale base
-// must decline further splicing.
-func TestPatchAndShared(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	tr := pseudoForest(120, 3, 7, rng)
-	ix := Build(tr)
-	for _, all := range []bool{true, false} {
-		p := Patch(ix, tr, func(int) bool { return all })
-		checkAgainstNaive(t, "patched", tr, p, rng, 2000)
-	}
-	shared := ix.Shared(false)
-	checkAgainstNaive(t, "shared", tr, shared, rng, 2000)
-	if Patch(shared, tr, func(int) bool { return true }) == nil {
-		t.Fatal("an exact shared index declined to serve as a Patch base")
-	}
-	if Patch(ix.Shared(true), tr, func(int) bool { return true }) != nil {
-		t.Fatal("a stale index served as a Patch base")
-	}
-}
-
 // TestCheckSyncedRejectsOtherTree pins that the oracle is not vacuous: an
 // index of one tree fails against another tree over the same slots.
 func TestCheckSyncedRejectsOtherTree(t *testing.T) {
@@ -139,9 +136,6 @@ func TestCheckSyncedRejectsOtherTree(t *testing.T) {
 	b := tree.MustBuild(0, []int{tree.None, 0, 0, 2}, nil)
 	if err := Build(a).CheckSynced(b); err == nil {
 		t.Fatal("exact index of another tree passed CheckSynced")
-	}
-	if err := Build(a).Shared(true).CheckSynced(b); err == nil {
-		t.Fatal("stale index of another tree passed CheckSynced")
 	}
 }
 
@@ -170,8 +164,8 @@ func TestSingleVertexTree(t *testing.T) {
 
 // FuzzLCA decodes the fuzz bytes into a parent array — byte v-1 either
 // deletes vertex v (a hole) or hangs it under an earlier live vertex — and
-// checks Build, and a Patch of the tree out of its own index, against the
-// parent walk on every pair.
+// checks Build's LCA answers against the parent walk on every pair, and
+// AncestorAtDepth against it at every level of every vertex.
 func FuzzLCA(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -200,8 +194,6 @@ func FuzzLCA(f *testing.F) {
 			t.Fatalf("decoded parent array rejected: %v", err)
 		}
 		rng := rand.New(rand.NewSource(int64(n)))
-		ix := Build(tr)
-		checkAgainstNaive(t, "fuzz", tr, ix, rng, 4000)
-		checkAgainstNaive(t, "fuzz patched", tr, Patch(ix, tr, func(v int) bool { return v%2 == 0 }), rng, 4000)
+		checkAgainstNaive(t, "fuzz", tr, Build(tr), rng, 4000)
 	})
 }

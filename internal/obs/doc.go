@@ -1,7 +1,7 @@
 // Package obs is the serving stack's dependency-free observability core:
 // lock-free latency histograms, per-update stage traces, a slowest-K trace
-// ring, and a registry that lets independent subsystems (shards, the
-// snapquery cache, pram machines) publish through one interface.
+// ring, per-tenant cost meters, heavy-hitter sketches, time-series rings
+// and a Prometheus text writer.
 //
 // The package imports only the standard library so every layer of the
 // repository — including internal/core and internal/pram, which everything
@@ -15,13 +15,10 @@
 //   - Trace is one update's stage breakdown as it flows through the serving
 //     stack: mailbox wait → plan (graph mutation, D queries, LCA) →
 //     reroot/engine → D maintenance (incremental Update vs rebuild) →
-//     snapshot publish, plus outcome tags (incremental|rebuild|fallback,
+//     snapshot publish, plus outcome tags (incremental|fallback|pinned,
 //     SameTree, moved/removed set sizes, the PRAM depth/work charged). The
 //     five stages are disjoint and sum to Total.
 //   - SlowRing retains the slowest-K traces seen, with a lock-free
 //     admission threshold so the common (fast-update) case never takes the
 //     ring's mutex.
-//   - Registry maps names to sampling functions; Snapshot evaluates them
-//     all, and Handler serves the result as JSON. Source is the interface
-//     subsystems implement to publish themselves under a prefix.
 package obs

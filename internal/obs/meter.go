@@ -10,7 +10,7 @@ import (
 // TenantMeter is one tenant graph's cumulative cost counters. The write
 // path (the shard loop) is the single writer of the update-path fields;
 // the index fields are bumped by reader goroutines when the snapshot
-// analytics engine builds or patches an index for the graph. Every field
+// analytics engine builds an index for the graph. Every field
 // is an atomic, so Metrics pollers sample a meter without any lock and
 // without ever touching the update loop.
 //
@@ -31,12 +31,10 @@ type TenantMeter struct {
 
 	WALBytes atomic.Uint64 // WAL frame bytes appended for this graph
 
-	// Index work attributed by the snapshot analytics engine: fresh builds
-	// vs delta patches of this graph's derived indexes, and their summed
-	// wall-clock cost.
-	IndexBuilds  atomic.Uint64
-	IndexPatches atomic.Uint64
-	IndexNanos   atomic.Int64
+	// Index work attributed by the snapshot analytics engine: builds of
+	// this graph's derived indexes and their summed wall-clock cost.
+	IndexBuilds atomic.Uint64
+	IndexNanos  atomic.Int64
 }
 
 // RecordUpdate folds one update's measured cost into the meter. It must
@@ -55,43 +53,37 @@ func (m *TenantMeter) RecordUpdate(apply, engine, dmaint time.Duration, rejected
 	m.DMaintNanos.Store(m.DMaintNanos.Load() + int64(dmaint))
 }
 
-// RecordIndex folds one index derivation (a fresh build or a delta patch)
-// into the meter. Safe to call from any goroutine.
-func (m *TenantMeter) RecordIndex(patched bool, d time.Duration) {
-	if patched {
-		m.IndexPatches.Add(1)
-	} else {
-		m.IndexBuilds.Add(1)
-	}
+// RecordIndex folds one index build into the meter. Safe to call from any
+// goroutine.
+func (m *TenantMeter) RecordIndex(d time.Duration) {
+	m.IndexBuilds.Add(1)
 	m.IndexNanos.Add(int64(d))
 }
 
 // TenantCounters is a point-in-time sample of a TenantMeter.
 type TenantCounters struct {
-	Applied      uint64        `json:"applied"`
-	Rejected     uint64        `json:"rejected"`
-	ApplyTime    time.Duration `json:"apply_ns"`
-	EngineTime   time.Duration `json:"engine_ns"`
-	DMaintTime   time.Duration `json:"dmaint_ns"`
-	WALBytes     uint64        `json:"wal_bytes"`
-	IndexBuilds  uint64        `json:"index_builds"`
-	IndexPatches uint64        `json:"index_patches"`
-	IndexTime    time.Duration `json:"index_ns"`
+	Applied     uint64        `json:"applied"`
+	Rejected    uint64        `json:"rejected"`
+	ApplyTime   time.Duration `json:"apply_ns"`
+	EngineTime  time.Duration `json:"engine_ns"`
+	DMaintTime  time.Duration `json:"dmaint_ns"`
+	WALBytes    uint64        `json:"wal_bytes"`
+	IndexBuilds uint64        `json:"index_builds"`
+	IndexTime   time.Duration `json:"index_ns"`
 }
 
 // Snapshot samples every counter. Concurrent writers may land between two
 // field loads; each field is itself consistent.
 func (m *TenantMeter) Snapshot() TenantCounters {
 	return TenantCounters{
-		Applied:      m.Applied.Load(),
-		Rejected:     m.Rejected.Load(),
-		ApplyTime:    time.Duration(m.ApplyNanos.Load()),
-		EngineTime:   time.Duration(m.EngineNanos.Load()),
-		DMaintTime:   time.Duration(m.DMaintNanos.Load()),
-		WALBytes:     m.WALBytes.Load(),
-		IndexBuilds:  m.IndexBuilds.Load(),
-		IndexPatches: m.IndexPatches.Load(),
-		IndexTime:    time.Duration(m.IndexNanos.Load()),
+		Applied:     m.Applied.Load(),
+		Rejected:    m.Rejected.Load(),
+		ApplyTime:   time.Duration(m.ApplyNanos.Load()),
+		EngineTime:  time.Duration(m.EngineNanos.Load()),
+		DMaintTime:  time.Duration(m.DMaintNanos.Load()),
+		WALBytes:    m.WALBytes.Load(),
+		IndexBuilds: m.IndexBuilds.Load(),
+		IndexTime:   time.Duration(m.IndexNanos.Load()),
 	}
 }
 

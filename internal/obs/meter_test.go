@@ -132,8 +132,8 @@ func TestTenantMeterSnapshot(t *testing.T) {
 	var m TenantMeter
 	m.RecordUpdate(100*time.Microsecond, 60*time.Microsecond, 20*time.Microsecond, false)
 	m.RecordUpdate(50*time.Microsecond, 10*time.Microsecond, 5*time.Microsecond, true)
-	m.RecordIndex(false, time.Millisecond)
-	m.RecordIndex(true, 100*time.Microsecond)
+	m.RecordIndex(time.Millisecond)
+	m.RecordIndex(100 * time.Microsecond)
 	m.WALBytes.Add(64)
 	c := m.Snapshot()
 	if c.Applied != 1 || c.Rejected != 1 {
@@ -142,8 +142,8 @@ func TestTenantMeterSnapshot(t *testing.T) {
 	if c.ApplyTime != 150*time.Microsecond || c.EngineTime != 70*time.Microsecond || c.DMaintTime != 25*time.Microsecond {
 		t.Fatalf("times %v/%v/%v", c.ApplyTime, c.EngineTime, c.DMaintTime)
 	}
-	if c.IndexBuilds != 1 || c.IndexPatches != 1 || c.IndexTime != 1100*time.Microsecond {
-		t.Fatalf("index %d/%d in %v", c.IndexBuilds, c.IndexPatches, c.IndexTime)
+	if c.IndexBuilds != 2 || c.IndexTime != 1100*time.Microsecond {
+		t.Fatalf("index %d in %v", c.IndexBuilds, c.IndexTime)
 	}
 	if c.WALBytes != 64 {
 		t.Fatalf("wal bytes %d", c.WALBytes)

@@ -34,10 +34,9 @@ type Trace struct {
 
 	// Outcome tags the D-maintenance path the update took: "incremental"
 	// (D.Update repositioned only moved entries), "fallback" (D.Update
-	// declined — churn past the ratio threshold — and rebuilt), "rebuild"
-	// (forced ground-up rebuild: FullRebuildD mode or error recovery),
-	// "pinned" (fault-tolerant mode, D untouched), or "rejected" (the
-	// maintainer returned an error).
+	// declined — churn past the ratio threshold — and rebuilt), "pinned"
+	// (fault-tolerant mode, D untouched), or "rejected" (the maintainer
+	// returned an error).
 	Outcome  string `json:"outcome"`
 	SameTree bool   `json:"same_tree"`         // back-edge update: tree object unchanged
 	Moved    int    `json:"moved"`             // vertices whose root path changed

@@ -30,8 +30,6 @@ package pram
 
 import (
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // Machine is an EREW PRAM cost accountant with a processor budget. The zero
@@ -88,18 +86,6 @@ func (m *Machine) Reset() {
 	m.depth.Store(0)
 	m.work.Store(0)
 	m.steps.Store(0)
-}
-
-// ObsPublish registers the machine's model-cost gauges (depth, work, steps,
-// procs) under prefix, implementing obs.Source: the serving layer publishes
-// each shard's machine through the same registry as its latency
-// histograms. Every gauge is an atomic load, so sampling never contends
-// with charging.
-func (m *Machine) ObsPublish(r *obs.Registry, prefix string) {
-	r.Gauge(prefix+"depth", m.Depth)
-	r.Gauge(prefix+"work", m.Work)
-	r.Gauge(prefix+"steps", m.Steps)
-	r.Gauge(prefix+"procs", m.procs.Load)
 }
 
 // Charge adds the model cost (depth, work) of one parallel step; negative

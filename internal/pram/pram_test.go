@@ -1,10 +1,6 @@
 package pram
 
-import (
-	"testing"
-
-	"repro/internal/obs"
-)
+import "testing"
 
 func TestLog2Ceil(t *testing.T) {
 	cases := map[int]int64{0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1024: 10, 1025: 11}
@@ -64,22 +60,5 @@ func TestSetProcs(t *testing.T) {
 	m.SetProcs(-2)
 	if m.Procs() != 1 {
 		t.Fatalf("procs=%d after SetProcs(-2), want 1", m.Procs())
-	}
-}
-
-func TestObsPublishGauges(t *testing.T) {
-	m := NewMachine(4)
-	m.Charge(2, 3)
-	r := obs.NewRegistry()
-	m.ObsPublish(r, "pram.")
-	snap := r.Snapshot()
-	want := map[string]int64{"pram.depth": 2, "pram.work": 3, "pram.steps": 1, "pram.procs": 4}
-	if len(snap) != len(want) {
-		t.Fatalf("published %v, want exactly %v", snap, want)
-	}
-	for k, v := range want {
-		if snap[k] != v {
-			t.Fatalf("%s = %v, want %d", k, snap[k], v)
-		}
 	}
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"expvar"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -32,9 +31,6 @@ type debugPayload struct {
 //	                        queue depth/high-water, windowed apply p99, WAL
 //	                        bytes and sync p99 (JSON, oldest point first)
 //	/debug/metrics          Prometheus text exposition (format v0.0.4)
-//	/debug/obs              the obs.Registry (per-shard gauges, histograms,
-//	                        PRAM accounting, snapquery cache), one key per line
-//	/debug/vars             process-wide expvar (memstats, cmdline)
 //	/debug/pprof/           CPU/heap/goroutine/block profiles
 //
 // Every endpoint samples atomics and read locks only — hitting it never
@@ -42,8 +38,8 @@ type debugPayload struct {
 //
 //	go http.ListenAndServe("localhost:6060", svc.DebugHandler())
 //
-// The pprof and expvar handlers are the package-level ones, so profiles
-// cover the whole process, not just this Service.
+// The pprof handlers are the package-level ones, so profiles cover the
+// whole process, not just this Service.
 func (s *Service) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/service", func(w http.ResponseWriter, r *http.Request) {
@@ -76,8 +72,6 @@ func (s *Service) DebugHandler() http.Handler {
 		w.Header().Set("Content-Type", obs.PromContentType)
 		writePromMetrics(w, s.Metrics())
 	})
-	mux.Handle("/debug/obs", s.reg.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -91,8 +85,7 @@ func (s *Service) DebugHandler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write([]byte("dfs service debug endpoints:\n" +
 			"  /debug/service\n  /debug/service/traces\n  /debug/service/tenants\n" +
-			"  /debug/service/history\n  /debug/metrics\n  /debug/obs\n" +
-			"  /debug/vars\n  /debug/pprof/\n"))
+			"  /debug/service/history\n  /debug/metrics\n  /debug/pprof/\n"))
 	})
 	return mux
 }

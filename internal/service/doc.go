@@ -105,27 +105,18 @@
 // BiconnectedComponentOf, SameBiconnectedComponent) from derived indexes
 // built over the pinned snapshot.
 //
-// The read path is differential. Every published Snapshot carries a Delta —
-// the parent version it was derived from, the parent's tree object (an
-// identity check, not just a number), the composed moved/removed vertex
-// sets of the updates in between, and the back-edge SameTree flag. The
-// shard loop accumulates per-update deltas from the maintainer across batch
-// rounds and composes them at publication; a rejected update, a vertex-slot
-// renumbering, or an error-recovery rebuild poisons the pending round and
-// the next snapshot ships without a delta (the chain restarts fresh). When
-// a version is queried for the first time and its parent's handle is still
-// in the per-shard LRU, the tree indexes are patched from — or, for pure
-// detachments and back-edge rounds, shared with — the parent's immutable
-// arrays instead of being rebuilt, making first-query-on-new-version cost
-// proportional to the update's churn rather than the graph
-// (BenchmarkSnapshotQuery pins the patched path at ≥50× over the cold
-// build for low-churn updates, with allocations proportional to the moved
-// set). Biconnectivity is outside the differential regime by design: low
-// points depend on the global back-edge structure, so that index is always
-// built fresh. The patch silently falls back to a fresh build when the
-// delta is missing or churn-heavy, the parent handle was evicted first, or
-// the parent's own tour is unspliceable; answers are identical either way,
-// and snapquery's CheckSynced is the oracle that proves it.
+// The LCA index is the maintainer's. Every tree the maintainer installs
+// comes with D's embedded LCA index (the paper's Theorem 5/6 structure,
+// which D's queries need anyway), and publish stores that index in the
+// Snapshot beside the tree it indexes. A back-edge update keeps both, so
+// consecutive back-edge versions share one index pointer. The version's
+// query handle is given the index, so the LCA family and the level
+// ancestors (through lca.Index.AncestorAtDepth, an O(log n) search over the
+// same block minima) build nothing on any published version. The subtree
+// aggregates and the biconnectivity analysis are built once per version
+// on first use. The degraded checkpoint snapshots recovery publishes carry
+// no index; their handles build one on first use. CheckSynced holds the
+// published index against a fresh build of its tree, next to D's oracle.
 //
 // Index sharing and lifetime guarantees:
 //
@@ -136,15 +127,14 @@
 //     later query on it is a pure atomic pointer load — zero construction,
 //     zero allocation (BenchmarkSnapshotQuery pins the warm path at ≤1
 //     alloc and the cold/warm gap at ≥100×).
+//   - Handles are independent. A handle holds its own version's graph,
+//     tree and indexes and no reference to any other version's handle, so
+//     evicting or dropping one version never affects another.
 //   - A QueryHandle pins exactly one version. Later updates never change
 //     its answers (the pinned graph and tree are persistent; updates
 //     path-copy away from them), so a handle obtained before k further
 //     updates still answers for its original version, consistent with the
 //     Snapshot it came from.
-//   - Version chains do not accumulate. A derived handle drops its parent
-//     reference as soon as its three patchable indexes materialize, so at
-//     most one extra generation is retained per handle still awaiting its
-//     first query.
 //   - Eviction never invalidates a held handle. The per-shard LRU
 //     (Config.QueryCache versions) bounds how many versions keep indexes
 //     resident; evicting a version only drops the cache's reference. A
@@ -154,8 +144,8 @@
 //   - DropGraph purges the dropped graph's cached versions; handles and
 //     snapshots already handed out stay valid. A graph re-created under a
 //     dropped ID cannot alias stale indexes — the cache detects the
-//     incarnation change, drops the stale entry, and never links a derived
-//     handle across incarnations.
+//     incarnation change (a different tree object under the same version)
+//     and drops the stale entry.
 //
 // # Observability
 //
@@ -189,7 +179,7 @@
 //
 // Cost is attributed per tenant, not just per shard. Every graph carries
 // an obs.TenantMeter — applied/rejected updates, apply/engine/dmaint
-// wall-clock, WAL bytes appended, snapquery index builds/patches, all
+// wall-clock, WAL bytes appended, snapquery index builds, all
 // single-writer or reader-side atomics — sampled lock-free by
 // TenantMetrics. Because "millions of graphs" rules out iterating meters
 // to find the expensive ones, each shard also feeds a bounded Space-Saving
@@ -201,11 +191,10 @@
 //
 // Latency ships as lock-free log-bucketed histograms (obs.Histogram):
 // maintainer apply time, mailbox wait, snapshot publish, batch-round size
-// on the write path; index build, index patch and handle resolution on the
-// read path (from the shard's snapquery cache, alongside the cache
-// counters — IndexCacheHits/Misses/Evictions/Dropped/Size and the
-// build-vs-patch split, where patch fallbacks also count as builds since
-// that is the work they did). Per-shard snapshots merge exactly, and the
+// on the write path; index build and handle resolution on the read path
+// (from the shard's snapquery cache, alongside the cache counters —
+// IndexCacheHits/Misses/Evictions/Dropped/Size and IndexBuilds). Per-shard
+// snapshots merge exactly, and the
 // aggregate Metrics carries that merge plus a cumulative StageTimes
 // breakdown of where the update loops' wall-clock went.
 //
@@ -224,9 +213,7 @@
 // WAL counters, snapquery cache stats, and the obs histograms as native
 // Prometheus histograms — the power-of-2 buckets map directly to le
 // bounds; per-tenant data stays on the JSON endpoints because unbounded
-// tenant IDs do not belong in label sets), /debug/obs (the obs.Registry
-// every shard publishes its gauges, histograms, machine and index cache
-// into; see Obs), /debug/vars (expvar) and /debug/pprof — so a running
+// tenant IDs do not belong in label sets) and /debug/pprof — so a running
 // service (e.g. dfsload -debugaddr) can be inspected with curl alone.
 // During WAL recovery, Metrics and /debug/service also report replay
 // progress (graphs recovered / total, records replayed), so degraded-mode

@@ -91,16 +91,11 @@ type ShardMetrics struct {
 	// the per-shard LRU of derived-index bundles, IndexCacheEvictions the
 	// versions aged out by capacity, IndexCacheDropped the versions removed
 	// by a graph drop or a stale-incarnation collision, IndexCacheSize the
-	// versions currently resident. IndexBuilds counts fresh index
-	// constructions (≤ 4 per version: LCA, bicon, aggregates, lifting) and
-	// IndexBuildTime their summed wall-clock cost; IndexPatches counts the
-	// index derivations that instead patched the parent version's arrays
-	// from the snapshot delta (IndexPatchTime their cost), and
-	// IndexPatchFallbacks the builds that had a parent on hand but declined
-	// the patch — churn past the ratio threshold or a renumbered vertex
-	// space (fallbacks are also included in IndexBuilds). The three
-	// histograms carry the corresponding read-path distributions: per-index
-	// build and patch durations, and handle-resolution latency.
+	// versions currently resident. IndexBuilds counts index constructions
+	// (≤ 2 per published version, aggregates and bicon: the LCA index comes
+	// with the snapshot) and IndexBuildTime their summed wall-clock cost.
+	// The two histograms carry the corresponding read-path distributions:
+	// per-index build durations and handle-resolution latency.
 	IndexCacheHits      uint64
 	IndexCacheMisses    uint64
 	IndexCacheEvictions uint64
@@ -108,11 +103,7 @@ type ShardMetrics struct {
 	IndexCacheSize      int
 	IndexBuilds         uint64
 	IndexBuildTime      time.Duration
-	IndexPatches        uint64
-	IndexPatchTime      time.Duration
-	IndexPatchFallbacks uint64
 	IndexBuildHist      obs.HistSnapshot
-	IndexPatchHist      obs.HistSnapshot
 	QueryResolveHist    obs.HistSnapshot
 
 	// Migration traffic: graphs this shard received from / handed to other
@@ -164,12 +155,14 @@ type Metrics struct {
 	IndexCacheDropped   uint64
 	IndexBuilds         uint64
 	IndexBuildTime      time.Duration
-	IndexPatches        uint64
-	IndexPatchTime      time.Duration
-	IndexPatchFallbacks uint64
 	IndexBuildHist      obs.HistSnapshot
-	IndexPatchHist      obs.HistSnapshot
 	QueryResolveHist    obs.HistSnapshot
+
+	// Deprecated: always zero. Snapshot indexes are no longer patched from
+	// a parent version; these remain only because perfbench reads them.
+	IndexPatches        uint64
+	IndexPatchFallbacks uint64
+	IndexPatchHist      obs.HistSnapshot
 
 	// Migration and routing state. Migrations counts completed live graph
 	// handoffs, MigrationFailures the attempts that aborted (the graph
@@ -291,11 +284,7 @@ func (s *Service) Metrics() Metrics {
 			IndexCacheSize:      qs.Size,
 			IndexBuilds:         qs.Builds,
 			IndexBuildTime:      qs.BuildTime,
-			IndexPatches:        qs.Patches,
-			IndexPatchTime:      qs.PatchTime,
-			IndexPatchFallbacks: qs.PatchFallbacks,
 			IndexBuildHist:      qs.BuildHist,
-			IndexPatchHist:      qs.PatchHist,
 			QueryResolveHist:    qs.ResolveHist,
 			MigrationsIn:        sh.migrationsIn.Load(),
 			MigrationsOut:       sh.migrationsOut.Load(),
@@ -346,11 +335,7 @@ func (s *Service) Metrics() Metrics {
 		out.IndexCacheDropped += qs.Dropped
 		out.IndexBuilds += qs.Builds
 		out.IndexBuildTime += qs.BuildTime
-		out.IndexPatches += qs.Patches
-		out.IndexPatchTime += qs.PatchTime
-		out.IndexPatchFallbacks += qs.PatchFallbacks
 		out.IndexBuildHist.Merge(sm.IndexBuildHist)
-		out.IndexPatchHist.Merge(sm.IndexPatchHist)
 		out.QueryResolveHist.Merge(sm.QueryResolveHist)
 	}
 	out.Migrations = s.migrations.Load()

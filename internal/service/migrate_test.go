@@ -374,7 +374,11 @@ func TestMigrationSoak(t *testing.T) {
 // TestRebalancerMovesHotGraph drives load onto one shard and ticks the
 // rebalancer by hand: after Sustain hot windows it must migrate a graph off
 // the hot shard — and with the whale above MaxShare, the sibling, not the
-// whale itself.
+// whale itself. The applies feed shard 0's hot-graph sketch with their
+// wall-clock cost, which one preempted sibling apply could tip; so the
+// whale's dominance is fed to the sketch as a fixed weight, and the test
+// pins the rebalancer's decision, not the host's timing. That applies feed
+// the sketch is TestHotGraphsSkewedLoad's subject.
 func TestRebalancerMovesHotGraph(t *testing.T) {
 	s := New(Config{Shards: 2})
 	defer s.Close()
@@ -390,6 +394,13 @@ func TestRebalancerMovesHotGraph(t *testing.T) {
 	cfg := RebalanceConfig{Threshold: 1.2, Sustain: 2, Cooldown: time.Minute, MaxShare: 0.5}.withDefaults()
 	st := newRebalState(2)
 	s.rebalanceOnce(cfg, st, time.Now()) // prime the baseline
+	// The sketch has one writer, the shard loop: feed it there.
+	if err := s.runOn(s.shards[0], func() error {
+		s.shards[0].hot.Observe(string(whale), 1<<40)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	for tick := 0; tick < 2; tick++ {
 		drive(t, s, whale, s.mustSnap(t, whale).Graph, rng, 30)

@@ -89,12 +89,7 @@ func writePromMetrics(w io.Writer, m Metrics) error {
 		func(sm *ShardMetrics) float64 { return float64(sm.IndexCacheSize) })
 	p.Family("dfs_index_builds_total", "counter", "fresh index constructions")
 	p.Value(float64(m.IndexBuilds))
-	p.Family("dfs_index_patches_total", "counter", "index derivations patched from a parent version")
-	p.Value(float64(m.IndexPatches))
-	p.Family("dfs_index_patch_fallbacks_total", "counter", "patches declined after inspecting the delta")
-	p.Value(float64(m.IndexPatchFallbacks))
 	hist("dfs_index_build_seconds", "per-index fresh build time", m.IndexBuildHist, 1e-9)
-	hist("dfs_index_patch_seconds", "per-index patch derivation time", m.IndexPatchHist, 1e-9)
 	hist("dfs_query_resolve_seconds", "handle resolution latency", m.QueryResolveHist, 1e-9)
 
 	p.Family("dfs_migrations_total", "counter", "completed live graph migrations")

@@ -58,9 +58,7 @@ func goldenMetrics() Metrics {
 		},
 		IndexCacheHits: 40, IndexCacheMisses: 9, IndexCacheEvictions: 2, IndexCacheDropped: 1,
 		IndexBuilds: 12, IndexBuildTime: 6 * time.Millisecond,
-		IndexPatches: 5, IndexPatchTime: time.Millisecond, IndexPatchFallbacks: 1,
 		IndexBuildHist:   histOf(400_000, 600_000),
-		IndexPatchHist:   histOf(90_000),
 		QueryResolveHist: histOf(700, 900, 1_200),
 
 		Migrations: 3, MigrationFailures: 1, RoutedGraphs: 2,

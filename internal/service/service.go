@@ -117,7 +117,6 @@ func (c Config) withDefaults() Config {
 type Service struct {
 	cfg    Config
 	shards []*shard
-	reg    *obs.Registry
 	closed atomic.Bool
 	wg     sync.WaitGroup
 
@@ -190,7 +189,6 @@ func Open(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:         cfg,
 		shards:      make([]*shard, cfg.Shards),
-		reg:         obs.NewRegistry(),
 		recovered:   make(chan struct{}),
 		samplerStop: make(chan struct{}),
 		samplerDone: make(chan struct{}),
@@ -215,12 +213,12 @@ func Open(cfg Config) (*Service, error) {
 			series:  obs.NewSeriesRing(seriesFields, cfg.SampleWindows),
 			started: started,
 		}
-		// Charge index builds/patches performed by reader goroutines back to
-		// the graph that owns the index. A dropped graph's in-flight build
+		// Charge index builds performed by reader goroutines back to the
+		// graph that owns the index. A dropped graph's in-flight build
 		// simply finds no state and goes unattributed.
-		sh.qcache.SetAttribution(func(graphName string, patched bool, d time.Duration) {
+		sh.qcache.SetAttribution(func(graphName string, d time.Duration) {
 			if gs := sh.lookup(GraphID(graphName)); gs != nil {
-				gs.meter.RecordIndex(patched, d)
+				gs.meter.RecordIndex(d)
 			}
 		})
 		s.shards[i] = sh
@@ -242,24 +240,9 @@ func Open(cfg Config) (*Service, error) {
 		close(s.recovered)
 	}
 	for _, sh := range s.shards {
-		s.publishShard(sh)
 		s.wg.Add(1)
 		go sh.run(&s.wg, cfg.Headroom)
 	}
-	if cfg.WAL != nil {
-		s.reg.Gauge("wal.recovery.graphs_total", s.recGraphsTotal.Load)
-		s.reg.Gauge("wal.recovery.graphs_done", s.recGraphsDone.Load)
-		s.reg.Gauge("wal.recovery.replayed", func() int64 {
-			var n int64
-			for _, sh := range s.shards {
-				n += int64(sh.w.replayed.Load())
-			}
-			return n
-		})
-	}
-	s.reg.Gauge("routes.size", func() int64 { return int64(s.RoutedGraphs()) })
-	s.reg.Gauge("migrations", func() int64 { return int64(s.migrations.Load()) })
-	s.reg.Gauge("migration_failures", func() int64 { return int64(s.migFailures.Load()) })
 	go s.runSampler()
 	if cfg.Rebalance != nil {
 		s.rebalStop = make(chan struct{})
@@ -268,45 +251,6 @@ func Open(cfg Config) (*Service, error) {
 	}
 	return s, nil
 }
-
-// publishShard registers one shard's gauges, latency histograms, machine
-// and index cache in the service registry (served by DebugHandler at
-// /debug/obs). Every Var samples atomics or channel lengths only.
-func (s *Service) publishShard(sh *shard) {
-	prefix := fmt.Sprintf("shard%d.", sh.idx)
-	s.reg.Gauge(prefix+"queue.depth", func() int64 { return int64(len(sh.mailbox)) })
-	s.reg.Gauge(prefix+"queue.cap", func() int64 { return int64(cap(sh.mailbox)) })
-	s.reg.Gauge(prefix+"queue.highwater", sh.queueHWM.Load)
-	s.reg.Gauge(prefix+"updates", func() int64 { return int64(sh.updates.Load()) })
-	s.reg.Gauge(prefix+"rejected", func() int64 { return int64(sh.rejected.Load()) })
-	s.reg.Publish(prefix+"latency.apply", func() any { return sh.applyHist.Snapshot() })
-	s.reg.Publish(prefix+"latency.wait", func() any { return sh.waitHist.Snapshot() })
-	s.reg.Publish(prefix+"latency.publish", func() any { return sh.publishHist.Snapshot() })
-	s.reg.Publish(prefix+"batch.size", func() any { return sh.batchHist.Snapshot() })
-	sh.mach.ObsPublish(s.reg, prefix+"pram.")
-	sh.qcache.ObsPublish(s.reg, prefix+"snapquery.")
-	if w := sh.w; w != nil {
-		s.reg.Gauge(prefix+"wal.appends", func() int64 { return int64(w.log.Stats().Appends) })
-		s.reg.Gauge(prefix+"wal.syncs", func() int64 { return int64(w.log.Stats().Syncs) })
-		s.reg.Gauge(prefix+"wal.replayed", func() int64 { return int64(w.replayed.Load()) })
-		s.reg.Gauge(prefix+"wal.checkpoints", func() int64 { return int64(w.checkpoints.Load()) })
-		s.reg.Gauge(prefix+"wal.recovering", func() int64 {
-			if w.recovering.Load() {
-				return 1
-			}
-			return 0
-		})
-		s.reg.Publish(prefix+"wal.latency.append", func() any { return w.appendHist.Snapshot() })
-		s.reg.Publish(prefix+"wal.latency.sync", func() any { return w.syncHist.Snapshot() })
-		s.reg.Publish(prefix+"wal.latency.replay", func() any { return w.replayHist.Snapshot() })
-	}
-}
-
-// Obs returns the service's observability registry: every shard's gauges
-// and latency histograms, each shard machine's PRAM accounting, and each
-// shard's snapquery cache, published under "shard<i>." prefixes. Callers
-// may publish additional sources into it before serving DebugHandler.
-func (s *Service) Obs() *obs.Registry { return s.reg }
 
 // SlowTraces returns the slowest retained update traces across all shards,
 // slowest first. Each shard retains its Config.SlowTraces slowest updates
@@ -477,8 +421,10 @@ func (s *Service) Verify(id GraphID) error {
 // maintainer-side oracle on the shard loop itself: it validates that the
 // graph's query structure D is exactly the structure a fresh build over the
 // current graph and tree would produce (the recovery acceptance check —
-// replayed state must be indistinguishable from never having crashed). It
-// queues behind pending updates like any write.
+// replayed state must be indistinguishable from never having crashed), and
+// that the current snapshot's published LCA index equals a fresh build
+// over the snapshot's tree. It queues behind pending updates like any
+// write.
 func (s *Service) CheckSynced(id GraphID) error {
 	fut := newFuture()
 	if err := s.shardFor(id).submit(task{kind: taskCheck, id: id, fut: fut}); err != nil {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,17 +63,6 @@ type graphState struct {
 	// the index fields, and Metrics/TenantMetrics sample it lock-free.
 	meter *obs.TenantMeter
 
-	// Pending tree delta accumulated since the last publish (shard loop
-	// only). A batch round applies several updates before publishing once,
-	// so the per-update core deltas are unioned here; any update without a
-	// usable delta (relocation, error recovery) poisons the round and the
-	// next snapshot ships without one.
-	pendMoved   []int
-	pendRemoved []int
-	pendSame    bool
-	pendInvalid bool
-	pendCount   int
-
 	// Migration freeze state (shard loop only). While migrating is set the
 	// graph's tasks are parked in deferred instead of being applied — the
 	// maintainer must not advance past the checkpoint the migration pinned.
@@ -82,31 +70,6 @@ type graphState struct {
 	// flips (or back here on abort), preserving submission order.
 	migrating bool
 	deferred  []task
-}
-
-// absorb folds one applied update's delta into the pending set.
-func (gs *graphState) absorb(d *core.Delta) {
-	if gs.pendCount == 0 {
-		gs.pendSame = true
-	}
-	gs.pendCount++
-	if d == nil {
-		gs.pendInvalid = true
-		return
-	}
-	if !d.SameTree {
-		gs.pendSame = false
-	}
-	gs.pendMoved = append(gs.pendMoved, d.Moved...)
-	gs.pendRemoved = append(gs.pendRemoved, d.Removed...)
-}
-
-// invalidatePending poisons the pending delta: called when an update was
-// rejected, because some rejection paths mutate state the delta cannot
-// account for (e.g. an engine failure after the graph already changed).
-func (gs *graphState) invalidatePending() {
-	gs.pendCount++
-	gs.pendInvalid = true
 }
 
 // shard owns a set of graphs, the goroutine that applies their updates, and
@@ -389,13 +352,11 @@ func (sh *shard) handle(t task, headroom int) {
 		v, err := sh.applyTraced(&tr, t.id, gs, t.upd, t.enqueued, 1)
 		if err != nil {
 			sh.rejected.Add(1)
-			gs.invalidatePending()
 			sh.sealTrace(&tr, 0, 0)
 			t.fut.resolve(-1, gs.snap.Load(), err)
 			return
 		}
 		tr.Seq = sh.updates.Add(1)
-		gs.absorb(gs.dd.LastDelta())
 		if sh.w != nil {
 			// Append + commit before publishing: readers must never see an
 			// update the log has not made durable. On failure the shard
@@ -465,10 +426,8 @@ func (sh *shard) handle(t task, headroom int) {
 			r.vertex, r.err = sh.applyTraced(&r.tr, en.id, gs, en.upd, t.enqueued, len(t.entries))
 			if r.err != nil {
 				sh.rejected.Add(1)
-				gs.invalidatePending()
 			} else {
 				r.tr.Seq = sh.updates.Add(1)
-				gs.absorb(gs.dd.LastDelta())
 				if sh.w != nil {
 					if werr := sh.walAppend(en.id, gs, en.upd); werr != nil {
 						r.err = fmt.Errorf("service: graph %q: %w", en.id, werr)
@@ -534,7 +493,13 @@ func (sh *shard) handle(t task, headroom int) {
 			return
 		}
 		err := gs.dd.D().CheckSynced(gs.dd.Frozen(), gs.dd.Tree())
-		t.fut.resolve(-1, gs.snap.Load(), err)
+		snap := gs.snap.Load()
+		if err == nil && snap != nil && snap.lca != nil {
+			if err = snap.lca.CheckSynced(snap.Tree); err != nil {
+				err = fmt.Errorf("service: graph %q: published LCA index: %w", t.id, err)
+			}
+		}
+		t.fut.resolve(-1, snap, err)
 
 	case taskFunc:
 		t.fn()
@@ -599,70 +564,32 @@ func (sh *shard) sealTrace(tr *obs.Trace, publish time.Duration, version uint64)
 }
 
 // publish freezes gs's current state into a new immutable snapshot and
-// installs it. Both the graph (a persistent copy-on-write version) and the
-// tree (immutable, built fresh per update) are shared zero-copy, so
-// publication is O(1) plus O(Δ) for stamping the pending tree delta: a
-// pointer grab per structure, one small Snapshot allocation, and a sort of
-// the moved set — no per-vertex or per-edge work regardless of graph size.
+// installs it. The graph (a persistent copy-on-write version), the tree and
+// its LCA index (both immutable, replaced per update) are shared zero-copy,
+// so publication is O(1): a pointer grab per structure and one small
+// Snapshot allocation, regardless of graph size.
 func (sh *shard) publish(id GraphID, gs *graphState) *Snapshot {
 	dd := gs.dd
-	prev := gs.snap.Load()
-	var delta *Delta
-	if prev != nil && gs.pendCount > 0 && !gs.pendInvalid {
-		delta = &Delta{
-			Parent:     prev.Version,
-			ParentTree: prev.Tree,
-			Moved:      dedupSorted(gs.pendMoved),
-			Removed:    dedupSorted(gs.pendRemoved),
-			SameTree:   gs.pendSame,
-		}
-	}
-	gs.pendMoved = gs.pendMoved[:0]
-	gs.pendRemoved = gs.pendRemoved[:0]
-	gs.pendSame, gs.pendInvalid, gs.pendCount = false, false, 0
 	snap := &Snapshot{
 		ID:          id,
 		Version:     uint64(dd.Updates()),
 		Graph:       dd.Frozen(),
 		Tree:        dd.Tree(),
 		PseudoRoot:  dd.PseudoRoot(),
-		Delta:       delta,
 		LastStats:   dd.LastStats(),
 		QueryStats:  dd.QueryStats(),
 		PublishedAt: time.Now(),
+		lca:         dd.LCA(),
 	}
 	gs.snap.Store(snap)
 	return snap
 }
 
-// dedupSorted returns a fresh ascending, duplicate-free copy of s (nil when
-// empty), so published deltas never alias the reusable pending buffers.
-func dedupSorted(s []int) []int {
-	if len(s) == 0 {
-		return nil
-	}
-	out := append([]int(nil), s...)
-	sort.Ints(out)
-	j := 0
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[j] {
-			j++
-			out[j] = out[i]
-		}
-	}
-	return out[:j+1]
-}
-
 // queryHandle resolves snap's version-pinned analytics handle through the
-// shard's index cache (shared by all readers of that version), forwarding
-// the snapshot's parent delta so a first query on a new version patches the
-// parent's indexes when that version is still cached.
+// shard's index cache (shared by all readers of that version), handing it
+// the snapshot's LCA index so the LCA family and level ancestors build
+// nothing.
 func (sh *shard) queryHandle(snap *Snapshot) *snapquery.Handle {
 	key := snapquery.Key{Graph: string(snap.ID), Version: snap.Version}
-	if d := snap.Delta; d != nil {
-		return sh.qcache.HandleDerived(key, snap.Graph, snap.Tree, snap.PseudoRoot,
-			snapquery.Key{Graph: string(snap.ID), Version: d.Parent}, d.ParentTree,
-			snapquery.Delta{Moved: d.Moved, Removed: d.Removed, SameTree: d.SameTree})
-	}
-	return sh.qcache.Handle(key, snap.Graph, snap.Tree, snap.PseudoRoot)
+	return sh.qcache.Handle(key, snap.Graph, snap.Tree, snap.PseudoRoot, snap.lca)
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dstruct"
 	"repro/internal/graph"
+	"repro/internal/lca"
 	"repro/internal/reroot"
 	"repro/internal/tree"
 	"repro/internal/verify"
@@ -30,14 +31,6 @@ type Snapshot struct {
 	Tree       *tree.Tree
 	PseudoRoot int
 
-	// Delta describes how this version's tree differs from the previously
-	// published version's, when the maintainer could bound it: the analytics
-	// engine uses it to patch the parent version's derived indexes instead
-	// of rebuilding them. Nil on a graph's first snapshot and whenever the
-	// chain broke — a rejected update in between (whose partial effects are
-	// untracked), a pseudo-root relocation, or any other full renumbering.
-	Delta *Delta
-
 	// LastStats is the rerooting behaviour of the update that produced this
 	// snapshot; QueryStats the D-query search effort accumulated over the
 	// graph's whole lifetime (per-call accumulators rolled up per update).
@@ -45,25 +38,11 @@ type Snapshot struct {
 	QueryStats dstruct.Stats
 
 	PublishedAt time.Time
-}
 
-// Delta is the tree difference between a snapshot and its parent (the
-// previously published version of the same graph), composed from the core
-// maintainer's per-update deltas — a batch round publishes once, so one
-// snapshot delta may span several updates. All fields are immutable.
-type Delta struct {
-	// Parent is the parent snapshot's version number and ParentTree its tree
-	// object: consumers must verify tree identity before patching, so a
-	// version-number collision across graph incarnations can never alias.
-	Parent     uint64
-	ParentTree *tree.Tree
-	// Moved lists the vertices whose root path changed between the two
-	// trees, Removed the vertices deleted; both sorted ascending, deduped.
-	Moved   []int
-	Removed []int
-	// SameTree reports that the two snapshots share the identical tree
-	// object (only back edges changed).
-	SameTree bool
+	// lca is the maintainer's LCA index of Tree (core.DynamicDFS.LCA),
+	// handed to this version's query handle. Nil on the degraded snapshots
+	// recovery publishes from checkpoints; their handles build their own.
+	lca *lca.Index
 }
 
 // IsAncestor reports whether a is an ancestor of v (not necessarily proper)

@@ -56,12 +56,14 @@ func TestTenantMetricsAttribution(t *testing.T) {
 		t.Fatal("duplicate edge insert was not rejected")
 	}
 
-	// Index work from the read path is charged to "a" only.
+	// Index work from the read path is charged to "a" only. SubtreeAgg
+	// builds the aggregates; LCA would build nothing, since the handle is
+	// given the snapshot's LCA index.
 	h, err := s.Query("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.LCA(0, 5); err != nil {
+	if _, err := h.SubtreeAgg(5); err != nil {
 		t.Fatal(err)
 	}
 
@@ -182,12 +184,6 @@ func TestWALRecoveryProgress(t *testing.T) {
 	if m.WALRecoveryGraphsDone != m.WALRecoveryGraphsTotal {
 		t.Fatalf("recovery done %d != total %d after WaitRecovered",
 			m.WALRecoveryGraphsDone, m.WALRecoveryGraphsTotal)
-	}
-	reg := s2.Obs().Snapshot()
-	for _, key := range []string{"wal.recovery.graphs_total", "wal.recovery.graphs_done", "wal.recovery.replayed"} {
-		if _, ok := reg[key]; !ok {
-			t.Fatalf("registry missing %q", key)
-		}
 	}
 }
 

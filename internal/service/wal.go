@@ -481,11 +481,10 @@ func (sh *shard) recoverReplay() {
 			}
 			w.replayHist.Record(time.Since(t0))
 			w.replayed.Add(1)
-			gs.absorb(gs.dd.LastDelta())
 		}
-		if gs.pendCount > 0 {
-			sh.publish(id, gs)
-		}
+		// Publish even with an empty tail: the degraded checkpoint snapshot
+		// carries no LCA index, the restored maintainer's snapshot does.
+		sh.publish(id, gs)
 		if !ok {
 			break
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/lca"
 	"repro/internal/obs"
 	"repro/internal/tree"
 )
@@ -32,31 +33,25 @@ type Cache struct {
 	lru   *list.List // of *Handle; front = most recently used
 	byKey map[Key]*list.Element
 
-	hits           atomic.Uint64
-	misses         atomic.Uint64
-	evictions      atomic.Uint64
-	dropped        atomic.Uint64
-	builds         atomic.Uint64
-	buildNanos     atomic.Int64
-	patches        atomic.Uint64
-	patchNanos     atomic.Int64
-	patchFallbacks atomic.Uint64
-	size           atomic.Int64 // mirrors lru.Len() so Stats never takes mu
+	hits       atomic.Uint64
+	misses     atomic.Uint64
+	evictions  atomic.Uint64
+	dropped    atomic.Uint64
+	builds     atomic.Uint64
+	buildNanos atomic.Int64
+	size       atomic.Int64 // mirrors lru.Len() so Stats never takes mu
 
-	// Latency distributions of the read path: per-index fresh builds,
-	// per-index patch derivations (what observe's sums above total), and
-	// handle resolution (Handle/HandleDerived — the lock window plus, on a
-	// miss, handle construction; index work happens later, at first query,
-	// and lands in the build/patch histograms).
+	// Latency distributions of the read path: per-index builds (what
+	// observe's sums above total) and handle resolution (Handle — the lock
+	// window plus, on a miss, handle construction; index work happens
+	// later, at first query, and lands in the build histogram).
 	buildHist   obs.Histogram
-	patchHist   obs.Histogram
 	resolveHist obs.Histogram
 
-	// attribute, when set, receives each index derivation tagged with its
-	// graph so the owner can charge the work to a tenant (patched reports
-	// whether a delta patch succeeded; fallbacks count as builds). Set
-	// before the cache sees traffic; called from reader goroutines.
-	attribute func(graphName string, patched bool, d time.Duration)
+	// attribute, when set, receives each index build tagged with its graph
+	// so the owner can charge the work to a tenant. Set before the cache
+	// sees traffic; called from reader goroutines.
+	attribute func(graphName string, d time.Duration)
 }
 
 // NewCache creates a cache retaining up to capacity versions
@@ -76,49 +71,27 @@ func NewCache(capacity int) *Cache {
 func (c *Cache) Capacity() int { return c.capacity }
 
 // SetAttribution installs a per-graph cost callback invoked for every index
-// build or patch the cache's handles perform. Must be set before the cache
-// sees traffic (handles capture c.observe at creation, and the field is
-// read without a lock).
-func (c *Cache) SetAttribution(fn func(graphName string, patched bool, d time.Duration)) {
+// build the cache's handles perform. Must be set before the cache sees
+// traffic (handles capture c.observe at creation, and the field is read
+// without a lock).
+func (c *Cache) SetAttribution(fn func(graphName string, d time.Duration)) {
 	c.attribute = fn
 }
 
-func (c *Cache) observe(graphName string, outcome buildOutcome, d time.Duration) {
-	switch outcome {
-	case outcomePatch:
-		c.patches.Add(1)
-		c.patchNanos.Add(int64(d))
-		c.patchHist.Record(d)
-	case outcomeFallback:
-		c.patchFallbacks.Add(1)
-		c.builds.Add(1)
-		c.buildNanos.Add(int64(d))
-		c.buildHist.Record(d)
-	default:
-		c.builds.Add(1)
-		c.buildNanos.Add(int64(d))
-		c.buildHist.Record(d)
-	}
+func (c *Cache) observe(graphName string, d time.Duration) {
+	c.builds.Add(1)
+	c.buildNanos.Add(int64(d))
+	c.buildHist.Record(d)
 	if c.attribute != nil {
-		c.attribute(graphName, outcome == outcomePatch, d)
+		c.attribute(graphName, d)
 	}
 }
 
 // Handle returns the cached handle for key, creating (and caching) it from
-// the supplied frozen snapshot parts on first use. The hit path is a map
+// the supplied frozen snapshot parts on first use; ix is the tree's LCA
+// index when the caller has one (see New), else nil. The hit path is a map
 // lookup plus an LRU bump — no allocation, no index work.
-func (c *Cache) Handle(key Key, g *graph.Persistent, t *tree.Tree, pseudo int) *Handle {
-	return c.HandleDerived(key, g, t, pseudo, Key{}, nil, Delta{})
-}
-
-// HandleDerived is Handle for a version carrying its parent delta: when the
-// handle must be created and the parent version's handle is still cached
-// over the expected tree (parentTree is the incarnation check — a
-// dropped-and-recreated graph colliding on both versions cannot slip a
-// foreign tree in), the new handle is linked to it so its indexes patch
-// rather than rebuild. A missing or stale parent entry silently degrades to
-// the fresh-build path. parentTree nil means no delta is available.
-func (c *Cache) HandleDerived(key Key, g *graph.Persistent, t *tree.Tree, pseudo int, parentKey Key, parentTree *tree.Tree, delta Delta) *Handle {
+func (c *Cache) Handle(key Key, g *graph.Persistent, t *tree.Tree, pseudo int, ix *lca.Index) *Handle {
 	start := time.Now()
 	defer func() { c.resolveHist.Record(time.Since(start)) }()
 	c.mu.Lock()
@@ -137,15 +110,8 @@ func (c *Cache) HandleDerived(key Key, g *graph.Persistent, t *tree.Tree, pseudo
 		c.dropped.Add(1)
 		c.size.Add(-1)
 	}
-	h := &Handle{key: key, g: g, t: t, pseudo: pseudo, observe: c.observe}
-	if parentTree != nil {
-		if pel, ok := c.byKey[parentKey]; ok {
-			if ph := pel.Value.(*Handle); ph.t == parentTree {
-				h.delta = delta
-				h.parent.Store(ph)
-			}
-		}
-	}
+	h := New(g, t, pseudo, ix)
+	h.key, h.observe = key, c.observe
 	c.byKey[key] = c.lru.PushFront(h)
 	c.size.Add(1)
 	for c.lru.Len() > c.capacity {
@@ -233,28 +199,22 @@ func (c *Cache) MoveGraph(graphName string, dst *Cache) {
 // only capacity aging (the LRU is full and the oldest version falls off);
 // versions removed because their graph was dropped or because a
 // dropped-and-recreated graph collided on the same (graph, version) key —
-// a stale incarnation — count under Dropped instead. Builds counts fresh
-// index constructions (≤ 4 per version), Patches the index derivations
-// that reused a parent version's arrays, and PatchFallbacks the builds
-// that had a parent on hand but declined the patch (high churn or a
-// vertex-slot renumbering); fallbacks are also included in Builds.
+// a stale incarnation — count under Dropped instead. Builds counts index
+// constructions: at most 3 per version (LCA, aggregates, bicon), 2 when the
+// handle was given its tree's LCA index.
 type Stats struct {
-	Hits           uint64 // Handle calls answered from the LRU
-	Misses         uint64 // Handle calls that created a new handle
-	Evictions      uint64 // versions aged out by capacity
-	Dropped        uint64 // versions removed by DropGraph or stale incarnation
-	Builds         uint64 // fresh index constructions (≤ 4 per version)
-	BuildTime      time.Duration
-	Patches        uint64 // index derivations patched from a parent version
-	PatchTime      time.Duration
-	PatchFallbacks uint64 // patches declined after inspecting the delta
-	Size           int    // versions currently retained
+	Hits      uint64 // Handle calls answered from the LRU
+	Misses    uint64 // Handle calls that created a new handle
+	Evictions uint64 // versions aged out by capacity
+	Dropped   uint64 // versions removed by DropGraph or stale incarnation
+	Builds    uint64 // index constructions (≤ 3 per version)
+	BuildTime time.Duration
+	Size      int // versions currently retained
 
-	// Latency distributions behind the sums above: per-index build and
-	// patch durations, and handle-resolution latency (the read-path entry
-	// point). Merge per-shard snapshots for service-wide percentiles.
+	// Latency distributions behind the sums above: per-index build
+	// durations and handle-resolution latency (the read-path entry point).
+	// Merge per-shard snapshots for service-wide percentiles.
 	BuildHist   obs.HistSnapshot
-	PatchHist   obs.HistSnapshot
 	ResolveHist obs.HistSnapshot
 }
 
@@ -262,40 +222,14 @@ type Stats struct {
 // polling never contends with the Handle hot path.
 func (c *Cache) Stats() Stats {
 	return Stats{
-		Hits:           c.hits.Load(),
-		Misses:         c.misses.Load(),
-		Evictions:      c.evictions.Load(),
-		Dropped:        c.dropped.Load(),
-		Builds:         c.builds.Load(),
-		BuildTime:      time.Duration(c.buildNanos.Load()),
-		Patches:        c.patches.Load(),
-		PatchTime:      time.Duration(c.patchNanos.Load()),
-		PatchFallbacks: c.patchFallbacks.Load(),
-		Size:           int(c.size.Load()),
-		BuildHist:      c.buildHist.Snapshot(),
-		PatchHist:      c.patchHist.Snapshot(),
-		ResolveHist:    c.resolveHist.Snapshot(),
+		Hits:        c.hits.Load(),
+		Misses:      c.misses.Load(),
+		Evictions:   c.evictions.Load(),
+		Dropped:     c.dropped.Load(),
+		Builds:      c.builds.Load(),
+		BuildTime:   time.Duration(c.buildNanos.Load()),
+		Size:        int(c.size.Load()),
+		BuildHist:   c.buildHist.Snapshot(),
+		ResolveHist: c.resolveHist.Snapshot(),
 	}
-}
-
-// ObsPublish registers the cache's counters and latency histograms under
-// prefix, implementing obs.Source. Every published Var samples atomics
-// only, so polling never contends with the Handle hot path.
-func (c *Cache) ObsPublish(r *obs.Registry, prefix string) {
-	gauge := func(name string, u *atomic.Uint64) {
-		r.Gauge(prefix+name, func() int64 { return int64(u.Load()) })
-	}
-	gauge("hits", &c.hits)
-	gauge("misses", &c.misses)
-	gauge("evictions", &c.evictions)
-	gauge("dropped", &c.dropped)
-	gauge("builds", &c.builds)
-	gauge("patches", &c.patches)
-	gauge("patch_fallbacks", &c.patchFallbacks)
-	r.Gauge(prefix+"size", c.size.Load)
-	r.Gauge(prefix+"build_ns", c.buildNanos.Load)
-	r.Gauge(prefix+"patch_ns", c.patchNanos.Load)
-	r.Publish(prefix+"build_latency", func() any { return c.buildHist.Snapshot() })
-	r.Publish(prefix+"patch_latency", func() any { return c.patchHist.Snapshot() })
-	r.Publish(prefix+"resolve_latency", func() any { return c.resolveHist.Snapshot() })
 }

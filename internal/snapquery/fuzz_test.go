@@ -33,13 +33,13 @@ func (b *byteIntner) Intn(n int) int {
 	return b.k % n
 }
 
-// FuzzSnapqueryPatch decodes a fuzzed byte string into a version chain:
+// FuzzSnapqueryVersions decodes a fuzzed byte string into a version chain:
 // the first byte picks the base graph, the rest drives applyRandomUpdate's
 // update mix on a maintainer with little headroom (so pseudo-root
-// relocations break the chain). Every version's handle is derived from its
-// predecessor whenever the maintainer reports a delta; after every step it
-// must pass CheckSynced and answer exactly like a fresh build.
-func FuzzSnapqueryPatch(f *testing.F) {
+// relocations renumber the tree). After every step the handle given the
+// maintainer's LCA index must pass CheckSynced and answer exactly like a
+// fresh handle that builds every index itself.
+func FuzzSnapqueryVersions(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{7, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{19, 3, 3, 3, 3, 3, 9, 9, 9, 6, 6, 6, 6, 6, 6})
@@ -51,25 +51,17 @@ func FuzzSnapqueryPatch(f *testing.F) {
 		n := 6 + int(data[0])%26
 		g := graph.GnpConnected(n, 3.0/float64(n), rand.New(rand.NewSource(int64(data[0]))))
 		dd := core.New(g, core.Options{RebuildD: true, Headroom: 4})
-		h := New(dd.Frozen(), dd.Tree(), dd.PseudoRoot())
-		h.Warm()
 		src := &byteIntner{data: data[1:]}
 		for step := 0; step < 48 && len(src.data) > 0; step++ {
 			if !applyRandomUpdate(t, dd, src) {
 				continue
 			}
-			var nh *Handle
-			if d := dd.LastDelta(); d != nil {
-				nh = NewDerived(h, dd.Frozen(), dd.Tree(), dd.PseudoRoot(), coreDelta(d))
-			} else {
-				nh = New(dd.Frozen(), dd.Tree(), dd.PseudoRoot())
-			}
-			nh.Warm()
-			if err := nh.CheckSynced(); err != nil {
+			h := New(dd.Frozen(), dd.Tree(), dd.PseudoRoot(), dd.LCA())
+			h.Warm()
+			if err := h.CheckSynced(); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			sameAnswers(t, step, nh, New(dd.Frozen(), dd.Tree(), dd.PseudoRoot()))
-			h = nh
+			sameAnswers(t, step, h, New(dd.Frozen(), dd.Tree(), dd.PseudoRoot(), nil))
 		}
 	})
 }
@@ -94,6 +86,9 @@ func sameAnswers(t *testing.T, step int, h, fresh *Handle) {
 		gk, ge := h.KthAncestor(u, i%5)
 		wk, we := fresh.KthAncestor(u, i%5)
 		check("KthAncestor", gk, wk, ge, we)
+		gk, ge = h.AncestorAtDepth(u, i%7)
+		wk, we = fresh.AncestorAtDepth(u, i%7)
+		check("AncestorAtDepth", gk, wk, ge, we)
 		gd, ge := h.Depth(u)
 		wd, we := fresh.Depth(u)
 		check("Depth", gd, wd, ge, we)

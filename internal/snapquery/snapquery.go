@@ -2,7 +2,6 @@ package snapquery
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,16 +18,6 @@ type Key struct {
 	Graph   string
 	Version uint64
 }
-
-// buildOutcome classifies how one index slot got its value, for the cache's
-// patch-vs-build accounting.
-type buildOutcome int
-
-const (
-	outcomeBuild    buildOutcome = iota // fresh build, no parent on hand
-	outcomePatch                        // derived from the parent version's index
-	outcomeFallback                     // parent on hand but patch declined (churn/renumber)
-)
 
 // lazy is a build-once slot: a nil-until-built atomic pointer guarded by a
 // mutex that serializes the single build (the singleflight). The fast path
@@ -49,42 +38,24 @@ type Handle struct {
 	g       *graph.Persistent
 	t       *tree.Tree
 	pseudo  int
-	observe func(string, buildOutcome, time.Duration) // cache metrics observer (graph, outcome, cost); nil standalone
-
-	// Differential-build state: while parent is set, each tree index first
-	// tries to patch the parent handle's arrays using delta (see patch.go).
-	// The reference is dropped once all three patchable slots are filled so
-	// handle chains never retain more than one generation.
-	parent atomic.Pointer[Handle]
-	delta  Delta
-	built  atomic.Int32 // patchable slots filled; parent released at 3
-
-	planMu   sync.Mutex
-	planDone bool
-	plan     *patchPlan
+	observe func(string, time.Duration) // cache metrics observer (graph, build cost); nil standalone
 
 	lcaIdx  lazy[lca.Index]
 	biconIx lazy[biconIndex]
 	aggIx   lazy[aggIndex]
-	liftIx  lazy[liftIndex]
 }
 
 // New builds an uncached handle over a frozen (graph, tree, pseudo root)
 // triple, e.g. a retained service Snapshot or a paused maintainer. pseudo
 // is the artificial forest root (tree.None when the root is a real vertex).
-func New(g *graph.Persistent, t *tree.Tree, pseudo int) *Handle {
-	return &Handle{key: Key{}, g: g, t: t, pseudo: pseudo}
-}
-
-// NewDerived is New for a version whose parent handle and update delta are
-// on hand: the tree indexes will patch parent's arrays instead of building
-// from scratch whenever the delta permits (falling back silently when it
-// does not). parent must pin the version delta was measured against.
-func NewDerived(parent *Handle, g *graph.Persistent, t *tree.Tree, pseudo int, delta Delta) *Handle {
-	h := New(g, t, pseudo)
-	if parent != nil {
-		h.delta = delta
-		h.parent.Store(parent)
+// ix, when non-nil, must index t (the maintainer's core.DynamicDFS.LCA of
+// that tree); the handle then answers the LCA family and level ancestors
+// from it and builds no LCA index of its own. With nil it builds one on
+// first use.
+func New(g *graph.Persistent, t *tree.Tree, pseudo int, ix *lca.Index) *Handle {
+	h := &Handle{g: g, t: t, pseudo: pseudo}
+	if ix != nil {
+		h.lcaIdx.p.Store(ix)
 	}
 	return h
 }
@@ -111,39 +82,11 @@ func (h *Handle) Warm() {
 	h.lca()
 	h.bicon()
 	h.agg()
-	h.lift()
 }
 
-// patchPlan returns the handle's delta closure (nil = patch declined),
-// computing it on first use; the three patchable slots share one plan.
-func (h *Handle) patchPlan(par *Handle) *patchPlan {
-	h.planMu.Lock()
-	defer h.planMu.Unlock()
-	if !h.planDone {
-		h.plan = buildPatchPlan(par.t, h.t, h.delta)
-		h.planDone = true
-	}
-	return h.plan
-}
-
-// slotBuilt records one patchable slot filled; after the third the parent
-// reference and the plan are released so the version chain can be collected.
-func (h *Handle) slotBuilt() {
-	if h.built.Add(1) != 3 {
-		return
-	}
-	h.parent.Store(nil)
-	h.planMu.Lock()
-	h.plan = nil
-	h.planMu.Unlock()
-}
-
-// derive fills one patchable index slot under its singleflight: patch from
-// the parent version when one is held and the plan allows it, else build
-// fresh. Chains recurse naturally — patch typically starts by demanding the
-// parent's own slot, which may itself patch from the grandparent; the lock
-// order is strictly child→parent, so chained first queries cannot deadlock.
-func derive[T any](h *Handle, slot *lazy[T], fresh func() *T, patch func(par *Handle, plan *patchPlan) *T) *T {
+// once fills one index slot under its singleflight: the first caller
+// builds, concurrent callers block on it, later ones take an atomic load.
+func once[T any](h *Handle, slot *lazy[T], build func() *T) *T {
 	if v := slot.p.Load(); v != nil {
 		return v
 	}
@@ -153,29 +96,11 @@ func derive[T any](h *Handle, slot *lazy[T], fresh func() *T, patch func(par *Ha
 		return v
 	}
 	start := time.Now()
-	var v *T
-	outcome := outcomeBuild
-	if par := h.parent.Load(); par != nil {
-		if plan := h.patchPlan(par); plan != nil {
-			// A patch func may still decline (nil) after inspecting the
-			// parent's index — e.g. a splice over a stale shared tour.
-			if v = patch(par, plan); v != nil {
-				outcome = outcomePatch
-			} else {
-				outcome = outcomeFallback
-			}
-		} else {
-			outcome = outcomeFallback
-		}
-	}
-	if v == nil {
-		v = fresh()
-	}
+	v := build()
 	if h.observe != nil {
-		h.observe(h.key.Graph, outcome, time.Since(start))
+		h.observe(h.key.Graph, time.Since(start))
 	}
 	slot.p.Store(v)
-	h.slotBuilt()
 	return v
 }
 
@@ -196,25 +121,7 @@ func (h *Handle) check(op string, vs ...int) error {
 // ---- LCA family ----
 
 func (h *Handle) lca() *lca.Index {
-	return derive(h, &h.lcaIdx,
-		func() *lca.Index { return lca.Build(h.t) },
-		func(par *Handle, plan *patchPlan) *lca.Index {
-			pix := par.lca()
-			if plan.sameTree {
-				return pix // identical tree object: share the index outright
-			}
-			if plan.shareClean {
-				// Pure detachment: no live root path changed, so the parent
-				// tour's range minima still land on the right LCAs for every
-				// live pair. Share the arrays, flagged stale when vertices
-				// were removed (the tour keeps their occurrences).
-				return pix.Shared(len(h.delta.Removed) > 0)
-			}
-			// A stale parent declines (nil): splicing needs exact offsets.
-			return lca.Patch(pix, h.t, func(v int) bool {
-				return !plan.dirty1[v] && !plan.dirty2[v]
-			})
-		})
+	return once(h, &h.lcaIdx, func() *lca.Index { return lca.Build(h.t) })
 }
 
 // LCA returns the lowest common ancestor of u and v in the snapshot's DFS
@@ -284,70 +191,9 @@ func (h *Handle) TreePath(u, v int) ([]int, error) {
 
 // ---- Level ancestors ----
 
-// liftIndex is the binary-lifting table: up[k][v] is v's 2^k-th ancestor,
-// -1 above the forest (the pseudo root lifts to -1 like a real root).
-type liftIndex struct {
-	up [][]int32
-}
-
-func (h *Handle) lift() *liftIndex {
-	return derive(h, &h.liftIx,
-		func() *liftIndex { return buildLiftIndex(h.t) },
-		func(par *Handle, plan *patchPlan) *liftIndex {
-			pix := par.lift()
-			if plan.sameTree || plan.shareClean {
-				// shareClean: an unmoved vertex keeps its whole ancestor
-				// chain, so every row is entry-for-entry reusable at live
-				// slots; extra top rows of a now-too-tall table read -1 for
-				// any live vertex, which KthAncestor already treats as
-				// above-the-root. Unlike the tour, a shared table is still a
-				// valid base for later row-copy patches.
-				return pix
-			}
-			return patchLiftIndex(pix, h.t, plan, h.delta.Moved)
-		})
-}
-
-func buildLiftIndex(t *tree.Tree) *liftIndex {
-	n := t.N()
-	maxLvl := 0
-	for v := 0; v < n; v++ {
-		if t.Present(v) && t.Level(v) > maxLvl {
-			maxLvl = t.Level(v)
-		}
-	}
-	levels := bits.Len(uint(maxLvl))
-	if levels == 0 {
-		levels = 1
-	}
-	up := make([][]int32, levels)
-	row0 := make([]int32, n)
-	for v := 0; v < n; v++ {
-		if t.Present(v) && t.Parent[v] != tree.None {
-			row0[v] = int32(t.Parent[v])
-		} else {
-			row0[v] = -1
-		}
-	}
-	up[0] = row0
-	for k := 1; k < levels; k++ {
-		prev := up[k-1]
-		row := make([]int32, n)
-		for v := 0; v < n; v++ {
-			if p := prev[v]; p >= 0 {
-				row[v] = prev[p]
-			} else {
-				row[v] = -1
-			}
-		}
-		up[k] = row
-	}
-	return &liftIndex{up: up}
-}
-
 // KthAncestor returns v's k-th ancestor within its component (k=0 is v
 // itself), or -1 when the walk leaves the component (reaches the pseudo
-// root or climbs past a real root). O(log n) via binary lifting.
+// root or climbs past a real root). O(log n) over the LCA index.
 func (h *Handle) KthAncestor(v, k int) (int, error) {
 	if err := h.check("KthAncestor", v); err != nil {
 		return -1, err
@@ -355,22 +201,7 @@ func (h *Handle) KthAncestor(v, k int) (int, error) {
 	if k < 0 {
 		return -1, fmt.Errorf("snapquery: KthAncestor(%d,%d): negative k", v, k)
 	}
-	ix := h.lift()
-	x := int32(v)
-	for b := 0; k != 0 && x >= 0; b, k = b+1, k>>1 {
-		if k&1 == 0 {
-			continue
-		}
-		if b >= len(ix.up) {
-			x = -1
-			break
-		}
-		x = ix.up[b][x]
-	}
-	if x < 0 || int(x) == h.pseudo {
-		return -1, nil
-	}
-	return int(x), nil
+	return h.ancestorAt(v, h.t.Level(v)-k), nil
 }
 
 // AncestorAtDepth returns the ancestor of v at the given depth (Depth
@@ -383,7 +214,19 @@ func (h *Handle) AncestorAtDepth(v, depth int) (int, error) {
 	if depth < 1 || depth > h.t.Level(v) {
 		return -1, nil
 	}
-	return h.KthAncestor(v, h.t.Level(v)-depth)
+	return h.ancestorAt(v, depth), nil
+}
+
+// ancestorAt returns v's ancestor at level d, or -1 above the forest (a
+// negative level, or the pseudo root).
+func (h *Handle) ancestorAt(v, d int) int {
+	if d < 0 {
+		return -1
+	}
+	if a := h.lca().AncestorAtDepth(v, d); a != h.pseudo {
+		return a
+	}
+	return -1
 }
 
 // ---- Subtree aggregates ----
@@ -405,14 +248,7 @@ type aggIndex struct {
 }
 
 func (h *Handle) agg() *aggIndex {
-	return derive(h, &h.aggIx,
-		func() *aggIndex { return buildAggIndex(h.t) },
-		func(par *Handle, plan *patchPlan) *aggIndex {
-			if plan.sameTree {
-				return par.agg()
-			}
-			return patchAggIndex(par.agg(), h.t, plan)
-		})
+	return once(h, &h.aggIx, func() *aggIndex { return buildAggIndex(h.t) })
 }
 
 func buildAggIndex(t *tree.Tree) *aggIndex {
@@ -482,27 +318,11 @@ type biconIndex struct {
 	artic   []int
 }
 
-// bicon is deliberately outside the differential path: low-points depend on
-// the global back-edge structure, so a single inserted back edge can flip
-// bridges and articulation points arbitrarily far from the moved set —
-// there is no subtree locality to patch along. Always a fresh build.
 func (h *Handle) bicon() *biconIndex {
-	if v := h.biconIx.p.Load(); v != nil {
-		return v
-	}
-	h.biconIx.mu.Lock()
-	defer h.biconIx.mu.Unlock()
-	if v := h.biconIx.p.Load(); v != nil {
-		return v
-	}
-	start := time.Now()
-	an := bicon.Analyze(h.g, h.t, h.pseudo, nil)
-	v := &biconIndex{an: an, bridges: an.Bridges(), artic: an.ArticulationPoints()}
-	if h.observe != nil {
-		h.observe(h.key.Graph, outcomeBuild, time.Since(start))
-	}
-	h.biconIx.p.Store(v)
-	return v
+	return once(h, &h.biconIx, func() *biconIndex {
+		an := bicon.Analyze(h.g, h.t, h.pseudo, nil)
+		return &biconIndex{an: an, bridges: an.Bridges(), artic: an.ArticulationPoints()}
+	})
 }
 
 // IsArticulation reports whether deleting v would disconnect its component.
@@ -570,44 +390,16 @@ func (h *Handle) SameBiconnectedComponent(u, v int) (bool, error) {
 // ---- Differential oracle ----
 
 // CheckSynced verifies the handle's materialized tree indexes against fresh
-// ground-up builds over the same tree — the differential oracle of the
-// patch path, mirroring dstruct.D's CheckSynced. A patched index must be
-// structurally identical to the fresh build on every entry a query can
-// reach: the LCA index passes lca.Index.CheckSynced (which also holds the
-// rule for a tour shared across pure detachments), and every live vertex's
-// lifting rows and aggregates equal the fresh ones. Entries at
-// removed-vertex slots are intentionally stale in patched arrays and are
-// excluded. Slots not yet built are skipped, so the oracle never triggers
-// builds itself; nil means every built index is in sync.
+// ground-up builds over the same tree, mirroring dstruct.D's CheckSynced:
+// the LCA index — the maintainer's, when the handle was given one — must
+// pass lca.Index.CheckSynced, and every live vertex's aggregates must equal
+// the fresh ones. Slots not yet built are skipped, so the oracle never
+// triggers builds itself; nil means every built index is in sync.
 func (h *Handle) CheckSynced() error {
 	t := h.t
 	if got := h.lcaIdx.p.Load(); got != nil {
 		if err := got.CheckSynced(t); err != nil {
 			return fmt.Errorf("snapquery: CheckSynced: %w", err)
-		}
-	}
-	if got := h.liftIx.p.Load(); got != nil {
-		want := buildLiftIndex(t)
-		// A table shared across pure detachments may keep rows the (now
-		// shallower) tree no longer needs; those must read -1 — above the
-		// forest — at every live slot.
-		if len(got.up) < len(want.up) {
-			return fmt.Errorf("snapquery: CheckSynced: lift has %d rows, want at least %d", len(got.up), len(want.up))
-		}
-		for k := range got.up {
-			for v := 0; v < t.N(); v++ {
-				if !t.Present(v) {
-					continue
-				}
-				w := int32(-1)
-				if k < len(want.up) {
-					w = want.up[k][v]
-				}
-				if got.up[k][v] != w {
-					return fmt.Errorf("snapquery: CheckSynced: up[%d][%d] = %d, want %d",
-						k, v, got.up[k][v], w)
-				}
-			}
 		}
 	}
 	if got := h.aggIx.p.Load(); got != nil {
