@@ -60,8 +60,8 @@
 // each built at most once per snapshot version under a singleflight guard
 // and retained in a bounded per-shard LRU, so warm queries do zero index
 // construction. The LCA index, which also answers the level ancestors, is
-// the maintainer's own, published with each snapshot, so those queries
-// build nothing even on a new version. NewSnapshotQuery is the standalone
+// part of the DFS tree itself, built with every tree the maintainer
+// installs, so those queries build nothing even on a new version. NewSnapshotQuery is the standalone
 // (uncached) equivalent for any frozen graph+tree pair.
 //
 // # Observability
@@ -342,7 +342,7 @@ func OpenService(cfg ServiceConfig) (*Service, error) { return service.Open(cfg)
 // Maintainer's Graph/Tree/PseudoRoot. The serving layer's Service.Query is
 // the cached equivalent.
 func NewSnapshotQuery(g *Graph, t *Tree, pseudoRoot int) *QueryHandle {
-	return snapquery.New(g, t, pseudoRoot, nil)
+	return snapquery.New(g, t, pseudoRoot)
 }
 
 // NewStreaming builds the semi-streaming maintainer over g's edges.

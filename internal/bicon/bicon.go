@@ -8,8 +8,9 @@
 // low-point of every vertex is a bottom-up tree aggregation over the
 // graph's back edges, which is exactly the kind of O(log n)-depth tree
 // contraction the paper's substrate (Tarjan–Vishkin) supports. The
-// implementation aggregates in post-order; the PRAM machine, when supplied,
-// is charged the tree-contraction model cost.
+// implementation aggregates over the tree's pre-order sequence read
+// backwards (children before parents); the PRAM machine, when supplied, is
+// charged the tree-contraction model cost.
 package bicon
 
 import (
@@ -48,18 +49,16 @@ func Analyze(g *graph.Persistent, t *tree.Tree, pseudo int, mach *pram.Machine) 
 	for i := range a.compID {
 		a.compID[i] = -1
 	}
-	// Order vertices by decreasing post-order: children before parents.
-	order := make([]int, 0, t.Live())
-	for v := 0; v < n; v++ {
-		if t.Present(v) && v != pseudo {
-			order = append(order, v)
+	// The pre-order sequence read backwards lists children before parents.
+	order := t.PreOrder()
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		if v == pseudo {
+			continue
 		}
-	}
-	sort.Slice(order, func(i, j int) bool { return t.Post(order[i]) < t.Post(order[j]) })
-
-	for _, v := range order {
 		a.low[v] = t.Level(v)
-		for _, w := range g.SortedNeighbors(v) {
+		for _, w32 := range g.Row(v) {
+			w := int(w32)
 			if w == t.Parent[v] || t.Parent[w] == v {
 				continue // tree edges handled by child aggregation
 			}
@@ -80,7 +79,11 @@ func Analyze(g *graph.Persistent, t *tree.Tree, pseudo int, mach *pram.Machine) 
 	}
 
 	// Articulation points and bridges from low points.
-	for _, v := range order {
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		if v == pseudo {
+			continue
+		}
 		p := t.Parent[v]
 		if p == tree.None || p == pseudo {
 			// v is a component root: articulation iff ≥2 children.
@@ -108,14 +111,10 @@ func Analyze(g *graph.Persistent, t *tree.Tree, pseudo int, mach *pram.Machine) 
 func (a *Analysis) assignComponents(pseudo int) {
 	t := a.t
 	// Process in pre-order so parents are labelled first.
-	order := make([]int, 0, t.Live())
-	for v := 0; v < t.N(); v++ {
-		if t.Present(v) && v != pseudo {
-			order = append(order, v)
+	for _, v := range t.PreOrder() {
+		if v == pseudo {
+			continue
 		}
-	}
-	sort.Slice(order, func(i, j int) bool { return t.Pre(order[i]) < t.Pre(order[j]) })
-	for _, v := range order {
 		p := t.Parent[v]
 		if p == tree.None || p == pseudo {
 			continue

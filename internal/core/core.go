@@ -37,7 +37,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/dstruct"
 	"repro/internal/graph"
-	"repro/internal/lca"
 	"repro/internal/obs"
 	"repro/internal/pram"
 	"repro/internal/reroot"
@@ -120,7 +119,6 @@ const (
 type DynamicDFS struct {
 	g      *graph.Persistent
 	t      *tree.Tree
-	l      *lca.Index
 	d      *dstruct.D
 	m      *pram.Machine
 	pseudo int
@@ -177,14 +175,6 @@ func New(g *graph.Persistent, opt Options) *DynamicDFS {
 	dd.pseudo = dd.g.NumVertexSlots() + dd.headroom
 	dd.t = baseline.StaticDFSUnder(dd.g, dd.pseudo)
 	dd.d = dstruct.Build(dd.g, dd.t, dd.m)
-	if dd.rebuildD {
-		// Fully dynamic mode refreshes D (and its embedded LCA index) after
-		// every update; the engine-facing index aliases D's so the same
-		// tree is never indexed twice.
-		dd.l = dd.d.LCA
-	} else {
-		dd.l = lca.Build(dd.t)
-	}
 	return dd
 }
 
@@ -208,7 +198,6 @@ func NewFromState(g *graph.Persistent, t *tree.Tree, d *dstruct.D, pseudo int, o
 	return &DynamicDFS{
 		g:        g,
 		t:        t,
-		l:        lca.Build(t),
 		d:        d,
 		m:        m,
 		pseudo:   pseudo,
@@ -221,11 +210,11 @@ func NewFromState(g *graph.Persistent, t *tree.Tree, d *dstruct.D, pseudo int, o
 // NewDynamicRestored assembles a fully dynamic maintainer over restored
 // state — a deserialized WAL checkpoint, or any (graph, DFS tree) pair the
 // caller already holds: g's DFS tree t rooted at pseudo, with updates
-// already counted against the pair. D (and the engine-facing LCA index it
-// embeds) is built fresh from (g, t), so the result is exactly the
-// maintainer that produced the pair, minus per-update scratch. g and t are
-// retained, not copied: both are immutable under the maintainer's regime
-// (updates path-copy away from g; t is replaced, never mutated).
+// already counted against the pair. D is built fresh from (g, t), so the
+// result is exactly the maintainer that produced the pair, minus
+// per-update scratch. g and t are retained, not copied: both are immutable
+// under the maintainer's regime (updates path-copy away from g; t is
+// replaced, never mutated).
 func NewDynamicRestored(g *graph.Persistent, t *tree.Tree, pseudo, updates int, opt Options) *DynamicDFS {
 	m := opt.Machine
 	if m == nil {
@@ -242,7 +231,6 @@ func NewDynamicRestored(g *graph.Persistent, t *tree.Tree, pseudo, updates int, 
 		exec:     opt.Executor,
 	}
 	dd.d = dstruct.Build(dd.g, dd.t, dd.m)
-	dd.l = dd.d.LCA
 	return dd
 }
 
@@ -272,12 +260,6 @@ func (dd *DynamicDFS) Machine() *pram.Machine { return dd.m }
 
 // LastStats returns the rerooting statistics of the most recent update.
 func (dd *DynamicDFS) LastStats() reroot.Stats { return dd.lastStats }
-
-// LCA returns the LCA index of the current tree: in fully dynamic mode D's
-// embedded index, otherwise one built for the engine. It always indexes
-// Tree(), and like the tree it is immutable and replaced, never mutated, so
-// a caller may publish it with the tree and query it after later updates.
-func (dd *DynamicDFS) LCA() *lca.Index { return dd.l }
 
 // QueryStats returns the D-query search effort accumulated over every
 // update processed so far (each update's engine threads a per-call
@@ -344,8 +326,7 @@ func (dd *DynamicDFS) apply(kind UpdateKind, p reroot.Plan) error {
 // whose relative post-order can differ from the previous tree), removed the
 // vertices the update deleted from the tree; sameTree is set by the
 // back-edge fast paths, where the tree object and its numbering are
-// untouched and D only needs to absorb the update's patches (and keeps its
-// LCA index).
+// untouched and D only needs to absorb the update's patches.
 func (dd *DynamicDFS) installTree(nt *tree.Tree, moved, removed []int, sameTree bool) {
 	dd.t = nt
 	dd.updates++
@@ -364,12 +345,6 @@ func (dd *DynamicDFS) installTree(nt *tree.Tree, moved, removed []int, sameTree 
 		} else {
 			outcome = "fallback"
 		}
-		// dd.l aliases the freshly maintained index.
-		dd.l = dd.d.LCA
-	} else {
-		// Fault-tolerant mode: D stays pinned to the base tree, so the
-		// engine-facing index is a separate one built on the new tree.
-		dd.l = lca.Build(dd.t)
 	}
 	if tr := dd.trace; tr != nil {
 		dd.dmaintDur += time.Since(t0)
@@ -383,13 +358,13 @@ func (dd *DynamicDFS) installTree(nt *tree.Tree, moved, removed []int, sameTree 
 // planner reduces the in-flight update against the current tree, charging
 // its deepest-edge batch to the maintainer's machine and query totals.
 func (dd *DynamicDFS) planner() reroot.Planner {
-	return reroot.NewPlanner(dd.t, dd.l, dd.d, dd.m, &dd.qstats)
+	return reroot.NewPlanner(dd.t, dd.d, dd.m, &dd.qstats)
 }
 
 // engine creates a rerooting engine for the current tree, drawing its
 // per-update buffers from the maintainer's reusable scratch.
 func (dd *DynamicDFS) engine() *reroot.Engine {
-	e := reroot.NewWithScratch(dd.t, dd.l, dd.d, dd.m, &dd.scratch)
+	e := reroot.NewWithScratch(dd.t, dd.d, dd.m, &dd.scratch)
 	e.Executor, e.G = dd.exec, dd.g
 	// Only the incremental D path consumes the moved set; the pinned mode
 	// must not pay the subtree walks that accumulate it.
@@ -424,11 +399,9 @@ func (dd *DynamicDFS) relocatePseudo() {
 		// other (the root's children keep their ID order), so this is a
 		// relabel-only incremental update with an empty moved set.
 		dd.d.Update(dd.g, dd.t, dstruct.UpdateDelta{})
-		dd.l = dd.d.LCA
 	} else {
 		// Unreachable today (InsertVertex rejects relocation in
 		// fault-tolerant mode), but never clobber a caller-shared D.
-		dd.l = lca.Build(dd.t)
 		dd.d = dstruct.Build(dd.g, dd.t, dd.m)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/graph"
-	"repro/internal/lca"
 	"repro/internal/pram"
 	"repro/internal/tree"
 )
@@ -13,8 +12,7 @@ import (
 // D answers lowest/highest-edge queries against a base tree T plus an
 // accumulated patch set.
 type D struct {
-	T   *tree.Tree
-	LCA *lca.Index
+	T *tree.Tree
 
 	mach *pram.Machine // accounting machine for maintenance charges; nil = uncharged
 
@@ -78,11 +76,10 @@ func Build(g *graph.Persistent, t *tree.Tree, mach *pram.Machine) *D {
 	return d
 }
 
-// Rebuild reconstructs D over (g, t) in place, discarding all patches,
-// reusing the existing neighbor rows and building a fresh LCA index. It is
-// the ground-up maintenance step of the fully dynamic maintainer (now the
-// high-churn fallback of Update). Queries answered before Rebuild returns
-// are invalid.
+// Rebuild reconstructs D over (g, t) in place, discarding all patches and
+// reusing the existing neighbor rows. It is the ground-up maintenance step
+// of the fully dynamic maintainer (now the high-churn fallback of Update).
+// Queries answered before Rebuild returns are invalid.
 func (d *D) Rebuild(g *graph.Persistent, t *tree.Tree, mach *pram.Machine) {
 	clear(d.inserted)
 	clear(d.deletedE)
@@ -97,7 +94,6 @@ func (d *D) build(g *graph.Persistent, t *tree.Tree, mach *pram.Machine) {
 	n := t.N()
 	d.T = t
 	d.mach = mach
-	d.LCA = lca.Build(t)
 	d.key = t.PostInto(d.key)
 	if cap(d.nbr) >= n {
 		d.nbr = d.nbr[:n]

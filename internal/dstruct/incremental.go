@@ -24,7 +24,6 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/lca"
 	"repro/internal/pram"
 	"repro/internal/tree"
 )
@@ -62,8 +61,7 @@ type UpdateDelta struct {
 	Moved []int
 	// SameTree declares that the tree object and its numbering are exactly
 	// as they were when D was last maintained (a back-edge insert or delete):
-	// Update then skips the relabel pass and the LCA build and only
-	// absorbs the patch set.
+	// Update then skips the relabel pass and only absorbs the patch set.
 	SameTree bool
 }
 
@@ -168,9 +166,6 @@ func (d *D) Update(g *graph.Persistent, t *tree.Tree, delta UpdateDelta) bool {
 	clear(d.deletedE)
 	clear(d.patchVerts)
 	d.numPatches = 0
-	if !delta.SameTree {
-		d.LCA = lca.Build(t)
-	}
 	if d.mach != nil {
 		// Model cost of the incremental pass: the repositionings are
 		// independent binary searches, one O(log n)-depth EREW step over
@@ -229,14 +224,14 @@ func (d *D) MaintenanceCounts() (incremental, rebuilds int64) {
 // CheckSynced verifies that D is exactly the structure Build(g, t) would
 // produce: order keys equal to t's post-order labels, every neighbor row
 // equal to the vertex's adjacency sorted by key, retired rows empty, no
-// accumulated patches, and the embedded LCA index on t. The incremental
+// accumulated patches, and t's own LCA index in sync. The incremental
 // path's differential tests call it after every update; it is O(m + n).
 func (d *D) CheckSynced(g *graph.Persistent, t *tree.Tree) error {
 	if d.T != t {
 		return fmt.Errorf("dstruct: D tree is not the maintained tree")
 	}
-	if err := d.LCA.CheckSynced(t); err != nil {
-		return fmt.Errorf("dstruct: embedded LCA index: %w", err)
+	if err := t.CheckIndex(); err != nil {
+		return fmt.Errorf("dstruct: %w", err)
 	}
 	if d.numPatches != 0 || len(d.inserted) != 0 || len(d.deletedE) != 0 || len(d.patchVerts) != 0 {
 		return fmt.Errorf("dstruct: unabsorbed patches (%d ops, %d inserted rows, %d deleted edges, %d patch vertices)",

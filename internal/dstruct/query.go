@@ -333,7 +333,7 @@ func (d *D) searchRun(u int, r run, walk []int, fromEnd bool, st *Stats) (int, b
 		// exactly its ancestors with key in [key(l), key(top)],
 		// l = LCA(u, bot).
 		st.Searches++
-		l := d.LCA.LCA(u, bot)
+		l := d.T.LCA(u, bot)
 		return d.scanRange(u, d.key[l], d.key[top], wantTreeHigh, nil, st)
 	case t.IsAncestor(u, top):
 		// Case B (multi-update mode only): u is an ancestor of the whole

@@ -14,7 +14,7 @@ import (
 //	          mutation, D patches, LCA and deepest-edge (D) queries
 //	Engine  — reroot engine time: Reroot scheduling plus tree rebuild
 //	DMaint  — D maintenance: incremental D.Update or ground-up rebuild
-//	Publish — snapshot publication (delta composition + pointer install)
+//	Publish — snapshot publication (Snapshot allocation + pointer install)
 //
 // A Trace is a plain value while being filled (the shard loop keeps it on
 // the stack); the slow ring copies it on admission.

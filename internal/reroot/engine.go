@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dstruct"
 	"repro/internal/graph"
-	"repro/internal/lca"
 	"repro/internal/pram"
 	"repro/internal/tree"
 )
@@ -86,7 +85,6 @@ type Oracle interface {
 // reduction algorithm produces, then Result.
 type Engine struct {
 	T *tree.Tree
-	L *lca.Index
 	D Oracle
 	M *pram.Machine
 
@@ -137,13 +135,13 @@ type Scratch struct {
 // of t's parent array and reroots with the Parallel executor. d must answer
 // queries for the current graph (base structure plus patches for the
 // in-flight update).
-func New(t *tree.Tree, l *lca.Index, d Oracle, m *pram.Machine) *Engine {
-	return NewWithScratch(t, l, d, m, nil)
+func New(t *tree.Tree, d Oracle, m *pram.Machine) *Engine {
+	return NewWithScratch(t, d, m, nil)
 }
 
 // NewWithScratch is New drawing the engine's per-update buffers from s
 // (nil s allocates fresh buffers, equivalent to New).
-func NewWithScratch(t *tree.Tree, l *lca.Index, d Oracle, m *pram.Machine, s *Scratch) *Engine {
+func NewWithScratch(t *tree.Tree, d Oracle, m *pram.Machine, s *Scratch) *Engine {
 	if m == nil {
 		m = pram.NewMachine(t.Live())
 	}
@@ -162,7 +160,6 @@ func NewWithScratch(t *tree.Tree, l *lca.Index, d Oracle, m *pram.Machine, s *Sc
 	}
 	return &Engine{
 		T:        t,
-		L:        l,
 		D:        d,
 		M:        m,
 		Executor: Parallel,

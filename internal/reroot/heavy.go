@@ -47,7 +47,7 @@ func (e *Engine) heavy(c *Comp, rcPiece, vH int) ([]*Comp, error) {
 	pcVerts := pc.vertices(t, nil)
 	onPc := func(v int) bool { return pc.contains(t, v) }
 
-	vl := e.L.LCA(rc, vH)
+	vl := e.T.LCA(rc, vH)
 	vL := t.ChildToward(vl, vH)
 
 	rest := func(exclude ...int) []Piece {
@@ -208,7 +208,7 @@ func (e *Engine) heavy(c *Comp, rcPiece, vH int) ([]*Comp, error) {
 		return e.heavyFallback(c, rcPiece)
 	}
 	x2 := hit2.U
-	qStar := e.L.LCA(xp, vH)
+	qStar := e.T.LCA(xp, vH)
 	vP := -1
 	if qStar != vH && !ixP.onWalk(vH) {
 		vP = t.ChildToward(qStar, vH)
@@ -280,7 +280,7 @@ func (e *Engine) heavy(c *Comp, rcPiece, vH int) ([]*Comp, error) {
 		return e.heavyFallback(c, rcPiece)
 	}
 	x3 := hit3.U
-	q3 := e.L.LCA(xr, vH)
+	q3 := e.T.LCA(xr, vH)
 	vR := -1
 	if q3 != vH && !ixR.onWalk(vH) {
 		vR = t.ChildToward(q3, vH)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/dstruct"
 	"repro/internal/graph"
-	"repro/internal/lca"
 	"repro/internal/pram"
 	"repro/internal/tree"
 	"repro/internal/verify"
@@ -83,7 +82,7 @@ func TestQuickRerootValid(t *testing.T) {
 		}
 		tr := baseline.StaticDFSFrom(g, 0)
 		d := dstruct.Build(g, tr, nil)
-		e := New(tr, lca.Build(tr), d, pram.NewMachine(tr.Live()))
+		e := New(tr, d, pram.NewMachine(tr.Live()))
 		rstar := int(uint(seed*31) % uint(g.NumVertexSlots()))
 		if err := e.Reroot(0, rstar, tree.None); err != nil {
 			return false
@@ -153,7 +152,7 @@ func TestWalkBuilderGuards(t *testing.T) {
 	g := graph.Path(6)
 	tr := baseline.StaticDFSFrom(g, 0)
 	d := dstruct.Build(g, tr, nil)
-	e := New(tr, lca.Build(tr), d, nil)
+	e := New(tr, d, nil)
 
 	w := e.newWalk()
 	w.ascend(4, 1)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/dstruct"
-	"repro/internal/lca"
 	"repro/internal/pram"
 	"repro/internal/tree"
 )
@@ -56,18 +55,17 @@ func (p Plan) Run(e *Engine, spent *time.Duration) error {
 // the oracle answering its queries and the bookkeeping around it differ.
 type Planner struct {
 	t  *tree.Tree
-	l  *lca.Index
 	d  Oracle
 	m  *pram.Machine
 	st *dstruct.Stats
 }
 
 // NewPlanner returns a planner for one update. It reads only the tree t
-// before the update, t's LCA index l, and the oracle d, which answers
-// queries on the graph after the update. m is charged for the deepest-edge
-// batch; st, when non-nil, accumulates that batch's search effort.
-func NewPlanner(t *tree.Tree, l *lca.Index, d Oracle, m *pram.Machine, st *dstruct.Stats) Planner {
-	return Planner{t: t, l: l, d: d, m: m, st: st}
+// before the update and the oracle d, which answers queries on the graph
+// after the update. m is charged for the deepest-edge batch; st, when
+// non-nil, accumulates that batch's search effort.
+func NewPlanner(t *tree.Tree, d Oracle, m *pram.Machine, st *dstruct.Stats) Planner {
+	return Planner{t: t, d: d, m: m, st: st}
 }
 
 // InsertEdge reduces inserting (u,v), case (ii): a back edge leaves the
@@ -75,7 +73,7 @@ func NewPlanner(t *tree.Tree, l *lca.Index, d Oracle, m *pram.Machine, st *dstru
 // containing v is rerooted at v and hung from u. w = pseudo root covers
 // merging two components.
 func (p Planner) InsertEdge(u, v int) Plan {
-	w := p.l.LCA(u, v)
+	w := p.t.LCA(u, v)
 	if w == u || w == v {
 		return Plan{}
 	}
@@ -138,7 +136,7 @@ func (p Planner) InsertVertex(u int, neighbors []int) Plan {
 		if vi == vj {
 			continue
 		}
-		a := p.l.LCA(vi, vj)
+		a := p.t.LCA(vi, vj)
 		if a == vi {
 			continue // vi on path(vj, root): (u, vi) is a back edge
 		}

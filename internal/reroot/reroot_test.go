@@ -7,7 +7,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/dstruct"
 	"repro/internal/graph"
-	"repro/internal/lca"
 	"repro/internal/pram"
 	"repro/internal/tree"
 	"repro/internal/verify"
@@ -22,7 +21,7 @@ func rerootAndVerify(t *testing.T, g *graph.Persistent, sub, rstar int) *Engine 
 		t.Fatalf("bad test setup: sub=%d rstar=%d", sub, rstar)
 	}
 	d := dstruct.Build(g, tr, nil)
-	e := New(tr, lca.Build(tr), d, pram.NewMachine(tr.Live()))
+	e := New(tr, d, pram.NewMachine(tr.Live()))
 	attach := tree.None
 	if sub != tr.Root {
 		attach = tr.Parent[sub]
@@ -138,7 +137,7 @@ func TestRerootRandomSubtree(t *testing.T) {
 			}
 		}
 		d := dstruct.Build(g, tr, nil)
-		e := New(tr, lca.Build(tr), d, nil)
+		e := New(tr, d, nil)
 		if err := e.Reroot(sub, rstar, attach); err != nil {
 			t.Fatalf("Reroot(%d,%d): %v", sub, rstar, err)
 		}
@@ -227,7 +226,7 @@ func TestRerootRejectsOutsideVertex(t *testing.T) {
 	g := graph.Path(6)
 	tr := baseline.StaticDFSFrom(g, 0)
 	d := dstruct.Build(g, tr, nil)
-	e := New(tr, lca.Build(tr), d, nil)
+	e := New(tr, d, nil)
 	// vertex 1's subtree is 1..5; rerooting T(2) at 1 must fail.
 	if err := e.Reroot(2, 1, tr.Parent[2]); err == nil {
 		t.Fatal("rerooting at vertex outside subtree accepted")

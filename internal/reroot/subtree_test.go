@@ -49,7 +49,7 @@ func TestSubtreeDFSKeepsStructure(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := pram.NewMachine(old.Live())
-			e := New(old, nil, nil, m) // SubtreeDFS asks neither LCA nor oracle
+			e := New(old, nil, m) // SubtreeDFS asks no oracle
 			e.Executor, e.G = SubtreeDFS, g
 			if err := (Plan{Steps: []Step{{Sub: 1, Root: 4, Parent: 0}}}).Run(e, nil); err != nil {
 				t.Fatal(err)

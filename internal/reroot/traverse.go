@@ -14,7 +14,7 @@ func (e *Engine) disintegrate(c *Comp, rcPiece int) ([]*Comp, error) {
 	p := c.Pieces[rcPiece]
 	thr := e.threshold(e.phaseOf(c))
 	vH := e.findVH(p.Root, thr)
-	vl := e.L.LCA(c.RC, vH)
+	vl := e.T.LCA(c.RC, vH)
 
 	w := e.newWalk()
 	w.ascend(c.RC, vl)
@@ -118,7 +118,7 @@ func (e *Engine) disconnect(c *Comp, rcPiece int) ([]*Comp, error) {
 
 	// Walk: rc → x within τ, hop to y, then sweep pc on the side holding
 	// all τ→pc edges (which is also the longer side, halving the residual).
-	vl := e.L.LCA(c.RC, x)
+	vl := e.T.LCA(c.RC, x)
 	w := e.newWalk()
 	w.ascend(c.RC, vl)
 	w.descend(vl, x)

@@ -105,18 +105,18 @@
 // BiconnectedComponentOf, SameBiconnectedComponent) from derived indexes
 // built over the pinned snapshot.
 //
-// The LCA index is the maintainer's. Every tree the maintainer installs
-// comes with D's embedded LCA index (the paper's Theorem 5/6 structure,
-// which D's queries need anyway), and publish stores that index in the
-// Snapshot beside the tree it indexes. A back-edge update keeps both, so
-// consecutive back-edge versions share one index pointer. The version's
-// query handle is given the index, so the LCA family and the level
-// ancestors (through lca.Index.AncestorAtDepth, an O(log n) search over the
-// same block minima) build nothing on any published version. The subtree
-// aggregates and the biconnectivity analysis are built once per version
-// on first use. The degraded checkpoint snapshots recovery publishes carry
-// no index; their handles build one on first use. CheckSynced holds the
-// published index against a fresh build of its tree, next to D's oracle.
+// The LCA index is part of the tree. tree.Build indexes every tree it
+// numbers (the paper's Theorem 5/6 structure, which the reroot engine and
+// D's queries need anyway), so every snapshot's Tree, the degraded
+// checkpoint snapshots recovery publishes included, carries its own index.
+// A back-edge update keeps the tree, so consecutive back-edge versions
+// share one index. The version's query handle answers the LCA family and
+// the level ancestors (through tree.AncestorAtDepth, an O(log n) search
+// over the same block minima) from it, building nothing on any published
+// version. The subtree aggregates and the biconnectivity analysis are built
+// once per version on first use. CheckSynced holds D against a fresh build
+// over the published graph and tree, which includes holding the tree's
+// index against a fresh derivation from its numbering.
 //
 // Index sharing and lifetime guarantees:
 //

@@ -9,13 +9,14 @@ import (
 )
 
 // TestSnapshotIndexPlumbing follows the published LCA index end to end:
-// every snapshot the maintainer publishes carries its index of that
-// snapshot's tree, and Service.CheckSynced holds it against a fresh build
-// after a restructuring update, a back edge (which keeps the tree and
-// shares the previous version's index pointer), a batch round that
+// every snapshot the maintainer publishes carries its tree, and with it
+// the tree's own index, and Service.CheckSynced holds it against a fresh
+// derivation after a restructuring update, a back edge (which keeps the
+// tree and so shares the previous version's index), a batch round that
 // relocates the pseudo root, a rejected update, MigrateGraph and WAL
-// recovery, with and without a log tail to replay; only the degraded
-// checkpoint snapshot published before replay carries none.
+// recovery, with and without a log tail to replay. The degraded checkpoint
+// snapshot published before replay carries the index of the checkpoint's
+// tree.
 func TestSnapshotIndexPlumbing(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(5))
@@ -28,9 +29,6 @@ func TestSnapshotIndexPlumbing(t *testing.T) {
 	defer func() { svc.Close() }()
 	synced := func(ctx string, snap *Snapshot) {
 		t.Helper()
-		if snap.lca == nil {
-			t.Fatalf("%s: snapshot %d carries no LCA index", ctx, snap.Version)
-		}
 		if err := svc.CheckSynced("g"); err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
@@ -66,7 +64,7 @@ func TestSnapshotIndexPlumbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap1.Tree == snap0.Tree || snap1.lca == snap0.lca {
+	if snap1.Tree == snap0.Tree {
 		t.Fatal("cross-edge insert kept the tree or its index")
 	}
 	synced("cross edge", snap1)
@@ -89,7 +87,7 @@ func TestSnapshotIndexPlumbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap2.Tree != snap1.Tree || snap2.lca != snap1.lca {
+	if snap2.Tree != snap1.Tree {
 		t.Fatal("back-edge versions do not share the tree and its index")
 	}
 	synced("back edge", snap2)
@@ -149,8 +147,8 @@ func TestSnapshotIndexPlumbing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Recovery first publishes the degraded checkpoint snapshot (no index),
-	// then the replayed state with the restored maintainer's index.
+	// Recovery first publishes the degraded checkpoint snapshot, then the
+	// replayed state with the restored maintainer's tree.
 	hold := make(chan struct{})
 	cfg.WAL = &WALConfig{Dir: dir, holdRecovery: hold}
 	if svc, err = Open(cfg); err != nil {
@@ -160,8 +158,8 @@ func TestSnapshotIndexPlumbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if degraded.lca != nil {
-		t.Fatal("degraded checkpoint snapshot carries an index")
+	if err := degraded.Tree.CheckIndex(); err != nil {
+		t.Fatalf("degraded checkpoint snapshot: %v", err)
 	}
 	close(hold)
 	svc.WaitRecovered()
@@ -196,8 +194,8 @@ func TestSnapshotIndexPlumbing(t *testing.T) {
 }
 
 // TestCheckSyncedCatchesForeignIndex pins that the published-index oracle
-// is not vacuous: a snapshot carrying the index of another tree fails
-// Service.CheckSynced.
+// is not vacuous: a snapshot carrying another graph's tree, and so that
+// tree's index, fails Service.CheckSynced.
 func TestCheckSyncedCatchesForeignIndex(t *testing.T) {
 	svc := New(Config{Shards: 1})
 	defer svc.Close()
@@ -208,7 +206,7 @@ func TestCheckSyncedCatchesForeignIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	forged := *snap
-	forged.lca = other.lca
+	forged.Tree = other.Tree
 	svc.shardFor("g").lookup("g").snap.Store(&forged)
 	if err := svc.CheckSynced("g"); err == nil {
 		t.Fatal("a snapshot with another tree's index passed CheckSynced")
@@ -217,8 +215,9 @@ func TestCheckSyncedCatchesForeignIndex(t *testing.T) {
 
 // TestQueryUsesPublishedIndex drives the read path across versions: LCA
 // and level-ancestor queries on each newly published version build no
-// index (the handle is given the snapshot's), the handle's answers match
-// naive recomputation, and warming builds only the aggregates and bicon.
+// index (the handle reads the snapshot tree's own), the handle's answers
+// match naive recomputation, and warming builds only the aggregates and
+// bicon.
 func TestQueryUsesPublishedIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := graph.GnpConnected(200, 0.025, rng)

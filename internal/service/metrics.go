@@ -92,8 +92,9 @@ type ShardMetrics struct {
 	// versions aged out by capacity, IndexCacheDropped the versions removed
 	// by a graph drop or a stale-incarnation collision, IndexCacheSize the
 	// versions currently resident. IndexBuilds counts index constructions
-	// (≤ 2 per published version, aggregates and bicon: the LCA index comes
-	// with the snapshot) and IndexBuildTime their summed wall-clock cost.
+	// (≤ 2 per published version, aggregates and bicon: the LCA index is
+	// part of the snapshot's tree) and IndexBuildTime their summed
+	// wall-clock cost.
 	// The two histograms carry the corresponding read-path distributions:
 	// per-index build durations and handle-resolution latency.
 	IndexCacheHits      uint64

@@ -47,9 +47,8 @@ type Config struct {
 	// insertions. Default 64.
 	Headroom int
 	// QueryCache is the number of snapshot versions per shard whose derived
-	// query indexes (LCA, biconnectivity, subtree aggregates, level
-	// ancestors) stay resident in the shard's LRU. Default
-	// snapquery.DefaultCapacity.
+	// query indexes (biconnectivity, subtree aggregates) stay resident in
+	// the shard's LRU. Default snapquery.DefaultCapacity.
 	QueryCache int
 	// SlowTraces is the number of slowest update traces retained per shard
 	// for inspection through SlowTraces() and the debug endpoint. Default
@@ -420,10 +419,10 @@ func (s *Service) Verify(id GraphID) error {
 // Verify checks id's latest snapshot; CheckSynced goes further and runs the
 // maintainer-side oracle on the shard loop itself: it validates that the
 // graph's query structure D is exactly the structure a fresh build over the
-// current graph and tree would produce (the recovery acceptance check —
-// replayed state must be indistinguishable from never having crashed), and
-// that the current snapshot's published LCA index equals a fresh build
-// over the snapshot's tree. It queues behind pending updates like any
+// current snapshot's graph and tree would produce (the recovery acceptance
+// check — replayed state must be indistinguishable from never having
+// crashed), which includes that the tree's LCA index equals a fresh
+// derivation from its numbering. It queues behind pending updates like any
 // write.
 func (s *Service) CheckSynced(id GraphID) error {
 	fut := newFuture()

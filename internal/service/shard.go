@@ -492,12 +492,13 @@ func (sh *shard) handle(t task, headroom int) {
 			gs.deferTask(t)
 			return
 		}
-		err := gs.dd.D().CheckSynced(gs.dd.Frozen(), gs.dd.Tree())
+		// The published snapshot is the maintainer's current state, so D
+		// must equal a fresh build over its graph and tree; that also
+		// checks the tree's own LCA index.
 		snap := gs.snap.Load()
-		if err == nil && snap != nil && snap.lca != nil {
-			if err = snap.lca.CheckSynced(snap.Tree); err != nil {
-				err = fmt.Errorf("service: graph %q: published LCA index: %w", t.id, err)
-			}
+		err := gs.dd.D().CheckSynced(snap.Graph, snap.Tree)
+		if err != nil {
+			err = fmt.Errorf("service: graph %q: %w", t.id, err)
 		}
 		t.fut.resolve(-1, snap, err)
 
@@ -564,8 +565,8 @@ func (sh *shard) sealTrace(tr *obs.Trace, publish time.Duration, version uint64)
 }
 
 // publish freezes gs's current state into a new immutable snapshot and
-// installs it. The graph (a persistent copy-on-write version), the tree and
-// its LCA index (both immutable, replaced per update) are shared zero-copy,
+// installs it. The graph (a persistent copy-on-write version) and the tree
+// with its LCA index (immutable, replaced per update) are shared zero-copy,
 // so publication is O(1): a pointer grab per structure and one small
 // Snapshot allocation, regardless of graph size.
 func (sh *shard) publish(id GraphID, gs *graphState) *Snapshot {
@@ -579,17 +580,14 @@ func (sh *shard) publish(id GraphID, gs *graphState) *Snapshot {
 		LastStats:   dd.LastStats(),
 		QueryStats:  dd.QueryStats(),
 		PublishedAt: time.Now(),
-		lca:         dd.LCA(),
 	}
 	gs.snap.Store(snap)
 	return snap
 }
 
 // queryHandle resolves snap's version-pinned analytics handle through the
-// shard's index cache (shared by all readers of that version), handing it
-// the snapshot's LCA index so the LCA family and level ancestors build
-// nothing.
+// shard's index cache (shared by all readers of that version).
 func (sh *shard) queryHandle(snap *Snapshot) *snapquery.Handle {
 	key := snapquery.Key{Graph: string(snap.ID), Version: snap.Version}
-	return sh.qcache.Handle(key, snap.Graph, snap.Tree, snap.PseudoRoot, snap.lca)
+	return sh.qcache.Handle(key, snap.Graph, snap.Tree, snap.PseudoRoot)
 }

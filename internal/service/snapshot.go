@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dstruct"
 	"repro/internal/graph"
-	"repro/internal/lca"
 	"repro/internal/reroot"
 	"repro/internal/tree"
 	"repro/internal/verify"
@@ -38,11 +37,6 @@ type Snapshot struct {
 	QueryStats dstruct.Stats
 
 	PublishedAt time.Time
-
-	// lca is the maintainer's LCA index of Tree (core.DynamicDFS.LCA),
-	// handed to this version's query handle. Nil on the degraded snapshots
-	// recovery publishes from checkpoints; their handles build their own.
-	lca *lca.Index
 }
 
 // IsAncestor reports whether a is an ancestor of v (not necessarily proper)

@@ -482,8 +482,8 @@ func (sh *shard) recoverReplay() {
 			w.replayHist.Record(time.Since(t0))
 			w.replayed.Add(1)
 		}
-		// Publish even with an empty tail: the degraded checkpoint snapshot
-		// carries no LCA index, the restored maintainer's snapshot does.
+		// Publish even with an empty tail: the restored maintainer's
+		// snapshot replaces the degraded checkpoint one.
 		sh.publish(id, gs)
 		if !ok {
 			break

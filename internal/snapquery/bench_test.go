@@ -11,10 +11,10 @@ import (
 )
 
 // BenchmarkSnapshotQuery pins the acceptance contract of the analytics
-// engine: the cold path (first reader of a version builds all three
+// engine: the cold path (first reader of a version builds both of its
 // indexes) is near-linear work; the published path (first reader of a NEW
-// version, given the maintainer's LCA index of its tree) answers the LCA
-// family and level ancestors with no index construction at all; and the
+// version, whose tree carries its own LCA index) answers the LCA family
+// and level ancestors with no index construction at all; and the
 // warm path (version cached) does zero index construction — a cache
 // lookup plus O(1)/O(log n) reads — and must stay allocation-free (≤1
 // alloc) and ≥100× faster than the cold build at n=1e5. Run by the CI
@@ -29,15 +29,15 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("cold/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				h := New(g, tr, pseudo, nil)
+				h := New(g, tr, pseudo)
 				h.Warm()
 			}
 		})
 
 		// First query on a freshly published version: each iteration
-		// creates the handle the way the service does, given the
-		// maintainer's index of the new tree, and answers LCA and level
-		// ancestor queries from it.
+		// creates the handle the way the service does, over the
+		// maintainer's new tree, and answers LCA and level ancestor
+		// queries from the tree's index.
 		b.Run(fmt.Sprintf("published/n=%d", n), func(b *testing.B) {
 			dd := core.New(g, core.Options{RebuildD: true})
 			leaf := -1
@@ -50,7 +50,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 			if err := dd.DeleteVertex(leaf); err != nil {
 				b.Fatal(err)
 			}
-			g2, t2, ps, ix := dd.Frozen(), dd.Tree(), dd.PseudoRoot(), dd.LCA()
+			g2, t2, ps := dd.Frozen(), dd.Tree(), dd.PseudoRoot()
 			us := make([]int, 256)
 			vs := make([]int, 256)
 			for i := range us {
@@ -70,7 +70,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				h := New(g2, t2, ps, ix)
+				h := New(g2, t2, ps)
 				u, v := us[i%256], vs[i%256]
 				if _, err := h.LCA(u, v); err != nil {
 					b.Fatal(err)
@@ -84,7 +84,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("warm/n=%d", n), func(b *testing.B) {
 			c := NewCache(4)
 			key := Key{Graph: "bench", Version: 1}
-			c.Handle(key, g, tr, pseudo, nil).Warm()
+			c.Handle(key, g, tr, pseudo).Warm()
 			us := make([]int, 256)
 			vs := make([]int, 256)
 			for i := range us {
@@ -93,7 +93,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				h := c.Handle(key, g, tr, pseudo, nil)
+				h := c.Handle(key, g, tr, pseudo)
 				u, v := us[i%256], vs[i%256]
 				if _, err := h.LCA(u, v); err != nil {
 					b.Fatal(err)
@@ -123,14 +123,13 @@ func BenchmarkSnapshotQueryColdPerIndex(b *testing.B) {
 		name  string
 		touch func(h *Handle)
 	}{
-		{"lca", func(h *Handle) { h.LCA(0, n/2) }},
 		{"agg", func(h *Handle) { h.SubtreeAgg(n / 2) }},
 		{"bicon", func(h *Handle) { h.IsArticulation(n / 2) }},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bench.touch(New(g, tr, pseudo, nil))
+				bench.touch(New(g, tr, pseudo))
 			}
 		})
 	}

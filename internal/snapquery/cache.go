@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/lca"
 	"repro/internal/obs"
 	"repro/internal/tree"
 )
@@ -88,10 +87,9 @@ func (c *Cache) observe(graphName string, d time.Duration) {
 }
 
 // Handle returns the cached handle for key, creating (and caching) it from
-// the supplied frozen snapshot parts on first use; ix is the tree's LCA
-// index when the caller has one (see New), else nil. The hit path is a map
+// the supplied frozen snapshot parts on first use. The hit path is a map
 // lookup plus an LRU bump — no allocation, no index work.
-func (c *Cache) Handle(key Key, g *graph.Persistent, t *tree.Tree, pseudo int, ix *lca.Index) *Handle {
+func (c *Cache) Handle(key Key, g *graph.Persistent, t *tree.Tree, pseudo int) *Handle {
 	start := time.Now()
 	defer func() { c.resolveHist.Record(time.Since(start)) }()
 	c.mu.Lock()
@@ -110,7 +108,7 @@ func (c *Cache) Handle(key Key, g *graph.Persistent, t *tree.Tree, pseudo int, i
 		c.dropped.Add(1)
 		c.size.Add(-1)
 	}
-	h := New(g, t, pseudo, ix)
+	h := New(g, t, pseudo)
 	h.key, h.observe = key, c.observe
 	c.byKey[key] = c.lru.PushFront(h)
 	c.size.Add(1)
@@ -200,14 +198,14 @@ func (c *Cache) MoveGraph(graphName string, dst *Cache) {
 // versions removed because their graph was dropped or because a
 // dropped-and-recreated graph collided on the same (graph, version) key —
 // a stale incarnation — count under Dropped instead. Builds counts index
-// constructions: at most 3 per version (LCA, aggregates, bicon), 2 when the
-// handle was given its tree's LCA index.
+// constructions: at most 2 per version (aggregates, bicon; the LCA index
+// is part of the tree).
 type Stats struct {
 	Hits      uint64 // Handle calls answered from the LRU
 	Misses    uint64 // Handle calls that created a new handle
 	Evictions uint64 // versions aged out by capacity
 	Dropped   uint64 // versions removed by DropGraph or stale incarnation
-	Builds    uint64 // index constructions (≤ 3 per version)
+	Builds    uint64 // index constructions (≤ 2 per version)
 	BuildTime time.Duration
 	Size      int // versions currently retained
 

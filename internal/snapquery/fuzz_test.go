@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/tree"
 )
 
 // byteIntner decodes a fuzzed byte string into the choices of
@@ -36,9 +37,10 @@ func (b *byteIntner) Intn(n int) int {
 // FuzzSnapqueryVersions decodes a fuzzed byte string into a version chain:
 // the first byte picks the base graph, the rest drives applyRandomUpdate's
 // update mix on a maintainer with little headroom (so pseudo-root
-// relocations renumber the tree). After every step the handle given the
-// maintainer's LCA index must pass CheckSynced and answer exactly like a
-// fresh handle that builds every index itself.
+// relocations renumber the tree). After every step the handle over the
+// maintainer's tree must pass CheckSynced and answer exactly like a fresh
+// handle over a tree rebuilt from the same parent array, which derives
+// every index itself.
 func FuzzSnapqueryVersions(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{7, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -56,14 +58,24 @@ func FuzzSnapqueryVersions(f *testing.F) {
 			if !applyRandomUpdate(t, dd, src) {
 				continue
 			}
-			h := New(dd.Frozen(), dd.Tree(), dd.PseudoRoot(), dd.LCA())
+			h := New(dd.Frozen(), dd.Tree(), dd.PseudoRoot())
 			h.Warm()
 			if err := h.CheckSynced(); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			sameAnswers(t, step, h, New(dd.Frozen(), dd.Tree(), dd.PseudoRoot(), nil))
+			sameAnswers(t, step, h, New(dd.Frozen(), rebuilt(dd.Tree()), dd.PseudoRoot()))
 		}
 	})
+}
+
+// rebuilt builds tr afresh from its parent array and presence, so the
+// result shares no array, and no index, with tr.
+func rebuilt(tr *tree.Tree) *tree.Tree {
+	present := make([]bool, tr.N())
+	for v := range present {
+		present[v] = tr.Present(v)
+	}
+	return tree.MustBuild(tr.Root, tr.Parent, present)
 }
 
 // sameAnswers compares every per-vertex answer of h against fresh, a

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bicon"
 	"repro/internal/graph"
-	"repro/internal/lca"
 	"repro/internal/tree"
 )
 
@@ -40,7 +39,6 @@ type Handle struct {
 	pseudo  int
 	observe func(string, time.Duration) // cache metrics observer (graph, build cost); nil standalone
 
-	lcaIdx  lazy[lca.Index]
 	biconIx lazy[biconIndex]
 	aggIx   lazy[aggIndex]
 }
@@ -48,16 +46,9 @@ type Handle struct {
 // New builds an uncached handle over a frozen (graph, tree, pseudo root)
 // triple, e.g. a retained service Snapshot or a paused maintainer. pseudo
 // is the artificial forest root (tree.None when the root is a real vertex).
-// ix, when non-nil, must index t (the maintainer's core.DynamicDFS.LCA of
-// that tree); the handle then answers the LCA family and level ancestors
-// from it and builds no LCA index of its own. With nil it builds one on
-// first use.
-func New(g *graph.Persistent, t *tree.Tree, pseudo int, ix *lca.Index) *Handle {
-	h := &Handle{g: g, t: t, pseudo: pseudo}
-	if ix != nil {
-		h.lcaIdx.p.Store(ix)
-	}
-	return h
+// The handle answers the LCA family and level ancestors from t's own index.
+func New(g *graph.Persistent, t *tree.Tree, pseudo int) *Handle {
+	return &Handle{g: g, t: t, pseudo: pseudo}
 }
 
 // Key returns the (graph, version) pair the handle is pinned to (zero for
@@ -79,7 +70,6 @@ func (h *Handle) PseudoRoot() int { return h.pseudo }
 // Warm eagerly builds every index of the bundle (the cold-path cost later
 // queries would otherwise pay lazily). Concurrent-safe like every query.
 func (h *Handle) Warm() {
-	h.lca()
 	h.bicon()
 	h.agg()
 }
@@ -120,10 +110,6 @@ func (h *Handle) check(op string, vs ...int) error {
 
 // ---- LCA family ----
 
-func (h *Handle) lca() *lca.Index {
-	return once(h, &h.lcaIdx, func() *lca.Index { return lca.Build(h.t) })
-}
-
 // LCA returns the lowest common ancestor of u and v in the snapshot's DFS
 // forest, or -1 when u and v lie in different connected components (their
 // only common ancestor is the artificial pseudo root).
@@ -131,7 +117,7 @@ func (h *Handle) LCA(u, v int) (int, error) {
 	if err := h.check("LCA", u, v); err != nil {
 		return -1, err
 	}
-	l := h.lca().LCA(u, v)
+	l := h.t.LCA(u, v)
 	if l == h.pseudo {
 		return -1, nil
 	}
@@ -193,7 +179,7 @@ func (h *Handle) TreePath(u, v int) ([]int, error) {
 
 // KthAncestor returns v's k-th ancestor within its component (k=0 is v
 // itself), or -1 when the walk leaves the component (reaches the pseudo
-// root or climbs past a real root). O(log n) over the LCA index.
+// root or climbs past a real root). O(log n) over the tree's LCA index.
 func (h *Handle) KthAncestor(v, k int) (int, error) {
 	if err := h.check("KthAncestor", v); err != nil {
 		return -1, err
@@ -223,7 +209,7 @@ func (h *Handle) ancestorAt(v, d int) int {
 	if d < 0 {
 		return -1
 	}
-	if a := h.lca().AncestorAtDepth(v, d); a != h.pseudo {
+	if a := h.t.AncestorAtDepth(v, d); a != h.pseudo {
 		return a
 	}
 	return -1
@@ -258,17 +244,12 @@ func buildAggIndex(t *tree.Tree) *aggIndex {
 		min:    make([]int32, n),
 		max:    make([]int32, n),
 	}
-	// Post-order ascending: every child is finalized before its parent.
-	order := make([]int32, t.Live())
-	for v := 0; v < n; v++ {
-		if t.Present(v) {
-			order[t.Post(v)] = int32(v)
-		}
-	}
-	for _, v32 := range order {
-		v := int(v32)
+	// Reversed pre-order: every child is finalized before its parent.
+	order := t.PreOrder()
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
 		var hh int32
-		mn, mx := v32, v32
+		mn, mx := int32(v), int32(v)
 		for _, c := range t.Children(v) {
 			if ix.height[c]+1 > hh {
 				hh = ix.height[c] + 1
@@ -389,18 +370,16 @@ func (h *Handle) SameBiconnectedComponent(u, v int) (bool, error) {
 
 // ---- Differential oracle ----
 
-// CheckSynced verifies the handle's materialized tree indexes against fresh
+// CheckSynced verifies the indexes the handle answers from against fresh
 // ground-up builds over the same tree, mirroring dstruct.D's CheckSynced:
-// the LCA index — the maintainer's, when the handle was given one — must
-// pass lca.Index.CheckSynced, and every live vertex's aggregates must equal
-// the fresh ones. Slots not yet built are skipped, so the oracle never
-// triggers builds itself; nil means every built index is in sync.
+// the tree's LCA index must pass tree.CheckIndex, and every live vertex's
+// aggregates, once built, must equal the fresh ones. Slots not yet built
+// are skipped, so the oracle never triggers builds itself; nil means every
+// index is in sync.
 func (h *Handle) CheckSynced() error {
 	t := h.t
-	if got := h.lcaIdx.p.Load(); got != nil {
-		if err := got.CheckSynced(t); err != nil {
-			return fmt.Errorf("snapquery: CheckSynced: %w", err)
-		}
+	if err := t.CheckIndex(); err != nil {
+		return fmt.Errorf("snapquery: CheckSynced: %w", err)
 	}
 	if got := h.aggIx.p.Load(); got != nil {
 		want := buildAggIndex(t)

@@ -232,19 +232,20 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 			g = graph.Broom(n, n/2)
 		}
 		tr := baseline.StaticDFS(g)
-		h := New(g, tr, g.NumVertexSlots(), nil)
+		h := New(g, tr, g.NumVertexSlots())
 		checkHandle(t, h, rng)
 	}
 }
 
 // TestSingleflightBuildsOnce: a cached handle hammered by concurrent first
-// readers builds each of its three indexes exactly once.
+// readers builds each of its two indexes exactly once (the LCA family reads
+// the tree's own index).
 func TestSingleflightBuildsOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.GnpConnected(300, 0.05, rng)
 	tr := baseline.StaticDFS(g)
 	c := NewCache(4)
-	h := c.Handle(Key{Graph: "g", Version: 1}, g, tr, g.NumVertexSlots(), nil)
+	h := c.Handle(Key{Graph: "g", Version: 1}, g, tr, g.NumVertexSlots())
 
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {
@@ -271,8 +272,8 @@ func TestSingleflightBuildsOnce(t *testing.T) {
 	}
 	wg.Wait()
 	st := c.Stats()
-	if st.Builds != 3 {
-		t.Fatalf("index builds = %d, want exactly 3 (LCA, agg, bicon)", st.Builds)
+	if st.Builds != 2 {
+		t.Fatalf("index builds = %d, want exactly 2 (agg, bicon)", st.Builds)
 	}
 	if st.Hits != 0 || st.Misses != 1 {
 		t.Fatalf("cache hits=%d misses=%d, want 0/1", st.Hits, st.Misses)
@@ -293,7 +294,7 @@ func TestCacheLRUAndEvictionSafety(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		g := graph.GnpConnected(40, 0.12, rng)
 		tr := baseline.StaticDFS(g)
-		h := c.Handle(Key{Graph: "g", Version: uint64(i)}, g, tr, g.NumVertexSlots(), nil)
+		h := c.Handle(Key{Graph: "g", Version: uint64(i)}, g, tr, g.NumVertexSlots())
 		h.Warm()
 		vers = append(vers, ver{g, tr, h})
 	}
@@ -308,7 +309,7 @@ func TestCacheLRUAndEvictionSafety(t *testing.T) {
 	}
 	// Re-querying an evicted version is a miss that rebuilds — and evicts
 	// the now-oldest resident version.
-	h0b := c.Handle(Key{Graph: "g", Version: 0}, vers[0].g, vers[0].tr, vers[0].g.NumVertexSlots(), nil)
+	h0b := c.Handle(Key{Graph: "g", Version: 0}, vers[0].g, vers[0].tr, vers[0].g.NumVertexSlots())
 	if h0b == vers[0].h {
 		t.Fatal("evicted handle returned on re-query (should be a fresh build)")
 	}
@@ -319,13 +320,13 @@ func TestCacheLRUAndEvictionSafety(t *testing.T) {
 	}
 	// A hit bumps recency: touch version 0, insert version 4, version 3
 	// (not 0) should be evicted.
-	c.Handle(Key{Graph: "g", Version: 0}, vers[0].g, vers[0].tr, vers[0].g.NumVertexSlots(), nil)
+	c.Handle(Key{Graph: "g", Version: 0}, vers[0].g, vers[0].tr, vers[0].g.NumVertexSlots())
 	if st := c.Stats(); st.Hits != 1 {
 		t.Fatalf("hits=%d, want 1", st.Hits)
 	}
 	g4 := graph.GnpConnected(40, 0.12, rng)
-	c.Handle(Key{Graph: "g", Version: 4}, g4, baseline.StaticDFS(g4), g4.NumVertexSlots(), nil)
-	if got := c.Handle(Key{Graph: "g", Version: 0}, vers[0].g, vers[0].tr, vers[0].g.NumVertexSlots(), nil); got != h0b {
+	c.Handle(Key{Graph: "g", Version: 4}, g4, baseline.StaticDFS(g4), g4.NumVertexSlots())
+	if got := c.Handle(Key{Graph: "g", Version: 0}, vers[0].g, vers[0].tr, vers[0].g.NumVertexSlots()); got != h0b {
 		t.Fatal("recently-used version 0 was evicted instead of version 3")
 	}
 }
@@ -338,10 +339,10 @@ func TestCacheDropGraphAndIncarnations(t *testing.T) {
 	c := NewCache(8)
 	gA := graph.GnpConnected(30, 0.15, rng)
 	trA := baseline.StaticDFS(gA)
-	hA := c.Handle(Key{Graph: "a", Version: 1}, gA, trA, gA.NumVertexSlots(), nil)
+	hA := c.Handle(Key{Graph: "a", Version: 1}, gA, trA, gA.NumVertexSlots())
 	gB := graph.GnpConnected(30, 0.15, rng)
 	trB := baseline.StaticDFS(gB)
-	c.Handle(Key{Graph: "b", Version: 1}, gB, trB, gB.NumVertexSlots(), nil)
+	c.Handle(Key{Graph: "b", Version: 1}, gB, trB, gB.NumVertexSlots())
 
 	c.DropGraph("a")
 	st := c.Stats()
@@ -355,11 +356,11 @@ func TestCacheDropGraphAndIncarnations(t *testing.T) {
 	// Same key, different snapshot (re-created incarnation): must not alias.
 	gA2 := graph.GnpConnected(30, 0.15, rng)
 	trA2 := baseline.StaticDFS(gA2)
-	hA2 := c.Handle(Key{Graph: "a", Version: 1}, gA2, trA2, gA2.NumVertexSlots(), nil)
+	hA2 := c.Handle(Key{Graph: "a", Version: 1}, gA2, trA2, gA2.NumVertexSlots())
 	if hA2.Tree() != trA2 {
 		t.Fatal("stale incarnation served from cache")
 	}
-	hA3 := c.Handle(Key{Graph: "a", Version: 1}, gA2, trA2, gA2.NumVertexSlots(), nil)
+	hA3 := c.Handle(Key{Graph: "a", Version: 1}, gA2, trA2, gA2.NumVertexSlots())
 	if hA3 != hA2 {
 		t.Fatal("same incarnation not shared")
 	}
@@ -367,7 +368,7 @@ func TestCacheDropGraphAndIncarnations(t *testing.T) {
 	// counted under Dropped, not capacity Evictions.
 	gA3 := graph.GnpConnected(30, 0.15, rng)
 	trA3 := baseline.StaticDFS(gA3)
-	if h := c.Handle(Key{Graph: "a", Version: 1}, gA3, trA3, gA3.NumVertexSlots(), nil); h == hA2 {
+	if h := c.Handle(Key{Graph: "a", Version: 1}, gA3, trA3, gA3.NumVertexSlots()); h == hA2 {
 		t.Fatal("colliding incarnation aliased")
 	}
 	st = c.Stats()

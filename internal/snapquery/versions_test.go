@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dstruct"
 	"repro/internal/graph"
-	"repro/internal/lca"
 	"repro/internal/tree"
 )
 
@@ -85,10 +84,11 @@ func countBuilds(h *Handle, n *int) *Handle {
 
 // TestDifferentialOracleRandomMixed is the published index's differential
 // oracle: a random mixed update sequence (small headroom, so pseudo-root
-// relocations renumber the tree mid-run) where every version's handle is
-// given the maintainer's LCA index. Each must build no LCA index of its
-// own, pass CheckSynced (the given index equals a fresh build of the tree)
-// and answer identically to naive recomputation (checkHandle).
+// relocations renumber the tree mid-run) where every version's handle
+// answers the LCA family from the maintainer's tree. Each must build no LCA
+// index of its own, pass CheckSynced (the tree's index equals a fresh
+// derivation from its numbering) and answer identically to naive
+// recomputation (checkHandle).
 func TestDifferentialOracleRandomMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := graph.GnpConnected(120, 0.05, rng)
@@ -103,10 +103,10 @@ func TestDifferentialOracleRandomMixed(t *testing.T) {
 			relocations++
 		}
 		builds := 0
-		h := countBuilds(New(dd.Frozen(), dd.Tree(), dd.PseudoRoot(), dd.LCA()), &builds)
+		h := countBuilds(New(dd.Frozen(), dd.Tree(), dd.PseudoRoot()), &builds)
 		h.Warm()
 		if builds != 2 {
-			t.Fatalf("update %d: warming a handle given the index built %d indexes, want 2 (agg, bicon)", i, builds)
+			t.Fatalf("update %d: warming a handle built %d indexes, want 2 (agg, bicon)", i, builds)
 		}
 		if err := h.CheckSynced(); err != nil {
 			t.Fatalf("update %d: %v", i, err)
@@ -120,22 +120,22 @@ func TestDifferentialOracleRandomMixed(t *testing.T) {
 
 // TestDifferentialChurnFallback forces a high-churn update — deleting the
 // chain's first tree edge reroots nearly the whole tree, so D's incremental
-// pass declines and D (with its LCA index) is rebuilt from scratch — and
-// verifies a handle given the rebuilt index is in sync and correct.
+// pass declines and D is rebuilt from scratch — and verifies a handle over
+// the new tree and its index is in sync and correct.
 func TestDifferentialChurnFallback(t *testing.T) {
 	const n = 40
 	dd := core.NewFullyDynamic(graph.Cycle(n))
-	before := dd.LCA()
+	before := dd.Tree()
 	if err := dd.DeleteEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := dd.D().LastMaintenance(); got != dstruct.MaintenanceRebuild {
 		t.Fatalf("D maintenance %v after a churn-heavy update, want rebuild", got)
 	}
-	if dd.LCA() == before {
-		t.Fatal("the index of the old tree survived a reroot")
+	if dd.Tree() == before {
+		t.Fatal("the old tree and its index survived a reroot")
 	}
-	h := New(dd.Frozen(), dd.Tree(), dd.PseudoRoot(), dd.LCA())
+	h := New(dd.Frozen(), dd.Tree(), dd.PseudoRoot())
 	h.Warm()
 	if err := h.CheckSynced(); err != nil {
 		t.Fatal(err)
@@ -144,16 +144,15 @@ func TestDifferentialChurnFallback(t *testing.T) {
 }
 
 // TestSameTreeSharesIndexes: a back-edge update leaves the tree object
-// untouched, so the maintainer keeps its LCA index and both versions'
-// handles share it — same pointer, zero rebuild — while the aggregates
+// untouched, so both versions' handles share the tree and its LCA index —
+// same pointer, zero rebuild — while the aggregates
 // are built once per handle and biconnectivity (which depends on the
 // changed edge set) differs.
 func TestSameTreeSharesIndexes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.GnpConnected(80, 0.06, rng)
 	dd := core.NewFullyDynamic(g)
-	ix := dd.LCA()
-	h := New(dd.Frozen(), dd.Tree(), dd.PseudoRoot(), ix)
+	h := New(dd.Frozen(), dd.Tree(), dd.PseudoRoot())
 	h.Warm()
 	// Find a back-edge insert: any non-adjacent ancestor-descendant pair.
 	tr := dd.Tree()
@@ -177,13 +176,10 @@ func TestSameTreeSharesIndexes(t *testing.T) {
 	if dd.Tree() != tr {
 		t.Fatal("back-edge update replaced the tree object")
 	}
-	if dd.LCA() != ix {
-		t.Fatal("back-edge update replaced the LCA index")
-	}
-	nh := New(dd.Frozen(), dd.Tree(), dd.PseudoRoot(), dd.LCA())
+	nh := New(dd.Frozen(), dd.Tree(), dd.PseudoRoot())
 	nh.Warm()
-	if nh.lcaIdx.p.Load() != h.lcaIdx.p.Load() {
-		t.Error("SameTree handles do not share the LCA index")
+	if nh.Tree() != h.Tree() {
+		t.Error("SameTree handles do not share the tree and its LCA index")
 	}
 	if nh.aggIx.p.Load() == h.aggIx.p.Load() {
 		t.Error("SameTree handles share the agg index; it is built once per handle")
@@ -199,8 +195,8 @@ func TestSameTreeSharesIndexes(t *testing.T) {
 
 // TestCacheEvictionMidChain: a version chain through a capacity-2 cache.
 // When a version ages out, a reader still holding its handle keeps
-// answering for that version, and the next version's handle — given the
-// maintainer's index — builds no LCA index.
+// answering for that version, and the next version's handle answers LCA
+// and level-ancestor queries from its tree without building an index.
 func TestCacheEvictionMidChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := graph.GnpConnected(60, 0.08, rng)
@@ -208,7 +204,7 @@ func TestCacheEvictionMidChain(t *testing.T) {
 	c := NewCache(2)
 	key := func(v uint64) Key { return Key{Graph: "g", Version: v} }
 
-	h0 := c.Handle(key(0), dd.Frozen(), dd.Tree(), dd.PseudoRoot(), dd.LCA())
+	h0 := c.Handle(key(0), dd.Frozen(), dd.Tree(), dd.PseudoRoot())
 	h0.Warm()
 	if dd.Frozen().HasEdge(0, 1) {
 		if err := dd.DeleteEdge(0, 1); err != nil {
@@ -220,8 +216,8 @@ func TestCacheEvictionMidChain(t *testing.T) {
 
 	// Age version 0 out of the capacity-2 LRU before the next version arrives.
 	odd := core.NewFullyDynamic(graph.GnpConnected(10, 0.3, rng))
-	c.Handle(Key{Graph: "o", Version: 0}, odd.Frozen(), odd.Tree(), odd.PseudoRoot(), odd.LCA())
-	c.Handle(Key{Graph: "o", Version: 1}, odd.Frozen(), odd.Tree(), odd.PseudoRoot(), odd.LCA())
+	c.Handle(Key{Graph: "o", Version: 0}, odd.Frozen(), odd.Tree(), odd.PseudoRoot())
+	c.Handle(Key{Graph: "o", Version: 1}, odd.Frozen(), odd.Tree(), odd.PseudoRoot())
 	if st := c.Stats(); st.Evictions != 1 {
 		t.Fatalf("evictions=%d, want 1", st.Evictions)
 	}
@@ -231,7 +227,7 @@ func TestCacheEvictionMidChain(t *testing.T) {
 	checkHandle(t, h0, rng)
 
 	before := c.Stats().Builds
-	h1 := c.Handle(key(1), dd.Frozen(), dd.Tree(), dd.PseudoRoot(), dd.LCA())
+	h1 := c.Handle(key(1), dd.Frozen(), dd.Tree(), dd.PseudoRoot())
 	if _, err := h1.LCA(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +244,11 @@ func TestCacheEvictionMidChain(t *testing.T) {
 }
 
 // TestConcurrentVersionHandles is the -race soak: one writer publishes
-// versions, each with the maintainer's LCA index, through a shared cache
-// while readers query whichever version is latest. The singleflight
+// versions, each a maintainer's tree with its index, through a shared
+// cache while readers query whichever version is latest. The singleflight
 // contract is asserted by accounting: every created handle fills its two
-// remaining slots (agg, bicon) exactly once, so builds == 2 × created
-// handles, and never builds an LCA index.
+// slots (agg, bicon) exactly once, so builds == 2 × created handles, and
+// never builds an LCA index.
 func TestConcurrentVersionHandles(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	g := graph.GnpConnected(200, 0.03, rng)
@@ -264,13 +260,12 @@ func TestConcurrentVersionHandles(t *testing.T) {
 		g       *graph.Persistent
 		t       *tree.Tree
 		pseudo  int
-		ix      *lca.Index
 	}
 	var latest atomic.Pointer[published]
 	resolve := func(p *published) *Handle {
-		return c.Handle(Key{Graph: "g", Version: p.version}, p.g, p.t, p.pseudo, p.ix)
+		return c.Handle(Key{Graph: "g", Version: p.version}, p.g, p.t, p.pseudo)
 	}
-	first := &published{version: 0, g: dd.Frozen(), t: dd.Tree(), pseudo: dd.PseudoRoot(), ix: dd.LCA()}
+	first := &published{version: 0, g: dd.Frozen(), t: dd.Tree(), pseudo: dd.PseudoRoot()}
 	latest.Store(first)
 	resolve(first).Warm()
 
@@ -317,7 +312,7 @@ func TestConcurrentVersionHandles(t *testing.T) {
 		}
 		p := &published{
 			version: uint64(dd.Updates()),
-			g:       dd.Frozen(), t: dd.Tree(), pseudo: dd.PseudoRoot(), ix: dd.LCA(),
+			g:       dd.Frozen(), t: dd.Tree(), pseudo: dd.PseudoRoot(),
 		}
 		latest.Store(p)
 		// The writer doubles as a querier of its own publication, so every

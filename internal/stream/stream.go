@@ -40,7 +40,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/dstruct"
 	"repro/internal/graph"
-	"repro/internal/lca"
 	"repro/internal/pram"
 	"repro/internal/reroot"
 	"repro/internal/tree"
@@ -312,7 +311,6 @@ type Maintainer struct {
 	s      *Stream
 	o      *oracle
 	t      *tree.Tree
-	l      *lca.Index
 	mach   *pram.Machine // absorbs the model charges; the stream model counts passes
 	pseudo int
 	slots  int // graph vertex-ID slots
@@ -340,7 +338,6 @@ func New(g *graph.Persistent) *Maintainer {
 		m.alive[v] = g.IsVertex(v)
 	}
 	m.t = baseline.StaticDFSUnder(g, m.pseudo)
-	m.l = lca.Build(m.t)
 	return m
 }
 
@@ -384,7 +381,7 @@ func (m *Maintainer) ResidentWords() int {
 // planner reduces the in-flight update against the current tree, with
 // every query answered by stream passes.
 func (m *Maintainer) planner() reroot.Planner {
-	return reroot.NewPlanner(m.t, m.l, m.o, m.mach, nil)
+	return reroot.NewPlanner(m.t, m.o, m.mach, nil)
 }
 
 // apply runs an update's plan and records its pass accounting. discovery
@@ -394,7 +391,7 @@ func (m *Maintainer) planner() reroot.Planner {
 func (m *Maintainer) apply(p reroot.Plan, passesBefore int64, discovery int) error {
 	m.lastStats = reroot.Stats{}
 	if len(p.Steps) > 0 {
-		e := reroot.NewWithScratch(m.t, m.l, m.o, m.mach, &m.scratch)
+		e := reroot.NewWithScratch(m.t, m.o, m.mach, &m.scratch)
 		if err := p.Run(e, nil); err != nil {
 			return fmt.Errorf("stream: %w", err)
 		}
@@ -402,7 +399,7 @@ func (m *Maintainer) apply(p reroot.Plan, passesBefore int64, discovery int) err
 		if err != nil {
 			return fmt.Errorf("stream: rebuilding tree: %w", err)
 		}
-		m.t, m.l, m.lastStats = nt, lca.Build(nt), e.Stats
+		m.t, m.lastStats = nt, e.Stats
 	}
 	m.lastPasses = m.s.passes - passesBefore
 	m.lastScheduled = discovery + p.Rounds + m.lastStats.Batches

@@ -1,7 +1,35 @@
 // Package tree provides the rooted-tree toolkit the dynamic-DFS algorithms
 // run on: parent/children arrays, pre/post-order numbering, levels
 // and subtree sizes (the functionality of Tarjan–Vishkin, Theorem 4 of the
-// paper), plus path and ancestry helpers.
+// paper), path and ancestry helpers, and constant-time lowest common
+// ancestors after linear preprocessing, standing in for the
+// Schieber–Vishkin structure of Theorems 5/6. The reroot engine, the D
+// structure, the core and streaming maintainers and the snapshot analytics
+// engine all ask the tree itself.
+//
+// The LCA index is the reduction of Bender and Farach-Colton (LATIN'00) to
+// range-minimum over the depths of the pre-order sequence that Build
+// already numbers: for pre[u] < pre[v], LCA(u,v) is the parent of the
+// shallowest vertex at positions (pre[u], pre[v]]. That needs n entries and
+// no traversal of its own, where the Euler tour needs 2n−1 and a second
+// DFS. On top sits block RMQ: the int32 depths are cut into blocks of 8
+// positions, and only the per-block minima carry a sparse table, about
+// n/8·log(n/8) words instead of n·log n. A query inside one block scans
+// it; a query spanning blocks reads the precomputed in-block suffix minimum
+// of its first block and prefix minimum of its last (a byte per position
+// each) plus two sparse-table entries, and picks among them with
+// branch-free min, so no comparison outcome can be mispredicted.
+//
+// The width is fixed at 8, not an option: the reroot engine and D's
+// searches ask about three times as many LCA queries per update as the
+// snapshot analytics engine does, so queries must stay cheap, and wider
+// blocks mean more and longer in-block scans. With scans at both ends of
+// every query, width 32 cost churn updates 3–19% more CPU than width 8; the
+// longer scans outweighed the cheaper build.
+//
+// The same block minima answer level-ancestor queries (AncestorAtDepth) by
+// binary search. CheckIndex is the differential oracle: the index must
+// equal a fresh derivation from the tree's own pre-order and levels.
 //
 // A Tree is immutable after Build; the dynamic algorithms build a fresh
 // Tree for each updated DFS tree (the paper's T*_i), so readers may retain
@@ -28,6 +56,7 @@ type Tree struct {
 	order []int // pre-order sequence: order[pre[v]] = v, so T(v) is a window
 	level []int // depth from root (root = 0)
 	size  []int // subtree sizes (0 for holes)
+	ix    rmq   // LCA and level-ancestor index over order (lca.go)
 
 	live int
 }
@@ -92,6 +121,7 @@ func Build(root int, parent []int, present []bool) (*Tree, error) {
 	if err := t.number(); err != nil {
 		return nil, err
 	}
+	t.ix.span()
 	return t, nil
 }
 
@@ -105,20 +135,23 @@ func MustBuild(root int, parent []int, present []bool) *Tree {
 }
 
 // number runs one iterative DFS from the root assigning pre/post/level/size
-// and recording the pre-order sequence. It also validates that the parent
-// array is acyclic and spans all present vertices.
+// and recording the pre-order sequence with the depth of each of its
+// positions. It also validates that the parent array is acyclic and spans
+// all present vertices.
 func (t *Tree) number() error {
 	type frame struct {
 		v, ci int
 	}
 	stack := make([]frame, 0, t.live)
 	t.order = make([]int, 0, t.live)
+	t.ix.depth = make([]int32, 0, t.live)
 	stack = append(stack, frame{t.Root, 0})
 	t.level[t.Root] = 0
 	preC, postC := 0, 0
 	t.pre[t.Root] = preC
 	preC++
 	t.order = append(t.order, t.Root)
+	t.ix.depth = append(t.ix.depth, 0)
 	visited := 1
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
@@ -132,6 +165,7 @@ func (t *Tree) number() error {
 			t.pre[c] = preC
 			preC++
 			t.order = append(t.order, c)
+			t.ix.depth = append(t.ix.depth, int32(t.level[c]))
 			visited++
 			stack = append(stack, frame{c, 0})
 			continue
@@ -246,6 +280,11 @@ func (t *Tree) ChildToward(a, d int) int {
 	}
 	return t.AncestorAtLevel(d, t.level[a]+1)
 }
+
+// PreOrder returns the live vertices in pre-order (PreOrder()[Pre(v)] = v),
+// so every subtree is a window of it and, read backwards, it lists
+// children before parents. Callers must not mutate.
+func (t *Tree) PreOrder() []int { return t.order }
 
 // SubtreeVertices appends the vertices of T(v) to buf in pre-order. T(v) is
 // the window of the pre-order sequence starting at pre[v]. v must be present.
