@@ -262,7 +262,8 @@ func BenchmarkBuildD(b *testing.B) {
 			g := GnpConnected(n, 4.0/float64(n), rng)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m := NewMaintainer(g)
+				// The Parallel executor is the one whose maintainer builds D.
+				m := NewMaintainerWith(g, Options{RebuildD: true, Executor: Parallel})
 				_ = m.D()
 			}
 		})
@@ -426,11 +427,11 @@ func BenchmarkBuildDExec(b *testing.B) {
 
 // BenchmarkUpdateExec compares the rerooting executors on the same update
 // stream: exec=dfs (the default SubtreeDFS executor, one static DFS per
-// rerooted subtree) vs exec=parallel (the paper's Section 4 engine), both
-// with D maintained incrementally (Update repositions only moved entries,
-// falling back to a rebuild on high churn). On low-churn updates the cost
-// tracks the moved set, not the graph. incfrac/op reports the fraction of
-// updates that stayed on the incremental path.
+// rerooted subtree, deepest edges from a scan of the subtree's rows and no
+// D at all) vs exec=parallel (the paper's Section 4 engine, with D
+// maintained incrementally: Update repositions only moved entries, falling
+// back to a rebuild on high churn). incfrac/op, reported for exec=parallel
+// only, is the fraction of updates that stayed on D's incremental path.
 func BenchmarkUpdateExec(b *testing.B) {
 	execs := []struct {
 		name string
@@ -449,9 +450,11 @@ func BenchmarkUpdateExec(b *testing.B) {
 					benchUpdate(b, m, es, rng)
 				}
 				b.StopTimer()
-				inc, reb := m.D().MaintenanceCounts()
-				if total := inc + reb; total > 0 {
-					b.ReportMetric(float64(inc)/float64(total), "incfrac/op")
+				if d := m.D(); d != nil {
+					inc, reb := d.MaintenanceCounts()
+					if total := inc + reb; total > 0 {
+						b.ReportMetric(float64(inc)/float64(total), "incfrac/op")
+					}
 				}
 			})
 		}
@@ -461,13 +464,14 @@ func BenchmarkUpdateExec(b *testing.B) {
 // BenchmarkUpdateExecLowChurn isolates the acceptance shape for incremental
 // D maintenance: a fixed-churn workload (alternating back-edge insert/delete
 // of one far-apart vertex pair — the tree never changes) across growing n.
-// The per-update cost stays flat as n, and with it m, grows.
+// The per-update cost stays flat as n, and with it m, grows. It selects the
+// Parallel executor, whose maintainer keeps the D under test.
 func BenchmarkUpdateExecLowChurn(b *testing.B) {
 	for _, n := range []int{4096, 16384, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			g := GnpConnected(n, 3.0/float64(n), rng)
-			m := NewMaintainerWith(g, Options{RebuildD: true})
+			m := NewMaintainerWith(g, Options{RebuildD: true, Executor: Parallel})
 			// A non-edge whose endpoints are tree-comparable: inserting
 			// it is a back edge, the lowest-churn update there is.
 			tr := m.Tree()
@@ -501,9 +505,10 @@ func BenchmarkUpdateExecLowChurn(b *testing.B) {
 }
 
 // BenchmarkUpdateExecObsOverhead prices the observability instrumentation
-// on the update hot path, against the same low-churn incremental workload
-// as BenchmarkUpdateExecLowChurn (the cheapest real update, so the
-// percentages below are worst-case):
+// on the update hot path, against the low-churn back-edge toggle of
+// BenchmarkUpdateExecLowChurn on the service's SubtreeDFS maintainer, which
+// keeps no D (the cheapest real update, so the percentages below are
+// worst-case):
 //
 //   - mode=off    — the nil-gated default every single-tenant caller gets.
 //   - mode=traced — the serving shard's full per-update instrumentation:

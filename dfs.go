@@ -14,8 +14,9 @@
 //   - Maintainer — fully dynamic DFS (Theorem 13): O(log³ n) model depth
 //     per update on m processors under the Parallel executor. By default
 //     (SubtreeDFS) each reroot is instead one static DFS of the rerooted
-//     subtree, O(|T(r)| + m(T(r))) with no D query: the faster choice on
-//     few cores, and what Service runs. Options.Executor selects.
+//     subtree, O(|T(r)| + m(T(r))) with no D query and no D kept at all:
+//     the faster choice on few cores, and what Service runs.
+//     Options.Executor selects.
 //   - FaultTolerant — preprocess once, answer any batch of k updates
 //     without rebuilding D (Theorem 14).
 //   - Streaming — semi-streaming maintenance with O(n) resident words and
@@ -153,7 +154,10 @@ type Stats = reroot.Stats
 // Machine is the EREW PRAM cost accountant.
 type Machine = pram.Machine
 
-// Maintainer is the fully dynamic DFS algorithm (Theorem 13).
+// Maintainer is the fully dynamic DFS algorithm (Theorem 13). Its D method
+// returns the query structure D for the Parallel and Sequential executors
+// and nil under SubtreeDFS, which finds deepest edges by scanning rows and
+// builds no D.
 type Maintainer = core.DynamicDFS
 
 // Options configure a Maintainer.
@@ -282,7 +286,7 @@ type SubtreeAgg = snapquery.Agg
 func FromEdges(n int, edges []Edge) (*Graph, error) { return graph.FromEdges(n, edges) }
 
 // NewMaintainer builds the fully dynamic maintainer over g (retained,
-// immutable), with the default SubtreeDFS executor.
+// immutable), with the default SubtreeDFS executor, which keeps no D.
 func NewMaintainer(g *Graph) *Maintainer { return core.NewFullyDynamic(g) }
 
 // NewMaintainerWith builds a maintainer with explicit options (rerooting

@@ -1,8 +1,9 @@
 // Package core implements the paper's fully dynamic DFS maintainer
 // (Theorem 13): it owns the current graph G, its DFS tree T (under the
 // pseudo-root convention of Section 2, so disconnected graphs are a single
-// tree whose root children are component roots), and the data structure D,
-// and processes an online sequence of edge/vertex insertions and deletions.
+// tree whose root children are component roots), and, for the executors
+// that query it, the data structure D, and processes an online sequence of
+// edge/vertex insertions and deletions.
 //
 // Every update runs the reduction algorithm of Section 3 — updating the DFS
 // tree reduces to independently rerooting disjoint subtrees. The reduction
@@ -15,16 +16,19 @@
 // is a static DFS of the rerooted subtree's induced subgraph — valid
 // because every edge leaving the subtree ends above its new parent — and is
 // what the serving layer runs: O(|T(r)| + m(T(r))) per update with no D
-// query. Parallel is the paper's Section 4 engine (Theorem 13's polylog
-// depth on m processors, executed sequentially here); the experiments, the
+// query. Its planner finds each deleted subtree's deepest edge by scanning
+// the subtree's rows in the updated graph (reroot.NewRowPlanner), so a
+// SubtreeDFS maintainer builds and maintains no D at all and D() is nil.
+// Parallel is the paper's Section 4 engine (Theorem 13's polylog depth on m
+// processors, executed sequentially here); the experiments, the
 // fault-tolerant and the distributed maintainers select it, because its
 // costs are what they report. Sequential is the Baswana et al. baseline.
 //
-// In the default fully dynamic mode, D is maintained incrementally on the
-// new tree after each update: the engine reports the moved-vertex set and
-// dstruct.D.Update repositions exactly the entries naming moved vertices,
-// falling back to the paper's m-processor ground-up rebuild only on
-// high-churn updates. With
+// Only Parallel and Sequential maintainers hold a D. In the fully dynamic
+// mode it is maintained incrementally on the new tree after each update:
+// the engine reports the moved-vertex set and dstruct.D.Update repositions
+// exactly the entries naming moved vertices, falling back to the paper's
+// m-processor ground-up rebuild only on high-churn updates. With
 // rebuilding disabled the maintainer accumulates patches on the original D
 // instead, which is the engine of the fault-tolerant algorithm
 // (Theorem 14).
@@ -41,6 +45,7 @@ import (
 	"repro/internal/pram"
 	"repro/internal/reroot"
 	"repro/internal/tree"
+	"repro/internal/verify"
 )
 
 // UpdateKind enumerates the paper's extended update model.
@@ -82,7 +87,9 @@ type Options struct {
 	// tree accumulating patches (the fault tolerant algorithm's use). In
 	// refresh mode D is maintained incrementally from the engine's
 	// moved-vertex set, falling back to a ground-up rebuild on high-churn
-	// updates.
+	// updates. Only Parallel and Sequential maintainers hold a D; under
+	// SubtreeDFS the flag only governs pseudo-root relocation (see
+	// InsertVertex).
 	RebuildD bool
 	// Headroom reserves vertex-ID slots between the graph and the pseudo
 	// root so vertex insertions do not displace it. Default 64.
@@ -92,11 +99,12 @@ type Options struct {
 	Machine *pram.Machine
 	// Executor selects how each rerooting step of the Section 3 reduction
 	// runs. The zero value, SubtreeDFS, is the fastest on one core and is
-	// what the serving layer runs; Parallel selects the paper's Section 4
-	// engine (the model the experiments, the fault-tolerant and the
-	// distributed maintainers report on) and Sequential the Baswana et al.
-	// baseline. All three produce valid DFS trees, in general different
-	// ones.
+	// what the serving layer runs; it queries no D, so its maintainer builds
+	// none (D() is nil). Parallel selects the paper's Section 4 engine (the
+	// model the experiments, the fault-tolerant and the distributed
+	// maintainers report on) and Sequential the Baswana et al. baseline;
+	// both hold a D. All three produce valid DFS trees, in general
+	// different ones.
 	Executor Executor
 }
 
@@ -106,7 +114,7 @@ type Executor = reroot.Executor
 // The rerooting executors (Options.Executor).
 const (
 	// SubtreeDFS reroots each subtree with one static DFS of the subgraph
-	// it induces: O(|T(r)| + m(T(r))) per step, no D query.
+	// it induces: O(|T(r)| + m(T(r))) per step, no D query and no D.
 	SubtreeDFS = reroot.SubtreeDFS
 	// Parallel runs the paper's Section 4 engine: polylog rounds of batched
 	// D queries, charged to the PRAM model.
@@ -119,7 +127,7 @@ const (
 type DynamicDFS struct {
 	g      *graph.Persistent
 	t      *tree.Tree
-	d      *dstruct.D
+	d      *dstruct.D // nil under SubtreeDFS
 	m      *pram.Machine
 	pseudo int
 
@@ -144,7 +152,7 @@ type DynamicDFS struct {
 
 // SetTrace attaches (or, with nil, detaches) the per-update trace the next
 // Apply fills in: the engine and D-maintenance stage durations, the
-// maintenance outcome ("incremental", "fallback", "pinned"), the
+// maintenance outcome ("incremental", "fallback", "pinned", "none"), the
 // back-edge SameTree tag, and the moved/removed set sizes. The serving
 // layer attaches a fresh trace around every update it applies; single-
 // tenant drivers may do the same. The attached trace stays installed until
@@ -156,7 +164,8 @@ func (dd *DynamicDFS) SetTrace(t *obs.Trace) {
 
 // New builds the maintainer over g, which it retains (immutable: updates
 // derive new versions and never write into it): computes the initial DFS
-// tree (static preprocessing) and the data structure D.
+// tree (static preprocessing) and, unless the executor is SubtreeDFS, the
+// data structure D.
 func New(g *graph.Persistent, opt Options) *DynamicDFS {
 	if opt.Headroom <= 0 {
 		opt.Headroom = 64
@@ -174,8 +183,16 @@ func New(g *graph.Persistent, opt Options) *DynamicDFS {
 	}
 	dd.pseudo = dd.g.NumVertexSlots() + dd.headroom
 	dd.t = baseline.StaticDFSUnder(dd.g, dd.pseudo)
-	dd.d = dstruct.Build(dd.g, dd.t, dd.m)
+	dd.buildD()
 	return dd
+}
+
+// buildD builds D over the current graph and tree for the executors that
+// query it; a SubtreeDFS maintainer keeps none.
+func (dd *DynamicDFS) buildD() {
+	if dd.exec != SubtreeDFS {
+		dd.d = dstruct.Build(dd.g, dd.t, dd.m)
+	}
 }
 
 // NewFullyDynamic is New with fully dynamic defaults.
@@ -210,11 +227,11 @@ func NewFromState(g *graph.Persistent, t *tree.Tree, d *dstruct.D, pseudo int, o
 // NewDynamicRestored assembles a fully dynamic maintainer over restored
 // state — a deserialized WAL checkpoint, or any (graph, DFS tree) pair the
 // caller already holds: g's DFS tree t rooted at pseudo, with updates
-// already counted against the pair. D is built fresh from (g, t), so the
-// result is exactly the maintainer that produced the pair, minus
-// per-update scratch. g and t are retained, not copied: both are immutable
-// under the maintainer's regime (updates path-copy away from g; t is
-// replaced, never mutated).
+// already counted against the pair. D, for the executors that hold one, is
+// built fresh from (g, t), so the result is exactly the maintainer that
+// produced the pair, minus per-update scratch. g and t are retained, not
+// copied: both are immutable under the maintainer's regime (updates
+// path-copy away from g; t is replaced, never mutated).
 func NewDynamicRestored(g *graph.Persistent, t *tree.Tree, pseudo, updates int, opt Options) *DynamicDFS {
 	m := opt.Machine
 	if m == nil {
@@ -230,7 +247,7 @@ func NewDynamicRestored(g *graph.Persistent, t *tree.Tree, pseudo, updates int, 
 		headroom: pseudo - g.NumVertexSlots(),
 		exec:     opt.Executor,
 	}
-	dd.d = dstruct.Build(dd.g, dd.t, dd.m)
+	dd.buildD()
 	return dd
 }
 
@@ -252,8 +269,26 @@ func (dd *DynamicDFS) Tree() *tree.Tree { return dd.t }
 // PseudoRoot returns the pseudo root's vertex ID.
 func (dd *DynamicDFS) PseudoRoot() int { return dd.pseudo }
 
-// D exposes the query structure (for the fault-tolerant wrapper).
+// D exposes the query structure (for the fault-tolerant wrapper). It is
+// nil for a SubtreeDFS maintainer, which builds none.
 func (dd *DynamicDFS) D() *dstruct.D { return dd.d }
+
+// CheckSynced is the maintainer's differential oracle: the tree must be a
+// DFS forest of the graph under the pseudo root, its LCA index must equal a
+// fresh derivation from its numbering, and D, when the maintainer holds
+// one, must equal a fresh build over the graph and tree. It is O(n + m).
+func (dd *DynamicDFS) CheckSynced() error {
+	if err := verify.DFSForest(dd.g, dd.t, dd.pseudo); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if err := dd.t.CheckIndex(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if dd.d != nil {
+		return dd.d.CheckSynced(dd.g, dd.t)
+	}
+	return nil
+}
 
 // Machine returns the PRAM accounting machine.
 func (dd *DynamicDFS) Machine() *pram.Machine { return dd.m }
@@ -263,7 +298,8 @@ func (dd *DynamicDFS) LastStats() reroot.Stats { return dd.lastStats }
 
 // QueryStats returns the D-query search effort accumulated over every
 // update processed so far (each update's engine threads a per-call
-// accumulator through the oracle; the maintainer rolls them up here).
+// accumulator through the oracle; the maintainer rolls them up here). It
+// stays zero for a SubtreeDFS maintainer, which queries no D.
 func (dd *DynamicDFS) QueryStats() dstruct.Stats { return dd.qstats }
 
 // Updates returns the number of updates processed.
@@ -293,7 +329,7 @@ func (dd *DynamicDFS) presentMask() []bool {
 func (dd *DynamicDFS) apply(kind UpdateKind, p reroot.Plan) error {
 	if len(p.Steps) == 0 {
 		dd.lastStats = reroot.Stats{}
-		dd.installTree(dd.t, nil, nil, true)
+		dd.installTree(dd.t, nil)
 		return nil
 	}
 	e := dd.engine()
@@ -315,27 +351,35 @@ func (dd *DynamicDFS) apply(kind UpdateKind, p reroot.Plan) error {
 	if err != nil {
 		return fmt.Errorf("core: rebuilding tree: %w", err)
 	}
-	dd.installTree(nt, e.Moved(), e.Removed(), false)
+	dd.installTree(nt, e)
 	dd.lastStats = e.Stats
 	dd.qstats.Add(e.QStats)
 	return nil
 }
 
-// installTree makes nt the current tree and refreshes the derived
-// structures. moved is the engine's moved-vertex set (the only vertices
-// whose relative post-order can differ from the previous tree), removed the
-// vertices the update deleted from the tree; sameTree is set by the
+// installTree makes nt the current tree and refreshes D. e is the engine
+// that built nt: its moved-vertex set holds the only vertices whose
+// relative post-order can differ from the previous tree. A nil e marks the
 // back-edge fast paths, where the tree object and its numbering are
 // untouched and D only needs to absorb the update's patches.
-func (dd *DynamicDFS) installTree(nt *tree.Tree, moved, removed []int, sameTree bool) {
+func (dd *DynamicDFS) installTree(nt *tree.Tree, e *reroot.Engine) {
 	dd.t = nt
 	dd.updates++
+	sameTree := e == nil
+	var moved []int
+	var numMoved, numRemoved int
+	if e != nil {
+		moved, numMoved, numRemoved = e.Moved(), e.NumMoved(), e.NumRemoved()
+	}
 	var t0 time.Time
 	if dd.trace != nil {
 		t0 = time.Now()
 	}
 	outcome := "pinned"
-	if dd.rebuildD {
+	switch {
+	case dd.d == nil:
+		outcome = "none"
+	case dd.rebuildD:
 		// Incremental maintenance: reposition only the entries naming moved
 		// vertices and absorb the update's patches; D falls back to the
 		// full rebuild by itself when the churn ratio makes the incremental
@@ -351,24 +395,33 @@ func (dd *DynamicDFS) installTree(nt *tree.Tree, moved, removed []int, sameTree 
 		tr.Engine, tr.DMaint = dd.engineDur, dd.dmaintDur
 		tr.Outcome = outcome
 		tr.SameTree = sameTree
-		tr.Moved, tr.Removed = len(moved), len(removed)
+		tr.Moved, tr.Removed = numMoved, numRemoved
 	}
 }
 
 // planner reduces the in-flight update against the current tree, charging
 // its deepest-edge batch to the maintainer's machine and query totals.
+// Without a D it scans the updated graph's rows instead of querying.
 func (dd *DynamicDFS) planner() reroot.Planner {
+	if dd.d == nil {
+		return reroot.NewRowPlanner(dd.t, dd.g, dd.m)
+	}
 	return reroot.NewPlanner(dd.t, dd.d, dd.m, &dd.qstats)
 }
 
 // engine creates a rerooting engine for the current tree, drawing its
 // per-update buffers from the maintainer's reusable scratch.
 func (dd *DynamicDFS) engine() *reroot.Engine {
-	e := reroot.NewWithScratch(dd.t, dd.d, dd.m, &dd.scratch)
+	var d reroot.Oracle // stays a nil interface without D, never a nil *dstruct.D
+	if dd.d != nil {
+		d = dd.d
+	}
+	e := reroot.NewWithScratch(dd.t, d, dd.m, &dd.scratch)
 	e.Executor, e.G = dd.exec, dd.g
 	// Only the incremental D path consumes the moved set; the pinned mode
-	// must not pay the subtree walks that accumulate it.
-	e.TrackMoved = dd.rebuildD
+	// and a maintainer without D must not pay the subtree walks that
+	// accumulate it.
+	e.TrackMoved = dd.rebuildD && dd.d != nil
 	return e
 }
 
@@ -394,12 +447,14 @@ func (dd *DynamicDFS) relocatePseudo() {
 		parent[v] = p
 	}
 	dd.t = tree.MustBuild(dd.pseudo, parent, dd.presentMask())
-	if dd.rebuildD {
+	switch {
+	case dd.d == nil:
+	case dd.rebuildD:
 		// Renaming the pseudo root moves no graph vertex relative to any
 		// other (the root's children keep their ID order), so this is a
 		// relabel-only incremental update with an empty moved set.
 		dd.d.Update(dd.g, dd.t, dstruct.UpdateDelta{})
-	} else {
+	default:
 		// Unreachable today (InsertVertex rejects relocation in
 		// fault-tolerant mode), but never clobber a caller-shared D.
 		dd.d = dstruct.Build(dd.g, dd.t, dd.m)

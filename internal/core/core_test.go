@@ -200,7 +200,7 @@ func TestDeleteEdgeOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, dd, "after a valid delete")
-	if err := dd.D().CheckSynced(dd.Graph(), dd.Tree()); err != nil {
+	if err := dd.CheckSynced(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/verify"
 )
 
 // FuzzExecutorParity drives a SubtreeDFS maintainer and a Parallel one with
@@ -14,9 +13,10 @@ import (
 // and build different, equally valid DFS trees, so parent arrays are not
 // compared: after every step both must agree on whether the update was
 // rejected, hold the same graph, and carry a valid DFS forest with D in
-// sync. D's incremental pass is fed only the executor's moved set, so
-// D.CheckSynced fails when that set misses a vertex; it also checks the
-// tree's own LCA index, the one the serving layer publishes.
+// sync where there is one. The SubtreeDFS maintainer holds no D; the
+// Parallel one's incremental pass is fed only the executor's moved set, so
+// its D check fails when that set misses a vertex. CheckSynced also checks
+// each tree's own LCA index, the one the serving layer publishes.
 //
 // Input layout: byte 0 picks n (4..12), byte 1 the number of initial edge
 // bytes (each packs two endpoints in its nibbles), then three bytes per
@@ -110,7 +110,8 @@ func decodeFuzzUpdate(dd *DynamicDFS, op, a, b byte) Update {
 }
 
 // checkExecutorParity asserts that both maintainers hold the same graph
-// and that each tree is a DFS forest of it with D in sync.
+// and that each passes its own CheckSynced: a DFS forest of the graph, the
+// tree's LCA index, and D in sync where there is one.
 func checkExecutorParity(t *testing.T, dfs, par *DynamicDFS, ctx string) {
 	t.Helper()
 	g, pg := dfs.Graph(), par.Graph()
@@ -126,10 +127,7 @@ func checkExecutorParity(t *testing.T, dfs, par *DynamicDFS, ctx string) {
 		t.Fatalf("%s: subtree-DFS edges %v, parallel edges %v", ctx, got, want)
 	}
 	for name, dd := range map[string]*DynamicDFS{"subtree-DFS": dfs, "parallel": par} {
-		if err := verify.DFSForest(dd.Graph(), dd.Tree(), dd.PseudoRoot()); err != nil {
-			t.Fatalf("%s: %s tree: %v", ctx, name, err)
-		}
-		if err := dd.D().CheckSynced(dd.Graph(), dd.Tree()); err != nil {
+		if err := dd.CheckSynced(); err != nil {
 			t.Fatalf("%s: %s: %v", ctx, name, err)
 		}
 	}

@@ -49,14 +49,15 @@ func diffQueries(t *testing.T, dd *DynamicDFS, rng *rand.Rand, ctx string) {
 // random mixed update sequences (all four kinds, with headroom small enough
 // to exercise the relocatePseudo path), the incrementally maintained D must
 // stay structurally identical to — and answer every EdgeToWalkBatch query
-// exactly like — a D rebuilt from scratch after every update.
+// exactly like — a D rebuilt from scratch after every update. It runs the
+// Parallel executor, the one whose maintainer keeps a D.
 func TestIncrementalDMatchesFreshBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for trial := 0; trial < 12; trial++ {
 		n := 8 + rng.Intn(24)
 		g := graph.GnpConnected(n, 3.0/float64(n), rng)
 		// Headroom 1: almost every vertex insertion relocates the pseudo root.
-		dd := New(g, Options{RebuildD: true, Headroom: 1})
+		dd := New(g, Options{RebuildD: true, Headroom: 1, Executor: Parallel})
 		for step := 0; step < 40; step++ {
 			op := randomUpdate(t, dd, rng)
 			if op == "" {
@@ -77,9 +78,10 @@ func TestIncrementalDMatchesFreshBuild(t *testing.T) {
 // TestIncrementalFallbackOnHugeChurn pins the churn-ratio fallback: deleting
 // the hub of a star moves every leaf at once (the patch set alone touches
 // every edge), so the update must take the full-rebuild branch, while a
-// back-edge insert right after stays incremental.
+// back-edge insert right after stays incremental. It runs the Parallel
+// executor, the one whose maintainer keeps a D.
 func TestIncrementalFallbackOnHugeChurn(t *testing.T) {
-	dd := NewFullyDynamic(graph.Star(64))
+	dd := New(graph.Star(64), Options{RebuildD: true, Executor: Parallel})
 	inc0, reb0 := dd.D().MaintenanceCounts()
 	if err := dd.DeleteVertex(0); err != nil {
 		t.Fatal(err)

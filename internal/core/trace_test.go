@@ -12,11 +12,11 @@ import (
 // TestApplyTraceStages pins the maintainer's side of update tracing: with a
 // trace attached, Apply records the engine and D-maintenance stage spans
 // and tags the outcome and delta sizes; with none attached, nothing is
-// touched.
+// touched. It runs the Parallel executor, whose maintainer keeps a D.
 func TestApplyTraceStages(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.GnpConnected(256, 3.0/256, rng)
-	dd := NewFullyDynamic(g)
+	dd := New(g, Options{RebuildD: true, Executor: Parallel})
 
 	// A back-edge insert: tree untouched, D absorbs the patch incrementally.
 	tr := dd.Tree()
@@ -99,7 +99,7 @@ func TestApplyTraceStages(t *testing.T) {
 // a cycle, deleting one tree edge reroots nearly the whole tree, so D's
 // incremental pass declines on churn and rebuilds ("fallback").
 func TestApplyTraceRebuildOutcome(t *testing.T) {
-	dd := New(graph.Cycle(128), Options{RebuildD: true})
+	dd := New(graph.Cycle(128), Options{RebuildD: true, Executor: Parallel})
 	var trace obs.Trace
 	dd.SetTrace(&trace)
 	if err := dd.DeleteEdge(0, 1); err != nil {
@@ -113,5 +113,46 @@ func TestApplyTraceRebuildOutcome(t *testing.T) {
 	}
 	if trace.DMaint <= 0 {
 		t.Fatalf("rebuild dmaint span %v, want > 0", trace.DMaint)
+	}
+}
+
+// TestApplyTraceWithoutD pins the trace of a SubtreeDFS maintainer, which
+// keeps no D: every update is tagged "none", and the moved and removed
+// sizes are still the engine's counts — the rerooted subtree, the
+// re-hung children and the deleted vertex — though no moved set is
+// accumulated.
+func TestApplyTraceWithoutD(t *testing.T) {
+	dd := NewFullyDynamic(graph.Cycle(128))
+	if dd.D() != nil {
+		t.Fatal("a SubtreeDFS maintainer built a D")
+	}
+	var trace obs.Trace
+	dd.SetTrace(&trace)
+	if err := dd.DeleteEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if trace.Outcome != "none" || trace.SameTree {
+		t.Fatalf("tree-edge delete outcome %q SameTree %v, want none and false", trace.Outcome, trace.SameTree)
+	}
+	if trace.Moved != 127 || trace.Removed != 0 {
+		t.Fatalf("tree-edge delete moved/removed = %d/%d, want 127/0", trace.Moved, trace.Removed)
+	}
+
+	// Vertex 5 sits inside the rerooted path: deleting it detaches it and
+	// re-hangs its one child's subtree, which has no edge back up.
+	dd.SetTrace(&trace)
+	child := dd.Tree().Children(5)
+	if len(child) != 1 {
+		t.Fatalf("vertex 5 has children %v, want one", child)
+	}
+	want := dd.Tree().Size(child[0])
+	if err := dd.DeleteVertex(5); err != nil {
+		t.Fatal(err)
+	}
+	if trace.Outcome != "none" || trace.Moved != want || trace.Removed != 1 {
+		t.Fatalf("vertex delete outcome %q moved/removed = %d/%d, want none %d/1", trace.Outcome, trace.Moved, trace.Removed, want)
+	}
+	if err := dd.CheckSynced(); err != nil {
+		t.Fatal(err)
 	}
 }

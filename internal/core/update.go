@@ -26,7 +26,9 @@ func (dd *DynamicDFS) InsertEdge(u, v int) error {
 		return err
 	}
 	dd.g = ng
-	dd.d.PatchInsertEdge(u, v)
+	if dd.d != nil {
+		dd.d.PatchInsertEdge(u, v)
+	}
 	return dd.apply(InsertEdge, dd.planner().InsertEdge(u, v))
 }
 
@@ -39,7 +41,9 @@ func (dd *DynamicDFS) DeleteEdge(u, v int) error {
 		return err
 	}
 	dd.g = ng
-	dd.d.PatchDeleteEdge(u, v)
+	if dd.d != nil {
+		dd.d.PatchDeleteEdge(u, v)
+	}
 	return dd.apply(DeleteEdge, dd.planner().DeleteEdge(u, v))
 }
 
@@ -49,13 +53,14 @@ func (dd *DynamicDFS) DeleteVertex(u int) error {
 	if !dd.g.IsVertex(u) {
 		return fmt.Errorf("core: delete of non-vertex %d", u)
 	}
-	neighbors := dd.g.SortedNeighbors(u)
 	ng, err := dd.g.DeleteVertex(u)
 	if err != nil {
 		return err
 	}
+	if dd.d != nil {
+		dd.d.PatchDeleteVertex(u, dd.g.SortedNeighbors(u)) // u's edges, read before dropping the old graph
+	}
 	dd.g = ng
-	dd.d.PatchDeleteVertex(u, neighbors)
 	return dd.apply(DeleteVertex, dd.planner().DeleteVertex(u))
 }
 
@@ -64,9 +69,9 @@ func (dd *DynamicDFS) DeleteVertex(u int) error {
 func (dd *DynamicDFS) InsertVertex(neighbors []int) (int, error) {
 	if dd.g.NumVertexSlots()+1 >= dd.pseudo {
 		// The next ID would collide with the pseudo root. In fully dynamic
-		// mode D is rebuilt per update anyway, so relocate the pseudo root
-		// with doubled headroom; in fault tolerant mode D is pinned to the
-		// original numbering, so this is an error.
+		// mode D, if any, follows every new tree anyway, so relocate the
+		// pseudo root with doubled headroom; in fault tolerant mode D is
+		// pinned to the original numbering, so this is an error.
 		if !dd.rebuildD {
 			return -1, fmt.Errorf("core: vertex headroom exhausted (pseudo %d); preprocess with larger Options.Headroom", dd.pseudo)
 		}
@@ -77,7 +82,9 @@ func (dd *DynamicDFS) InsertVertex(neighbors []int) (int, error) {
 		return -1, err
 	}
 	dd.g = ng
-	dd.d.PatchInsertVertex(u, neighbors)
+	if dd.d != nil {
+		dd.d.PatchInsertVertex(u, neighbors)
+	}
 	if err := dd.apply(InsertVertex, dd.planner().InsertVertex(u, neighbors)); err != nil {
 		return -1, err
 	}

@@ -146,8 +146,12 @@ func (d *D) build(g *graph.Persistent, t *tree.Tree, mach *pram.Machine) {
 }
 
 // SizeWords returns the memory footprint of D in words, for the O(m) space
-// audit of Theorem 8.
+// audit of Theorem 8. A nil D — the D() of a maintainer that keeps none —
+// occupies 0 words.
 func (d *D) SizeWords() int64 {
+	if d == nil {
+		return 0
+	}
 	w := int64(len(d.key))
 	for _, row := range d.nbr {
 		w += int64(len(row))

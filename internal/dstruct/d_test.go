@@ -285,4 +285,8 @@ func TestBuildAccountingAndSize(t *testing.T) {
 	if w := d.SizeWords(); w != int64(2*g.NumEdges()+tr.N()) {
 		t.Fatalf("SizeWords=%d want %d", w, 2*g.NumEdges()+tr.N())
 	}
+	// A maintainer without D hands out a nil D, which occupies nothing.
+	if w := (*D)(nil).SizeWords(); w != 0 {
+		t.Fatalf("nil D SizeWords=%d want 0", w)
+	}
 }

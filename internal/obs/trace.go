@@ -11,9 +11,11 @@ import (
 //
 //	Wait    — mailbox wait: submit → shard-loop receive
 //	Plan    — maintainer apply time outside the two spans below: graph
-//	          mutation, D patches, LCA and deepest-edge (D) queries
+//	          mutation, D patches, LCA and deepest-edge queries (D's, or
+//	          the row scan of a maintainer without D)
 //	Engine  — reroot engine time: Reroot scheduling plus tree rebuild
-//	DMaint  — D maintenance: incremental D.Update or ground-up rebuild
+//	DMaint  — D maintenance: incremental D.Update or ground-up rebuild;
+//	          about zero for a maintainer without D (Outcome "none")
 //	Publish — snapshot publication (Snapshot allocation + pointer install)
 //
 // A Trace is a plain value while being filled (the shard loop keeps it on
@@ -35,11 +37,12 @@ type Trace struct {
 	// Outcome tags the D-maintenance path the update took: "incremental"
 	// (D.Update repositioned only moved entries), "fallback" (D.Update
 	// declined — churn past the ratio threshold — and rebuilt), "pinned"
-	// (fault-tolerant mode, D untouched), or "rejected" (the maintainer
-	// returned an error).
+	// (fault-tolerant mode, D untouched), "none" (the maintainer keeps no
+	// D: the SubtreeDFS executor, which the serving layer runs), or
+	// "rejected" (the maintainer returned an error).
 	Outcome  string `json:"outcome"`
 	SameTree bool   `json:"same_tree"`         // back-edge update: tree object unchanged
-	Moved    int    `json:"moved"`             // vertices whose root path changed
+	Moved    int    `json:"moved"`             // vertices whose root path changed (counted, with or without D)
 	Removed  int    `json:"removed"`           // vertices deleted from the tree
 	Batch    int    `json:"batch"`             // entries in the update's batch round (1 = plain Apply)
 	Depth    int64  `json:"pram_depth"`        // PRAM model depth charged for this update

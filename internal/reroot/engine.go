@@ -93,6 +93,8 @@ type Engine struct {
 	scratch *Scratch // owns the moved-vertex accumulator (reused by the maintainer)
 	n0      int      // size of the subtree currently being rerooted
 
+	numMoved, numRemoved int // the sizes of Moved and Removed, counted always
+
 	// Executor selects how Reroot runs: the paper's Section 4 scheduler
 	// (Parallel, what New and NewWithScratch select), Baswana et al.'s
 	// sequential rerooting (Sequential, the Õ(n)-per-update baseline), or a
@@ -106,10 +108,11 @@ type Engine struct {
 	// and re-hanging SetParent, including those a Plan.Run issues, then
 	// records the old-tree vertex set of the subtree it relocates. Off by
 	// default. Only the core maintainer's incremental D maintenance sets it;
-	// owners that never consume the set (the streaming maintainer, which
-	// runs the same plans, fault-tolerant mode, the full-rebuild baseline)
-	// must not pay its O(|subtree|) walks. Set it before the first
-	// Reroot/SetParent call.
+	// owners that never consume the set (a maintainer without D, the
+	// streaming maintainer, which runs the same plans, fault-tolerant mode,
+	// the full-rebuild baseline) must not pay its O(|subtree|) walks; the
+	// set's size is counted in O(1) per step either way (NumMoved). Set it
+	// before the first Reroot/SetParent call.
 	TrackMoved bool
 
 	Stats Stats
@@ -183,21 +186,25 @@ func (e *Engine) Parent() []int { return e.parent }
 // left the tree.
 func (e *Engine) SetParent(v, p int) {
 	e.parent[v] = p
-	if !e.TrackMoved {
-		return
-	}
-	if p == tree.None {
-		if v < e.T.N() && e.T.Present(v) {
-			e.scratch.removed = append(e.scratch.removed, v)
+	numbered := v < e.T.N() && e.T.Present(v)
+	switch {
+	case p == tree.None:
+		if numbered {
+			e.numRemoved++
+			if e.TrackMoved {
+				e.scratch.removed = append(e.scratch.removed, v)
+			}
 		}
-		return
-	}
-	if v < e.T.N() && e.T.Present(v) {
-		if e.T.Parent[v] != p {
+	case !numbered:
+		e.numMoved++
+		if e.TrackMoved {
+			e.scratch.moved = append(e.scratch.moved, v)
+		}
+	case e.T.Parent[v] != p:
+		e.numMoved += e.T.Size(v)
+		if e.TrackMoved {
 			e.scratch.moved = e.T.SubtreeVertices(v, e.scratch.moved)
 		}
-	} else {
-		e.scratch.moved = append(e.scratch.moved, v)
 	}
 }
 
@@ -217,6 +224,15 @@ func (e *Engine) Moved() []int { return e.scratch.moved }
 // callers must consume it before the next update reuses the buffers.
 func (e *Engine) Removed() []int { return e.scratch.removed }
 
+// NumMoved returns how many vertices Moved holds, or would hold had
+// TrackMoved been set: the size of every rerooted or re-hung subtree plus
+// one per newly attached vertex.
+func (e *Engine) NumMoved() int { return e.numMoved }
+
+// NumRemoved returns how many vertices Removed holds, or would hold had
+// TrackMoved been set.
+func (e *Engine) NumRemoved() int { return e.numRemoved }
+
 // Reroot rebuilds the subtree T(r0) as a DFS tree rooted at rstar, hanging
 // rstar under attachParent in T*. attachParent may be tree.None when the
 // rerooted subtree is the whole tree.
@@ -225,6 +241,7 @@ func (e *Engine) Reroot(r0, rstar, attachParent int) error {
 		return fmt.Errorf("reroot: new root %d not in T(%d)", rstar, r0)
 	}
 	// Everything in the rerooted subtree may change relative post-order.
+	e.numMoved += e.T.Size(r0)
 	if e.TrackMoved {
 		e.scratch.moved = e.T.SubtreeVertices(r0, e.scratch.moved)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/dstruct"
+	"repro/internal/graph"
 	"repro/internal/pram"
 	"repro/internal/tree"
 )
@@ -55,7 +56,8 @@ func (p Plan) Run(e *Engine, spent *time.Duration) error {
 // the oracle answering its queries and the bookkeeping around it differ.
 type Planner struct {
 	t  *tree.Tree
-	d  Oracle
+	d  Oracle            // nil: deepest edges come from scanning g's rows
+	g  *graph.Persistent // the updated graph, read only when d is nil
 	m  *pram.Machine
 	st *dstruct.Stats
 }
@@ -66,6 +68,14 @@ type Planner struct {
 // non-nil, accumulates that batch's search effort.
 func NewPlanner(t *tree.Tree, d Oracle, m *pram.Machine, st *dstruct.Stats) Planner {
 	return Planner{t: t, d: d, m: m, st: st}
+}
+
+// NewRowPlanner returns a planner that asks no oracle: each deepest-edge
+// query scans the rows of g, the graph after the update, over the subtree's
+// pre-order window (see deepestEdge). Its plans equal NewPlanner's with a
+// D built on (g, t), and the machine is charged the same batch.
+func NewRowPlanner(t *tree.Tree, g *graph.Persistent, m *pram.Machine) Planner {
+	return Planner{t: t, g: g, m: m}
 }
 
 // InsertEdge reduces inserting (u,v), case (ii): a back edge leaves the
@@ -160,15 +170,25 @@ func (p Planner) rehang(steps []Step, subs []int, low int) Plan {
 	if len(subs) == 0 {
 		return Plan{Steps: steps}
 	}
-	walk := p.t.PathUp(low, p.t.AncestorAtLevel(low, 1)) // "deepest" = nearest low
 	lg := pram.Log2Ceil(p.t.Live() + 1)
-	qs := make([]dstruct.WalkQuery, len(subs))
-	for i, sub := range subs {
-		src := p.t.SubtreeVertices(sub, nil)
-		p.m.Charge(lg, int64(len(src))*lg)
-		qs[i] = dstruct.WalkQuery{Sources: src, Walk: walk, FromEnd: false}
+	for _, sub := range subs {
+		p.m.Charge(lg, int64(p.t.Size(sub))*lg)
 	}
-	for i, ans := range p.d.EdgeToWalkBatch(qs, p.st) {
+	var answers []dstruct.WalkAnswer
+	if p.d == nil {
+		answers = make([]dstruct.WalkAnswer, len(subs))
+		for i, sub := range subs {
+			answers[i] = p.deepestEdge(sub, low)
+		}
+	} else {
+		walk := p.t.PathUp(low, p.t.AncestorAtLevel(low, 1)) // "deepest" = nearest low
+		qs := make([]dstruct.WalkQuery, len(subs))
+		for i, sub := range subs {
+			qs[i] = dstruct.WalkQuery{Sources: p.t.SubtreeVertices(sub, nil), Walk: walk, FromEnd: false}
+		}
+		answers = p.d.EdgeToWalkBatch(qs, p.st)
+	}
+	for i, ans := range answers {
 		if ans.OK {
 			steps = append(steps, Step{Sub: subs[i], Root: ans.Hit.U, Parent: ans.Hit.Z})
 		} else {
@@ -176,4 +196,32 @@ func (p Planner) rehang(steps []Step, subs []int, low int) Plan {
 		}
 	}
 	return Plan{Steps: steps, Rounds: 1}
+}
+
+// deepestEdge answers rehang's query for T(sub) without an oracle: over the
+// rows of T(sub)'s pre-order window in the updated graph it keeps the
+// neighbours z on path(low, level-1 ancestor of low) — z a tree vertex at
+// level ≥ 1 that is an ancestor of low — and picks D's answer to the same
+// walk query: the largest level(z), which is the smallest walk position
+// level(low) − level(z), then the smallest source U. It costs
+// O(|T(sub)| + m(T(sub))), the same as the subtree search that follows.
+func (p Planner) deepestEdge(sub, low int) dstruct.WalkAnswer {
+	t := p.t
+	var best dstruct.WalkAnswer
+	bestLevel := 0
+	for _, u := range t.PreOrder()[t.Pre(sub) : t.Pre(sub)+t.Size(sub)] {
+		for _, w := range p.g.Row(u) {
+			z := int(w)
+			if !t.Present(z) {
+				continue
+			}
+			lz := t.Level(z)
+			if lz < 1 || lz < bestLevel || (best.OK && lz == bestLevel && u > best.Hit.U) || !t.IsAncestor(z, low) {
+				continue
+			}
+			bestLevel = lz
+			best = dstruct.WalkAnswer{Hit: dstruct.Hit{U: u, Z: z, ZPos: t.Level(low) - lz}, OK: true}
+		}
+	}
+	return best
 }

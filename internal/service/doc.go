@@ -2,6 +2,12 @@
 // DFS maintainer: one Service owns many independent graph instances and
 // serves concurrent read queries against them while updates stream in.
 //
+// Every graph's maintainer runs the SubtreeDFS executor, which finds the
+// deepest edges of the Section 3 reduction by scanning the updated graph's
+// rows and reroots with a static DFS, so the serving path builds and
+// maintains no D: not at creation, not on recovery or migration, not after
+// an update. The maintainers' D() is nil.
+//
 // # Shard routing
 //
 // A Service runs a fixed set of shards. Each shard owns one goroutine (the
@@ -114,9 +120,10 @@
 // the level ancestors (through tree.AncestorAtDepth, an O(log n) search
 // over the same block minima) from it, building nothing on any published
 // version. The subtree aggregates and the biconnectivity analysis are built
-// once per version on first use. CheckSynced holds D against a fresh build
-// over the published graph and tree, which includes holding the tree's
-// index against a fresh derivation from its numbering.
+// once per version on first use. CheckSynced checks that the published
+// snapshot's graph and tree are the maintainer's own (by pointer) and runs
+// the maintainer's oracle on them: the tree is a DFS forest of the graph,
+// and its index equals a fresh derivation from its numbering.
 //
 // Index sharing and lifetime guarantees:
 //
@@ -201,7 +208,8 @@
 // Every applied update is traced stage by stage (obs.Trace: mailbox wait →
 // plan → reroot engine → D maintenance → publish, with outcome tags, delta
 // sizes and PRAM costs; the five stages are disjoint and sum to the
-// trace's total). Each shard retains its Config.SlowTraces slowest updates
+// trace's total). With no D to maintain, the D-maintenance stage is about
+// zero and every applied update's outcome tag is "none". Each shard retains its Config.SlowTraces slowest updates
 // in a lock-free-admission ring; SlowTraces returns the merged slowest-
 // first view.
 //
@@ -221,13 +229,15 @@
 //
 // # Stats threading
 //
-// Snapshot isolation is only sound because D's query path is read-only:
-// every EdgeToWalk-family call threads a caller-supplied per-call
-// *dstruct.Stats accumulator through its shard/reduce internals instead of
-// mutating shared state on D. The engine rolls its accumulator into the
-// maintainer per update; the maintainer's running total is republished in
-// each Snapshot. Concurrent readers of one published structure therefore
-// need no synchronization at all.
+// Snapshot isolation is only sound because nothing a snapshot points at is
+// written after it is published: the graph is persistent, every update
+// builds a fresh tree, and the planner's row scan only reads both. D, on
+// the maintainers that keep one, follows the same rule: every
+// EdgeToWalk-family call threads a caller-supplied per-call *dstruct.Stats
+// accumulator instead of mutating shared state on D, and the engine rolls
+// it into the maintainer per update. On the service's maintainers, which
+// query no D, that total stays zero. Concurrent readers of one published
+// structure therefore need no synchronization at all.
 //
 // # Durability
 //

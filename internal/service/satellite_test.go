@@ -217,11 +217,12 @@ func TestMetricsConcurrentPollers(t *testing.T) {
 }
 
 // TestServiceIncrementalQuerySoak is the serving-layer soak of the
-// incremental D path: reader goroutines issue snapquery lookups (and verify
-// retained snapshots) against rotating versions while the shard loop
-// maintains D incrementally underneath them. Run with -race (CI does), this
-// pins that incremental maintenance mutates nothing a published snapshot or
-// index reads.
+// per-update maintenance path: reader goroutines issue snapquery lookups
+// (and verify retained snapshots) against rotating versions while the
+// shard loop installs new trees underneath them. Run with -race (CI does),
+// this pins that maintenance mutates nothing a published snapshot or index
+// reads. The service's SubtreeDFS maintainers keep no D; each must end
+// without one and pass its own CheckSynced.
 func TestServiceIncrementalQuerySoak(t *testing.T) {
 	svc := New(Config{Shards: 2})
 	defer svc.Close()
@@ -333,16 +334,16 @@ func TestServiceIncrementalQuerySoak(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	// The maintainer really was on the incremental path (in-package peek).
+	// The maintainers stayed on the D-free path (in-package peek).
 	for _, id := range ids {
 		gs := svc.shardFor(id).lookup(id)
 		if gs == nil {
 			t.Fatalf("graph %q disappeared", id)
 		}
-		if inc, _ := gs.dd.D().MaintenanceCounts(); inc == 0 {
-			t.Fatalf("graph %q never took the incremental maintenance path", id)
+		if gs.dd.D() != nil {
+			t.Fatalf("graph %q's maintainer built a D", id)
 		}
-		if err := gs.dd.D().CheckSynced(gs.dd.Graph(), gs.dd.Tree()); err != nil {
+		if err := gs.dd.CheckSynced(); err != nil {
 			t.Fatalf("graph %q: %v", id, err)
 		}
 	}

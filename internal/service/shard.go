@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -492,11 +493,17 @@ func (sh *shard) handle(t task, headroom int) {
 			gs.deferTask(t)
 			return
 		}
-		// The published snapshot is the maintainer's current state, so D
-		// must equal a fresh build over its graph and tree; that also
-		// checks the tree's own LCA index.
+		// The published snapshot is the maintainer's current state: its
+		// graph and tree must be the maintainer's own, which must pass the
+		// maintainer's oracle (a DFS forest, the tree's own LCA index, and
+		// D when there is one).
 		snap := gs.snap.Load()
-		err := gs.dd.D().CheckSynced(snap.Graph, snap.Tree)
+		var err error
+		if snap.Graph != gs.dd.Graph() || snap.Tree != gs.dd.Tree() {
+			err = errors.New("published snapshot is not the maintainer's graph and tree")
+		} else {
+			err = gs.dd.CheckSynced()
+		}
 		if err != nil {
 			err = fmt.Errorf("service: graph %q: %w", t.id, err)
 		}

@@ -32,7 +32,8 @@ type Snapshot struct {
 
 	// LastStats is the rerooting behaviour of the update that produced this
 	// snapshot; QueryStats the D-query search effort accumulated over the
-	// graph's whole lifetime (per-call accumulators rolled up per update).
+	// graph's whole lifetime (per-call accumulators rolled up per update),
+	// zero because the service's maintainers query no D.
 	LastStats  reroot.Stats
 	QueryStats dstruct.Stats
 
