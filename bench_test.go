@@ -428,10 +428,8 @@ func BenchmarkBuildDExec(b *testing.B) {
 // BenchmarkUpdateExec compares the rerooting executors on the same update
 // stream: exec=dfs (the default SubtreeDFS executor, one static DFS per
 // rerooted subtree, deepest edges from a scan of the subtree's rows and no
-// D at all) vs exec=parallel (the paper's Section 4 engine, with D
-// maintained incrementally: Update repositions only moved entries, falling
-// back to a rebuild on high churn). incfrac/op, reported for exec=parallel
-// only, is the fraction of updates that stayed on D's incremental path.
+// D at all) vs exec=parallel (the paper's Section 4 engine, with D rebuilt
+// over the new tree after every update, as Theorem 13 does).
 func BenchmarkUpdateExec(b *testing.B) {
 	execs := []struct {
 		name string
@@ -449,66 +447,15 @@ func BenchmarkUpdateExec(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					benchUpdate(b, m, es, rng)
 				}
-				b.StopTimer()
-				if d := m.D(); d != nil {
-					inc, reb := d.MaintenanceCounts()
-					if total := inc + reb; total > 0 {
-						b.ReportMetric(float64(inc)/float64(total), "incfrac/op")
-					}
-				}
 			})
 		}
 	}
 }
 
-// BenchmarkUpdateExecLowChurn isolates the acceptance shape for incremental
-// D maintenance: a fixed-churn workload (alternating back-edge insert/delete
-// of one far-apart vertex pair — the tree never changes) across growing n.
-// The per-update cost stays flat as n, and with it m, grows. It selects the
-// Parallel executor, whose maintainer keeps the D under test.
-func BenchmarkUpdateExecLowChurn(b *testing.B) {
-	for _, n := range []int{4096, 16384, 100000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			g := GnpConnected(n, 3.0/float64(n), rng)
-			m := NewMaintainerWith(g, Options{RebuildD: true, Executor: Parallel})
-			// A non-edge whose endpoints are tree-comparable: inserting
-			// it is a back edge, the lowest-churn update there is.
-			tr := m.Tree()
-			u, v := -1, -1
-			for x := 0; x < g.NumVertexSlots() && u < 0; x++ {
-				if !tr.Present(x) || tr.Level(x) < 3 {
-					continue
-				}
-				a := tr.Parent[tr.Parent[tr.Parent[x]]]
-				if a != m.PseudoRoot() && !m.Graph().HasEdge(x, a) {
-					u, v = x, a
-				}
-			}
-			if u < 0 {
-				b.Skip("no comparable non-edge found")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if i%2 == 0 {
-					err = m.InsertEdge(u, v)
-				} else {
-					err = m.DeleteEdge(u, v)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkUpdateExecObsOverhead prices the observability instrumentation
-// on the update hot path, against the low-churn back-edge toggle of
-// BenchmarkUpdateExecLowChurn on the service's SubtreeDFS maintainer, which
-// keeps no D (the cheapest real update, so the percentages below are
-// worst-case):
+// on the update hot path, against a back-edge toggle (lowChurnToggleSetup)
+// on the service's SubtreeDFS maintainer, which keeps no D (the cheapest
+// real update, so the percentages below are worst-case):
 //
 //   - mode=off    — the nil-gated default every single-tenant caller gets.
 //   - mode=traced — the serving shard's full per-update instrumentation:

@@ -25,13 +25,11 @@
 // costs are what they report. Sequential is the Baswana et al. baseline.
 //
 // Only Parallel and Sequential maintainers hold a D. In the fully dynamic
-// mode it is maintained incrementally on the new tree after each update:
-// the engine reports the moved-vertex set and dstruct.D.Update repositions
-// exactly the entries naming moved vertices, falling back to the paper's
-// m-processor ground-up rebuild only on high-churn updates. With
-// rebuilding disabled the maintainer accumulates patches on the original D
-// instead, which is the engine of the fault-tolerant algorithm
-// (Theorem 14).
+// mode it is rebuilt in place over the new graph and tree after each
+// update, as Theorem 13 does (dstruct.D.Rebuild, charged as Theorem 8's
+// preprocessing on m processors). With rebuilding disabled the maintainer
+// accumulates patches on the original D instead, which is the engine of
+// the fault-tolerant algorithm (Theorem 14).
 package core
 
 import (
@@ -85,9 +83,8 @@ type Options struct {
 	// RebuildD controls whether D is refreshed after every update (fully
 	// dynamic mode, default for NewFullyDynamic) or left pinned to the base
 	// tree accumulating patches (the fault tolerant algorithm's use). In
-	// refresh mode D is maintained incrementally from the engine's
-	// moved-vertex set, falling back to a ground-up rebuild on high-churn
-	// updates. Only Parallel and Sequential maintainers hold a D; under
+	// refresh mode D is rebuilt over the new graph and tree after every
+	// update. Only Parallel and Sequential maintainers hold a D; under
 	// SubtreeDFS the flag only governs pseudo-root relocation (see
 	// InsertVertex).
 	RebuildD bool
@@ -152,11 +149,12 @@ type DynamicDFS struct {
 
 // SetTrace attaches (or, with nil, detaches) the per-update trace the next
 // Apply fills in: the engine and D-maintenance stage durations, the
-// maintenance outcome ("incremental", "fallback", "pinned", "none"), the
-// back-edge SameTree tag, and the moved/removed set sizes. The serving
-// layer attaches a fresh trace around every update it applies; single-
-// tenant drivers may do the same. The attached trace stays installed until
-// replaced, but stage accumulators reset at each SetTrace call.
+// maintenance outcome ("rebuild", "pinned", "none"; the serving layer tags
+// a refused update "rejected"), the back-edge SameTree tag, and the
+// moved/removed set sizes. The serving layer attaches a fresh trace around
+// every update it applies; single-tenant drivers may do the same. The
+// attached trace stays installed until replaced, but stage accumulators
+// reset at each SetTrace call.
 func (dd *DynamicDFS) SetTrace(t *obs.Trace) {
 	dd.trace = t
 	dd.engineDur, dd.dmaintDur = 0, 0
@@ -358,18 +356,15 @@ func (dd *DynamicDFS) apply(kind UpdateKind, p reroot.Plan) error {
 }
 
 // installTree makes nt the current tree and refreshes D. e is the engine
-// that built nt: its moved-vertex set holds the only vertices whose
-// relative post-order can differ from the previous tree. A nil e marks the
-// back-edge fast paths, where the tree object and its numbering are
-// untouched and D only needs to absorb the update's patches.
+// that built nt, whose moved and removed counts the trace reports. A nil e
+// marks the back-edge fast paths, where the tree object is untouched.
 func (dd *DynamicDFS) installTree(nt *tree.Tree, e *reroot.Engine) {
 	dd.t = nt
 	dd.updates++
 	sameTree := e == nil
-	var moved []int
 	var numMoved, numRemoved int
 	if e != nil {
-		moved, numMoved, numRemoved = e.Moved(), e.NumMoved(), e.NumRemoved()
+		numMoved, numRemoved = e.NumMoved(), e.NumRemoved()
 	}
 	var t0 time.Time
 	if dd.trace != nil {
@@ -380,15 +375,8 @@ func (dd *DynamicDFS) installTree(nt *tree.Tree, e *reroot.Engine) {
 	case dd.d == nil:
 		outcome = "none"
 	case dd.rebuildD:
-		// Incremental maintenance: reposition only the entries naming moved
-		// vertices and absorb the update's patches; D falls back to the
-		// full rebuild by itself when the churn ratio makes the incremental
-		// pass more expensive.
-		if dd.d.Update(dd.g, dd.t, dstruct.UpdateDelta{Moved: moved, SameTree: sameTree}) {
-			outcome = "incremental"
-		} else {
-			outcome = "fallback"
-		}
+		dd.d.Rebuild(dd.g, dd.t, dd.m)
+		outcome = "rebuild"
 	}
 	if tr := dd.trace; tr != nil {
 		dd.dmaintDur += time.Since(t0)
@@ -418,10 +406,6 @@ func (dd *DynamicDFS) engine() *reroot.Engine {
 	}
 	e := reroot.NewWithScratch(dd.t, d, dd.m, &dd.scratch)
 	e.Executor, e.G = dd.exec, dd.g
-	// Only the incremental D path consumes the moved set; the pinned mode
-	// and a maintainer without D must not pay the subtree walks that
-	// accumulate it.
-	e.TrackMoved = dd.rebuildD && dd.d != nil
 	return e
 }
 
@@ -447,16 +431,9 @@ func (dd *DynamicDFS) relocatePseudo() {
 		parent[v] = p
 	}
 	dd.t = tree.MustBuild(dd.pseudo, parent, dd.presentMask())
-	switch {
-	case dd.d == nil:
-	case dd.rebuildD:
-		// Renaming the pseudo root moves no graph vertex relative to any
-		// other (the root's children keep their ID order), so this is a
-		// relabel-only incremental update with an empty moved set.
-		dd.d.Update(dd.g, dd.t, dstruct.UpdateDelta{})
-	default:
-		// Unreachable today (InsertVertex rejects relocation in
-		// fault-tolerant mode), but never clobber a caller-shared D.
-		dd.d = dstruct.Build(dd.g, dd.t, dd.m)
+	// Only a fully dynamic maintainer relocates (InsertVertex refuses it
+	// when D is pinned), so D, if any, is its own to rebuild.
+	if dd.d != nil {
+		dd.d.Rebuild(dd.g, dd.t, dd.m)
 	}
 }

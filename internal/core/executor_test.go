@@ -14,9 +14,9 @@ import (
 // compared: after every step both must agree on whether the update was
 // rejected, hold the same graph, and carry a valid DFS forest with D in
 // sync where there is one. The SubtreeDFS maintainer holds no D; the
-// Parallel one's incremental pass is fed only the executor's moved set, so
-// its D check fails when that set misses a vertex. CheckSynced also checks
-// each tree's own LCA index, the one the serving layer publishes.
+// Parallel one rebuilds its D after every update, and its D check fails
+// when that D differs from a fresh build. CheckSynced also checks each
+// tree's own LCA index, the one the serving layer publishes.
 //
 // Input layout: byte 0 picks n (4..12), byte 1 the number of initial edge
 // bytes (each packs two endpoints in its nibbles), then three bytes per

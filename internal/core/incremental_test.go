@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,9 +10,9 @@ import (
 )
 
 // diffQueries issues the same batch of EdgeToWalk queries — the shapes the
-// rerooting engine uses — against the incrementally maintained D and a D
-// freshly built from scratch over the current (graph, tree), and requires
-// bit-identical answers.
+// rerooting engine uses — against the maintainer's D and a D freshly built
+// from scratch over the current (graph, tree), and requires bit-identical
+// answers.
 func diffQueries(t *testing.T, dd *DynamicDFS, rng *rand.Rand, ctx string) {
 	t.Helper()
 	tr := dd.Tree()
@@ -39,75 +40,53 @@ func diffQueries(t *testing.T, dd *DynamicDFS, rng *rand.Rand, ctx string) {
 	want := fresh.EdgeToWalkBatch(qs, nil)
 	for i := range qs {
 		if got[i] != want[i] {
-			t.Fatalf("%s: query %d diverged: incremental %+v(%v) vs fresh %+v(%v)",
+			t.Fatalf("%s: query %d diverged: maintained %+v(%v) vs fresh %+v(%v)",
 				ctx, i, got[i].Hit, got[i].OK, want[i].Hit, want[i].OK)
 		}
 	}
 }
 
-// TestIncrementalDMatchesFreshBuild is the tentpole differential: over
+// TestIncrementalDMatchesFreshBuild is the maintained-D differential: over
 // random mixed update sequences (all four kinds, with headroom small enough
-// to exercise the relocatePseudo path), the incrementally maintained D must
-// stay structurally identical to — and answer every EdgeToWalkBatch query
-// exactly like — a D rebuilt from scratch after every update. It runs the
-// Parallel executor, the one whose maintainer keeps a D.
+// to exercise the relocatePseudo path), the D that a fully dynamic
+// maintainer rebuilds in place after every update must stay structurally
+// identical to — and answer every EdgeToWalkBatch query exactly like — a D
+// built from scratch. One more case deletes the hub of a star, which moves
+// every leaf at once, then inserts a leaf-leaf edge. It runs both
+// executors whose maintainers keep a D, Parallel and Sequential.
 func TestIncrementalDMatchesFreshBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(211))
-	for trial := 0; trial < 12; trial++ {
-		n := 8 + rng.Intn(24)
-		g := graph.GnpConnected(n, 3.0/float64(n), rng)
-		// Headroom 1: almost every vertex insertion relocates the pseudo root.
-		dd := New(g, Options{RebuildD: true, Headroom: 1, Executor: Parallel})
-		for step := 0; step < 40; step++ {
-			op := randomUpdate(t, dd, rng)
-			if op == "" {
-				continue
-			}
-			check(t, dd, op)
-			if err := dd.D().CheckSynced(dd.Graph(), dd.Tree()); err != nil {
-				t.Fatalf("trial %d step %d (%s): %v", trial, step, op, err)
-			}
-			diffQueries(t, dd, rng, op)
+	synced := func(dd *DynamicDFS, rng *rand.Rand, ctx string) {
+		t.Helper()
+		check(t, dd, ctx)
+		if err := dd.D().CheckSynced(dd.Graph(), dd.Tree()); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
 		}
-		if inc, _ := dd.D().MaintenanceCounts(); inc == 0 {
-			t.Fatalf("trial %d: no update took the incremental path", trial)
+		diffQueries(t, dd, rng, ctx)
+	}
+	for _, exec := range []Executor{Parallel, Sequential} {
+		rng := rand.New(rand.NewSource(211))
+		for trial := 0; trial < 12; trial++ {
+			n := 8 + rng.Intn(24)
+			g := graph.GnpConnected(n, 3.0/float64(n), rng)
+			// Headroom 1: almost every vertex insertion relocates the pseudo root.
+			dd := New(g, Options{RebuildD: true, Headroom: 1, Executor: exec})
+			for step := 0; step < 40; step++ {
+				op := randomUpdate(t, dd, rng)
+				if op == "" {
+					continue
+				}
+				synced(dd, rng, fmt.Sprintf("exec %d trial %d step %d (%s)", exec, trial, step, op))
+			}
 		}
-	}
-}
 
-// TestIncrementalFallbackOnHugeChurn pins the churn-ratio fallback: deleting
-// the hub of a star moves every leaf at once (the patch set alone touches
-// every edge), so the update must take the full-rebuild branch, while a
-// back-edge insert right after stays incremental. It runs the Parallel
-// executor, the one whose maintainer keeps a D.
-func TestIncrementalFallbackOnHugeChurn(t *testing.T) {
-	dd := New(graph.Star(64), Options{RebuildD: true, Executor: Parallel})
-	inc0, reb0 := dd.D().MaintenanceCounts()
-	if err := dd.DeleteVertex(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := dd.D().LastMaintenance(); got != dstruct.MaintenanceRebuild {
-		t.Fatalf("hub delete maintained D via %v, want rebuild fallback", got)
-	}
-	inc1, reb1 := dd.D().MaintenanceCounts()
-	if reb1 != reb0+1 || inc1 != inc0 {
-		t.Fatalf("counts after hub delete: incremental %d→%d, rebuilds %d→%d", inc0, inc1, reb0, reb1)
-	}
-	check(t, dd, "hub delete")
-	if err := dd.D().CheckSynced(dd.Graph(), dd.Tree()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Low churn: connect two leaves (a cross edge moving one singleton
-	// subtree), then hang a back edge on the resulting path — both cheap.
-	if err := dd.InsertEdge(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := dd.D().LastMaintenance(); got != dstruct.MaintenanceIncremental {
-		t.Fatalf("leaf-leaf insert maintained D via %v, want incremental", got)
-	}
-	check(t, dd, "leaf-leaf insert")
-	if err := dd.D().CheckSynced(dd.Graph(), dd.Tree()); err != nil {
-		t.Fatal(err)
+		dd := New(graph.Star(64), Options{RebuildD: true, Executor: exec})
+		if err := dd.DeleteVertex(0); err != nil {
+			t.Fatal(err)
+		}
+		synced(dd, rng, fmt.Sprintf("exec %d: star hub delete", exec))
+		if err := dd.InsertEdge(1, 2); err != nil {
+			t.Fatal(err)
+		}
+		synced(dd, rng, fmt.Sprintf("exec %d: leaf-leaf insert", exec))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dstruct"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
@@ -18,7 +17,7 @@ func TestApplyTraceStages(t *testing.T) {
 	g := graph.GnpConnected(256, 3.0/256, rng)
 	dd := New(g, Options{RebuildD: true, Executor: Parallel})
 
-	// A back-edge insert: tree untouched, D absorbs the patch incrementally.
+	// A back-edge insert: tree untouched, D rebuilt over the new graph.
 	tr := dd.Tree()
 	u, v := -1, -1
 	for x := 0; x < g.NumVertexSlots() && u < 0; x++ {
@@ -41,8 +40,8 @@ func TestApplyTraceStages(t *testing.T) {
 	if !trace.SameTree {
 		t.Fatalf("back-edge insert not tagged SameTree: %+v", trace)
 	}
-	if trace.Outcome != "incremental" {
-		t.Fatalf("back-edge insert outcome %q, want incremental", trace.Outcome)
+	if trace.Outcome != "rebuild" {
+		t.Fatalf("back-edge insert outcome %q, want rebuild", trace.Outcome)
 	}
 	if trace.Engine != 0 {
 		t.Fatalf("back-edge insert charged engine time %v", trace.Engine)
@@ -71,8 +70,8 @@ func TestApplyTraceStages(t *testing.T) {
 	if del.SameTree {
 		t.Fatalf("tree-edge delete tagged SameTree: %+v", del)
 	}
-	if del.Outcome != "incremental" && del.Outcome != "fallback" {
-		t.Fatalf("tree-edge delete outcome %q", del.Outcome)
+	if del.Outcome != "rebuild" {
+		t.Fatalf("tree-edge delete outcome %q, want rebuild", del.Outcome)
 	}
 	if del.Moved == 0 {
 		t.Fatal("tree-edge delete recorded an empty moved set")
@@ -95,9 +94,9 @@ func TestApplyTraceStages(t *testing.T) {
 	}
 }
 
-// TestApplyTraceRebuildOutcome pins the tag of a ground-up D rebuild: on
-// a cycle, deleting one tree edge reroots nearly the whole tree, so D's
-// incremental pass declines on churn and rebuilds ("fallback").
+// TestApplyTraceRebuildOutcome pins the tag of D's rebuild on a
+// churn-heavy update: on a cycle, deleting one tree edge reroots nearly the
+// whole tree, and D is rebuilt over it ("rebuild").
 func TestApplyTraceRebuildOutcome(t *testing.T) {
 	dd := New(graph.Cycle(128), Options{RebuildD: true, Executor: Parallel})
 	var trace obs.Trace
@@ -105,11 +104,11 @@ func TestApplyTraceRebuildOutcome(t *testing.T) {
 	if err := dd.DeleteEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if trace.Outcome != "fallback" {
-		t.Fatalf("churn-heavy outcome %q (moved %d), want fallback", trace.Outcome, trace.Moved)
+	if trace.Outcome != "rebuild" {
+		t.Fatalf("churn-heavy outcome %q (moved %d), want rebuild", trace.Outcome, trace.Moved)
 	}
-	if got := dd.D().LastMaintenance(); got != dstruct.MaintenanceRebuild {
-		t.Fatalf("D maintenance %v, want rebuild", got)
+	if err := dd.CheckSynced(); err != nil {
+		t.Fatal(err)
 	}
 	if trace.DMaint <= 0 {
 		t.Fatalf("rebuild dmaint span %v, want > 0", trace.DMaint)
@@ -119,8 +118,7 @@ func TestApplyTraceRebuildOutcome(t *testing.T) {
 // TestApplyTraceWithoutD pins the trace of a SubtreeDFS maintainer, which
 // keeps no D: every update is tagged "none", and the moved and removed
 // sizes are still the engine's counts — the rerooted subtree, the
-// re-hung children and the deleted vertex — though no moved set is
-// accumulated.
+// re-hung children and the deleted vertex.
 func TestApplyTraceWithoutD(t *testing.T) {
 	dd := NewFullyDynamic(graph.Cycle(128))
 	if dd.D() != nil {

@@ -3,6 +3,7 @@ package dstruct
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/pram"
@@ -14,14 +15,9 @@ import (
 type D struct {
 	T *tree.Tree
 
-	mach *pram.Machine // accounting machine for maintenance charges; nil = uncharged
-
-	// key holds D's relocatable order labels: key[v] is v's position in T's
-	// post-order (-1 for holes), and every neighbor row is sorted by the key
-	// of its entries. The labels lag the tree on purpose — Update repositions
-	// moved entries by binary-searching rows under the previous labels before
-	// refreshing key from the new tree's numbering — so query code must
-	// compare keys, never tree.Post directly.
+	// key holds T's post-order labels, copied from T by Build and Rebuild:
+	// key[v] is v's position in T's post-order (-1 for holes), and every
+	// neighbor row is sorted by the key of its entries.
 	key []int
 
 	nbr   [][]int32 // nbr[v] = neighbors of v sorted by key (base graph only)
@@ -31,10 +27,6 @@ type D struct {
 	deletedE   map[graph.Edge]struct{} // patch: deleted base edges (canonical)
 	patchVerts map[int]struct{}        // vertices with no base numbering
 	numPatches int
-
-	lastMaint   Maintenance
-	incremental int64 // Update calls that took the incremental path
-	rebuilds    int64 // Rebuild calls (direct or Update fallbacks)
 }
 
 // Stats aggregates search-effort counters. The query path never mutates D:
@@ -77,23 +69,18 @@ func Build(g *graph.Persistent, t *tree.Tree, mach *pram.Machine) *D {
 }
 
 // Rebuild reconstructs D over (g, t) in place, discarding all patches and
-// reusing the existing neighbor rows. It is the ground-up maintenance step
-// of the fully dynamic maintainer (now the high-churn fallback of Update).
-// Queries answered before Rebuild returns are invalid.
+// reusing the existing neighbor rows, and charges mach Theorem 8's build
+// cost, as Build does. It is how the fully dynamic maintainer refreshes D
+// after every update (Theorem 13). Queries answered before Rebuild returns
+// are invalid.
 func (d *D) Rebuild(g *graph.Persistent, t *tree.Tree, mach *pram.Machine) {
-	clear(d.inserted)
-	clear(d.deletedE)
-	clear(d.patchVerts)
-	d.numPatches = 0
-	d.rebuilds++
-	d.lastMaint = MaintenanceRebuild
+	d.ResetPatches()
 	d.build(g, t, mach)
 }
 
 func (d *D) build(g *graph.Persistent, t *tree.Tree, mach *pram.Machine) {
 	n := t.N()
 	d.T = t
-	d.mach = mach
 	d.key = t.PostInto(d.key)
 	if cap(d.nbr) >= n {
 		d.nbr = d.nbr[:n]
@@ -162,6 +149,53 @@ func (d *D) SizeWords() int64 {
 	w += int64(len(d.deletedE)) * 2
 	w += int64(len(d.patchVerts))
 	return w
+}
+
+// CheckSynced verifies that D is exactly the structure Build(g, t) would
+// produce: order keys equal to t's post-order labels, every neighbor row
+// equal to the vertex's adjacency sorted by key, retired rows empty, no
+// accumulated patches, and t's own LCA index in sync. The maintainers'
+// differential tests call it after every update; it is O(m + n).
+func (d *D) CheckSynced(g *graph.Persistent, t *tree.Tree) error {
+	if d.T != t {
+		return fmt.Errorf("dstruct: D tree is not the maintained tree")
+	}
+	if err := t.CheckIndex(); err != nil {
+		return fmt.Errorf("dstruct: %w", err)
+	}
+	if d.numPatches != 0 || len(d.inserted) != 0 || len(d.deletedE) != 0 || len(d.patchVerts) != 0 {
+		return fmt.Errorf("dstruct: unabsorbed patches (%d ops, %d inserted rows, %d deleted edges, %d patch vertices)",
+			d.numPatches, len(d.inserted), len(d.deletedE), len(d.patchVerts))
+	}
+	if len(d.key) != t.N() || len(d.nbr) != t.N() {
+		return fmt.Errorf("dstruct: key/nbr sized %d/%d, tree has %d slots", len(d.key), len(d.nbr), t.N())
+	}
+	for v := 0; v < t.N(); v++ {
+		if d.key[v] != t.Post(v) {
+			return fmt.Errorf("dstruct: key[%d] = %d, post = %d", v, d.key[v], t.Post(v))
+		}
+	}
+	slots := g.NumVertexSlots()
+	var want []int
+	for v := range d.nbr {
+		if v >= slots || !g.IsVertex(v) {
+			if len(d.nbr[v]) != 0 {
+				return fmt.Errorf("dstruct: non-vertex %d has %d row entries", v, len(d.nbr[v]))
+			}
+			continue
+		}
+		want = g.Neighbors(v, want)
+		sort.Slice(want, func(i, j int) bool { return d.key[want[i]] < d.key[want[j]] })
+		if len(want) != len(d.nbr[v]) {
+			return fmt.Errorf("dstruct: row %d has %d entries, graph degree %d", v, len(d.nbr[v]), len(want))
+		}
+		for i, w := range want {
+			if int(d.nbr[v][i]) != w {
+				return fmt.Errorf("dstruct: row %d entry %d is %d, want %d", v, i, d.nbr[v][i], w)
+			}
+		}
+	}
+	return nil
 }
 
 // NumPatches returns how many updates have been patched in since Build.

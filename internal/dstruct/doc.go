@@ -5,22 +5,13 @@
 // of v appear sorted by their position on the root-to-v path — an edge from
 // v to any ancestor-descendant query path of T reduces to one binary search.
 //
-// Rows are ordered by D's own relocatable order keys (a copy of T's
-// post-order labels held in the key array), never by live tree lookups.
-// Keeping the labels in D is what lets the structure follow a tree that
-// changes underneath it, in either of two maintenance regimes:
+// Rows are ordered by D's own copy of T's post-order labels (the key
+// array), never by live tree lookups. D serves two maintenance regimes:
 //
-//   - Incremental (fully dynamic mode, Theorem 13): after each update the
-//     maintainer calls Update with the engine's moved-vertex set. Only
-//     vertices inside moved subtrees change relative post-order (children
-//     are ordered by ID on both sides of the update), so Update removes the
-//     moved and deleted entries by binary search under the previous labels,
-//     refreshes the keys from the new tree in one O(n) pass, and re-inserts
-//     the moved and patched entries under the new labels — O(Σ deg(moved) ·
-//     log) row work instead of the O(n+m) pass of a ground-up rebuild, with
-//     a churn-ratio fallback to Rebuild so the worst case never regresses
-//     past the paper's m-processor rebuild. Between updates
-//     D carries no patches and is structurally identical to a fresh
+//   - Rebuild (fully dynamic mode, Theorem 13): after each update the
+//     maintainer rebuilds D in place over the new graph and tree — one
+//     O(n+m) bucket pass, charged as Theorem 8's preprocessing — so between
+//     updates D carries no patches and is structurally identical to a fresh
 //     Build (CheckSynced audits exactly this).
 //
 //   - Pinned patches (fault-tolerant mode, Theorems 9 and 14): D stays
@@ -33,10 +24,10 @@
 // The fully dynamic maintainer also uses the patch machinery transiently:
 // each in-flight update is patch-recorded first, so the rerooting engine
 // queries the updated graph against the old tree (Theorem 9's guarantee),
-// and Update then folds those same patches into the base rows.
+// and Rebuild then discards those patches with the rest of the old rows.
 //
-// Concurrency: Build, Rebuild, Update, and the Patch* methods mutate D and
-// require exclusive access. The EdgeToWalk query family is read-only —
+// Concurrency: Build, Rebuild, ResetPatches and the Patch* methods mutate
+// D and require exclusive access. The EdgeToWalk query family is read-only —
 // search-effort counters go to a caller-supplied per-call *Stats — so any
 // number of goroutines may query one D concurrently between mutations.
 //
@@ -53,12 +44,11 @@
 // taken in key order, is appended to the row of every neighbor — and no row
 // is ever comparison-sorted.
 //
-// Execution vs accounting: D executes sequentially — Build, Rebuild,
-// Update and every query run on the calling goroutine — and its machine is
-// an accountant only. The machine's recorded depth/work are purely
-// analytic: Build charges Theorem 8's preprocessing cost (a parallel merge
-// sort of every row on m processors) in one step, Update charges its
-// repositioning as one O(log n)-depth step, and query batches are charged
-// by their callers as single O(log n)-depth steps (Theorems 6 and 8) — so
-// the host's core count never changes the model costs.
+// Execution vs accounting: D executes sequentially — Build, Rebuild and
+// every query run on the calling goroutine — and the machine it is given
+// is an accountant only. The recorded depth/work are purely analytic:
+// Build and Rebuild charge Theorem 8's preprocessing cost (a parallel merge
+// sort of every row on m processors) in one step, and query batches are
+// charged by their callers as single O(log n)-depth steps (Theorems 6 and
+// 8) — so the host's core count never changes the model costs.
 package dstruct

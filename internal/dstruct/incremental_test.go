@@ -1,7 +1,6 @@
 package dstruct
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/baseline"
@@ -76,45 +75,5 @@ func TestResetPatchesReusesMaps(t *testing.T) {
 	d.PatchInsertVertex(g.NumVertexSlots(), []int{5})
 	if len(ins) == 0 || len(del) == 0 || len(pv) == 0 {
 		t.Fatal("ResetPatches reallocated the patch maps instead of reusing them")
-	}
-}
-
-// TestUpdateSameTreeAbsorbsPatches unit-tests Update's back-edge fast path:
-// with the tree untouched, Update only folds the patch set into the base
-// rows — and leaves D exactly as a fresh Build over the new graph would be.
-func TestUpdateSameTreeAbsorbsPatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	g := graph.GnpConnected(40, 0.1, rng)
-	tr := baseline.StaticDFS(g)
-	d := Build(g, tr, nil)
-
-	// A back-edge insert and a back-edge delete (tree-structure neutral for
-	// D's purposes: Update trusts the caller's SameTree declaration).
-	ins, ok := graph.RandomEdgeNotIn(g, rng)
-	if !ok {
-		t.Fatal("no insertable edge")
-	}
-	var err error
-	if g, err = g.InsertEdge(ins.U, ins.V); err != nil {
-		t.Fatal(err)
-	}
-	d.PatchInsertEdge(ins.U, ins.V)
-	del, ok := graph.RandomExistingEdge(g, rng)
-	if !ok {
-		t.Fatal("no deletable edge")
-	}
-	if g, err = g.DeleteEdge(del.U, del.V); err != nil {
-		t.Fatal(err)
-	}
-	d.PatchDeleteEdge(del.U, del.V)
-
-	if !d.Update(g, tr, UpdateDelta{SameTree: true}) {
-		t.Fatal("two-patch update fell back to a rebuild")
-	}
-	if got := d.LastMaintenance(); got != MaintenanceIncremental {
-		t.Fatalf("LastMaintenance = %v, want incremental", got)
-	}
-	if err := d.CheckSynced(g, tr); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -14,10 +14,10 @@
 //     p50/p90/p99/max estimation.
 //   - Trace is one update's stage breakdown as it flows through the serving
 //     stack: mailbox wait → plan (graph mutation, D queries, LCA) →
-//     reroot/engine → D maintenance (incremental Update vs rebuild) →
-//     snapshot publish, plus outcome tags (incremental|fallback|pinned,
-//     SameTree, moved/removed set sizes, the PRAM depth/work charged). The
-//     five stages are disjoint and sum to Total.
+//     reroot/engine → D maintenance (D.Rebuild) → snapshot publish, plus
+//     outcome tags (rebuild|pinned|none|rejected, SameTree, moved/removed
+//     set sizes, the PRAM depth/work charged). The five stages are
+//     disjoint and sum to Total.
 //   - SlowRing retains the slowest-K traces seen, with a lock-free
 //     admission threshold so the common (fast-update) case never takes the
 //     ring's mutex.

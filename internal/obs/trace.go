@@ -14,7 +14,7 @@ import (
 //	          mutation, D patches, LCA and deepest-edge queries (D's, or
 //	          the row scan of a maintainer without D)
 //	Engine  — reroot engine time: Reroot scheduling plus tree rebuild
-//	DMaint  — D maintenance: incremental D.Update or ground-up rebuild;
+//	DMaint  — D maintenance: the in-place D.Rebuild over the new tree;
 //	          about zero for a maintainer without D (Outcome "none")
 //	Publish — snapshot publication (Snapshot allocation + pointer install)
 //
@@ -34,15 +34,14 @@ type Trace struct {
 	DMaint  time.Duration `json:"dmaint"`
 	Publish time.Duration `json:"publish"`
 
-	// Outcome tags the D-maintenance path the update took: "incremental"
-	// (D.Update repositioned only moved entries), "fallback" (D.Update
-	// declined — churn past the ratio threshold — and rebuilt), "pinned"
-	// (fault-tolerant mode, D untouched), "none" (the maintainer keeps no
-	// D: the SubtreeDFS executor, which the serving layer runs), or
-	// "rejected" (the maintainer returned an error).
+	// Outcome tags the D-maintenance path the update took: "rebuild"
+	// (fully dynamic mode: D.Rebuild over the new graph and tree),
+	// "pinned" (fault-tolerant mode, D untouched), "none" (the maintainer
+	// keeps no D: the SubtreeDFS executor, which the serving layer runs),
+	// or "rejected" (the maintainer returned an error).
 	Outcome  string `json:"outcome"`
 	SameTree bool   `json:"same_tree"`         // back-edge update: tree object unchanged
-	Moved    int    `json:"moved"`             // vertices whose root path changed (counted, with or without D)
+	Moved    int    `json:"moved"`             // vertices in the rerooted or re-hung subtrees, plus attached ones
 	Removed  int    `json:"removed"`           // vertices deleted from the tree
 	Batch    int    `json:"batch"`             // entries in the update's batch round (1 = plain Apply)
 	Depth    int64  `json:"pram_depth"`        // PRAM model depth charged for this update

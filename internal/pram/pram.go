@@ -15,10 +15,10 @@
 //
 //   - A batch of k independent D-queries / LCA queries: depth lg,
 //     work k·lg (Theorems 6 and 8).
-//   - Building D: one parallel merge sort per adjacency row, all rows at
-//     once on m processors — depth ⌈log₂ Δ⌉, work 2m·⌈log₂ Δ⌉ for maximum
-//     degree Δ (Cole's merge sort, Theorems 7 and 8). Repositioning k moved
-//     entries incrementally: depth lg, work k·lg.
+//   - Building or rebuilding D (the latter after every fully dynamic
+//     update, Theorem 13): one parallel merge sort per adjacency row, all
+//     rows at once on m processors — depth ⌈log₂ Δ⌉, work 2m·⌈log₂ Δ⌉ for
+//     maximum degree Δ (Cole's merge sort, Theorems 7 and 8).
 //   - One rerooted subtree traversed sequentially (the subtree-DFS
 //     executor): depth = work = vertices reached + row entries scanned.
 //   - Sequential-mode engine query batches model Baswana et al.'s structure

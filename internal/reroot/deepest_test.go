@@ -19,9 +19,9 @@ import (
 // the update, as the maintainers run it; a delete's plan must also equal
 // the plan over a D built afresh on the updated graph and the old tree.
 // Both planners must charge the machine the same. Each plan then runs on a
-// SubtreeDFS engine tracking its moved set, whose O(1) counts must equal
-// the sizes of the sets it accumulated, and the resulting DFS forest
-// carries on to the next update.
+// SubtreeDFS engine, whose O(1) removed count must equal the vertices the
+// new tree dropped and whose moved count must cover every vertex that got a
+// new parent, and the resulting DFS forest carries on to the next update.
 //
 // Input layout: byte 0 picks n (4..16), byte 1 seeds the visit order of
 // the initial DFS, byte 2 the number of initial edge bytes (each packs two
@@ -67,13 +67,9 @@ func FuzzDeepestEdge(f *testing.F) {
 				continue
 			}
 			e := New(tr, nil, pram.NewMachine(tr.Live()))
-			e.Executor, e.G, e.TrackMoved = SubtreeDFS, g, true
+			e.Executor, e.G = SubtreeDFS, g
 			if err := plan.Run(e, nil); err != nil {
 				t.Fatalf("step %d: %v", step, err)
-			}
-			if e.NumMoved() != len(e.Moved()) || e.NumRemoved() != len(e.Removed()) {
-				t.Fatalf("step %d: counted %d moved / %d removed, accumulated %d / %d",
-					step, e.NumMoved(), e.NumRemoved(), len(e.Moved()), len(e.Removed()))
 			}
 			nt, err := e.Result(pseudo, presentIn(g, pseudo))
 			if err != nil {
@@ -82,9 +78,29 @@ func FuzzDeepestEdge(f *testing.F) {
 			if err := verify.DFSForest(g, nt, pseudo); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
+			if moved, removed := reparented(tr, nt); e.NumMoved() < moved || e.NumRemoved() != removed {
+				t.Fatalf("step %d: counted %d moved / %d removed, but %d vertices got a new parent and %d left the tree",
+					step, e.NumMoved(), e.NumRemoved(), moved, removed)
+			}
 			tr = nt
 		}
 	})
+}
+
+// reparented counts the vertices of nt whose parent differs from their
+// parent in tr (new vertices included), and the vertices of tr that nt
+// dropped.
+func reparented(tr, nt *tree.Tree) (moved, removed int) {
+	for v := 0; v < max(tr.N(), nt.N()); v++ {
+		was, is := v < tr.N() && tr.Present(v), v < nt.N() && nt.Present(v)
+		switch {
+		case was && !is:
+			removed++
+		case is && (!was || tr.Parent[v] != nt.Parent[v]):
+			moved++
+		}
+	}
+	return moved, removed
 }
 
 // planBoth applies the update the op byte and operand decode to against g

@@ -90,10 +90,10 @@ type Engine struct {
 
 	parent  []int
 	visited []bool
-	scratch *Scratch // owns the moved-vertex accumulator (reused by the maintainer)
+	scratch *Scratch // the per-update buffers (reused by the maintainer)
 	n0      int      // size of the subtree currently being rerooted
 
-	numMoved, numRemoved int // the sizes of Moved and Removed, counted always
+	numMoved, numRemoved int // see NumMoved and NumRemoved
 
 	// Executor selects how Reroot runs: the paper's Section 4 scheduler
 	// (Parallel, what New and NewWithScratch select), Baswana et al.'s
@@ -104,17 +104,6 @@ type Engine struct {
 	// G is the graph after the update. Only SubtreeDFS reads it.
 	G *graph.Persistent
 
-	// TrackMoved opts in to moved-vertex accumulation (Moved): every Reroot
-	// and re-hanging SetParent, including those a Plan.Run issues, then
-	// records the old-tree vertex set of the subtree it relocates. Off by
-	// default. Only the core maintainer's incremental D maintenance sets it;
-	// owners that never consume the set (a maintainer without D, the
-	// streaming maintainer, which runs the same plans, fault-tolerant mode,
-	// the full-rebuild baseline) must not pay its O(|subtree|) walks; the
-	// set's size is counted in O(1) per step either way (NumMoved). Set it
-	// before the first Reroot/SetParent call.
-	TrackMoved bool
-
 	Stats Stats
 
 	// QStats accumulates the search effort of every oracle query this
@@ -124,13 +113,11 @@ type Engine struct {
 
 // Scratch holds the per-update buffers of an engine so a maintainer can
 // reuse them across updates instead of reallocating (parent copy + visited
-// mask + moved/removed-vertex accumulators + the subtree search's stack). A
-// Scratch must not be shared by engines running concurrently.
+// mask + the subtree search's stack). A Scratch must not be shared by
+// engines running concurrently.
 type Scratch struct {
 	parent  []int
 	visited []bool
-	moved   []int
-	removed []int
 	stack   []dfsFrame
 }
 
@@ -153,8 +140,6 @@ func NewWithScratch(t *tree.Tree, d Oracle, m *pram.Machine, s *Scratch) *Engine
 	}
 	n := t.N()
 	s.parent = append(s.parent[:0], t.Parent...)
-	s.moved = s.moved[:0]
-	s.removed = s.removed[:0]
 	if cap(s.visited) >= n {
 		s.visited = s.visited[:n]
 		clear(s.visited)
@@ -179,11 +164,9 @@ func (e *Engine) Parent() []int { return e.parent }
 
 // SetParent records an externally decided T* edge (used by the reduction
 // algorithm for, e.g., the inserted vertex). A re-hung subtree (parent
-// actually changing) joins the moved set, as does a vertex the base tree has
+// actually changing) counts as moved, as does a vertex the base tree has
 // never numbered; detaching a vertex (p == tree.None, the deleted vertex)
-// joins the removed set instead — its D entries leave through the deletion
-// patches, but downstream index maintenance still needs to know the vertex
-// left the tree.
+// counts as removed instead.
 func (e *Engine) SetParent(v, p int) {
 	e.parent[v] = p
 	numbered := v < e.T.N() && e.T.Present(v)
@@ -191,46 +174,21 @@ func (e *Engine) SetParent(v, p int) {
 	case p == tree.None:
 		if numbered {
 			e.numRemoved++
-			if e.TrackMoved {
-				e.scratch.removed = append(e.scratch.removed, v)
-			}
 		}
 	case !numbered:
 		e.numMoved++
-		if e.TrackMoved {
-			e.scratch.moved = append(e.scratch.moved, v)
-		}
 	case e.T.Parent[v] != p:
 		e.numMoved += e.T.Size(v)
-		if e.TrackMoved {
-			e.scratch.moved = e.T.SubtreeVertices(v, e.scratch.moved)
-		}
 	}
 }
 
-// Moved returns the vertices whose root path this engine's reroots and
-// reassignments changed — the old-tree vertex set of every rerooted or
-// re-hung subtree plus newly attached vertices. Only these can change
-// relative position in the new tree's post-order (children are ordered by ID
-// on both sides), which is exactly what dstruct.D.Update needs to reposition
-// entries incrementally. Empty unless TrackMoved was set. The slice is owned
-// by the engine's Scratch; callers must consume it before the next update
-// reuses the buffers.
-func (e *Engine) Moved() []int { return e.scratch.moved }
-
-// Removed returns the vertices this engine detached from the tree (SetParent
-// to tree.None — the deleted vertex of a DeleteVertex update). Like Moved, it
-// is empty unless TrackMoved was set and is owned by the engine's Scratch;
-// callers must consume it before the next update reuses the buffers.
-func (e *Engine) Removed() []int { return e.scratch.removed }
-
-// NumMoved returns how many vertices Moved holds, or would hold had
-// TrackMoved been set: the size of every rerooted or re-hung subtree plus
-// one per newly attached vertex.
+// NumMoved returns how many vertices this engine's reroots and
+// reassignments moved: the size of every rerooted or re-hung subtree plus
+// one per newly attached vertex. It is counted in O(1) per step.
 func (e *Engine) NumMoved() int { return e.numMoved }
 
-// NumRemoved returns how many vertices Removed holds, or would hold had
-// TrackMoved been set.
+// NumRemoved returns how many vertices this engine detached from the tree
+// (SetParent to tree.None — the deleted vertex of a DeleteVertex update).
 func (e *Engine) NumRemoved() int { return e.numRemoved }
 
 // Reroot rebuilds the subtree T(r0) as a DFS tree rooted at rstar, hanging
@@ -240,11 +198,7 @@ func (e *Engine) Reroot(r0, rstar, attachParent int) error {
 	if !e.T.IsAncestor(r0, rstar) {
 		return fmt.Errorf("reroot: new root %d not in T(%d)", rstar, r0)
 	}
-	// Everything in the rerooted subtree may change relative post-order.
 	e.numMoved += e.T.Size(r0)
-	if e.TrackMoved {
-		e.scratch.moved = e.T.SubtreeVertices(r0, e.scratch.moved)
-	}
 	if e.Executor == SubtreeDFS {
 		return e.traverse(r0, rstar, attachParent)
 	}

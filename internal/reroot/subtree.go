@@ -75,10 +75,12 @@ func (e *Engine) traverse(sub, root, attach int) error {
 // returns it (-1 once f is exhausted) with the number of row entries it
 // scanned. The old tree edges inside T(sub) are edges of the updated graph
 // (the reduction deletes only edges leaving the subtrees it reroots), so
-// the old parent and children need no row lookup.
+// the old parent and children need no row lookup, and the row is read at
+// most once per call.
 func (e *Engine) nextVertex(f *dfsFrame, sub int) (int, int) {
 	t, v := e.T, int(f.v)
 	kids := t.Children(v)
+	var row []int32
 	scanned := 0
 	for {
 		i := int(f.next)
@@ -93,7 +95,9 @@ func (e *Engine) nextVertex(f *dfsFrame, sub int) (int, int) {
 		case i <= len(kids):
 			w = kids[i-1]
 		default:
-			row := e.G.Row(v)
+			if row == nil {
+				row = e.G.Row(v)
+			}
 			j := i - 1 - len(kids)
 			if j >= len(row) {
 				return -1, scanned

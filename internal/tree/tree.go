@@ -202,9 +202,8 @@ func (t *Tree) Children(v int) []int { return t.children[v] }
 func (t *Tree) Post(v int) int { return t.post[v] }
 
 // PostInto copies the post-order numbering into dst, reallocating only when
-// dst lacks capacity: dst[v] = Post(v), -1 for holes. The incremental D
-// maintenance path uses it to refresh its relocatable order keys in one bulk
-// pass after a reroot has renumbered the tree.
+// dst lacks capacity: dst[v] = Post(v), -1 for holes. D's Build and Rebuild
+// use it to copy the tree's numbering into their order keys in one bulk pass.
 func (t *Tree) PostInto(dst []int) []int {
 	if cap(dst) < len(t.post) {
 		dst = make([]int, len(t.post))
