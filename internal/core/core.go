@@ -131,7 +131,7 @@ type DynamicDFS struct {
 	rebuildD  bool
 	headroom  int
 	exec      Executor
-	present   []bool // presence mask reused by every tree build
+	present   []bool // tree presence mask: graph vertices + pseudo, kept in step with g
 	lastStats reroot.Stats
 	updates   int
 
@@ -181,6 +181,7 @@ func New(g *graph.Persistent, opt Options) *DynamicDFS {
 	}
 	dd.pseudo = dd.g.NumVertexSlots() + dd.headroom
 	dd.t = baseline.StaticDFSUnder(dd.g, dd.pseudo)
+	dd.fillPresent()
 	dd.buildD()
 	return dd
 }
@@ -210,7 +211,7 @@ func NewFromState(g *graph.Persistent, t *tree.Tree, d *dstruct.D, pseudo int, o
 	if m == nil {
 		m = pram.NewMachine(t.Live())
 	}
-	return &DynamicDFS{
+	dd := &DynamicDFS{
 		g:        g,
 		t:        t,
 		d:        d,
@@ -220,6 +221,8 @@ func NewFromState(g *graph.Persistent, t *tree.Tree, d *dstruct.D, pseudo int, o
 		headroom: pseudo - g.NumVertexSlots(),
 		exec:     opt.Executor,
 	}
+	dd.fillPresent()
+	return dd
 }
 
 // NewDynamicRestored assembles a fully dynamic maintainer over restored
@@ -245,6 +248,7 @@ func NewDynamicRestored(g *graph.Persistent, t *tree.Tree, pseudo, updates int, 
 		headroom: pseudo - g.NumVertexSlots(),
 		exec:     opt.Executor,
 	}
+	dd.fillPresent()
 	dd.buildD()
 	return dd
 }
@@ -303,10 +307,14 @@ func (dd *DynamicDFS) QueryStats() dstruct.Stats { return dd.qstats }
 // Updates returns the number of updates processed.
 func (dd *DynamicDFS) Updates() int { return dd.updates }
 
-// presentMask refills the maintainer's presence mask for the tree (graph
-// vertices + pseudo) and returns it. The mask is only borrowed: tree.Build
-// copies it, so one buffer serves every update.
-func (dd *DynamicDFS) presentMask() []bool {
+// fillPresent sizes the maintainer's presence mask to the pseudo root and
+// fills it from the graph (graph vertices + pseudo). It runs when the
+// maintainer is assembled and when the pseudo root moves; between those,
+// InsertVertex and DeleteVertex flip the one entry their update changes, so
+// the mask stays in step with g without a per-update refill. tree.Build
+// only reads it (a stale mask makes Build fail), so one buffer serves every
+// update.
+func (dd *DynamicDFS) fillPresent() {
 	p := dd.present
 	if cap(p) < dd.pseudo+1 {
 		p = make([]bool, dd.pseudo+1)
@@ -317,7 +325,6 @@ func (dd *DynamicDFS) presentMask() []bool {
 	}
 	p[dd.pseudo] = true
 	dd.present = p
-	return p
 }
 
 // apply runs an update's plan: an empty plan (a back-edge insert or delete)
@@ -342,7 +349,7 @@ func (dd *DynamicDFS) apply(kind UpdateKind, p reroot.Plan) error {
 	if spent != nil {
 		t0 = time.Now()
 	}
-	nt, err := e.Result(dd.pseudo, dd.presentMask())
+	nt, err := e.Result(dd.pseudo, dd.present)
 	if spent != nil {
 		*spent += time.Since(t0)
 	}
@@ -430,7 +437,8 @@ func (dd *DynamicDFS) relocatePseudo() {
 		}
 		parent[v] = p
 	}
-	dd.t = tree.MustBuild(dd.pseudo, parent, dd.presentMask())
+	dd.fillPresent()
+	dd.t = tree.MustBuild(dd.pseudo, parent, dd.present)
 	// Only a fully dynamic maintainer relocates (InsertVertex refuses it
 	// when D is pinned), so D, if any, is its own to rebuild.
 	if dd.d != nil {

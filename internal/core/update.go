@@ -61,6 +61,7 @@ func (dd *DynamicDFS) DeleteVertex(u int) error {
 		dd.d.PatchDeleteVertex(u, dd.g.SortedNeighbors(u)) // u's edges, read before dropping the old graph
 	}
 	dd.g = ng
+	dd.present[u] = false
 	return dd.apply(DeleteVertex, dd.planner().DeleteVertex(u))
 }
 
@@ -82,6 +83,7 @@ func (dd *DynamicDFS) InsertVertex(neighbors []int) (int, error) {
 		return -1, err
 	}
 	dd.g = ng
+	dd.present[u] = true
 	if dd.d != nil {
 		dd.d.PatchInsertVertex(u, neighbors)
 	}

@@ -15,11 +15,8 @@ import (
 type D struct {
 	T *tree.Tree
 
-	// key holds T's post-order labels, copied from T by Build and Rebuild:
-	// key[v] is v's position in T's post-order (-1 for holes), and every
-	// neighbor row is sorted by the key of its entries.
-	key []int
-
+	// Every neighbor row is sorted by the key of its entries: T's post-order
+	// labels (T.PostLabels()), read from the tree itself.
 	nbr   [][]int32 // nbr[v] = neighbors of v sorted by key (base graph only)
 	byKey []int32   // build scratch: the tree's vertices in key order
 
@@ -81,7 +78,7 @@ func (d *D) Rebuild(g *graph.Persistent, t *tree.Tree, mach *pram.Machine) {
 func (d *D) build(g *graph.Persistent, t *tree.Tree, mach *pram.Machine) {
 	n := t.N()
 	d.T = t
-	d.key = t.PostInto(d.key)
+	key := t.PostLabels()
 	if cap(d.nbr) >= n {
 		d.nbr = d.nbr[:n]
 	} else {
@@ -94,8 +91,8 @@ func (d *D) build(g *graph.Persistent, t *tree.Tree, mach *pram.Machine) {
 	maxDeg, grow := 0, 0
 	for v := range d.nbr {
 		d.nbr[v] = d.nbr[v][:0]
-		if d.key[v] >= 0 {
-			d.byKey[d.key[v]] = int32(v)
+		if key[v] >= 0 {
+			d.byKey[key[v]] = int32(v)
 		}
 		if v < slots { // Degree is 0 for a non-vertex
 			deg := g.Degree(v)
@@ -139,7 +136,7 @@ func (d *D) SizeWords() int64 {
 	if d == nil {
 		return 0
 	}
-	w := int64(len(d.key))
+	var w int64
 	for _, row := range d.nbr {
 		w += int64(len(row))
 	}
@@ -152,10 +149,10 @@ func (d *D) SizeWords() int64 {
 }
 
 // CheckSynced verifies that D is exactly the structure Build(g, t) would
-// produce: order keys equal to t's post-order labels, every neighbor row
-// equal to the vertex's adjacency sorted by key, retired rows empty, no
-// accumulated patches, and t's own LCA index in sync. The maintainers'
-// differential tests call it after every update; it is O(m + n).
+// produce: every neighbor row equal to the vertex's adjacency sorted by t's
+// post-order labels, retired rows empty, no accumulated patches, and t's own
+// LCA index in sync. The maintainers' differential tests call it after
+// every update; it is O(m + n).
 func (d *D) CheckSynced(g *graph.Persistent, t *tree.Tree) error {
 	if d.T != t {
 		return fmt.Errorf("dstruct: D tree is not the maintained tree")
@@ -167,14 +164,10 @@ func (d *D) CheckSynced(g *graph.Persistent, t *tree.Tree) error {
 		return fmt.Errorf("dstruct: unabsorbed patches (%d ops, %d inserted rows, %d deleted edges, %d patch vertices)",
 			d.numPatches, len(d.inserted), len(d.deletedE), len(d.patchVerts))
 	}
-	if len(d.key) != t.N() || len(d.nbr) != t.N() {
-		return fmt.Errorf("dstruct: key/nbr sized %d/%d, tree has %d slots", len(d.key), len(d.nbr), t.N())
+	if len(d.nbr) != t.N() {
+		return fmt.Errorf("dstruct: nbr sized %d, tree has %d slots", len(d.nbr), t.N())
 	}
-	for v := 0; v < t.N(); v++ {
-		if d.key[v] != t.Post(v) {
-			return fmt.Errorf("dstruct: key[%d] = %d, post = %d", v, d.key[v], t.Post(v))
-		}
-	}
+	key := t.PostLabels()
 	slots := g.NumVertexSlots()
 	var want []int
 	for v := range d.nbr {
@@ -185,7 +178,7 @@ func (d *D) CheckSynced(g *graph.Persistent, t *tree.Tree) error {
 			continue
 		}
 		want = g.Neighbors(v, want)
-		sort.Slice(want, func(i, j int) bool { return d.key[want[i]] < d.key[want[j]] })
+		sort.Slice(want, func(i, j int) bool { return key[want[i]] < key[want[j]] })
 		if len(want) != len(d.nbr[v]) {
 			return fmt.Errorf("dstruct: row %d has %d entries, graph degree %d", v, len(d.nbr[v]), len(want))
 		}

@@ -280,10 +280,10 @@ func TestBuildAccountingAndSize(t *testing.T) {
 	if mach.Depth() == 0 {
 		t.Fatal("Build charged no depth")
 	}
-	// O(m+n) size: adjacency copies = 2m words, order-key labels = one word
-	// per tree slot.
-	if w := d.SizeWords(); w != int64(2*g.NumEdges()+tr.N()) {
-		t.Fatalf("SizeWords=%d want %d", w, 2*g.NumEdges()+tr.N())
+	// O(m) size: adjacency copies = 2m words. The order keys are the tree's
+	// own post-order labels, so D holds no copy of them.
+	if w := d.SizeWords(); w != int64(2*g.NumEdges()) {
+		t.Fatalf("SizeWords=%d want %d", w, 2*g.NumEdges())
 	}
 	// A maintainer without D hands out a nil D, which occupies nothing.
 	if w := (*D)(nil).SizeWords(); w != 0 {

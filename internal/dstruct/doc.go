@@ -5,8 +5,9 @@
 // of v appear sorted by their position on the root-to-v path — an edge from
 // v to any ancestor-descendant query path of T reduces to one binary search.
 //
-// Rows are ordered by D's own copy of T's post-order labels (the key
-// array), never by live tree lookups. D serves two maintenance regimes:
+// Rows are ordered by T's post-order labels, which D reads from the tree
+// itself (T.PostLabels(), no copy): T is immutable, and D is rebuilt or
+// stays pinned whenever its tree changes. D serves two maintenance regimes:
 //
 //   - Rebuild (fully dynamic mode, Theorem 13): after each update the
 //     maintainer rebuilds D in place over the new graph and tree — one

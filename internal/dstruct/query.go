@@ -320,7 +320,7 @@ func (d *D) bestFromVertex(u int, ev *walkEval, fromEnd bool, st *Stats) (Hit, b
 // searchRun finds u's extremal base-graph neighbor on the run, preferring
 // the walk-end side when fromEnd. Returns the neighbor z.
 func (d *D) searchRun(u int, r run, walk []int, fromEnd bool, st *Stats) (int, bool) {
-	t := d.T
+	t, key := d.T, d.T.PostLabels()
 	top, bot := r.top(walk), r.bot(walk)
 	// wantTreeHigh: do we want the hit nearest the run's tree-top?
 	// fromEnd means "nearest walk[hi]"; for a descending run walk[hi] is the
@@ -334,7 +334,7 @@ func (d *D) searchRun(u int, r run, walk []int, fromEnd bool, st *Stats) (int, b
 		// l = LCA(u, bot).
 		st.Searches++
 		l := d.T.LCA(u, bot)
-		return d.scanRange(u, d.key[l], d.key[top], wantTreeHigh, nil, st)
+		return d.scanRange(u, key[l], key[top], wantTreeHigh, nil, st)
 	case t.IsAncestor(u, top):
 		// Case B (multi-update mode only): u is an ancestor of the whole
 		// run; candidates are descendants with key in [key(bot),
@@ -344,7 +344,7 @@ func (d *D) searchRun(u int, r run, walk []int, fromEnd bool, st *Stats) (int, b
 		onRun := func(z int) bool {
 			return t.IsAncestor(top, z) && t.IsAncestor(z, bot)
 		}
-		return d.scanRange(u, d.key[bot], d.key[top], wantTreeHigh, onRun, st)
+		return d.scanRange(u, key[bot], key[top], wantTreeHigh, onRun, st)
 	default:
 		// Incomparable: a base-graph edge would be a cross edge of T —
 		// impossible.
@@ -356,10 +356,10 @@ func (d *D) searchRun(u int, r run, walk []int, fromEnd bool, st *Stats) (int, b
 // Entries nearer the tree-top have larger keys, so wantTreeHigh scans from
 // the high end. filter (may be nil) restricts to run membership; deleted
 // edges are skipped.
-func (d *D) scanRange(u, lokey, hikey int, wantTreeHigh bool, filter func(int) bool, st *Stats) (int, bool) {
-	row := d.nbr[u]
-	lo := lowerBound(row, lokey, d.key) // first index with key >= lokey
-	hi := upperBound(row, hikey, d.key) // first index with key > hikey
+func (d *D) scanRange(u int, lokey, hikey int32, wantTreeHigh bool, filter func(int) bool, st *Stats) (int, bool) {
+	row, key := d.nbr[u], d.T.PostLabels()
+	lo := lowerBound(row, lokey, key) // first index with key >= lokey
+	hi := upperBound(row, hikey, key) // first index with key > hikey
 	if wantTreeHigh {
 		for i := hi - 1; i >= lo; i-- {
 			st.ScanSteps++
@@ -380,7 +380,7 @@ func (d *D) scanRange(u, lokey, hikey int, wantTreeHigh bool, filter func(int) b
 	return 0, false
 }
 
-func lowerBound(row []int32, k int, key []int) int {
+func lowerBound(row []int32, k int32, key []int32) int {
 	lo, hi := 0, len(row)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -393,7 +393,7 @@ func lowerBound(row []int32, k int, key []int) int {
 	return lo
 }
 
-func upperBound(row []int32, k int, key []int) int {
+func upperBound(row []int32, k int32, key []int32) int {
 	lo, hi := 0, len(row)
 	for lo < hi {
 		mid := (lo + hi) / 2

@@ -221,10 +221,12 @@ func (e *Engine) Reroot(r0, rstar, attachParent int) error {
 	return nil
 }
 
-// Result builds the final tree from the accumulated parent assignments.
-// newRoot is the root of the updated DFS tree; present marks live vertices
-// (nil = all of T's vertices). The engine's parent buffer is finalized in
-// place (tree.Build copies it), so the engine is spent afterwards.
+// Result builds the final tree from the accumulated parent assignments with
+// one tree.Build. newRoot is the root of the updated DFS tree; present marks
+// live vertices (nil = all of T's vertices). Build only reads present, so a
+// maintainer passes the mask it keeps in step with its graph. The engine's
+// parent buffer is finalized in place (tree.Build copies it), so the engine
+// is spent afterwards.
 func (e *Engine) Result(newRoot int, present []bool) (*tree.Tree, error) {
 	e.parent[newRoot] = tree.None
 	return tree.Build(newRoot, e.parent, present)

@@ -98,7 +98,7 @@ func (t *Tree) LCA(u, v int) int {
 	if i > j {
 		i, j = j, i
 	}
-	return t.Parent[t.order[t.ix.argmin(int32(i+1), int32(j))]]
+	return t.Parent[t.order[t.ix.argmin(i+1, j)]]
 }
 
 // AncestorAtDepth returns the ancestor of tree vertex v whose level is d
@@ -113,7 +113,7 @@ func (t *Tree) AncestorAtDepth(v, d int) int {
 	if t.pre[v] < 0 {
 		panic(fmt.Sprintf("tree: level-ancestor query on non-tree vertex %d", v))
 	}
-	x, p, dd := &t.ix, int32(t.pre[v]), int32(d)
+	x, p, dd := &t.ix, t.pre[v], int32(d)
 	lo := p / block * block
 	for q := p; q >= lo; q-- {
 		if x.depth[q] <= dd {
@@ -147,7 +147,7 @@ func (t *Tree) CheckIndex() error {
 		return fmt.Errorf("tree: index holds %d depths, pre-order has %d vertices", len(x.depth), len(t.order))
 	}
 	for i, v := range t.order {
-		if x.depth[i] != int32(t.level[v]) {
+		if x.depth[i] != t.level[v] {
 			return fmt.Errorf("tree: index depth[%d] = %d, level of %d is %d", i, x.depth[i], v, t.level[v])
 		}
 	}

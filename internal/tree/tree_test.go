@@ -45,6 +45,12 @@ func TestBuildRejectsBadInput(t *testing.T) {
 	if _, err := Build(0, []int{None, 0}, []bool{true, false}); err == nil {
 		t.Fatal("hole with parent accepted")
 	}
+	if _, err := Build(0, []int{None, None, 1}, []bool{true, false, true}); err == nil {
+		t.Fatal("parent that is a hole accepted")
+	}
+	if _, err := Build(0, []int{None, None}, []bool{false, true}); err == nil {
+		t.Fatal("root that is a hole accepted")
+	}
 }
 
 func TestChainNumbering(t *testing.T) {
