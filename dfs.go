@@ -61,8 +61,9 @@
 // each built at most once per snapshot version under a singleflight guard
 // and retained in a bounded per-shard LRU, so warm queries do zero index
 // construction. The LCA index, which also answers the level ancestors, is
-// part of the DFS tree itself, built with every tree the maintainer
-// installs, so those queries build nothing even on a new version. NewSnapshotQuery is the standalone
+// part of the DFS tree itself, built once by the first such query on a
+// tree and shared by every version that keeps that tree; the update path
+// never builds it. NewSnapshotQuery is the standalone
 // (uncached) equivalent for any frozen graph+tree pair.
 //
 // # Observability

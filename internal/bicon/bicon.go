@@ -49,27 +49,36 @@ func Analyze(g *graph.Persistent, t *tree.Tree, pseudo int, mach *pram.Machine) 
 	for i := range a.compID {
 		a.compID[i] = -1
 	}
-	// The pre-order sequence read backwards lists children before parents.
+	// The pre-order sequence read backwards lists children before parents,
+	// so each vertex's low is final when it is reached, and it pushes it
+	// into its parent's. Siblings push from the last to the first, so the
+	// last child (the one with no next sibling) is the first to arrive.
 	order := t.PreOrder()
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		if v == pseudo {
 			continue
 		}
-		a.low[v] = t.Level(v)
+		low := t.Level(v)
+		if t.Size(v) > 1 { // its children have pushed theirs
+			low = min(low, a.low[v])
+		}
 		for _, w32 := range g.Row(v) {
 			w := int(w32)
 			if w == t.Parent[v] || t.Parent[w] == v {
 				continue // tree edges handled by child aggregation
 			}
 			// Back edge (v,w): if w is an ancestor, it can lift low[v].
-			if t.IsAncestor(w, v) && t.Level(w) < a.low[v] {
-				a.low[v] = t.Level(w)
+			if t.IsAncestor(w, v) && t.Level(w) < low {
+				low = t.Level(w)
 			}
 		}
-		for _, c := range t.Children(v) {
-			if a.low[c] < a.low[v] {
-				a.low[v] = a.low[c]
+		a.low[v] = low
+		if p := t.Parent[v]; p != tree.None && p != pseudo {
+			if t.NextSibling(v) == tree.None {
+				a.low[p] = low
+			} else {
+				a.low[p] = min(a.low[p], low)
 			}
 		}
 	}
@@ -87,14 +96,14 @@ func Analyze(g *graph.Persistent, t *tree.Tree, pseudo int, mach *pram.Machine) 
 		p := t.Parent[v]
 		if p == tree.None || p == pseudo {
 			// v is a component root: articulation iff ≥2 children.
-			if len(t.Children(v)) >= 2 {
+			if twoChildren(t, v) {
 				a.artic[v] = true
 			}
 			continue
 		}
 		if a.low[v] >= t.Level(p) {
 			// No back edge from T(v) climbs above p.
-			if p != pseudo && (t.Parent[p] != pseudo && t.Parent[p] != tree.None || len(t.Children(p)) >= 2) {
+			if p != pseudo && (t.Parent[p] != pseudo && t.Parent[p] != tree.None || twoChildren(t, p)) {
 				a.artic[p] = true
 			}
 			if a.low[v] > t.Level(p) {
@@ -104,6 +113,13 @@ func Analyze(g *graph.Persistent, t *tree.Tree, pseudo int, mach *pram.Machine) 
 	}
 	a.assignComponents(pseudo)
 	return a
+}
+
+// twoChildren reports whether v has at least two children: its first
+// child's subtree does not fill the rest of T(v).
+func twoChildren(t *tree.Tree, v int) bool {
+	c := t.FirstChild(v)
+	return c != tree.None && t.Size(c) < t.Size(v)-1
 }
 
 // assignComponents labels tree edges with biconnected component IDs: edge

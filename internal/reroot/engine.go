@@ -330,14 +330,11 @@ func (e *Engine) step(c *Comp) ([]*Comp, error) {
 func (e *Engine) findVH(root, thr int) int {
 	v := root
 	for {
-		next := -1
-		for _, ch := range e.T.Children(v) {
-			if e.T.Size(ch) > thr {
-				next = ch
-				break
-			}
+		next := e.T.FirstChild(v)
+		for next != tree.None && e.T.Size(next) <= thr {
+			next = e.T.NextSibling(next)
 		}
-		if next < 0 {
+		if next == tree.None {
 			return v
 		}
 		v = next

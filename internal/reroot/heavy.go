@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dstruct"
+	"repro/internal/tree"
 )
 
 // heavy handles the hard case of Section 4.4: the entry vertex rc lies
@@ -91,7 +92,7 @@ func (e *Engine) heavy(c *Comp, rcPiece, vH int) ([]*Comp, error) {
 			onChain[q] = true
 		}
 		for _, q := range chain {
-			for _, ch := range t.Children(q) {
+			for ch := t.FirstChild(q); ch != tree.None; ch = t.NextSibling(ch) {
 				if !onChain[ch] && !t.IsAncestor(ch, vH) {
 					chainHangers = append(chainHangers, ch)
 				}
@@ -177,7 +178,7 @@ func (e *Engine) heavy(c *Comp, rcPiece, vH int) ([]*Comp, error) {
 	for i := 1; i < len(chain); i++ { // chain[0] = vH already covered
 		q := chain[i]
 		ordered = append(ordered, q)
-		for _, ch := range t.Children(q) {
+		for ch := t.FirstChild(q); ch != tree.None; ch = t.NextSibling(ch) {
 			if !onChain[ch] && !t.IsAncestor(ch, vH) {
 				ordered = t.SubtreeVertices(ch, ordered)
 			}
@@ -321,8 +322,9 @@ func (e *Engine) heavyFallback(c *Comp, rcPiece int) ([]*Comp, error) {
 // ascending walk (children of walk vertices that are off the walk).
 func (e *Engine) hangersOfWalk(walk []int, ix *walkIndex) []int {
 	var out []int
+	t := e.T
 	for _, v := range walk {
-		for _, ch := range e.T.Children(v) {
+		for ch := t.FirstChild(v); ch != tree.None; ch = t.NextSibling(ch) {
 			if !ix.onWalk(ch) {
 				out = append(out, ch)
 			}

@@ -81,13 +81,26 @@ func NewRowPlanner(t *tree.Tree, g *graph.Persistent, m *pram.Machine) Planner {
 // InsertEdge reduces inserting (u,v), case (ii): a back edge leaves the
 // tree unchanged; otherwise, with w = LCA(u,v), the child subtree of w
 // containing v is rerooted at v and hung from u. w = pseudo root covers
-// merging two components.
+// merging two components. The child of w is found by the parent walk from
+// v that ChildToward(w, v) makes (see childBelowLCA), so no LCA index is
+// built.
 func (p Planner) InsertEdge(u, v int) Plan {
-	w := p.t.LCA(u, v)
-	if w == u || w == v {
+	if p.t.IsAncestor(u, v) || p.t.IsAncestor(v, u) {
 		return Plan{}
 	}
-	return Plan{Steps: []Step{{Sub: p.t.ChildToward(w, v), Root: v, Parent: u}}}
+	return Plan{Steps: []Step{{Sub: p.childBelowLCA(v, u), Root: v, Parent: u}}}
+}
+
+// childBelowLCA returns the child of LCA(v, u) whose subtree holds v, where
+// v is not an ancestor of u: the highest ancestor of v whose parent is not
+// yet an ancestor of u. It walks parent pointers up from v, as many steps
+// as ChildToward(LCA(v, u), v) would.
+func (p Planner) childBelowLCA(v, u int) int {
+	x := v
+	for !p.t.IsAncestor(p.t.Parent[x], u) {
+		x = p.t.Parent[x]
+	}
+	return x
 }
 
 // DeleteEdge reduces deleting the graph edge (u,v), case (i): a back edge
@@ -109,7 +122,10 @@ func (p Planner) DeleteEdge(u, v int) Plan {
 // child subtree T(v_i) is rerooted through its deepest edge to
 // path(parent(u), component root), or becomes a component of its own.
 func (p Planner) DeleteVertex(u int) Plan {
-	children := p.t.Children(u)
+	var children []int
+	for c := p.t.FirstChild(u); c != tree.None; c = p.t.NextSibling(c) {
+		children = append(children, c)
+	}
 	steps := make([]Step, 1, len(children)+1)
 	steps[0] = Step{Sub: u, Root: tree.None, Parent: tree.None}
 	pu := p.t.Parent[u]
@@ -146,11 +162,10 @@ func (p Planner) InsertVertex(u int, neighbors []int) Plan {
 		if vi == vj {
 			continue
 		}
-		a := p.t.LCA(vi, vj)
-		if a == vi {
+		if p.t.IsAncestor(vi, vj) {
 			continue // vi on path(vj, root): (u, vi) is a back edge
 		}
-		vPrime := p.t.ChildToward(a, vi)
+		vPrime := p.childBelowLCA(vi, vj)
 		if seen[vPrime] {
 			continue // same subtree already rerooted; extra edge is a back edge
 		}

@@ -31,8 +31,10 @@ const (
 // dfsFrame is one vertex on the subtree search's stack, in int32 halves
 // like the graph's rows: the stack is as deep as the rerooted subtree and
 // lives on in the maintainer's Scratch. next enumerates the vertex's
-// candidates in visit order: 0 is its old parent, 1..k its k old children,
-// and k+1+j the j-th entry of its row.
+// candidates in visit order: 0 is its old parent; 1..size-1 are offsets
+// into its old pre-order window, where each old child sits at the offset
+// just past its previous sibling's subtree; and size+j is the j-th entry
+// of its row.
 type dfsFrame struct{ v, next int32 }
 
 // traverse reroots T(sub) at root by a depth-first search of G[T(sub)] and
@@ -75,33 +77,36 @@ func (e *Engine) traverse(sub, root, attach int) error {
 // returns it (-1 once f is exhausted) with the number of row entries it
 // scanned. The old tree edges inside T(sub) are edges of the updated graph
 // (the reduction deletes only edges leaving the subtrees it reroots), so
-// the old parent and children need no row lookup, and the row is read at
-// most once per call.
+// the old parent and children need no row lookup: the children are read
+// off the old pre-order window of v, and the row is read at most once per
+// call.
 func (e *Engine) nextVertex(f *dfsFrame, sub int) (int, int) {
 	t, v := e.T, int(f.v)
-	kids := t.Children(v)
+	window := t.PreOrder()[t.Pre(v):]
+	size := int32(t.Size(v))
 	var row []int32
 	scanned := 0
 	for {
-		i := int(f.next)
-		f.next++
 		var w int
-		switch {
+		switch i := f.next; {
 		case i == 0:
+			f.next = 1
 			if v == sub {
 				continue
 			}
 			w = t.Parent[v]
-		case i <= len(kids):
-			w = kids[i-1]
+		case i < size:
+			w = window[i]
+			f.next += int32(t.Size(w))
 		default:
 			if row == nil {
 				row = e.G.Row(v)
 			}
-			j := i - 1 - len(kids)
+			j := int(i - size)
 			if j >= len(row) {
 				return -1, scanned
 			}
+			f.next++
 			scanned++
 			w = int(row[j])
 			if w >= t.N() || !t.IsAncestor(sub, w) {

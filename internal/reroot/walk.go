@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/dstruct"
+	"repro/internal/tree"
 )
 
 // walkBuilder assembles a traversal walk: an alternating sequence of tree
@@ -126,7 +127,8 @@ func (ix *walkIndex) subtreeHasWalk(v int) bool {
 // geometry (which the paper's invariants exclude) is absorbed as extra path
 // pieces and counted as a violation.
 func (e *Engine) splitSubtree(root int, ix *walkIndex, out []Piece) []Piece {
-	work := []int{root}
+	t := e.T
+	work := append(make([]int, 0, 64), root) // children are pushed one by one
 	for len(work) > 0 {
 		v := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -135,7 +137,9 @@ func (e *Engine) splitSubtree(root int, ix *walkIndex, out []Piece) []Piece {
 			continue
 		}
 		if ix.onWalk(v) {
-			work = append(work, e.T.Children(v)...)
+			for ch := t.FirstChild(v); ch != tree.None; ch = t.NextSibling(ch) {
+				work = append(work, ch)
+			}
 			continue
 		}
 		// v untouched, walk strictly below: follow the chain while exactly
@@ -145,7 +149,7 @@ func (e *Engine) splitSubtree(root int, ix *walkIndex, out []Piece) []Piece {
 		for {
 			next := -1
 			multi := false
-			for _, ch := range e.T.Children(cur) {
+			for ch := t.FirstChild(cur); ch != tree.None; ch = t.NextSibling(ch) {
 				if ix.subtreeHasWalk(ch) {
 					if next >= 0 {
 						multi = true
@@ -162,7 +166,7 @@ func (e *Engine) splitSubtree(root int, ix *walkIndex, out []Piece) []Piece {
 				// the walk-bearing children independently.
 				e.Stats.Violations++
 				out = append(out, PathPiece(top, cur))
-				for _, ch := range e.T.Children(cur) {
+				for ch := t.FirstChild(cur); ch != tree.None; ch = t.NextSibling(ch) {
 					if ix.subtreeHasWalk(ch) {
 						work = append(work, ch)
 					}

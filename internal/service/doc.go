@@ -111,15 +111,15 @@
 // BiconnectedComponentOf, SameBiconnectedComponent) from derived indexes
 // built over the pinned snapshot.
 //
-// The LCA index is part of the tree. tree.Build indexes every tree it
-// numbers (the paper's Theorem 5/6 structure, which the reroot engine and
-// D's queries need anyway), so every snapshot's Tree, the degraded
-// checkpoint snapshots recovery publishes included, carries its own index.
-// A back-edge update keeps the tree, so consecutive back-edge versions
-// share one index. The version's query handle answers the LCA family and
-// the level ancestors (through tree.AncestorAtDepth, an O(log n) search
-// over the same block minima) from it, building nothing on any published
-// version. The subtree aggregates and the biconnectivity analysis are built
+// The LCA index is part of the tree (the paper's Theorem 5/6 structure):
+// every snapshot's Tree, the degraded checkpoint snapshots recovery
+// publishes included, builds its own on its first LCA or level-ancestor
+// query, once, under a sync.Once. The update path of the default executor
+// never asks, so it never builds one. A back-edge update keeps the tree, so
+// consecutive back-edge versions share one index. The version's query
+// handle answers the LCA family and the level ancestors (through
+// tree.AncestorAtDepth, an O(log n) search over the same block minima)
+// from it. The subtree aggregates and the biconnectivity analysis are built
 // once per version on first use. CheckSynced checks that the published
 // snapshot's graph and tree are the maintainer's own (by pointer) and runs
 // the maintainer's oracle on them: the tree is a DFS forest of the graph,

@@ -93,8 +93,8 @@ type ShardMetrics struct {
 	// by a graph drop or a stale-incarnation collision, IndexCacheSize the
 	// versions currently resident. IndexBuilds counts index constructions
 	// (≤ 2 per published version, aggregates and bicon: the LCA index is
-	// part of the snapshot's tree) and IndexBuildTime their summed
-	// wall-clock cost.
+	// the snapshot tree's own, built by its first query) and
+	// IndexBuildTime their summed wall-clock cost.
 	// The two histograms carry the corresponding read-path distributions:
 	// per-index build durations and handle-resolution latency.
 	IndexCacheHits      uint64

@@ -573,7 +573,7 @@ func (sh *shard) sealTrace(tr *obs.Trace, publish time.Duration, version uint64)
 
 // publish freezes gs's current state into a new immutable snapshot and
 // installs it. The graph (a persistent copy-on-write version) and the tree
-// with its LCA index (immutable, replaced per update) are shared zero-copy,
+// (logically immutable, replaced per update) are shared zero-copy,
 // so publication is O(1): a pointer grab per structure and one small
 // Snapshot allocation, regardless of graph size.
 func (sh *shard) publish(id GraphID, gs *graphState) *Snapshot {

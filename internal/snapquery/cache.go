@@ -199,7 +199,7 @@ func (c *Cache) MoveGraph(graphName string, dst *Cache) {
 // dropped-and-recreated graph collided on the same (graph, version) key —
 // a stale incarnation — count under Dropped instead. Builds counts index
 // constructions: at most 2 per version (aggregates, bicon; the LCA index
-// is part of the tree).
+// is the tree's own, built by its first query).
 type Stats struct {
 	Hits      uint64 // Handle calls answered from the LRU
 	Misses    uint64 // Handle calls that created a new handle

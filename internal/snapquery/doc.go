@@ -17,10 +17,10 @@
 //   - full biconnectivity analysis (internal/bicon: articulation points,
 //     bridges, biconnected-component IDs of tree edges).
 //
-// The LCA index is never built here: tree.Build indexes every tree it
-// numbers, so the handle answers the LCA family and level ancestors from
-// the pinned tree itself, and a first query on a freshly published version
-// costs O(log n) and builds nothing.
+// The LCA index is not the handle's: it belongs to the pinned tree, which
+// builds it on its first LCA or level-ancestor query under a sync.Once
+// (package tree), so handles of versions sharing one tree share one index,
+// and the update path, which never asks, never builds one.
 //
 // The other indexes are built exactly once per handle under a singleflight
 // guard: concurrent first readers share one build (one builds, the rest
@@ -30,9 +30,10 @@
 // with writers. Handles are independent of each other: a handle never
 // refers to another version's handle or arrays.
 //
-// CheckSynced is the differential oracle: the pinned tree's LCA index must
-// equal a fresh derivation from the tree's numbering (tree.CheckIndex),
-// and the handle's aggregates a fresh fold.
+// CheckSynced is the differential oracle: the pinned tree's lazy indexes
+// must equal a fresh derivation from the tree's numbering
+// (tree.CheckIndex, which builds them if no query has), and the handle's
+// aggregates a fresh fold.
 //
 // Cache retains handles in an LRU keyed by (graph, version) so a bounded
 // number of hot versions keep their indexes alive while old versions age

@@ -244,24 +244,27 @@ func buildAggIndex(t *tree.Tree) *aggIndex {
 		min:    make([]int32, n),
 		max:    make([]int32, n),
 	}
-	// Reversed pre-order: every child is finalized before its parent.
+	// Reversed pre-order: every child is finalized before its parent and
+	// pushes its aggregates into the parent's. Siblings push from the last
+	// to the first, so the last child (no next sibling) arrives first.
 	order := t.PreOrder()
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
-		var hh int32
 		mn, mx := int32(v), int32(v)
-		for _, c := range t.Children(v) {
-			if ix.height[c]+1 > hh {
-				hh = ix.height[c] + 1
-			}
-			if ix.min[c] < mn {
-				mn = ix.min[c]
-			}
-			if ix.max[c] > mx {
-				mx = ix.max[c]
-			}
+		if t.Size(v) > 1 { // its children have pushed theirs
+			mn, mx = min(mn, ix.min[v]), max(mx, ix.max[v])
 		}
-		ix.height[v], ix.min[v], ix.max[v] = hh, mn, mx
+		ix.min[v], ix.max[v] = mn, mx
+		p := t.Parent[v]
+		if p == tree.None {
+			continue
+		}
+		ix.height[p] = max(ix.height[p], ix.height[v]+1)
+		if t.NextSibling(v) == tree.None {
+			ix.min[p], ix.max[p] = mn, mx
+		} else {
+			ix.min[p], ix.max[p] = min(ix.min[p], mn), max(ix.max[p], mx)
+		}
 	}
 	return ix
 }
@@ -372,10 +375,11 @@ func (h *Handle) SameBiconnectedComponent(u, v int) (bool, error) {
 
 // CheckSynced verifies the indexes the handle answers from against fresh
 // ground-up builds over the same tree, mirroring dstruct.D's CheckSynced:
-// the tree's LCA index must pass tree.CheckIndex, and every live vertex's
-// aggregates, once built, must equal the fresh ones. Slots not yet built
-// are skipped, so the oracle never triggers builds itself; nil means every
-// index is in sync.
+// the tree's lazy indexes must pass tree.CheckIndex (which builds them on a
+// tree no query has indexed yet), and every live vertex's aggregates, once
+// built, must equal the fresh ones. The handle's slots not yet built are
+// skipped, so the oracle never fills them itself; nil means every index is
+// in sync.
 func (h *Handle) CheckSynced() error {
 	t := h.t
 	if err := t.CheckIndex(); err != nil {

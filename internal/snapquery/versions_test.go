@@ -243,8 +243,8 @@ func TestCacheEvictionMidChain(t *testing.T) {
 // versions, each a maintainer's tree with its index, through a shared
 // cache while readers query whichever version is latest. The singleflight
 // contract is asserted by accounting: every created handle fills its two
-// slots (agg, bicon) exactly once, so builds == 2 × created handles, and
-// never builds an LCA index.
+// slots (agg, bicon) exactly once, so builds == 2 × created handles; the
+// LCA index is the tree's, outside the count.
 func TestConcurrentVersionHandles(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	g := graph.GnpConnected(200, 0.03, rng)

@@ -74,7 +74,9 @@ func buildRef(root int, parent []int, present []bool) (*refTree, error) {
 }
 
 // checkAgainstRef demands that every accessor of tr answer like the
-// reference on every vertex slot, and that tr's LCA index pass CheckIndex.
+// reference on every vertex slot, FirstChild and NextSibling included, and
+// that tr's lazily built indexes pass CheckIndex. Post is checked on every
+// slot before the first PostLabels call builds the labels.
 func checkAgainstRef(t *testing.T, tr *Tree, ref *refTree, parent []int) {
 	t.Helper()
 	n := len(parent)
@@ -94,15 +96,28 @@ func checkAgainstRef(t *testing.T, tr *Tree, ref *refTree, parent []int) {
 		if got, want := tr.Present(v), ref.pre[v] >= 0; got != want {
 			t.Fatalf("Present(%d)=%v, want %v", v, got, want)
 		}
-		if got := tr.Children(v); !slices.Equal(got, ref.children[v]) {
-			t.Fatalf("Children(%d)=%v, want %v", v, got, ref.children[v])
+		kids := ref.children[v]
+		if got := tr.Children(v); !slices.Equal(got, kids) {
+			t.Fatalf("Children(%d)=%v, want %v", v, got, kids)
+		}
+		// next[i] is the reference sibling after kids[i-1]; next[0] the first child.
+		next := append(slices.Clone(kids), None)
+		if want := next[0]; tr.FirstChild(v) != want {
+			t.Fatalf("FirstChild(%d)=%d, want %d", v, tr.FirstChild(v), want)
+		}
+		for i, c := range kids {
+			if want := next[i+1]; tr.NextSibling(c) != want {
+				t.Fatalf("NextSibling(%d)=%d, want %d (children of %d: %v)", c, tr.NextSibling(c), want, v, kids)
+			}
+		}
+		if ref.pre[v] < 0 || v == tr.Root {
+			if got := tr.NextSibling(v); got != None {
+				t.Fatalf("NextSibling(%d)=%d for a hole or the root, want None", v, got)
+			}
 		}
 		if tr.Pre(v) != ref.pre[v] || tr.Post(v) != ref.post[v] || tr.Level(v) != ref.level[v] || tr.Size(v) != ref.size[v] {
 			t.Fatalf("vertex %d: pre/post/level/size %d/%d/%d/%d, want %d/%d/%d/%d", v,
 				tr.Pre(v), tr.Post(v), tr.Level(v), tr.Size(v), ref.pre[v], ref.post[v], ref.level[v], ref.size[v])
-		}
-		if tr.PostLabels()[v] != int32(ref.post[v]) {
-			t.Fatalf("PostLabels()[%d]=%d, want %d", v, tr.PostLabels()[v], ref.post[v])
 		}
 		if ref.pre[v] >= 0 {
 			want := ref.order[ref.pre[v] : ref.pre[v]+ref.size[v]]
@@ -110,6 +125,14 @@ func checkAgainstRef(t *testing.T, tr *Tree, ref *refTree, parent []int) {
 				t.Fatalf("SubtreeVertices(%d)=%v, want %v", v, got, want)
 			}
 		}
+	}
+	for v, p := range tr.PostLabels() {
+		if p != int32(ref.post[v]) {
+			t.Fatalf("PostLabels()[%d]=%d, want %d", v, p, ref.post[v])
+		}
+	}
+	if len(tr.PostLabels()) != n {
+		t.Fatalf("PostLabels() has %d labels for %d slots", len(tr.PostLabels()), n)
 	}
 	if tr.Present(-1) || tr.Present(n) {
 		t.Fatal("out-of-range slot reported present")
@@ -225,6 +248,9 @@ func FuzzTreeBuild(f *testing.F) {
 
 // BenchmarkTreeBuild times Build on a random recursive tree (shallow, with
 // many leaves) and on a chain (one vertex per level, the deepest stack).
+// lca=none is Build alone, what every update that changes the tree pays;
+// lca=first adds the first LCA query, which builds the index, what a cold
+// query on a new tree pays.
 func BenchmarkTreeBuild(b *testing.B) {
 	for _, n := range []int{4096, 100000} {
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -238,14 +264,20 @@ func BenchmarkTreeBuild(b *testing.B) {
 			name   string
 			parent []int
 		}{{"random", random}, {"chain", path}} {
-			b.Run(fmt.Sprintf("n=%d/shape=%s", n, shape.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := Build(0, shape.parent, nil); err != nil {
-						b.Fatal(err)
+			for _, lca := range []string{"none", "first"} {
+				b.Run(fmt.Sprintf("n=%d/shape=%s/lca=%s", n, shape.name, lca), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						tr, err := Build(0, shape.parent, nil)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if lca == "first" {
+							tr.LCA(n-1, n/2)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -9,12 +9,25 @@ import (
 const block = 8
 
 // rmq is the block range-minimum structure over the depths of the
-// pre-order sequence. Build fills it once; it is immutable afterwards.
+// pre-order sequence. The tree builds it on first use; it is immutable
+// afterwards.
 type rmq struct {
 	depth  []int32   // depth[i] = level of order[i]
 	pre    []uint8   // offset in i's block of the min depth on [block start, i]
 	suf    []uint8   // offset in i's block of the min depth on [i, block end]
 	sparse [][]int32 // sparse[k][b]: min position over blocks [b, b+2^k)
+}
+
+// index returns the tree's LCA index, building it on the first call.
+func (t *Tree) index() *rmq {
+	t.ixOnce.Do(func() {
+		t.ix.depth = make([]int32, len(t.order))
+		for i, v := range t.order {
+			t.ix.depth[i] = t.level[v]
+		}
+		t.ix.span()
+	})
+	return &t.ix
 }
 
 // span computes the in-block prefix/suffix minima and the sparse table over
@@ -98,7 +111,7 @@ func (t *Tree) LCA(u, v int) int {
 	if i > j {
 		i, j = j, i
 	}
-	return t.Parent[t.order[t.ix.argmin(i+1, j)]]
+	return t.Parent[t.order[t.index().argmin(i+1, j)]]
 }
 
 // AncestorAtDepth returns the ancestor of tree vertex v whose level is d
@@ -113,7 +126,7 @@ func (t *Tree) AncestorAtDepth(v, d int) int {
 	if t.pre[v] < 0 {
 		panic(fmt.Sprintf("tree: level-ancestor query on non-tree vertex %d", v))
 	}
-	x, p, dd := &t.ix, t.pre[v], int32(d)
+	x, p, dd := t.index(), t.pre[v], int32(d)
 	lo := p / block * block
 	for q := p; q >= lo; q-- {
 		if x.depth[q] <= dd {
@@ -136,13 +149,23 @@ func (t *Tree) AncestorAtDepth(v, d int) int {
 	}
 }
 
-// CheckIndex verifies the LCA index against the tree's own numbering: the
-// depth recorded at every pre-order position must be the level of the
-// vertex there, and the in-block minima and sparse table must equal a fresh
-// span of those depths, entry for entry. It is O(n) and allocates a fresh
-// index; nil means in sync.
+// CheckIndex verifies the tree's lazily built indexes against its own
+// numbering, building them first if no query has yet: the depth the LCA
+// index records at every pre-order position must be the level of the vertex
+// there, its in-block minima and sparse table must equal a fresh span of
+// those depths, entry for entry, and every post-order label must be
+// Post's. It is O(n) and allocates a fresh index; nil means in sync.
 func (t *Tree) CheckIndex() error {
-	x := &t.ix
+	post := t.PostLabels()
+	if len(post) != len(t.pre) {
+		return fmt.Errorf("tree: %d post-order labels for %d slots", len(post), len(t.pre))
+	}
+	for v, p := range post {
+		if want := int32(t.Post(v)); p != want {
+			return fmt.Errorf("tree: post-order label of %d is %d, want %d", v, p, want)
+		}
+	}
+	x := t.index()
 	if len(x.depth) != len(t.order) {
 		return fmt.Errorf("tree: index holds %d depths, pre-order has %d vertices", len(x.depth), len(t.order))
 	}

@@ -120,12 +120,14 @@ func TestLCAHolesAndPseudoForest(t *testing.T) {
 
 // TestCheckSyncedRejectsOtherTree pins that the oracle is not vacuous: an
 // index of one tree fails CheckIndex on another tree over the same slots.
+// The forgery installs a's index as b's before b's first query, through
+// b's own once, so b never builds its own.
 func TestCheckSyncedRejectsOtherTree(t *testing.T) {
 	a := MustBuild(0, []int{None, 0, 1, 2}, nil)
 	b := MustBuild(0, []int{None, 0, 0, 2}, nil)
-	forged := *b
-	forged.ix = a.ix
-	if err := forged.CheckIndex(); err == nil {
+	forged := a.index()
+	b.ixOnce.Do(func() { b.ix = *forged })
+	if err := b.CheckIndex(); err == nil {
 		t.Fatal("exact index of another tree passed CheckIndex")
 	}
 }

@@ -1,5 +1,5 @@
 // Package tree provides the rooted-tree toolkit the dynamic-DFS algorithms
-// run on: parent/children arrays, pre/post-order numbering, levels
+// run on: parent pointers and children, pre/post-order numbering, levels
 // and subtree sizes (the functionality of Tarjan–Vishkin, Theorem 4 of the
 // paper), path and ancestry helpers, and constant-time lowest common
 // ancestors after linear preprocessing, standing in for the
@@ -7,15 +7,27 @@
 // structure, the core and streaming maintainers and the snapshot analytics
 // engine all ask the tree itself.
 //
-// The layout is compact because the maintainers build a fresh tree for
-// every update that changes it. The children rows are CSR: one array of
-// children, grouped by parent in increasing ID order, with an int32 offset
-// per vertex. Pre-order, post-order, level and size are int32 arrays, and
-// presence is pre-order >= 0. No per-vertex array holds pointers for the
-// garbage collector to scan, and each numbering costs 4 bytes a slot. Build
-// numbers the tree in one iterative pre-order pass, sums sizes backwards
-// over the pre-order sequence, and derives post-order from the other three
-// (post = pre − level + size − 1), so there is no separate finishing pass.
+// The tree is lean because the maintainers build a fresh one for every
+// update that changes it (the paper's T*_i), and the serving path reads
+// little of it. Build keeps only what every update's tree needs: Parent,
+// the int32 pre-order, level and size arrays, and the pre-order sequence
+// itself. Presence is pre-order >= 0. No per-vertex array holds pointers
+// for the garbage collector to scan. Build numbers the tree in one
+// iterative pre-order pass over children rows (CSR: one array of children
+// grouped by parent in increasing ID order, with an int32 offset per
+// vertex) that live in pooled scratch, and sums sizes backwards over the
+// pre-order sequence.
+//
+// Everything else is derived. The children of v are windows of the
+// pre-order sequence: the first child sits right after v, at pre[v]+1 when
+// size[v] > 1, and the next sibling of c right after T(c), at
+// pre[c]+size[c], while that position is still inside the parent's window.
+// Siblings come in increasing ID order, as the rows had them. Post-order is
+// pre − level + size − 1: the vertices finished before v are those entered
+// before it that are not its ancestors (pre[v] − level[v] of them) plus its
+// proper descendants (size[v] − 1). The LCA index below and the post-order
+// label array D sorts its rows by are each built on first use, once, under
+// a sync.Once; the serving path asks for neither, so it never builds them.
 //
 // The LCA index is the reduction of Bender and Farach-Colton (LATIN'00) to
 // range-minimum over the depths of the pre-order sequence that Build
@@ -38,15 +50,21 @@
 // longer scans outweighed the cheaper build.
 //
 // The same block minima answer level-ancestor queries (AncestorAtDepth) by
-// binary search. CheckIndex is the differential oracle: the index must
-// equal a fresh derivation from the tree's own pre-order and levels.
+// binary search. CheckIndex is the differential oracle: the index and the
+// post-order labels must equal a fresh derivation from the tree's own
+// pre-order, levels and sizes.
 //
-// A Tree is immutable after Build; the dynamic algorithms build a fresh
-// Tree for each updated DFS tree (the paper's T*_i), so readers may retain
-// any tree they were handed.
+// A Tree is logically immutable after Build: its answers never change, and
+// the two lazy indexes materialise once under sync.Once, so concurrent
+// readers may make the first queries. The dynamic algorithms build a fresh
+// Tree for each updated DFS tree, so readers may retain any tree they were
+// handed. A Tree must not be copied by value.
 package tree
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // None marks the absence of a vertex (e.g. the root's parent).
 const None = -1
@@ -55,41 +73,54 @@ const None = -1
 // None and Present == false are holes (deleted vertices); the root has
 // Parent == None and Present == true.
 //
-// The children rows are one concatenated array and every numbering array
-// is int32 (see the package comment); only Parent, the rows and the
-// pre-order sequence are []int, because the accessors hand them out as
-// such.
+// Build fills Parent, the int32 numbering arrays and the pre-order
+// sequence; the LCA index and the post-order labels are built on first use
+// (see the package comment). Only Parent and the pre-order sequence are
+// []int, because the accessors hand them out as such.
 type Tree struct {
 	Root   int
 	Parent []int
 
-	// Children rows, filled in increasing ID order: the children of v are
-	// kids[koff[v]:koff[v+1]] (an empty row for leaves and holes).
-	kids []int
-	koff []int32
-
 	// Numbering computed at Build time:
 	pre   []int32 // pre-order (entry) index; -1 for holes, so Present is pre >= 0
-	post  []int32 // post-order index (0..live-1); -1 for holes
 	level []int32 // depth from root (root = 0); -1 for holes
 	size  []int32 // subtree sizes (0 for holes)
 	order []int   // pre-order sequence: order[pre[v]] = v, so T(v) is a window
-	ix    rmq     // LCA and level-ancestor index over order (lca.go)
+
+	// Built on first use:
+	ixOnce   sync.Once
+	ix       rmq // LCA and level-ancestor index over order (lca.go)
+	postOnce sync.Once
+	post     []int32 // post-order labels (0..live-1); -1 for holes
+}
+
+// buildScratch is Build's working storage: the children rows, CSR in
+// increasing ID order (the children of v are kids[koff[v]:koff[v+1]]), and
+// the DFS stack. None of it outlives the call, so it is pooled.
+type buildScratch struct {
+	koff, kids, stack []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
+
+// resize returns s with length n, reusing its storage when it is big enough.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
 // Build constructs a Tree from a parent array. parent[root] must be None.
 // present[v]==false marks holes; present may be nil meaning all present.
 // parent is copied.
 //
-// Build lays out the children rows with one counting pass, numbers the tree
-// with one pre-order pass (pre, level, the pre-order sequence and the
-// depths the LCA index spans), sums subtree sizes in one backward pass over
-// that sequence, and derives post-order from the rest: the vertices that
-// finish before v are those entered before it that are not its ancestors
-// (pre[v] − level[v] of them) plus its proper descendants (size[v] − 1).
-// Each vertex sits in exactly one children row, so the pass visits every
-// vertex at most once, and a parent cycle shows up as present vertices the
-// root does not reach.
+// Build lays out the children rows in scratch with one counting pass,
+// numbers the tree with one pre-order pass over them (pre, level and the
+// pre-order sequence), and sums subtree sizes in one backward pass over
+// that sequence. Each vertex sits in exactly one children row, so the pass
+// visits every vertex at most once, and a parent cycle shows up as present
+// vertices the root does not reach.
 func Build(root int, parent []int, present []bool) (*Tree, error) {
 	n := len(parent)
 	live := func(v int) bool { return present == nil || present[v] }
@@ -102,15 +133,18 @@ func Build(root int, parent []int, present []bool) (*Tree, error) {
 	t := &Tree{
 		Root:   root,
 		Parent: append([]int(nil), parent...),
-		koff:   make([]int32, n+1),
 		pre:    make([]int32, n),
-		post:   make([]int32, n),
 		level:  make([]int32, n),
 		size:   make([]int32, n),
 	}
+	s := scratchPool.Get().(*buildScratch)
+	defer scratchPool.Put(s)
 	// Count each parent's children into koff, then turn the counts into row
 	// ends; filling the rows backwards leaves koff[v] at the start of row v
 	// and the rows in increasing ID order.
+	s.koff = resize(s.koff, n+1)
+	koff := s.koff
+	clear(koff)
 	nlive := 0
 	for v, p := range parent {
 		t.pre[v], t.level[v] = -1, -1
@@ -127,24 +161,24 @@ func Build(root int, parent []int, present []bool) (*Tree, error) {
 		if p < 0 || p >= n || !live(p) {
 			return nil, fmt.Errorf("tree: vertex %d has invalid parent %d", v, p)
 		}
-		t.koff[p]++
+		koff[p]++
 	}
 	for p := 1; p < n; p++ {
-		t.koff[p] += t.koff[p-1]
+		koff[p] += koff[p-1]
 	}
-	t.koff[n] = t.koff[n-1]
-	t.kids = make([]int, t.koff[n])
+	koff[n] = koff[n-1]
+	s.kids = resize(s.kids, int(koff[n]))
+	kids := s.kids
 	for v := n - 1; v >= 0; v-- {
 		if v != root && live(v) {
 			p := parent[v]
-			t.koff[p]--
-			t.kids[t.koff[p]] = v
+			koff[p]--
+			kids[koff[p]] = int32(v)
 		}
 	}
-	if err := t.number(nlive); err != nil {
+	if err := t.number(nlive, s); err != nil {
 		return nil, err
 	}
-	t.ix.span()
 	return t, nil
 }
 
@@ -157,46 +191,37 @@ func MustBuild(root int, parent []int, present []bool) *Tree {
 	return t
 }
 
-// number runs one iterative pre-order DFS from the root, assigning pre and
-// level and recording the pre-order sequence with the depth of each of its
-// positions, then derives size and post from them (see Build). It fails
-// when fewer than all live vertices are reachable from the root.
-func (t *Tree) number(live int) error {
-	pre, level, size, kids, koff := t.pre, t.level, t.size, t.kids, t.koff
+// number runs one iterative pre-order DFS from the root over the scratch
+// rows, assigning pre and level and recording the pre-order sequence, then
+// sums sizes over that sequence read backwards (children before parents).
+// It fails when fewer than all live vertices are reachable from the root.
+func (t *Tree) number(live int, s *buildScratch) error {
+	pre, level, size, kids, koff := t.pre, t.level, t.size, s.kids, s.koff
 	order := make([]int, 0, live)
-	depth := make([]int32, 0, live)
-	// post is free until the end, and a vertex is pushed at most once, so
-	// the stack borrows its storage.
-	stack := append(t.post[:0], int32(t.Root))
+	// Each vertex is pushed once, so the stack never outgrows the slots.
+	stack := append(resize(s.stack, len(pre))[:0], int32(t.Root))
 	level[t.Root] = 0
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		pre[v] = int32(len(order))
 		order = append(order, int(v))
-		depth = append(depth, level[v])
 		size[v] = 1
 		row := kids[koff[v]:koff[v+1]]
 		for i := len(row) - 1; i >= 0; i-- { // reversed, so children pop in ID order
 			c := row[i]
 			level[c] = level[v] + 1
-			stack = append(stack, int32(c))
+			stack = append(stack, c)
 		}
 	}
-	t.order, t.ix.depth = order, depth
+	s.stack = stack
+	t.order = order
 	if len(order) != live {
 		return fmt.Errorf("tree: %d of %d present vertices reachable from root", len(order), live)
 	}
 	for i := len(order) - 1; i > 0; i-- {
 		v := order[i]
 		size[t.Parent[v]] += size[v]
-	}
-	post := t.post
-	for v, p := range pre {
-		post[v] = -1
-		if p >= 0 {
-			post[v] = p - level[v] + size[v] - 1
-		}
 	}
 	return nil
 }
@@ -210,15 +235,45 @@ func (t *Tree) Live() int { return len(t.order) }
 // Present reports whether v is a live vertex of the tree.
 func (t *Tree) Present(v int) bool { return v >= 0 && v < len(t.pre) && t.pre[v] >= 0 }
 
-// Children returns the children of v in increasing ID order, a capped
-// window of the tree's concatenated rows. Callers must not mutate.
+// Children returns the children of v in increasing ID order, in a slice
+// allocated for the call: the tree keeps no children rows. Hot paths walk
+// FirstChild and NextSibling instead, which allocate nothing.
 func (t *Tree) Children(v int) []int {
-	lo, hi := t.koff[v], t.koff[v+1]
-	return t.kids[lo:hi:hi]
+	var out []int
+	for c := t.FirstChild(v); c != None; c = t.NextSibling(c) {
+		out = append(out, c)
+	}
+	return out
 }
 
-// Post returns the post-order index of v (unique in 0..Live-1).
-func (t *Tree) Post(v int) int { return int(t.post[v]) }
+// FirstChild returns the child of v with the smallest ID, or None when v
+// is a leaf or a hole. It is the vertex right after v in pre-order.
+func (t *Tree) FirstChild(v int) int {
+	if t.size[v] > 1 {
+		return t.order[t.pre[v]+1]
+	}
+	return None
+}
+
+// NextSibling returns the child of c's parent that follows c in increasing
+// ID order, or None when c is the last one (or the root or a hole). It is
+// the vertex right after T(c) in pre-order, while that position is still
+// inside the parent's subtree window.
+func (t *Tree) NextSibling(c int) int {
+	p := t.Parent[c]
+	if p == None {
+		return None
+	}
+	if i := t.pre[c] + t.size[c]; i < t.pre[p]+t.size[p] {
+		return t.order[i]
+	}
+	return None
+}
+
+// Post returns the post-order index of v (unique in 0..Live-1), or -1 for
+// a hole: pre − level + size − 1 (see the package comment), which a hole's
+// -1, -1 and 0 turn into -1 as well.
+func (t *Tree) Post(v int) int { return int(t.pre[v] - t.level[v] + t.size[v] - 1) }
 
 // Pre returns the pre-order (DFS entry) index of v.
 func (t *Tree) Pre(v int) int { return int(t.pre[v]) }
@@ -293,9 +348,18 @@ func (t *Tree) ChildToward(a, d int) int {
 func (t *Tree) PreOrder() []int { return t.order }
 
 // PostLabels returns the post-order labels of every vertex slot
-// (PostLabels()[v] = Post(v), -1 for holes) without copying: D orders its
-// neighbor rows by them. Callers must not mutate.
-func (t *Tree) PostLabels() []int32 { return t.post }
+// (PostLabels()[v] = Post(v), -1 for holes): D orders its neighbor rows by
+// them. The array is built on the first call and shared by every later
+// one. Callers must not mutate.
+func (t *Tree) PostLabels() []int32 {
+	t.postOnce.Do(func() {
+		t.post = make([]int32, len(t.pre))
+		for v := range t.post {
+			t.post[v] = int32(t.Post(v))
+		}
+	})
+	return t.post
+}
 
 // SubtreeVertices appends the vertices of T(v) to buf in pre-order. T(v) is
 // the window of the pre-order sequence starting at pre[v]. v must be present.
