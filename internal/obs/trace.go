@@ -16,10 +16,12 @@ import (
 //	Engine  — reroot engine time: Reroot scheduling plus tree rebuild
 //	DMaint  — D maintenance: the in-place D.Rebuild over the new tree;
 //	          about zero for a maintainer without D (Outcome "none")
-//	Publish — snapshot publication (Snapshot allocation + pointer install)
+//	Publish — snapshot publication (Snapshot allocation + pointer install);
+//	          a round publishes each touched graph once, and the span sits
+//	          on that graph's last applied entry (zero on its others)
 //
-// A Trace is a plain value while being filled (the shard loop keeps it on
-// the stack); the slow ring copies it on admission.
+// A Trace is a plain value while being filled (the shard loop keeps it in
+// its round scratch); the slow ring copies it on admission.
 type Trace struct {
 	Graph string    `json:"graph"`
 	Shard int       `json:"shard"`
@@ -43,7 +45,7 @@ type Trace struct {
 	SameTree bool   `json:"same_tree"`         // back-edge update: tree object unchanged
 	Moved    int    `json:"moved"`             // vertices in the rerooted or re-hung subtrees, plus attached ones
 	Removed  int    `json:"removed"`           // vertices deleted from the tree
-	Batch    int    `json:"batch"`             // entries in the update's batch round (1 = plain Apply)
+	Batch    int    `json:"batch"`             // entries in the update's mailbox round (1 = Apply)
 	Depth    int64  `json:"pram_depth"`        // PRAM model depth charged for this update
 	Work     int64  `json:"pram_work"`         // PRAM model work charged for this update
 	Err      string `json:"error,omitempty"`   // rejection error, when Outcome == "rejected"

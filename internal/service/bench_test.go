@@ -113,3 +113,57 @@ func BenchmarkMigration(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkApplyRound prices one mailbox round on the write path — submit,
+// apply, publish, resolve — on one graph that toggles a back edge, so the
+// DFS tree never changes and the round's own overhead dominates.
+// entries=1 is a round of one sent by Apply, entries=4 one ApplyBatch
+// round; an op is one round, awaited. Run by the CI bench-smoke step with
+// -benchtime=100x.
+func BenchmarkApplyRound(b *testing.B) {
+	ins := core.Update{Kind: core.InsertEdge, U: 0, V: 2} // on a path: a back edge
+	del := core.Update{Kind: core.DeleteEdge, U: 0, V: 2}
+	for _, entries := range []int{1, 4} {
+		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
+			s := New(Config{Shards: 1})
+			defer s.Close()
+			if _, err := s.CreateGraph("g", graph.Path(64)); err != nil {
+				b.Fatal(err)
+			}
+			items := make([]BatchItem, entries)
+			for i := range items {
+				items[i] = BatchItem{Graph: "g", Update: ins}
+				if i%2 == 1 {
+					items[i].Update = del
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if entries == 1 {
+					u := ins
+					if i%2 == 1 {
+						u = del
+					}
+					fut, err := s.Apply("g", u)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, _, err := fut.Wait(); err != nil {
+						b.Fatal(err)
+					}
+					continue
+				}
+				futs, err := s.ApplyBatch(items)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, f := range futs {
+					if _, _, err := f.Wait(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

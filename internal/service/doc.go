@@ -18,10 +18,13 @@
 // updates for one graph are serialized through one mailbox — a buffered
 // channel of tasks — without any per-graph locking. Ownership is not fixed
 // for life, though: an explicit routing table can move a graph to any shard
-// while it serves (see Routing and migration). Apply enqueues one update
-// and returns a Future; ApplyBatch groups a cross-graph batch by shard and
-// enqueues one task per shard, so a round of k updates costs each shard one
-// mailbox receive instead of k.
+// while it serves (see Routing and migration). Every write is a mailbox
+// round: Apply enqueues a round of one update and returns a Future;
+// ApplyBatch groups a cross-graph batch by shard and enqueues one round per
+// shard, so k updates cost each shard one mailbox receive instead of k. The
+// shard loop runs every round the same way — apply and log each entry in
+// order, one WAL commit, one publish per touched graph, then resolve each
+// future against its graph's round-final snapshot.
 //
 // # Routing and migration
 //
@@ -83,8 +86,8 @@
 //
 // # Snapshot isolation
 //
-// Readers never touch a maintainer. After every applied update (or once per
-// graph per batch round) the shard loop publishes an immutable Snapshot —
+// Readers never touch a maintainer. Once per touched graph per round (so
+// after every Apply) the shard loop publishes an immutable Snapshot —
 // the current DFS tree, the current graph version, and the update's cost
 // counters — through an atomic pointer. Tree, IsAncestor, Path, Verify and
 // Snapshot load that pointer and work on the frozen pair, so reads never
@@ -208,10 +211,12 @@
 // Every applied update is traced stage by stage (obs.Trace: mailbox wait →
 // plan → reroot engine → D maintenance → publish, with outcome tags, delta
 // sizes and PRAM costs; the five stages are disjoint and sum to the
-// trace's total). With no D to maintain, the D-maintenance stage is about
-// zero and every applied update's outcome tag is "none". Each shard retains its Config.SlowTraces slowest updates
-// in a lock-free-admission ring; SlowTraces returns the merged slowest-
-// first view.
+// trace's total; a graph's publish span goes on its last applied entry of
+// the round, so stage time and the publish histogram count each publish
+// once). With no D to maintain, the D-maintenance stage is about zero and
+// every applied update's outcome tag is "none". Each shard retains its
+// Config.SlowTraces slowest updates in a lock-free-admission ring;
+// SlowTraces returns the merged slowest-first view.
 //
 // DebugHandler serves all of it over HTTP — /debug/service (metrics +
 // traces as JSON), /debug/service/tenants (the HotGraphs ranking),

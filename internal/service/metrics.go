@@ -74,8 +74,8 @@ type ShardMetrics struct {
 	// update (rejected updates included — they did work), MailboxWaitHist
 	// the submit→receive wait per task, PublishHist the snapshot
 	// publication time per publication, and BatchSizeHist the entries per
-	// coalesced batch round (unitless). Snapshots merge across shards; the
-	// aggregate Metrics carries exactly that merge.
+	// mailbox round (unitless; Apply's rounds of one included). Snapshots
+	// merge across shards; the aggregate Metrics carries exactly that merge.
 	ApplyHist       obs.HistSnapshot
 	MailboxWaitHist obs.HistSnapshot
 	PublishHist     obs.HistSnapshot

@@ -20,8 +20,7 @@ type taskKind int
 const (
 	taskCreate taskKind = iota
 	taskDrop
-	taskApply
-	taskBatch
+	taskApply // one mailbox round of updates: Apply sends one entry, ApplyBatch one round per shard
 	taskCheck // run the D/graph/tree sync oracle on the shard loop
 	taskFunc  // run an arbitrary closure on the shard loop (migration steps, tests)
 )
@@ -31,24 +30,35 @@ const (
 const maxForwardHops = 16
 
 // task is one mailbox message. Exactly one of the payload fields is set,
-// per kind; fut is always non-nil for create/drop/apply, and batch entries
+// per kind. fut is non-nil for create, drop and check, and for an apply
+// round of one entry (it is that entry's future); a longer round's entries
 // carry their own futures.
 type task struct {
 	kind     taskKind
 	id       GraphID
 	g        *graph.Persistent // create: initial graph (retained, immutable)
-	upd      core.Update       // apply
-	entries  []batchEntry      // batch
+	entries  []roundEntry      // apply: the round's updates, in submission order
 	fn       func()            // func (migration protocol steps; tests: wedge or probe the loop)
 	fut      *Future
 	hops     int       // times forwarded across shards after a migration flip
 	enqueued time.Time // stamped by submit; mailbox wait = receive - enqueued
 }
 
-type batchEntry struct {
+type roundEntry struct {
 	id  GraphID
 	upd core.Update
 	fut *Future
+}
+
+// resolution is one applied (or rejected) round entry awaiting the round's
+// commit and publishes.
+type resolution struct {
+	fut    *Future
+	gs     *graphState
+	id     GraphID
+	vertex int
+	err    error
+	tr     obs.Trace
 }
 
 // graphState is one tenant graph on a shard: the maintainer (touched only
@@ -71,6 +81,11 @@ type graphState struct {
 	// flips (or back here on abort), preserving submission order.
 	migrating bool
 	deferred  []task
+
+	// roundLast marks the graph within the current apply round (shard loop
+	// only): 1 + the index in the shard's round scratch of its last applied
+	// entry, 0 when the round has applied nothing to it.
+	roundLast int
 }
 
 // shard owns a set of graphs, the goroutine that applies their updates, and
@@ -149,6 +164,12 @@ type shard struct {
 	// deadline-bounded shutdown can report which shards are still running.
 	w       *shardWAL
 	stopped atomic.Bool
+
+	// round and touched are the apply round's scratch (shard loop only),
+	// cleared each round: the entries awaiting resolution, and the graphs
+	// the round applied to, in first-touch order.
+	round   []resolution
+	touched []*graphState
 }
 
 // submit enqueues t unless the shard is closed. It blocks while the mailbox
@@ -289,16 +310,8 @@ func (sh *shard) handle(t task, headroom int) {
 		t.fut.resolve(-1, snap, nil)
 
 	case taskDrop:
-		gs := sh.lookup(t.id)
+		gs := sh.own(t)
 		if gs == nil {
-			if sh.forwardTask(t) {
-				return
-			}
-			t.fut.resolve(-1, nil, fmt.Errorf("service: graph %q: %w", t.id, ErrUnknownGraph))
-			return
-		}
-		if gs.migrating {
-			gs.deferTask(t)
 			return
 		}
 		if err := sh.walGate(); err != nil {
@@ -333,164 +346,11 @@ func (sh *shard) handle(t task, headroom int) {
 		t.fut.resolve(-1, gs.snap.Load(), nil)
 
 	case taskApply:
-		gs := sh.lookup(t.id)
-		if gs == nil {
-			if sh.forwardTask(t) {
-				return
-			}
-			t.fut.resolve(-1, nil, fmt.Errorf("service: graph %q: %w", t.id, ErrUnknownGraph))
-			return
-		}
-		if gs.migrating {
-			gs.deferTask(t)
-			return
-		}
-		if err := sh.walGate(); err != nil {
-			t.fut.resolve(-1, gs.snap.Load(), err)
-			return
-		}
-		var tr obs.Trace
-		v, err := sh.applyTraced(&tr, t.id, gs, t.upd, t.enqueued, 1)
-		if err != nil {
-			sh.rejected.Add(1)
-			sh.sealTrace(&tr, 0, 0)
-			t.fut.resolve(-1, gs.snap.Load(), err)
-			return
-		}
-		tr.Seq = sh.updates.Add(1)
-		if sh.w != nil {
-			// Append + commit before publishing: readers must never see an
-			// update the log has not made durable. On failure the shard
-			// fail-stops without publishing — the in-memory maintainer has
-			// advanced, but no acknowledgment or snapshot exposes it.
-			werr := sh.walAppend(t.id, gs, t.upd)
-			if werr == nil {
-				if werr = sh.w.log.Commit(); werr != nil {
-					sh.w.fail(werr)
-				}
-			}
-			if werr != nil {
-				sh.sealTrace(&tr, 0, 0)
-				t.fut.resolve(-1, gs.snap.Load(), fmt.Errorf("service: graph %q: %w", t.id, werr))
-				return
-			}
-		}
-		p0 := time.Now()
-		snap := sh.publish(t.id, gs)
-		pd := time.Since(p0)
-		sh.publishHist.Record(pd)
-		sh.sealTrace(&tr, pd, snap.Version)
-		t.fut.resolve(v, snap, nil)
-		if sh.w != nil {
-			sh.walRoundEnd(1)
-		}
-
-	case taskBatch:
-		// One coalesced round: apply every entry in order, but publish each
-		// touched graph's snapshot once, at the end of the round. Futures
-		// resolve against that round-final snapshot (which includes their
-		// update — later entries of the same round may be included too).
-		type resolution struct {
-			fut    *Future
-			vertex int
-			gs     *graphState
-			err    error
-			tr     obs.Trace
-		}
-		sh.batchHist.RecordValue(int64(len(t.entries)))
-		resolutions := make([]resolution, 0, len(t.entries))
-		touched := make(map[GraphID]*graphState)
-		applied := 0
-		for _, en := range t.entries {
-			// Re-check the gate per entry: a WAL failure mid-round must stop
-			// applying before the maintainer diverges further from the log.
-			if err := sh.walGate(); err != nil {
-				en.fut.resolve(-1, nil, err)
-				continue
-			}
-			gs := sh.lookup(en.id)
-			if gs == nil {
-				// Unwrap the entry into a standalone apply so it can chase the
-				// graph's new shard alone; the rest of the round is unaffected.
-				et := task{kind: taskApply, id: en.id, upd: en.upd, fut: en.fut, hops: t.hops, enqueued: t.enqueued}
-				if sh.forwardTask(et) {
-					continue
-				}
-				en.fut.resolve(-1, nil, fmt.Errorf("service: graph %q: %w", en.id, ErrUnknownGraph))
-				continue
-			}
-			if gs.migrating {
-				gs.deferTask(task{kind: taskApply, id: en.id, upd: en.upd, fut: en.fut, enqueued: t.enqueued})
-				continue
-			}
-			r := resolution{fut: en.fut, gs: gs}
-			r.vertex, r.err = sh.applyTraced(&r.tr, en.id, gs, en.upd, t.enqueued, len(t.entries))
-			if r.err != nil {
-				sh.rejected.Add(1)
-			} else {
-				r.tr.Seq = sh.updates.Add(1)
-				if sh.w != nil {
-					if werr := sh.walAppend(en.id, gs, en.upd); werr != nil {
-						r.err = fmt.Errorf("service: graph %q: %w", en.id, werr)
-					}
-				}
-				if r.err == nil {
-					touched[en.id] = gs
-					applied++
-				}
-			}
-			resolutions = append(resolutions, r)
-		}
-		if sh.w != nil && applied > 0 {
-			// Group commit: one round barrier covers every appended record
-			// before any future resolves. On failure nothing publishes —
-			// acknowledged-but-unlogged updates must never become visible —
-			// and every otherwise-successful entry resolves with the error.
-			if werr := sh.w.log.Commit(); werr != nil {
-				sh.w.fail(werr)
-				werr = fmt.Errorf("service: batch round: %w", werr)
-				for i := range resolutions {
-					if resolutions[i].err == nil {
-						resolutions[i].err = werr
-					}
-				}
-				touched = nil
-				applied = 0
-			}
-		}
-		for id, gs := range touched {
-			p0 := time.Now()
-			sh.publish(id, gs)
-			sh.publishHist.Record(time.Since(p0))
-		}
-		for i := range resolutions {
-			r := &resolutions[i]
-			// Batch traces carry no publish span: the round's one publish
-			// per graph is recorded in the publish histogram instead of
-			// being attributed to an arbitrary entry.
-			snap := r.gs.snap.Load()
-			version := uint64(0)
-			if r.err == nil && snap != nil {
-				version = snap.Version
-			}
-			sh.sealTrace(&r.tr, 0, version)
-			r.fut.resolve(r.vertex, snap, r.err)
-		}
-		if sh.w != nil {
-			sh.walRoundEnd(applied)
-		}
+		sh.applyRound(t)
 
 	case taskCheck:
-		gs := sh.lookup(t.id)
+		gs := sh.own(t)
 		if gs == nil {
-			if sh.forwardTask(t) {
-				return
-			}
-			t.fut.resolve(-1, nil, fmt.Errorf("service: graph %q: %w", t.id, ErrUnknownGraph))
-			return
-		}
-		if gs.migrating {
-			gs.deferTask(t)
 			return
 		}
 		// The published snapshot is the maintainer's current state: its
@@ -512,6 +372,117 @@ func (sh *shard) handle(t task, headroom int) {
 	case taskFunc:
 		t.fn()
 		t.fut.resolve(-1, nil, nil)
+	}
+}
+
+// own resolves the graph a drop, check or one-entry apply task is for.
+// When this shard does not hold the graph, own forwards t to the routed
+// owner or rejects it with ErrUnknownGraph; when the graph is migrating, it
+// parks t. Either way it returns nil and t is settled.
+func (sh *shard) own(t task) *graphState {
+	gs := sh.lookup(t.id)
+	if gs == nil {
+		if !sh.forwardTask(t) {
+			t.fut.resolve(-1, nil, fmt.Errorf("service: graph %q: %w", t.id, ErrUnknownGraph))
+		}
+		return nil
+	}
+	if gs.migrating {
+		gs.deferTask(t)
+		return nil
+	}
+	return gs
+}
+
+// applyRound runs one mailbox round of updates (Apply's round holds one
+// entry). It applies and logs every entry in order, covers the round with
+// one WAL commit, publishes each touched graph's snapshot once, and
+// resolves every future against its graph's round-final snapshot (which
+// includes the entry's update; later entries of the same round may be
+// included too). Each publish span goes on the trace of its graph's last
+// applied entry, so a round of one traces exactly one update end to end.
+func (sh *shard) applyRound(t task) {
+	sh.batchHist.RecordValue(int64(len(t.entries)))
+	applied := 0
+	for i := range t.entries {
+		en := &t.entries[i]
+		// An entry for a graph this shard no longer holds, or one frozen
+		// by a migration, leaves the round as a task of its own; slicing
+		// the round's array keeps that allocation-free.
+		gs := sh.own(task{kind: taskApply, id: en.id, entries: t.entries[i : i+1], fut: en.fut, hops: t.hops, enqueued: t.enqueued})
+		if gs == nil {
+			continue
+		}
+		// Gate each entry: a WAL failure mid-round must stop applying
+		// before the maintainer diverges further from the log.
+		if err := sh.walGate(); err != nil {
+			en.fut.resolve(-1, gs.snap.Load(), err)
+			continue
+		}
+		sh.round = append(sh.round, resolution{fut: en.fut, gs: gs, id: en.id})
+		r := &sh.round[len(sh.round)-1]
+		r.vertex, r.err = sh.applyTraced(&r.tr, en.id, gs, en.upd, t.enqueued, len(t.entries))
+		if r.err != nil {
+			sh.rejected.Add(1)
+			continue
+		}
+		r.tr.Seq = sh.updates.Add(1)
+		if sh.w != nil {
+			if werr := sh.walAppend(en.id, gs, en.upd); werr != nil {
+				r.err = fmt.Errorf("service: graph %q: %w", en.id, werr)
+				continue
+			}
+		}
+		if gs.roundLast == 0 {
+			sh.touched = append(sh.touched, gs)
+		}
+		gs.roundLast = len(sh.round)
+		applied++
+	}
+	if sh.w != nil && applied > 0 {
+		// Commit before publishing: readers must never see an update the
+		// log has not made durable. On failure the shard fail-stops and
+		// nothing publishes (the maintainers have advanced, but no
+		// acknowledgment or snapshot exposes it); every otherwise
+		// successful entry resolves with the error.
+		if werr := sh.w.log.Commit(); werr != nil {
+			sh.w.fail(werr)
+			for i := range sh.round {
+				if r := &sh.round[i]; r.err == nil {
+					r.err = fmt.Errorf("service: graph %q: %w", r.id, werr)
+				}
+			}
+			applied = 0
+		}
+	}
+	// Clear every touched graph's mark; publish only if the round committed
+	// (a failed commit zeroed applied).
+	for _, gs := range sh.touched {
+		if applied > 0 {
+			r := &sh.round[gs.roundLast-1]
+			p0 := time.Now()
+			sh.publish(r.id, gs)
+			r.tr.Publish = time.Since(p0)
+			sh.publishHist.Record(r.tr.Publish)
+		}
+		gs.roundLast = 0
+	}
+	for i := range sh.round {
+		r := &sh.round[i]
+		snap := r.gs.snap.Load()
+		version := uint64(0)
+		if r.err == nil {
+			version = snap.Version
+		}
+		sh.sealTrace(&r.tr, version)
+		r.fut.resolve(r.vertex, snap, r.err)
+	}
+	clear(sh.round)
+	sh.round = sh.round[:0]
+	clear(sh.touched)
+	sh.touched = sh.touched[:0]
+	if sh.w != nil {
+		sh.walRoundEnd(applied)
 	}
 }
 
@@ -555,12 +526,11 @@ func (sh *shard) applyTraced(tr *obs.Trace, id GraphID, gs *graphState, u core.U
 	return v, err
 }
 
-// sealTrace finalizes tr (publish span, published version, total), folds
-// its stages into the shard's cumulative stage-time breakdown, and offers
-// it to the slowest-K ring. Total is defined as the stage sum, so a
-// retained trace's stages always account for its whole recorded latency.
-func (sh *shard) sealTrace(tr *obs.Trace, publish time.Duration, version uint64) {
-	tr.Publish = publish
+// sealTrace finalizes tr (published version, total), folds its stages
+// into the shard's cumulative stage-time breakdown, and offers it to the
+// slowest-K ring. Total is defined as the stage sum, so a retained trace's
+// stages always account for its whole recorded latency.
+func (sh *shard) sealTrace(tr *obs.Trace, version uint64) {
 	tr.Version = version
 	tr.Total = tr.StageSum()
 	sh.stageNanos[0].Add(int64(tr.Wait))
@@ -585,7 +555,6 @@ func (sh *shard) publish(id GraphID, gs *graphState) *Snapshot {
 		Tree:        dd.Tree(),
 		PseudoRoot:  dd.PseudoRoot(),
 		LastStats:   dd.LastStats(),
-		QueryStats:  dd.QueryStats(),
 		PublishedAt: time.Now(),
 	}
 	gs.snap.Store(snap)

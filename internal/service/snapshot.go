@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/dstruct"
 	"repro/internal/graph"
 	"repro/internal/reroot"
 	"repro/internal/tree"
@@ -31,11 +30,8 @@ type Snapshot struct {
 	PseudoRoot int
 
 	// LastStats is the rerooting behaviour of the update that produced this
-	// snapshot; QueryStats the D-query search effort accumulated over the
-	// graph's whole lifetime (per-call accumulators rolled up per update),
-	// zero because the service's maintainers query no D.
-	LastStats  reroot.Stats
-	QueryStats dstruct.Stats
+	// snapshot.
+	LastStats reroot.Stats
 
 	PublishedAt time.Time
 }
