@@ -427,8 +427,8 @@ func BenchmarkBuildDExec(b *testing.B) {
 
 // BenchmarkUpdateExec compares the rerooting executors on the same update
 // stream: exec=dfs (the default SubtreeDFS executor, one static DFS per
-// rerooted subtree, deepest edges from a scan of the subtree's rows and no
-// D at all) vs exec=parallel (the paper's Section 4 engine, with D rebuilt
+// rerooted subtree, no D at all: deepest edges from a walk up from low that
+// falls back to scanning the subtree's rows) vs exec=parallel (the paper's Section 4 engine, with D rebuilt
 // over the new tree after every update, as Theorem 13 does).
 func BenchmarkUpdateExec(b *testing.B) {
 	execs := []struct {

@@ -157,8 +157,9 @@ type Machine = pram.Machine
 
 // Maintainer is the fully dynamic DFS algorithm (Theorem 13). Its D method
 // returns the query structure D for the Parallel and Sequential executors
-// and nil under SubtreeDFS, which finds deepest edges by scanning rows and
-// builds no D.
+// and nil under SubtreeDFS, which builds no D: it finds deepest edges from
+// the graph's rows, walking up from low and falling back to scanning
+// T(sub)'s rows.
 type Maintainer = core.DynamicDFS
 
 // Options configure a Maintainer.

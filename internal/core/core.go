@@ -16,8 +16,9 @@
 // is a static DFS of the rerooted subtree's induced subgraph — valid
 // because every edge leaving the subtree ends above its new parent — and is
 // what the serving layer runs: O(|T(r)| + m(T(r))) per update with no D
-// query. Its planner finds each deleted subtree's deepest edge by scanning
-// the subtree's rows in the updated graph (reroot.NewRowPlanner), so a
+// query. Its planner finds each deleted subtree's deepest edge from the
+// updated graph's rows (reroot.NewRowPlanner): it walks up from low, and
+// falls back to scanning the subtree's rows when the walk costs more. So a
 // SubtreeDFS maintainer builds and maintains no D at all and D() is nil.
 // Parallel is the paper's Section 4 engine (Theorem 13's polylog depth on m
 // processors, executed sequentially here); the experiments, the
@@ -396,7 +397,8 @@ func (dd *DynamicDFS) installTree(nt *tree.Tree, e *reroot.Engine) {
 
 // planner reduces the in-flight update against the current tree, charging
 // its deepest-edge batch to the maintainer's machine and query totals.
-// Without a D it scans the updated graph's rows instead of querying.
+// Without a D it reads the updated graph's rows instead of querying: it
+// walks up from low, and falls back to scanning T(sub)'s rows.
 func (dd *DynamicDFS) planner() reroot.Planner {
 	if dd.d == nil {
 		return reroot.NewRowPlanner(dd.t, dd.g, dd.m)

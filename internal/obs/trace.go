@@ -11,8 +11,9 @@ import (
 //
 //	Wait    — mailbox wait: submit → shard-loop receive
 //	Plan    — maintainer apply time outside the two spans below: graph
-//	          mutation, D patches, LCA and deepest-edge queries (D's, or
-//	          the row scan of a maintainer without D)
+//	          mutation, D patches, LCA and deepest-edge queries (D's, or,
+//	          on a maintainer without D, the walk up from low that falls
+//	          back to scanning T(sub)'s rows)
 //	Engine  — reroot engine time: Reroot scheduling plus tree rebuild
 //	DMaint  — D maintenance: the in-place D.Rebuild over the new tree;
 //	          about zero for a maintainer without D (Outcome "none")

@@ -56,7 +56,7 @@ func (p Plan) Run(e *Engine, spent *time.Duration) error {
 // the oracle answering its queries and the bookkeeping around it differ.
 type Planner struct {
 	t  *tree.Tree
-	d  Oracle            // nil: deepest edges come from scanning g's rows
+	d  Oracle            // nil: deepest edges come from g's rows (deepestEdge)
 	g  *graph.Persistent // the updated graph, read only when d is nil
 	m  *pram.Machine
 	st *dstruct.Stats
@@ -71,8 +71,9 @@ func NewPlanner(t *tree.Tree, d Oracle, m *pram.Machine, st *dstruct.Stats) Plan
 }
 
 // NewRowPlanner returns a planner that asks no oracle: each deepest-edge
-// query scans the rows of g, the graph after the update, over the subtree's
-// pre-order window (see deepestEdge). Its plans equal NewPlanner's with a
+// query walks up from low through the rows of g, the graph after the update,
+// and falls back to scanning the rows of the subtree's pre-order window when
+// the walk costs more (see deepestEdge). Its plans equal NewPlanner's with a
 // D built on (g, t), and the machine is charged the same batch.
 func NewRowPlanner(t *tree.Tree, g *graph.Persistent, m *pram.Machine) Planner {
 	return Planner{t: t, g: g, m: m}
@@ -193,7 +194,7 @@ func (p Planner) rehang(steps []Step, subs []int, low int) Plan {
 	if p.d == nil {
 		answers = make([]dstruct.WalkAnswer, len(subs))
 		for i, sub := range subs {
-			answers[i] = p.deepestEdge(sub, low)
+			answers[i] = p.deepestEdge(sub, low, p.t.Size(sub))
 		}
 	} else {
 		walk := p.t.PathUp(low, p.t.AncestorAtLevel(low, 1)) // "deepest" = nearest low
@@ -213,14 +214,43 @@ func (p Planner) rehang(steps []Step, subs []int, low int) Plan {
 	return Plan{Steps: steps, Rounds: 1}
 }
 
-// deepestEdge answers rehang's query for T(sub) without an oracle: over the
-// rows of T(sub)'s pre-order window in the updated graph it keeps the
-// neighbours z on path(low, level-1 ancestor of low) — z a tree vertex at
-// level ≥ 1 that is an ancestor of low — and picks D's answer to the same
-// walk query: the largest level(z), which is the smallest walk position
-// level(low) − level(z), then the smallest source U. It costs
-// O(|T(sub)| + m(T(sub))), the same as the subtree search that follows.
-func (p Planner) deepestEdge(sub, low int) dstruct.WalkAnswer {
+// deepestEdge answers rehang's query for T(sub) without an oracle. It walks
+// up from low: at each z on path(low, level-1 ancestor of low), nearest low
+// first, the first neighbour of z in g's row (rows are sorted by vertex ID)
+// that lies in T(sub) is the smallest source U for that z, and the first z
+// with one is the deepest. That is D's answer to the same walk query: the
+// smallest walk position level(low) − level(z), then the smallest U. A walk
+// that passes the level-1 ancestor finds no edge: the component split.
+//
+// The walk counts one unit per path vertex and per entry of its row, a row
+// at a time before reading it. Once the count exceeds budget it stops and
+// answers by scanning T(sub)'s rows instead (scanRows). rehang passes
+// |T(sub)|, so a query costs at most that plus the scan's O(|T(sub)| +
+// m(T(sub))), the cost of the subtree search that follows, while a hit near
+// low costs a few entries however large T(sub) is.
+func (p Planner) deepestEdge(sub, low, budget int) dstruct.WalkAnswer {
+	t := p.t
+	spent := 0
+	for z := low; t.Level(z) >= 1; z = t.Parent[z] {
+		row := p.g.Row(z)
+		if spent += 1 + len(row); spent > budget {
+			return p.scanRows(sub, low)
+		}
+		for _, w := range row {
+			if u := int(w); t.Present(u) && t.IsAncestor(sub, u) {
+				return dstruct.WalkAnswer{Hit: dstruct.Hit{U: u, Z: z, ZPos: t.Level(low) - t.Level(z)}, OK: true}
+			}
+		}
+	}
+	return dstruct.WalkAnswer{}
+}
+
+// scanRows answers deepestEdge's query by scanning the rows of T(sub)'s
+// pre-order window in the updated graph: it keeps the neighbours z on
+// path(low, level-1 ancestor of low) — z a tree vertex at level ≥ 1 that is
+// an ancestor of low — and picks the largest level(z), then the smallest
+// source U. It costs O(|T(sub)| + m(T(sub))).
+func (p Planner) scanRows(sub, low int) dstruct.WalkAnswer {
 	t := p.t
 	var best dstruct.WalkAnswer
 	bestLevel := 0

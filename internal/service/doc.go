@@ -3,8 +3,9 @@
 // serves concurrent read queries against them while updates stream in.
 //
 // Every graph's maintainer runs the SubtreeDFS executor, which finds the
-// deepest edges of the Section 3 reduction by scanning the updated graph's
-// rows and reroots with a static DFS, so the serving path builds and
+// deepest edges of the Section 3 reduction from the updated graph's rows
+// (it walks up from low, and falls back to scanning T(sub)'s rows) and
+// reroots with a static DFS, so the serving path builds and
 // maintains no D: not at creation, not on recovery or migration, not after
 // an update. The maintainers' D() is nil.
 //
@@ -236,7 +237,8 @@
 //
 // Snapshot isolation is only sound because nothing a snapshot points at is
 // written after it is published: the graph is persistent, every update
-// builds a fresh tree, and the planner's row scan only reads both. D, on
+// builds a fresh tree, and the planner's deepest-edge search (its walk up
+// from low and its fallback scan of T(sub)'s rows) only reads both. D, on
 // the maintainers that keep one, follows the same rule: every
 // EdgeToWalk-family call threads a caller-supplied per-call *dstruct.Stats
 // accumulator instead of mutating shared state on D, and the engine rolls
