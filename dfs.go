@@ -57,14 +57,15 @@
 // Service.Query turns the maintained DFS tree into a queryable product:
 // it returns a version-pinned QueryHandle answering LCA, k-th/level
 // ancestors, subtree aggregates, tree paths, and biconnectivity queries
-// (articulation points, bridges, component IDs) from derived indexes —
-// each built at most once per snapshot version under a singleflight guard
-// and retained in a bounded per-shard LRU, so warm queries do zero index
-// construction. The LCA index, which also answers the level ancestors, is
-// part of the DFS tree itself, built once by the first such query on a
-// tree and shared by every version that keeps that tree; the update path
-// never builds it. NewSnapshotQuery is the standalone
-// (uncached) equivalent for any frozen graph+tree pair.
+// (articulation points, bridges, component IDs). Subtree aggregates and
+// tree paths scan the pinned tree; the biconnectivity analysis is built at
+// most once per snapshot version under a sync.Once and retained in a
+// bounded per-shard LRU, so warm queries do zero index construction. The
+// LCA index, which also answers the level ancestors, is part of the DFS
+// tree itself, built once by the first such query on a tree and shared by
+// every version that keeps that tree; the update path never builds it.
+// NewSnapshotQuery is the standalone (uncached) equivalent for any frozen
+// graph+tree pair.
 //
 // # Observability
 //
@@ -272,11 +273,12 @@ type StageTimes = service.StageTimes
 
 // QueryHandle is the snapshot analytics engine's version-pinned handle:
 // LCA, level/k-th ancestors, subtree aggregates, tree paths and the full
-// biconnectivity family, answered from derived indexes built at most once
-// per snapshot version. Obtain one from Service.Query / QuerySnapshot
-// (cached per shard) or NewSnapshotQuery (standalone). A handle stays
-// valid — and keeps answering for its pinned version — across any number
-// of later updates and cache evictions.
+// biconnectivity family, answered from the pinned tree and one derived
+// index (biconnectivity) built at most once per snapshot version. Obtain
+// one from Service.Query / QuerySnapshot (cached per shard) or
+// NewSnapshotQuery (standalone). A handle stays valid — and keeps
+// answering for its pinned version — across any number of later updates
+// and cache evictions.
 type QueryHandle = service.QueryHandle
 
 // SubtreeAgg is the aggregate QueryHandle.SubtreeAgg reports over one

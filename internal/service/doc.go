@@ -112,8 +112,8 @@
 // returns a version-pinned QueryHandle — the snapquery analytics engine —
 // answering LCA, KthAncestor/AncestorAtDepth, SubtreeSize/SubtreeAgg,
 // TreePath, and the biconnectivity family (IsArticulation, Bridges,
-// BiconnectedComponentOf, SameBiconnectedComponent) from derived indexes
-// built over the pinned snapshot.
+// BiconnectedComponentOf, SameBiconnectedComponent) from the pinned
+// snapshot's tree and one derived index, the biconnectivity analysis.
 //
 // The LCA index is part of the tree (the paper's Theorem 5/6 structure):
 // every snapshot's Tree, the degraded checkpoint snapshots recovery
@@ -123,8 +123,10 @@
 // consecutive back-edge versions share one index. The version's query
 // handle answers the LCA family and the level ancestors (through
 // tree.AncestorAtDepth, an O(log n) search over the same block minima)
-// from it. The subtree aggregates and the biconnectivity analysis are built
-// once per version on first use. CheckSynced checks that the published
+// from it. SubtreeAgg scans v's pre-order window, O(|T(v)|), and TreePath
+// climbs both ends by level, O(path); neither builds an index. The handle
+// builds only the biconnectivity analysis, once per version on first use.
+// CheckSynced checks that the published
 // snapshot's graph and tree are the maintainer's own (by pointer) and runs
 // the maintainer's oracle on them: the tree is a DFS forest of the graph,
 // and its index equals a fresh derivation from its numbering.
@@ -132,12 +134,12 @@
 // Index sharing and lifetime guarantees:
 //
 //   - One handle per version. Every reader resolving the same (graph,
-//     version) through a shard gets the same *QueryHandle, so each derived
-//     index is built at most once per version: the first readers to need an
-//     index share a single build under a singleflight guard, and every
-//     later query on it is a pure atomic pointer load — zero construction,
-//     zero allocation (BenchmarkSnapshotQuery pins the warm path at ≤1
-//     alloc and the cold/warm gap at ≥100×).
+//     version) through a shard gets the same *QueryHandle, so the bicon
+//     index is built at most once per version: the first readers to need
+//     it share a single build under a sync.Once, and every later query
+//     reads it with zero construction and zero allocation
+//     (BenchmarkSnapshotQuery pins the warm path at ≤1 alloc and the
+//     cold/warm gap at ≥100×).
 //   - Handles are independent. A handle holds its own version's graph,
 //     tree and indexes and no reference to any other version's handle, so
 //     evicting or dropping one version never affects another.
@@ -147,11 +149,11 @@
 //     updates still answers for its original version, consistent with the
 //     Snapshot it came from.
 //   - Eviction never invalidates a held handle. The per-shard LRU
-//     (Config.QueryCache versions) bounds how many versions keep indexes
-//     resident; evicting a version only drops the cache's reference. A
-//     reader still holding the handle keeps querying it; re-querying an
-//     evicted version through QuerySnapshot simply rebuilds (a cache miss),
-//     with answers identical to the evicted bundle's.
+//     (Config.QueryCache versions) bounds how many versions keep their
+//     bicon index resident; evicting a version only drops the cache's
+//     reference. A reader still holding the handle keeps querying it;
+//     re-querying an evicted version through QuerySnapshot simply rebuilds
+//     (a cache miss), with answers identical to the evicted handle's.
 //   - DropGraph purges the dropped graph's cached versions; handles and
 //     snapshots already handed out stay valid. A graph re-created under a
 //     dropped ID cannot alias stale indexes — the cache detects the

@@ -216,8 +216,7 @@ func TestCheckSyncedCatchesForeignIndex(t *testing.T) {
 // TestQueryUsesPublishedIndex drives the read path across versions: LCA
 // and level-ancestor queries on each newly published version build no
 // index (the handle reads the snapshot tree's own), the handle's answers
-// match naive recomputation, and warming builds only the aggregates and
-// bicon.
+// match naive recomputation, and warming builds only bicon.
 func TestQueryUsesPublishedIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := graph.GnpConnected(200, 0.025, rng)
@@ -269,8 +268,8 @@ func TestQueryUsesPublishedIndex(t *testing.T) {
 			t.Fatalf("round %d: LCA and level-ancestor queries built %d indexes, want 0", i, got)
 		}
 		h.Warm()
-		if got := svc.Metrics().IndexBuilds - before; got != 2 {
-			t.Fatalf("round %d: warming built %d indexes, want 2 (agg, bicon)", i, got)
+		if got := svc.Metrics().IndexBuilds - before; got != 1 {
+			t.Fatalf("round %d: warming built %d indexes, want 1 (bicon)", i, got)
 		}
 		if err := h.CheckSynced(); err != nil {
 			t.Fatalf("round %d: %v", i, err)

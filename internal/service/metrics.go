@@ -88,15 +88,16 @@ type ShardMetrics struct {
 
 	// Index-cache counters of the shard's snapshot analytics engine:
 	// IndexCacheHits/Misses count Query resolutions served from / added to
-	// the per-shard LRU of derived-index bundles, IndexCacheEvictions the
+	// the per-shard LRU of query handles, IndexCacheEvictions the
 	// versions aged out by capacity, IndexCacheDropped the versions removed
 	// by a graph drop or a stale-incarnation collision, IndexCacheSize the
 	// versions currently resident. IndexBuilds counts index constructions
-	// (≤ 2 per published version, aggregates and bicon: the LCA index is
-	// the snapshot tree's own, built by its first query) and
-	// IndexBuildTime their summed wall-clock cost.
+	// (≤ 1 per published version, the bicon analysis: the LCA index is the
+	// snapshot tree's own, built by its first query, and SubtreeAgg is an
+	// O(|T(v)|) scan of the tree's pre-order) and IndexBuildTime their
+	// summed wall-clock cost.
 	// The two histograms carry the corresponding read-path distributions:
-	// per-index build durations and handle-resolution latency.
+	// bicon build durations and handle-resolution latency.
 	IndexCacheHits      uint64
 	IndexCacheMisses    uint64
 	IndexCacheEvictions uint64

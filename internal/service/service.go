@@ -46,9 +46,10 @@ type Config struct {
 	// Headroom is the vertex-ID headroom reserved per graph for vertex
 	// insertions. Default 64.
 	Headroom int
-	// QueryCache is the number of snapshot versions per shard whose derived
-	// query indexes (biconnectivity, subtree aggregates) stay resident in
-	// the shard's LRU. Default snapquery.DefaultCapacity.
+	// QueryCache is the number of snapshot versions per shard whose query
+	// handles, and so their biconnectivity index (the only index a handle
+	// builds; subtree aggregates are O(|T(v)|) scans of the tree), stay
+	// resident in the shard's LRU. Default snapquery.DefaultCapacity.
 	QueryCache int
 	// SlowTraces is the number of slowest update traces retained per shard
 	// for inspection through SlowTraces() and the debug endpoint. Default
@@ -391,11 +392,11 @@ func (s *Service) Path(id GraphID, down, up int) ([]int, error) {
 
 // QueryHandle is a version-pinned analytics handle over one published
 // snapshot: LCA, KthAncestor, subtree aggregates, tree paths and the full
-// biconnectivity family (articulation points, bridges, component IDs),
-// each index built at most once per version and shared by every reader of
-// that version. A handle pins exactly one version: it keeps answering
-// consistently after any number of later updates, and after the shard's
-// index cache evicts the version.
+// biconnectivity family (articulation points, bridges, component IDs).
+// Its one index, the biconnectivity analysis, is built at most once per
+// version and shared by every reader of that version. A handle pins
+// exactly one version: it keeps answering consistently after any number
+// of later updates, and after the shard's index cache evicts the version.
 type QueryHandle = snapquery.Handle
 
 // Query returns the analytics handle for id's latest published snapshot.

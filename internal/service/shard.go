@@ -111,7 +111,7 @@ type shard struct {
 	mu     sync.RWMutex
 	graphs map[GraphID]*graphState
 
-	// qcache retains the derived query indexes (snapquery bundles) of the
+	// qcache retains the query handles (and their bicon indexes) of the
 	// shard's recently queried snapshot versions. Read-side only: the
 	// update loop never touches it except to purge dropped graphs.
 	qcache *snapquery.Cache

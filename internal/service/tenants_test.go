@@ -56,14 +56,14 @@ func TestTenantMetricsAttribution(t *testing.T) {
 		t.Fatal("duplicate edge insert was not rejected")
 	}
 
-	// Index work from the read path is charged to "a" only. SubtreeAgg
-	// builds the aggregates; LCA would build nothing, since the handle is
-	// given the snapshot's LCA index.
+	// Index work from the read path is charged to "a" only. IsArticulation
+	// builds the biconnectivity index; LCA and SubtreeAgg would build
+	// nothing, since they read the snapshot tree.
 	h, err := s.Query("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.SubtreeAgg(5); err != nil {
+	if _, err := h.IsArticulation(5); err != nil {
 		t.Fatal(err)
 	}
 

@@ -11,14 +11,15 @@ import (
 )
 
 // BenchmarkSnapshotQuery pins the acceptance contract of the analytics
-// engine: the cold path (first reader of a version builds both of its
-// indexes) is near-linear work; the published path (first reader of a NEW
+// engine: the cold path (first reader of a version builds its one index,
+// bicon) is near-linear work; the published path (first reader of a NEW
 // version, whose tree carries its own LCA index) answers the LCA family
-// and level ancestors with no index construction at all; and the
-// warm path (version cached) does zero index construction — a cache
-// lookup plus O(1)/O(log n) reads — and must stay allocation-free (≤1
-// alloc) and ≥100× faster than the cold build at n=1e5. Run by the CI
-// bench-smoke step with -benchtime=1x.
+// and level ancestors with no index construction at all; and the warm
+// path (version cached) does zero index construction — a cache lookup,
+// O(1)/O(log n) LCA, level-ancestor and bicon reads, and an O(|T(u)|)
+// SubtreeAgg window scan — and must stay allocation-free (≤1 alloc) and
+// ≥100× faster than the cold build at n=1e5. Run by the CI bench-smoke
+// step with -benchtime=1x.
 func BenchmarkSnapshotQuery(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -112,7 +113,8 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotQueryColdPerIndex isolates each index's build cost.
+// BenchmarkSnapshotQueryColdPerIndex isolates each index's build cost
+// (bicon is the only index a handle builds).
 func BenchmarkSnapshotQueryColdPerIndex(b *testing.B) {
 	const n = 10000
 	rng := rand.New(rand.NewSource(n))
@@ -123,7 +125,6 @@ func BenchmarkSnapshotQueryColdPerIndex(b *testing.B) {
 		name  string
 		touch func(h *Handle)
 	}{
-		{"agg", func(h *Handle) { h.SubtreeAgg(n / 2) }},
 		{"bicon", func(h *Handle) { h.IsArticulation(n / 2) }},
 	} {
 		b.Run(bench.name, func(b *testing.B) {

@@ -17,14 +17,14 @@ const DefaultCapacity = 16
 
 // Cache retains query handles in an LRU keyed by (graph, version). One
 // handle per version is ever created: concurrent readers of the same
-// version share it (and therefore share each index's single build). The
-// cache bounds how many versions keep their indexes resident; evicting a
+// version share it (and therefore share its one bicon build). The cache
+// bounds how many versions keep their bicon index resident; evicting a
 // version only drops the cache's reference — handles already handed out
 // stay fully usable.
 //
 // The mutex guards only the map/list structure; index construction happens
-// outside it, under the handle's own per-index singleflight, so a slow
-// build never blocks hits on other versions.
+// outside it, under the handle's own build-once guard, so a slow build
+// never blocks hits on other versions.
 type Cache struct {
 	capacity int
 
@@ -40,7 +40,7 @@ type Cache struct {
 	buildNanos atomic.Int64
 	size       atomic.Int64 // mirrors lru.Len() so Stats never takes mu
 
-	// Latency distributions of the read path: per-index builds (what
+	// Latency distributions of the read path: bicon builds (what
 	// observe's sums above total) and handle resolution (Handle — the lock
 	// window plus, on a miss, handle construction; index work happens
 	// later, at first query, and lands in the build histogram).
@@ -112,13 +112,7 @@ func (c *Cache) Handle(key Key, g *graph.Persistent, t *tree.Tree, pseudo int) *
 	h.key, h.observe = key, c.observe
 	c.byKey[key] = c.lru.PushFront(h)
 	c.size.Add(1)
-	for c.lru.Len() > c.capacity {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.byKey, back.Value.(*Handle).key)
-		c.evictions.Add(1)
-		c.size.Add(-1)
-	}
+	c.trim()
 	c.mu.Unlock()
 	c.misses.Add(1)
 	return h
@@ -183,14 +177,20 @@ func (c *Cache) MoveGraph(graphName string, dst *Cache) {
 		dst.byKey[h.key] = dst.lru.PushFront(h)
 		dst.size.Add(1)
 	}
-	for dst.lru.Len() > dst.capacity {
-		back := dst.lru.Back()
-		dst.lru.Remove(back)
-		delete(dst.byKey, back.Value.(*Handle).key)
-		dst.evictions.Add(1)
-		dst.size.Add(-1)
-	}
+	dst.trim()
 	dst.mu.Unlock()
+}
+
+// trim evicts least recently used versions until the cache is back within
+// capacity, counting each as a capacity eviction. c.mu must be held.
+func (c *Cache) trim() {
+	for c.lru.Len() > c.capacity {
+		back := c.lru.Back()
+		c.lru.Remove(back)
+		delete(c.byKey, back.Value.(*Handle).key)
+		c.evictions.Add(1)
+		c.size.Add(-1)
+	}
 }
 
 // Stats is a point-in-time sample of the cache's counters. Evictions counts
@@ -198,19 +198,20 @@ func (c *Cache) MoveGraph(graphName string, dst *Cache) {
 // versions removed because their graph was dropped or because a
 // dropped-and-recreated graph collided on the same (graph, version) key —
 // a stale incarnation — count under Dropped instead. Builds counts index
-// constructions: at most 2 per version (aggregates, bicon; the LCA index
-// is the tree's own, built by its first query).
+// constructions: at most 1 per version, the biconnectivity analysis (the
+// LCA index is the tree's own, built by its first query, and SubtreeAgg
+// and TreePath scan the tree with no index).
 type Stats struct {
 	Hits      uint64 // Handle calls answered from the LRU
 	Misses    uint64 // Handle calls that created a new handle
 	Evictions uint64 // versions aged out by capacity
 	Dropped   uint64 // versions removed by DropGraph or stale incarnation
-	Builds    uint64 // index constructions (≤ 2 per version)
+	Builds    uint64 // bicon index constructions (≤ 1 per version)
 	BuildTime time.Duration
 	Size      int // versions currently retained
 
-	// Latency distributions behind the sums above: per-index build
-	// durations and handle-resolution latency (the read-path entry point).
+	// Latency distributions behind the sums above: bicon build durations
+	// and handle-resolution latency (the read-path entry point).
 	// Merge per-shard snapshots for service-wide percentiles.
 	BuildHist   obs.HistSnapshot
 	ResolveHist obs.HistSnapshot

@@ -40,7 +40,9 @@ func (b *byteIntner) Intn(n int) int {
 // relocations renumber the tree). After every step the handle over the
 // maintainer's tree must pass CheckSynced and answer exactly like a fresh
 // handle over a tree rebuilt from the same parent array, which derives
-// every index itself.
+// every index itself, and its subtree aggregates and tree paths must equal
+// naiveAgg and naivePath, which walk the tree and share no code with the
+// handle's pre-order scans.
 func FuzzSnapqueryVersions(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{7, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -80,7 +82,8 @@ func rebuilt(tr *tree.Tree) *tree.Tree {
 
 // sameAnswers compares every per-vertex answer of h against fresh, a
 // handle built from scratch over the same snapshot, plus one pairwise
-// query per vertex.
+// query per vertex. SubtreeAgg and TreePath are also held to the naive
+// walks, since fresh answers them with the same scans as h.
 func sameAnswers(t *testing.T, step int, h, fresh *Handle) {
 	t.Helper()
 	live := liveVertices(h.Tree(), h.PseudoRoot())
@@ -89,7 +92,7 @@ func sameAnswers(t *testing.T, step int, h, fresh *Handle) {
 		check := func(op string, got, want any, gerr, werr error) {
 			t.Helper()
 			if (gerr == nil) != (werr == nil) || !equalAnswer(got, want) {
-				t.Fatalf("step %d: %s(%d,%d) = %v/%v, fresh %v/%v", step, op, u, v, got, gerr, want, werr)
+				t.Fatalf("step %d: %s(%d,%d) = %v/%v, want %v/%v", step, op, u, v, got, gerr, want, werr)
 			}
 		}
 		gl, ge := h.LCA(u, v)
@@ -107,9 +110,15 @@ func sameAnswers(t *testing.T, step int, h, fresh *Handle) {
 		ga, ge := h.SubtreeAgg(u)
 		wa, we := fresh.SubtreeAgg(u)
 		check("SubtreeAgg", ga, wa, ge, we)
+		check("SubtreeAgg naive", ga, naiveAgg(h.Tree(), u), ge, nil)
 		gp, ge := h.TreePath(u, v)
 		wp, we := fresh.TreePath(u, v)
 		check("TreePath", gp, wp, ge, we)
+		if np := naivePath(h.Tree(), u, v, h.PseudoRoot()); np != nil {
+			check("TreePath naive", gp, np, ge, nil)
+		} else if ge == nil {
+			t.Fatalf("step %d: TreePath(%d,%d) = %v across components", step, u, v, gp)
+		}
 		gc, ge := h.BiconnectedComponentOf(u)
 		wc, we := fresh.BiconnectedComponentOf(u)
 		check("BiconnectedComponentOf", gc, wc, ge, we)

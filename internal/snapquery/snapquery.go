@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bicon"
@@ -18,18 +17,10 @@ type Key struct {
 	Version uint64
 }
 
-// lazy is a build-once slot: a nil-until-built atomic pointer guarded by a
-// mutex that serializes the single build (the singleflight). The fast path
-// is one atomic load.
-type lazy[T any] struct {
-	p  atomic.Pointer[T]
-	mu sync.Mutex
-}
-
 // Handle answers derived queries against exactly one pinned snapshot
 // version. It is immutable from the caller's perspective and safe for
-// unbounded concurrent use; all mutation is the internal build-once filling
-// of index slots. A Handle obtained from a Cache (or dfs.Service.Query)
+// unbounded concurrent use; all mutation is the internal build-once of the
+// biconnectivity index. A Handle obtained from a Cache (or dfs.Service.Query)
 // remains valid after the cache evicts it and after any number of later
 // graph updates.
 type Handle struct {
@@ -39,14 +30,15 @@ type Handle struct {
 	pseudo  int
 	observe func(string, time.Duration) // cache metrics observer (graph, build cost); nil standalone
 
-	biconIx lazy[biconIndex]
-	aggIx   lazy[aggIndex]
+	biconOnce sync.Once
+	biconIx   *biconIndex
 }
 
 // New builds an uncached handle over a frozen (graph, tree, pseudo root)
 // triple, e.g. a retained service Snapshot or a paused maintainer. pseudo
 // is the artificial forest root (tree.None when the root is a real vertex).
-// The handle answers the LCA family and level ancestors from t's own index.
+// The handle answers the LCA family and level ancestors from t's own index,
+// and subtree aggregates and tree paths from t's pre-order and parents.
 func New(g *graph.Persistent, t *tree.Tree, pseudo int) *Handle {
 	return &Handle{g: g, t: t, pseudo: pseudo}
 }
@@ -67,32 +59,10 @@ func (h *Handle) Graph() *graph.Persistent { return h.g }
 // PseudoRoot returns the artificial forest root (tree.None if absent).
 func (h *Handle) PseudoRoot() int { return h.pseudo }
 
-// Warm eagerly builds every index of the bundle (the cold-path cost later
-// queries would otherwise pay lazily). Concurrent-safe like every query.
-func (h *Handle) Warm() {
-	h.bicon()
-	h.agg()
-}
-
-// once fills one index slot under its singleflight: the first caller
-// builds, concurrent callers block on it, later ones take an atomic load.
-func once[T any](h *Handle, slot *lazy[T], build func() *T) *T {
-	if v := slot.p.Load(); v != nil {
-		return v
-	}
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	if v := slot.p.Load(); v != nil {
-		return v
-	}
-	start := time.Now()
-	v := build()
-	if h.observe != nil {
-		h.observe(h.key.Graph, time.Since(start))
-	}
-	slot.p.Store(v)
-	return v
-}
+// Warm eagerly builds the handle's one index, the biconnectivity analysis
+// (the cold-path cost later queries would otherwise pay lazily).
+// Concurrent-safe like every query.
+func (h *Handle) Warm() { h.bicon() }
 
 // live reports whether v is a queryable vertex: present and not the
 // artificial pseudo root.
@@ -149,28 +119,33 @@ func (h *Handle) Depth(v int) (int, error) {
 }
 
 // TreePath returns the vertices of the unique tree path from u to v
-// (inclusive), or an error when they lie in different components.
+// (inclusive), or an error when they lie in different components. It climbs
+// the deeper end to the other's level, then both ends until they meet at
+// their LCA, and fills the path by a second climb: O(path), no index.
 func (h *Handle) TreePath(u, v int) ([]int, error) {
-	l, err := h.LCA(u, v)
-	if err != nil {
+	if err := h.check("TreePath", u, v); err != nil {
 		return nil, err
 	}
-	if l < 0 {
+	t := h.t
+	x, y, nu, nv := u, v, 0, 0 // nu, nv: edges from u and from v up to x, y
+	for ; t.Level(x) > t.Level(y); nu++ {
+		x = t.Parent[x]
+	}
+	for ; t.Level(y) > t.Level(x); nv++ {
+		y = t.Parent[y]
+	}
+	for ; x != y; nu, nv = nu+1, nv+1 {
+		x, y = t.Parent[x], t.Parent[y]
+	}
+	if x == h.pseudo {
 		return nil, fmt.Errorf("snapquery: TreePath(%d,%d): different components", u, v)
 	}
-	t := h.t
-	path := make([]int, 0, t.Level(u)+t.Level(v)-2*t.Level(l)+1)
-	for x := u; x != l; x = t.Parent[x] {
-		path = append(path, x)
+	path := make([]int, nu+nv+1)
+	for i, w := 0, u; i <= nu; i, w = i+1, t.Parent[w] {
+		path[i] = w
 	}
-	path = append(path, l)
-	down := len(path)
-	for x := v; x != l; x = t.Parent[x] {
-		path = append(path, x)
-	}
-	// The v-side climbed bottom-up; flip it so the path reads u..l..v.
-	for i, j := down, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
+	for i, w := len(path)-1, v; i > nu; i, w = i-1, t.Parent[w] {
+		path[i] = w
 	}
 	return path, nil
 }
@@ -225,50 +200,6 @@ type Agg struct {
 	MaxVertex int // largest vertex label in T(v)
 }
 
-// aggIndex holds the bottom-up aggregates missing from the tree numbering
-// (size and level are already maintained by tree.Build).
-type aggIndex struct {
-	height []int32
-	min    []int32
-	max    []int32
-}
-
-func (h *Handle) agg() *aggIndex {
-	return once(h, &h.aggIx, func() *aggIndex { return buildAggIndex(h.t) })
-}
-
-func buildAggIndex(t *tree.Tree) *aggIndex {
-	n := t.N()
-	ix := &aggIndex{
-		height: make([]int32, n),
-		min:    make([]int32, n),
-		max:    make([]int32, n),
-	}
-	// Reversed pre-order: every child is finalized before its parent and
-	// pushes its aggregates into the parent's. Siblings push from the last
-	// to the first, so the last child (no next sibling) arrives first.
-	order := t.PreOrder()
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		mn, mx := int32(v), int32(v)
-		if t.Size(v) > 1 { // its children have pushed theirs
-			mn, mx = min(mn, ix.min[v]), max(mx, ix.max[v])
-		}
-		ix.min[v], ix.max[v] = mn, mx
-		p := t.Parent[v]
-		if p == tree.None {
-			continue
-		}
-		ix.height[p] = max(ix.height[p], ix.height[v]+1)
-		if t.NextSibling(v) == tree.None {
-			ix.min[p], ix.max[p] = mn, mx
-		} else {
-			ix.min[p], ix.max[p] = min(ix.min[p], mn), max(ix.max[p], mx)
-		}
-	}
-	return ix
-}
-
 // SubtreeSize returns |T(v)|.
 func (h *Handle) SubtreeSize(v int) (int, error) {
 	if err := h.check("SubtreeSize", v); err != nil {
@@ -278,18 +209,21 @@ func (h *Handle) SubtreeSize(v int) (int, error) {
 }
 
 // SubtreeAgg returns the aggregate of T(v): size, height, min and max
-// vertex label.
+// vertex label. T(v) is the pre-order window [Pre(v), Pre(v)+Size(v)), so
+// one O(|T(v)|) scan of it answers, with no index.
 func (h *Handle) SubtreeAgg(v int) (Agg, error) {
 	if err := h.check("SubtreeAgg", v); err != nil {
 		return Agg{}, err
 	}
-	ix := h.agg()
-	return Agg{
-		Size:      h.t.Size(v),
-		Height:    int(ix.height[v]),
-		MinVertex: int(ix.min[v]),
-		MaxVertex: int(ix.max[v]),
-	}, nil
+	t := h.t
+	a := Agg{Size: t.Size(v), MinVertex: v, MaxVertex: v}
+	deepest := t.Level(v)
+	for _, w := range t.PreOrder()[t.Pre(v) : t.Pre(v)+t.Size(v)] {
+		a.MinVertex, a.MaxVertex = min(a.MinVertex, w), max(a.MaxVertex, w)
+		deepest = max(deepest, t.Level(w))
+	}
+	a.Height = deepest - t.Level(v)
+	return a, nil
 }
 
 // ---- Biconnectivity ----
@@ -302,11 +236,18 @@ type biconIndex struct {
 	artic   []int
 }
 
+// bicon builds the index on first use under a sync.Once: concurrent first
+// readers share one build, and its duration goes to the cache's observer.
 func (h *Handle) bicon() *biconIndex {
-	return once(h, &h.biconIx, func() *biconIndex {
+	h.biconOnce.Do(func() {
+		start := time.Now()
 		an := bicon.Analyze(h.g, h.t, h.pseudo, nil)
-		return &biconIndex{an: an, bridges: an.Bridges(), artic: an.ArticulationPoints()}
+		h.biconIx = &biconIndex{an: an, bridges: an.Bridges(), artic: an.ArticulationPoints()}
+		if h.observe != nil {
+			h.observe(h.key.Graph, time.Since(start))
+		}
 	})
+	return h.biconIx
 }
 
 // IsArticulation reports whether deleting v would disconnect its component.
@@ -373,29 +314,13 @@ func (h *Handle) SameBiconnectedComponent(u, v int) (bool, error) {
 
 // ---- Differential oracle ----
 
-// CheckSynced verifies the indexes the handle answers from against fresh
-// ground-up builds over the same tree, mirroring dstruct.D's CheckSynced:
-// the tree's lazy indexes must pass tree.CheckIndex (which builds them on a
-// tree no query has indexed yet), and every live vertex's aggregates, once
-// built, must equal the fresh ones. The handle's slots not yet built are
-// skipped, so the oracle never fills them itself; nil means every index is
-// in sync.
+// CheckSynced verifies the index the LCA family answers from against a
+// fresh ground-up build over the same tree, mirroring dstruct.D's
+// CheckSynced: the tree's lazy indexes must pass tree.CheckIndex (which
+// builds them on a tree no query has indexed yet). nil means in sync.
 func (h *Handle) CheckSynced() error {
-	t := h.t
-	if err := t.CheckIndex(); err != nil {
+	if err := h.t.CheckIndex(); err != nil {
 		return fmt.Errorf("snapquery: CheckSynced: %w", err)
-	}
-	if got := h.aggIx.p.Load(); got != nil {
-		want := buildAggIndex(t)
-		for v := 0; v < t.N(); v++ {
-			if !t.Present(v) {
-				continue
-			}
-			if got.height[v] != want.height[v] || got.min[v] != want.min[v] || got.max[v] != want.max[v] {
-				return fmt.Errorf("snapquery: CheckSynced: agg[%d] = (%d,%d,%d), want (%d,%d,%d)",
-					v, got.height[v], got.min[v], got.max[v], want.height[v], want.min[v], want.max[v])
-			}
-		}
 	}
 	return nil
 }

@@ -238,8 +238,8 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 }
 
 // TestSingleflightBuildsOnce: a cached handle hammered by concurrent first
-// readers builds each of its two indexes exactly once (the LCA family reads
-// the tree's own index).
+// readers builds its one index, bicon, exactly once (the LCA family reads
+// the tree's own index, and SubtreeAgg scans the tree's pre-order).
 func TestSingleflightBuildsOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.GnpConnected(300, 0.05, rng)
@@ -272,8 +272,8 @@ func TestSingleflightBuildsOnce(t *testing.T) {
 	}
 	wg.Wait()
 	st := c.Stats()
-	if st.Builds != 2 {
-		t.Fatalf("index builds = %d, want exactly 2 (agg, bicon)", st.Builds)
+	if st.Builds != 1 {
+		t.Fatalf("index builds = %d, want exactly 1 (bicon)", st.Builds)
 	}
 	if st.Hits != 0 || st.Misses != 1 {
 		t.Fatalf("cache hits=%d misses=%d, want 0/1", st.Hits, st.Misses)

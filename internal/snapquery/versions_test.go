@@ -104,8 +104,8 @@ func TestDifferentialOracleRandomMixed(t *testing.T) {
 		builds := 0
 		h := countBuilds(New(dd.Frozen(), dd.Tree(), dd.PseudoRoot()), &builds)
 		h.Warm()
-		if builds != 2 {
-			t.Fatalf("update %d: warming a handle built %d indexes, want 2 (agg, bicon)", i, builds)
+		if builds != 1 {
+			t.Fatalf("update %d: warming a handle built %d indexes, want 1 (bicon)", i, builds)
 		}
 		if err := h.CheckSynced(); err != nil {
 			t.Fatalf("update %d: %v", i, err)
@@ -141,9 +141,8 @@ func TestDifferentialChurnFallback(t *testing.T) {
 
 // TestSameTreeSharesIndexes: a back-edge update leaves the tree object
 // untouched, so both versions' handles share the tree and its LCA index —
-// same pointer, zero rebuild — while the aggregates
-// are built once per handle and biconnectivity (which depends on the
-// changed edge set) differs.
+// same pointer, zero rebuild — while biconnectivity (which depends on the
+// changed edge set) is built once per handle.
 func TestSameTreeSharesIndexes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.GnpConnected(80, 0.06, rng)
@@ -177,10 +176,7 @@ func TestSameTreeSharesIndexes(t *testing.T) {
 	if nh.Tree() != h.Tree() {
 		t.Error("SameTree handles do not share the tree and its LCA index")
 	}
-	if nh.aggIx.p.Load() == h.aggIx.p.Load() {
-		t.Error("SameTree handles share the agg index; it is built once per handle")
-	}
-	if nh.biconIx.p.Load() == h.biconIx.p.Load() {
+	if nh.biconIx == h.biconIx {
 		t.Error("SameTree handle shared the bicon index despite a changed edge set")
 	}
 	if err := nh.CheckSynced(); err != nil {
@@ -241,10 +237,10 @@ func TestCacheEvictionMidChain(t *testing.T) {
 
 // TestConcurrentVersionHandles is the -race soak: one writer publishes
 // versions, each a maintainer's tree with its index, through a shared
-// cache while readers query whichever version is latest. The singleflight
-// contract is asserted by accounting: every created handle fills its two
-// slots (agg, bicon) exactly once, so builds == 2 × created handles; the
-// LCA index is the tree's, outside the count.
+// cache while readers query whichever version is latest. The build-once
+// contract is asserted by accounting: every created handle builds its one
+// index (bicon) exactly once, so builds == created handles; the LCA index
+// is the tree's, outside the count.
 func TestConcurrentVersionHandles(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	g := graph.GnpConnected(200, 0.03, rng)
@@ -322,12 +318,12 @@ func TestConcurrentVersionHandles(t *testing.T) {
 	}
 
 	st := c.Stats()
-	// Warm() fills the agg and bicon slots once per handle across all
-	// concurrent warmers (the singleflight contract), and every handle
-	// instance ever created — misses counts exactly those — was warmed by
-	// its creator. A double build, or an LCA build, breaks the equality.
-	if want := 2 * st.Misses; st.Builds != want {
-		t.Fatalf("builds = %d, want %d (2 × %d created handles)", st.Builds, want, st.Misses)
+	// Warm() builds bicon once per handle across all concurrent warmers,
+	// and every handle instance ever created — misses counts exactly those
+	// — was warmed by its creator. A double build, or an LCA build, breaks
+	// the equality.
+	if st.Builds != st.Misses {
+		t.Fatalf("builds = %d, want %d (one per created handle)", st.Builds, st.Misses)
 	}
 	// The survivors must be coherent.
 	h := resolve(latest.Load())
