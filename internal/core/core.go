@@ -161,6 +161,11 @@ func (dd *DynamicDFS) SetTrace(t *obs.Trace) {
 	dd.engineDur, dd.dmaintDur = 0, 0
 }
 
+// ModelProcs is the model processor budget of one maintainer over g: the
+// paper's m processors, counted as 2m + n + 1 over g's edges and vertex
+// slots. A machine shared by several maintainers holds the maximum.
+func ModelProcs(g *graph.Persistent) int { return 2*g.NumEdges() + g.NumVertexSlots() + 1 }
+
 // New builds the maintainer over g, which it retains (immutable: updates
 // derive new versions and never write into it): computes the initial DFS
 // tree (static preprocessing) and, unless the executor is SubtreeDFS, the
@@ -171,7 +176,7 @@ func New(g *graph.Persistent, opt Options) *DynamicDFS {
 	}
 	m := opt.Machine
 	if m == nil {
-		m = pram.NewMachine(2*g.NumEdges() + g.NumVertexSlots() + 1)
+		m = pram.NewMachine(ModelProcs(g))
 	}
 	dd := &DynamicDFS{
 		g:        g,
@@ -237,7 +242,7 @@ func NewFromState(g *graph.Persistent, t *tree.Tree, d *dstruct.D, pseudo int, o
 func NewDynamicRestored(g *graph.Persistent, t *tree.Tree, pseudo, updates int, opt Options) *DynamicDFS {
 	m := opt.Machine
 	if m == nil {
-		m = pram.NewMachine(2*g.NumEdges() + g.NumVertexSlots() + 1)
+		m = pram.NewMachine(ModelProcs(g))
 	}
 	dd := &DynamicDFS{
 		g:        g,

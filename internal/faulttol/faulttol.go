@@ -48,7 +48,7 @@ func Preprocess(g *graph.Persistent, maxUpdates int) *FaultTolerant {
 	if maxUpdates <= 0 {
 		maxUpdates = 64
 	}
-	m := pram.NewMachine(2*g.NumEdges() + g.NumVertexSlots() + 1)
+	m := pram.NewMachine(core.ModelProcs(g))
 	dd := core.New(g, core.Options{RebuildD: false, Headroom: maxUpdates + 1, Machine: m, Executor: core.Parallel})
 	return &FaultTolerant{g0: dd.Graph(), dd0: dd, m: m, maxUpd: maxUpdates}
 }

@@ -41,15 +41,17 @@
 // MigrateGraph moves a graph between shards live, in four steps, each a
 // task on the owning shard's own loop:
 //
-//  1. Freeze (source loop): checkpoint the graph at its current sequence —
-//     mandatory when a WAL is configured, because after the handoff the
-//     source's log rotations stop re-checkpointing this graph — then mark
-//     it migrating, so tasks arriving behind the freeze park in a deferred
-//     queue instead of applying. The maintainer state (persistent graph,
-//     tree, sequence, tenant meter) is packaged zero-copy.
-//  2. Install (destination loop): rebuild the maintainer from the package
-//     and publish its snapshot. The copy is invisible — routing still
-//     points at the source, which keeps answering reads.
+//  1. Freeze (source loop): take the graph's checkpoint value at its
+//     current sequence and write it — mandatory when a WAL is configured,
+//     because after the handoff the source's log rotations stop
+//     re-checkpointing this graph — then mark it migrating, so tasks
+//     arriving behind the freeze park in a deferred queue instead of
+//     applying. The package is that checkpoint value (persistent graph,
+//     tree, pseudo root, sequence; zero-copy) plus the tenant meter.
+//  2. Install (destination loop): restore the maintainer from the
+//     package's checkpoint, exactly as recovery restores one, and publish
+//     its snapshot. The copy is invisible — routing still points at the
+//     source, which keeps answering reads.
 //  3. Commit: append a RouteRecord to the durable route log (routes.wal,
 //     fsynced) and flip the routing table. The fsynced record is the
 //     migration's commit point: recovery after a crash strictly before it

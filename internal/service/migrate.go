@@ -5,24 +5,19 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/tree"
 	"repro/internal/wal"
 )
 
-// migPackage is one graph's frozen state in transit between shards. It is
-// built from the maintainer (not the published snapshot: a rejected update's
+// migPackage is one graph's frozen state in transit between shards: the
+// graph's checkpoint value, the same one migFreeze writes. It is built
+// from the maintainer (not the published snapshot: a rejected update's
 // error recovery can renumber the tree without publishing, so the snapshot
 // may lag the maintainer), and everything in it is immutable or handed over
 // wholesale — the persistent graph and tree are shared zero-copy, the meter
 // pointer moves so the tenant's cumulative attribution survives the hop.
 type migPackage struct {
-	g       *graph.Persistent
-	t       *tree.Tree
-	pseudo  int
-	seq     uint64 // maintainer update count at freeze = handoff version
+	ck      *wal.Checkpoint // ck.Seq is the handoff version
 	meter   *obs.TenantMeter
 	hotCost uint64 // source sketch's apply-cost estimate, seeds the destination's
 	frozeAt time.Time
@@ -33,14 +28,15 @@ type migPackage struct {
 // reads keep being served throughout (the source copy answers until the
 // routing entry flips, the destination's installed copy after). The protocol:
 //
-//  1. Freeze on the source loop: checkpoint the graph at its current
-//     sequence (mandatory — after the handoff the source's log rotation no
-//     longer re-checkpoints this graph, so the checkpoint is what keeps its
-//     logged tail coverable), mark it migrating so subsequent tasks park in
-//     its deferred queue, and package the maintainer state.
-//  2. Install on the destination loop: rebuild the maintainer from the
-//     package and publish its snapshot. The copy stays invisible — routing
-//     still points at the source.
+//  1. Freeze on the source loop: take the graph's checkpoint value at its
+//     current sequence and write it (mandatory — after the handoff the
+//     source's log rotation no longer re-checkpoints this graph, so the
+//     checkpoint is what keeps its logged tail coverable), mark it
+//     migrating so subsequent tasks park in its deferred queue, and hand
+//     the checkpoint value over as the package.
+//  2. Install on the destination loop: restore the maintainer from the
+//     package's checkpoint, as recovery does, and publish its snapshot.
+//     The copy stays invisible — routing still points at the source.
 //  3. Commit: append the RouteRecord to the durable route log (fsync) and
 //     flip the copy-on-write routing table. This is the commit point; a
 //     crash before it recovers the graph on the source, after it on the
@@ -78,7 +74,7 @@ func (s *Service) MigrateGraph(id GraphID, dst int) error {
 		s.migFailures.Add(1)
 		return fmt.Errorf("service: migrate %q: install: %w", id, err)
 	}
-	if err := s.commitRoute(id, dsh, pkg.seq); err != nil {
+	if err := s.commitRoute(id, dsh, pkg.ck.Seq); err != nil {
 		// The flip never became durable: tear the invisible destination copy
 		// back down and resume serving from the source, exactly as if the
 		// migration had not been attempted.
@@ -132,7 +128,7 @@ func (s *Service) abortMigration(src *shard, id GraphID) {
 
 // migFreeze is migration step 1, on the source shard's loop: checkpoint the
 // graph at its current sequence, freeze it (tasks park in deferred from here
-// on), and package the maintainer state for the destination.
+// on), and hand the checkpoint value over as the package.
 func (sh *shard) migFreeze(id GraphID, pkg *migPackage) error {
 	pkg.frozeAt = time.Now()
 	gs := sh.lookup(id)
@@ -145,29 +141,17 @@ func (sh *shard) migFreeze(id GraphID, pkg *migPackage) error {
 	if err := sh.walGate(); err != nil {
 		return err
 	}
-	if w := sh.w; w != nil {
+	pkg.ck = checkpointOf(id, gs.dd)
+	if sh.w != nil {
 		// The checkpoint at the handoff sequence is what makes the transfer
 		// durable: the source's future rotations re-checkpoint only its own
 		// graphs before truncating its log, so without this checkpoint the
 		// departed graph's only durable tail could be truncated away.
-		c := &wal.Checkpoint{
-			ID:     string(id),
-			Seq:    uint64(gs.dd.Updates()),
-			Pseudo: gs.dd.PseudoRoot(),
-			Graph:  gs.dd.Frozen(),
-			Tree:   gs.dd.Tree(),
-		}
-		if err := wal.WriteCheckpoint(w.cfg.Dir, c, w.cfg.Injector); err != nil {
-			w.fail(err)
+		if err := sh.writeCheckpoint(pkg.ck); err != nil {
 			return err
 		}
-		w.checkpoints.Add(1)
 	}
 	gs.migrating = true
-	pkg.g = gs.dd.Frozen()
-	pkg.t = gs.dd.Tree()
-	pkg.pseudo = gs.dd.PseudoRoot()
-	pkg.seq = uint64(gs.dd.Updates())
 	pkg.meter = gs.meter
 	for _, it := range sh.hot.Snapshot() {
 		if it.Key == string(id) {
@@ -178,7 +162,7 @@ func (sh *shard) migFreeze(id GraphID, pkg *migPackage) error {
 	return nil
 }
 
-// migInstall is migration step 2, on the destination shard's loop: rebuild
+// migInstall is migration step 2, on the destination shard's loop: restore
 // the maintainer from the package, publish its snapshot, and register the
 // graph. Invisible until the routing entry flips — normal submissions still
 // route to the source.
@@ -189,19 +173,7 @@ func (sh *shard) migInstall(id GraphID, pkg *migPackage) error {
 	if err := sh.walGate(); err != nil {
 		return err
 	}
-	// Keep the shared machine's model processor budget at the per-instance
-	// maximum across tenants, as taskCreate does.
-	if p := 2*pkg.g.NumEdges() + pkg.g.NumVertexSlots() + 1; p > sh.mach.Procs() {
-		sh.mach.SetProcs(p)
-	}
-	gs := &graphState{
-		meter: pkg.meter,
-		dd:    core.NewDynamicRestored(pkg.g, pkg.t, pkg.pseudo, int(pkg.seq), core.Options{Machine: sh.mach}),
-	}
-	sh.publish(id, gs)
-	sh.mu.Lock()
-	sh.graphs[id] = gs
-	sh.mu.Unlock()
+	sh.addGraph(id, &graphState{meter: pkg.meter, dd: sh.restore(pkg.ck)})
 	if pkg.hotCost > 0 {
 		// Seed the hottest-graphs sketch with the source's estimate so the
 		// graph's heat survives the hop instead of restarting from zero.
@@ -214,35 +186,20 @@ func (sh *shard) migInstall(id GraphID, pkg *migPackage) error {
 // route flipped: retire the source copy and hand the parked tasks back to
 // the coordinator for replay on the destination. Tasks still behind this one
 // in the mailbox find no graph and forward themselves via the routing table.
+// The graph's cached query indexes move with it, so they are not dropped.
 func (sh *shard) migComplete(id GraphID) []task {
-	sh.mu.Lock()
-	gs := sh.graphs[id]
-	delete(sh.graphs, id)
-	sh.mu.Unlock()
-	if gs == nil {
-		return nil
+	if gs := sh.removeGraph(id); gs != nil {
+		return gs.unfreeze()
 	}
-	sh.hot.Remove(string(id))
-	sh.recomputeProcs()
-	deferred := gs.deferred
-	gs.deferred = nil
-	gs.migrating = false
-	return deferred
+	return nil
 }
 
 // migRemove tears down a copy installed by migInstall whose migration failed
 // to commit; the source copy is still authoritative.
 func (sh *shard) migRemove(id GraphID) {
-	sh.mu.Lock()
-	_, ok := sh.graphs[id]
-	delete(sh.graphs, id)
-	sh.mu.Unlock()
-	if !ok {
-		return
+	if sh.removeGraph(id) != nil {
+		sh.qcache.DropGraph(string(id))
 	}
-	sh.hot.Remove(string(id))
-	sh.qcache.DropGraph(string(id))
-	sh.recomputeProcs()
 }
 
 // migAbort unfreezes id after a failed migration and replays its parked
@@ -252,28 +209,7 @@ func (sh *shard) migAbort(id GraphID, headroom int) {
 	if gs == nil || !gs.migrating {
 		return
 	}
-	gs.migrating = false
-	deferred := gs.deferred
-	gs.deferred = nil
-	for _, dt := range deferred {
+	for _, dt := range gs.unfreeze() {
 		sh.handle(dt, headroom)
 	}
-}
-
-// recomputeProcs resets the machine's model processor budget to the
-// per-instance maximum over the shard's remaining graphs, so model depth
-// charges stop being divided by a departed tenant's m. The maintainers are
-// only touched by the shard goroutine, so reading their graphs here (on that
-// goroutine) is race-free.
-func (sh *shard) recomputeProcs() {
-	procs := 1
-	sh.mu.RLock()
-	for _, rest := range sh.graphs {
-		g := rest.dd.Frozen()
-		if p := 2*g.NumEdges() + g.NumVertexSlots() + 1; p > procs {
-			procs = p
-		}
-	}
-	sh.mu.RUnlock()
-	sh.mach.SetProcs(procs)
 }

@@ -212,10 +212,9 @@ func (sh *shard) run(wg *sync.WaitGroup, headroom int) {
 	// futures nobody will replay: resolve them so their writers never hang.
 	sh.mu.RLock()
 	for _, gs := range sh.graphs {
-		for _, dt := range gs.deferred {
+		for _, dt := range gs.unfreeze() {
 			dt.fut.resolve(-1, nil, ErrClosed)
 		}
-		gs.deferred = nil
 	}
 	sh.mu.RUnlock()
 	if sh.w != nil {
@@ -228,6 +227,64 @@ func (sh *shard) lookup(id GraphID) *graphState {
 	gs := sh.graphs[id]
 	sh.mu.RUnlock()
 	return gs
+}
+
+// addGraph publishes gs's first snapshot and registers it as id: the
+// inverse of removeGraph.
+func (sh *shard) addGraph(id GraphID, gs *graphState) *Snapshot {
+	snap := sh.publish(id, gs)
+	sh.mu.Lock()
+	sh.graphs[id] = gs
+	sh.mu.Unlock()
+	return snap
+}
+
+// restore rebuilds a maintainer from c on the shard's machine: recovery
+// restores a graph from its checkpoint file, a migration from the
+// checkpoint value the source handed over.
+func (sh *shard) restore(c *wal.Checkpoint) *core.DynamicDFS {
+	sh.growProcs(c.Graph)
+	return core.NewDynamicRestored(c.Graph, c.Tree, c.Pseudo, int(c.Seq), core.Options{Machine: sh.mach})
+}
+
+// removeGraph unregisters id and forgets its heat and its share of the
+// model processor budget, returning the removed state (nil when the shard
+// did not hold id). Cached query indexes are the caller's: a drop discards
+// them, a completed migration moves them.
+func (sh *shard) removeGraph(id GraphID) *graphState {
+	sh.mu.Lock()
+	gs := sh.graphs[id]
+	delete(sh.graphs, id)
+	sh.mu.Unlock()
+	if gs != nil {
+		sh.hot.Remove(string(id))
+		sh.recomputeProcs()
+	}
+	return gs
+}
+
+// growProcs keeps the shared machine's model processor budget at the
+// per-instance maximum (core.ModelProcs) across the shard's graphs as g
+// joins them.
+func (sh *shard) growProcs(g *graph.Persistent) {
+	if p := core.ModelProcs(g); p > sh.mach.Procs() {
+		sh.mach.SetProcs(p)
+	}
+}
+
+// recomputeProcs resets the machine's model processor budget to the
+// per-instance maximum over the shard's remaining graphs, so model depth
+// charges stop being divided by a departed tenant's m. The maintainers are
+// only touched by the shard goroutine, so reading their graphs here (on that
+// goroutine) is race-free.
+func (sh *shard) recomputeProcs() {
+	procs := 1
+	sh.mu.RLock()
+	for _, rest := range sh.graphs {
+		procs = max(procs, core.ModelProcs(rest.dd.Frozen()))
+	}
+	sh.mu.RUnlock()
+	sh.mach.SetProcs(procs)
 }
 
 // forwardTask reroutes a task that landed here for a graph this shard does
@@ -261,6 +318,14 @@ func (gs *graphState) deferTask(t task) {
 	gs.deferred = append(gs.deferred, t)
 }
 
+// unfreeze ends gs's migration freeze and returns the tasks parked in it,
+// in order.
+func (gs *graphState) unfreeze() []task {
+	deferred := gs.deferred
+	gs.deferred, gs.migrating = nil, false
+	return deferred
+}
+
 func (sh *shard) handle(t task, headroom int) {
 	switch t.kind {
 	case taskCreate:
@@ -275,39 +340,22 @@ func (sh *shard) handle(t task, headroom int) {
 			t.fut.resolve(-1, nil, err)
 			return
 		}
-		// Keep the shared machine's model processor budget at the paper's
-		// per-instance maximum (m processors) across tenants.
-		if p := 2*t.g.NumEdges() + t.g.NumVertexSlots() + 1; p > sh.mach.Procs() {
-			sh.mach.SetProcs(p)
-		}
+		sh.growProcs(t.g)
 		gs := &graphState{meter: &obs.TenantMeter{}, dd: core.New(t.g, core.Options{
 			RebuildD: true,
 			Headroom: headroom,
 			Machine:  sh.mach,
 		})}
-		if w := sh.w; w != nil {
+		if sh.w != nil {
 			// A graph exists durably iff its checkpoint does: write the v0
 			// checkpoint before acknowledging, so a crash can never have
 			// acknowledged a graph that recovery would not restore.
-			c := &wal.Checkpoint{
-				ID:     string(t.id),
-				Seq:    uint64(gs.dd.Updates()),
-				Pseudo: gs.dd.PseudoRoot(),
-				Graph:  gs.dd.Frozen(),
-				Tree:   gs.dd.Tree(),
-			}
-			if err := wal.WriteCheckpoint(w.cfg.Dir, c, w.cfg.Injector); err != nil {
-				w.fail(err)
+			if err := sh.writeCheckpoint(checkpointOf(t.id, gs.dd)); err != nil {
 				t.fut.resolve(-1, nil, fmt.Errorf("service: graph %q: %w", t.id, err))
 				return
 			}
-			w.checkpoints.Add(1)
 		}
-		snap := sh.publish(t.id, gs)
-		sh.mu.Lock()
-		sh.graphs[t.id] = gs
-		sh.mu.Unlock()
-		t.fut.resolve(-1, snap, nil)
+		t.fut.resolve(-1, sh.addGraph(t.id, gs), nil)
 
 	case taskDrop:
 		gs := sh.own(t)
@@ -318,18 +366,11 @@ func (sh *shard) handle(t task, headroom int) {
 			t.fut.resolve(-1, gs.snap.Load(), err)
 			return
 		}
-		sh.mu.Lock()
-		delete(sh.graphs, t.id)
-		sh.mu.Unlock()
+		sh.removeGraph(t.id)
 		if sh.svc != nil {
 			sh.svc.dropRoute(t.id)
 		}
 		sh.qcache.DropGraph(string(t.id))
-		sh.hot.Remove(string(t.id))
-		// taskCreate grew the machine's model processor budget to the
-		// per-instance maximum; recompute it over the survivors so model
-		// depth charges stop being divided by a departed tenant's m.
-		sh.recomputeProcs()
 		if w := sh.w; w != nil {
 			// Remove the graph durably: delete its checkpoints first, then
 			// rotate (re-checkpoint survivors + truncate the log) so its
@@ -338,7 +379,6 @@ func (sh *shard) handle(t task, headroom int) {
 			// could resurrect a dropped graph from checkpoint alone.
 			wal.DeleteCheckpoints(w.cfg.Dir, string(t.id))
 			if err := sh.checkpointShard(); err != nil {
-				w.fail(err)
 				t.fut.resolve(-1, gs.snap.Load(), fmt.Errorf("service: graph %q: %w", t.id, err))
 				return
 			}

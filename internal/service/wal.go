@@ -74,9 +74,9 @@ type shardWAL struct {
 
 	// Recovery backlog, prepared by Open and consumed by the shard
 	// goroutine's prologue: per-graph Seq-sorted log records past each
-	// graph's checkpoint, and the graph order to replay them in.
+	// graph's checkpoint, and the loaded checkpoints in replay order.
 	backlog   map[GraphID][]wal.Record
-	order     []GraphID
+	order     []*wal.Checkpoint
 	done      func(ok bool) // recovery-completion callback into the Service
 	graphDone func()        // per-graph recovery-progress callback (may be nil in tests)
 
@@ -129,6 +129,7 @@ func (s *Service) openWAL() error {
 	// One owner per directory: a second service appending to the same shard
 	// logs would interleave sequences and truncate this one's records at
 	// rotation. flock dies with the process, so kill -9 cannot wedge us.
+	// Taking the lock also deletes temp files a crash mid-rewrite left.
 	lock, err := wal.LockDir(wc.Dir)
 	if err != nil {
 		return fmt.Errorf("service: %w", err)
@@ -181,10 +182,10 @@ func (s *Service) openWAL() error {
 			continue
 		}
 		if e.Name() == wal.RoutesFile {
-			// The route log is not an update log: it has its own framing and
-			// its own lifecycle (loadRoutes compacted it above). Without this
-			// skip it would be read as a shard log and — owned by no shard —
-			// deleted as stale after recovery.
+			// The route log is not an update log: its frames hold route
+			// records and it has its own lifecycle (loadRoutes compacted it
+			// above). Without this skip it would be read as a shard log and —
+			// owned by no shard — deleted as stale after recovery.
 			continue
 		}
 		path := filepath.Join(wc.Dir, e.Name())
@@ -235,7 +236,7 @@ func (s *Service) openWAL() error {
 		})
 		sh.graphs[gid] = gs
 		sh.w.backlog[gid] = recs
-		sh.w.order = append(sh.w.order, gid)
+		sh.w.order = append(sh.w.order, c)
 	}
 	s.recGraphsTotal.Store(int64(len(ids)))
 	// Records without a checkpoint belong to dropped graphs (a crash can
@@ -251,12 +252,8 @@ func (s *Service) openWAL() error {
 	for i, sh := range s.shards {
 		path := filepath.Join(wc.Dir, fmt.Sprintf("shard-%04d.wal", i))
 		own[path] = true
-		if st, err := os.Stat(path); err == nil && st.Size() > 0 {
-			sh.w.hadInput = true
-		}
-		if len(sh.w.order) > 0 {
-			sh.w.hadInput = true
-		}
+		st, err := os.Stat(path)
+		sh.w.hadInput = len(sh.w.order) > 0 || (err == nil && st.Size() > 0)
 		if sc := scans[path]; sc != nil {
 			if sc.torn {
 				// Drop the torn bytes before reopening for append: O_APPEND
@@ -383,16 +380,38 @@ func (sh *shard) walRoundEnd(applied int) {
 	w := sh.w
 	w.since += applied
 	if w.since >= w.cfg.CheckpointEvery && w.err() == nil {
-		if err := sh.checkpointShard(); err != nil {
-			w.fail(err)
-		}
+		sh.checkpointShard()
 	}
+}
+
+// checkpointOf is id's checkpoint value: the maintainer's graph version,
+// tree, pseudo root and update count. Everything in it is immutable, so
+// taking it is a pointer grab; only writing it pays O(n+m).
+func checkpointOf(id GraphID, dd *core.DynamicDFS) *wal.Checkpoint {
+	return &wal.Checkpoint{
+		ID:     string(id),
+		Seq:    uint64(dd.Updates()),
+		Pseudo: dd.PseudoRoot(),
+		Graph:  dd.Frozen(),
+		Tree:   dd.Tree(),
+	}
+}
+
+// writeCheckpoint durably writes c and counts it. A failure fail-stops the
+// shard's write path.
+func (sh *shard) writeCheckpoint(c *wal.Checkpoint) error {
+	w := sh.w
+	if err := wal.WriteCheckpoint(w.cfg.Dir, c, w.cfg.Injector); err != nil {
+		return w.fail(err)
+	}
+	w.checkpoints.Add(1)
+	return nil
 }
 
 // checkpointShard durably checkpoints every graph on the shard, then
 // truncates the log — every record is now covered by a checkpoint. Runs on
 // the shard goroutine at a publish boundary, so each maintainer's state is
-// exactly its published snapshot.
+// exactly its published snapshot. A failure fail-stops the shard.
 func (sh *shard) checkpointShard() error {
 	w := sh.w
 	sh.mu.RLock()
@@ -403,18 +422,9 @@ func (sh *shard) checkpointShard() error {
 	sh.mu.RUnlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		gs := sh.lookup(id)
-		c := &wal.Checkpoint{
-			ID:     string(id),
-			Seq:    uint64(gs.dd.Updates()),
-			Pseudo: gs.dd.PseudoRoot(),
-			Graph:  gs.dd.Frozen(),
-			Tree:   gs.dd.Tree(),
-		}
-		if err := wal.WriteCheckpoint(w.cfg.Dir, c, w.cfg.Injector); err != nil {
+		if err := sh.writeCheckpoint(checkpointOf(id, sh.lookup(id).dd)); err != nil {
 			return err
 		}
-		w.checkpoints.Add(1)
 	}
 	if w.holdReset {
 		if !w.barrier() {
@@ -428,35 +438,30 @@ func (sh *shard) checkpointShard() error {
 		w.holdReset = false
 	}
 	if err := w.log.Reset(); err != nil {
-		return err
+		return w.fail(err)
 	}
 	w.since = 0
 	return nil
 }
 
 // recoverReplay is the shard goroutine's prologue under WAL: for each
-// recovered graph it rebuilds the maintainer from the already-published
-// checkpoint snapshot (the query structure D is reconstructed fresh; the
-// tree and graph are restored verbatim), replays the graph's log tail
-// through the normal apply path, and atomically flips the published
-// snapshot from the degraded checkpoint to the live replayed state. Reads
-// are served throughout; writes queue in the mailbox until the prologue
-// returns.
+// recovered graph it restores the maintainer from the checkpoint its
+// degraded snapshot already serves (the query structure D is reconstructed
+// fresh; the tree and graph are restored verbatim), replays the graph's
+// log tail through the normal apply path, and atomically flips the
+// published snapshot from the degraded checkpoint to the live replayed
+// state. Reads are served throughout; writes queue in the mailbox until
+// the prologue returns.
 func (sh *shard) recoverReplay() {
 	w := sh.w
 	if w.cfg.holdRecovery != nil {
 		<-w.cfg.holdRecovery
 	}
 	ok := true
-	for _, id := range w.order {
+	for _, c := range w.order {
+		id := GraphID(c.ID)
 		gs := sh.lookup(id)
-		snap := gs.snap.Load()
-		// Keep the shared machine's model processor budget at the paper's
-		// per-instance maximum, as taskCreate does.
-		if p := 2*snap.Graph.NumEdges() + snap.Graph.NumVertexSlots() + 1; p > sh.mach.Procs() {
-			sh.mach.SetProcs(p)
-		}
-		gs.dd = core.NewDynamicRestored(snap.Graph, snap.Tree, snap.PseudoRoot, int(snap.Version), core.Options{Machine: sh.mach})
+		gs.dd = sh.restore(c)
 		for _, rec := range w.backlog[id] {
 			have := uint64(gs.dd.Updates())
 			if rec.Seq <= have {
@@ -495,10 +500,7 @@ func (sh *shard) recoverReplay() {
 	if ok && w.hadInput {
 		// Fold the replayed tail into fresh checkpoints and truncate the
 		// log so the next restart replays nothing.
-		if err := sh.checkpointShard(); err != nil {
-			w.fail(err)
-			ok = false
-		}
+		ok = sh.checkpointShard() == nil
 	}
 	w.backlog, w.order = nil, nil
 	w.recovering.Store(false)

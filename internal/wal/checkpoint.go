@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -29,13 +29,14 @@ type Checkpoint struct {
 	Tree   *tree.Tree
 }
 
-// Encode serializes c into a single CRC-framed blob.
+// Encode serializes c into its magic followed by one frame (the log frame
+// layout) that fills the rest of the blob.
 func (c *Checkpoint) Encode() []byte {
 	g := c.Graph
 	slots := g.NumVertexSlots()
 	out := make([]byte, 0, 64+len(c.ID)+slots/4+g.NumEdges()*4+(c.Pseudo+1)*2)
 	out = append(out, ckptMagic[:]...)
-	out = append(out, 0, 0, 0, 0, 0, 0, 0, 0) // len+crc placeholder
+	out = openFrame(out)
 	out = binary.AppendUvarint(out, uint64(len(c.ID)))
 	out = append(out, c.ID...)
 	out = binary.AppendUvarint(out, c.Seq)
@@ -64,10 +65,7 @@ func (c *Checkpoint) Encode() []byte {
 	for v := 0; v <= c.Pseudo; v++ {
 		out = binary.AppendVarint(out, int64(c.Tree.Parent[v]))
 	}
-	payload := out[16:]
-	binary.LittleEndian.PutUint32(out[8:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[12:], crc32.Checksum(payload, castagnoli))
-	return out
+	return sealFrame(out, len(ckptMagic))
 }
 
 // DecodeCheckpoint parses and validates a checkpoint blob, reconstructing
@@ -75,18 +73,18 @@ func (c *Checkpoint) Encode() []byte {
 // CRC mismatch, inconsistent adjacency, an invalid tree — fails loudly
 // with an error wrapping ErrCorrupt.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	if len(data) < 16 || [8]byte(data[:8]) != ckptMagic {
+	if len(data) < len(ckptMagic) || [8]byte(data[:8]) != ckptMagic {
 		return nil, fmt.Errorf("%w: bad checkpoint magic", ErrCorrupt)
 	}
-	n := binary.LittleEndian.Uint32(data[8:])
-	if n == 0 || int(n) != len(data)-16 {
+	// The frame must fill the file exactly. It has no maxFrame cap: a large
+	// graph's checkpoint may exceed any single log record's bound.
+	p, n, err := readFrame(data[len(ckptMagic):], math.MaxUint32)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(data)-len(ckptMagic) {
 		return nil, fmt.Errorf("%w: checkpoint length %d does not match file", ErrCorrupt, n)
 	}
-	payload := data[16:]
-	if crc := crc32.Checksum(payload, castagnoli); crc != binary.LittleEndian.Uint32(data[12:]) {
-		return nil, fmt.Errorf("%w: checkpoint CRC mismatch", ErrCorrupt)
-	}
-	p := payload
 	next := func() (uint64, error) {
 		v, n := binary.Uvarint(p)
 		if n <= 0 {
@@ -227,45 +225,13 @@ func parseCkptName(name string) (id string, seq uint64, ok bool) {
 	return string(raw), seq, true
 }
 
-// WriteCheckpoint durably writes c into dir (temp file, fsync, rename,
-// directory fsync) and then removes any older checkpoint files for the
-// same graph. Write I/O routes through inj.
+// WriteCheckpoint durably writes c into dir (replaceFile: temp file, fsync,
+// rename, directory fsync) and then removes any older checkpoint files for
+// the same graph. Write I/O routes through inj.
 func WriteCheckpoint(dir string, c *Checkpoint, inj *Injector) error {
-	data := c.Encode()
-	name := ckptName(c.ID, c.Seq)
-	tmp := filepath.Join(dir, "."+name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := replaceFile(dir, ckptName(c.ID, c.Seq), c.Encode(), inj); err != nil {
 		return fmt.Errorf("wal: checkpoint %q: %w", c.ID, err)
 	}
-	allow, injected := inj.beforeWrite(len(data))
-	var n int
-	if allow > 0 {
-		n, err = f.Write(data[:allow])
-	}
-	if injected != nil && err == nil {
-		err = injected
-	}
-	if err == nil && n < len(data) {
-		err = fmt.Errorf("short checkpoint write (%d of %d bytes)", n, len(data))
-	}
-	if err == nil {
-		if err = inj.beforeSync(); err == nil {
-			err = f.Sync()
-		}
-	}
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: checkpoint %q: %w", c.ID, err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: checkpoint %q: %w", c.ID, err)
-	}
-	syncDir(dir)
 	// The new checkpoint supersedes every older one for this graph.
 	for _, e := range readDirNames(dir) {
 		if eid, seq, ok := parseCkptName(e); ok && eid == c.ID && seq != c.Seq {
@@ -301,16 +267,15 @@ func LoadCheckpoints(dir string) (map[string]*Checkpoint, error) {
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
 		var lastErr error
 		for _, seq := range seqs {
+			var c *Checkpoint
 			data, err := os.ReadFile(filepath.Join(dir, ckptName(id, seq)))
-			if err != nil {
-				lastErr = err
-				continue
+			if err == nil {
+				c, err = DecodeCheckpoint(data)
 			}
-			c, err := DecodeCheckpoint(data)
-			if err != nil || c.ID != id {
-				if err == nil {
-					err = fmt.Errorf("%w: checkpoint file/ID mismatch", ErrCorrupt)
-				}
+			if err == nil && c.ID != id {
+				err = fmt.Errorf("%w: checkpoint file/ID mismatch", ErrCorrupt)
+			}
+			if err != nil {
 				lastErr = err
 				continue
 			}
@@ -322,6 +287,52 @@ func LoadCheckpoints(dir string) (map[string]*Checkpoint, error) {
 		}
 	}
 	return out, nil
+}
+
+// replaceFile durably replaces dir/name with data — the one way this
+// package rewrites a whole file. It writes data to tempName(name) through
+// inj (one write and one fsync operation), closes it, renames it over name
+// and fsyncs dir, so a crash leaves the old file or the new one, plus at
+// worst the temp file, which LockDir deletes.
+func replaceFile(dir, name string, data []byte, inj *Injector) error {
+	tmp := filepath.Join(dir, tempName(name))
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = inj.write(f, data); err == nil {
+		err = inj.sync(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	syncDir(dir)
+	return nil
+}
+
+// tempName is the one temp file name replaceFile writes name through.
+func tempName(name string) string { return "." + name + ".tmp" }
+
+// removeTemps deletes replaceFile's leftover temp files in dir, and the
+// randomly suffixed ones (routes.wal.tmp-*) route-log compaction wrote
+// before it used replaceFile. Only dir's lock holder may call it: another
+// writer's temp file could be in flight.
+func removeTemps(dir string) {
+	for _, e := range readDirNames(dir) {
+		base := strings.TrimSuffix(strings.TrimPrefix(e, "."), ".tmp")
+		_, _, ckpt := parseCkptName(base)
+		if strings.HasPrefix(e, RoutesFile+".tmp-") ||
+			(e == tempName(base) && (ckpt || base == RoutesFile)) {
+			os.Remove(filepath.Join(dir, e))
+		}
+	}
 }
 
 func readDirNames(dir string) []string {

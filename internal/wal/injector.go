@@ -2,6 +2,8 @@ package wal
 
 import (
 	"errors"
+	"fmt"
+	"os"
 	"sync"
 )
 
@@ -100,4 +102,29 @@ func (in *Injector) beforeSync() error {
 		return ErrInjected
 	}
 	return nil
+}
+
+// write is the one way a write reaches a file in this package: it writes
+// the part of data beforeWrite allows to f, then fails with the injected
+// error, if any. A short write is an error; n is what reached f.
+func (in *Injector) write(f *os.File, data []byte) (n int, err error) {
+	allow, injected := in.beforeWrite(len(data))
+	if allow > 0 {
+		n, err = f.Write(data[:allow])
+	}
+	if err == nil {
+		err = injected
+	}
+	if err == nil && n < len(data) {
+		err = fmt.Errorf("short write (%d of %d bytes)", n, len(data))
+	}
+	return n, err
+}
+
+// sync fsyncs f unless beforeSync fails the operation.
+func (in *Injector) sync(f *os.File) error {
+	if err := in.beforeSync(); err != nil {
+		return err
+	}
+	return f.Sync()
 }

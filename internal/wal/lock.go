@@ -22,7 +22,9 @@ type DirLock struct {
 }
 
 // LockDir takes dir's exclusive lock, failing fast with ErrLocked when a
-// live process (or another handle in this one) already holds it.
+// live process (or another handle in this one) already holds it. Holding
+// the lock makes its owner dir's only writer, so LockDir then deletes the
+// temp files a crash mid-replaceFile left behind.
 func LockDir(dir string) (*DirLock, error) {
 	f, err := os.OpenFile(filepath.Join(dir, "wal.lock"), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -35,6 +37,7 @@ func LockDir(dir string) (*DirLock, error) {
 		}
 		return nil, fmt.Errorf("wal: lock %s: %w", dir, err)
 	}
+	removeTemps(dir)
 	return &DirLock{f: f}, nil
 }
 

@@ -126,31 +126,20 @@ func (l *Log) Append(r *Record) error {
 		return fmt.Errorf("%w (first failure: %v)", ErrLogFailed, l.failed)
 	}
 	l.buf = AppendEncode(l.buf[:0], r)
-	if len(l.buf)-8 > maxFrame {
+	if len(l.buf)-frameHeader > maxFrame {
 		// Fail-stop before any byte reaches the file: recovery would reject
 		// the frame's length prefix as corruption, discarding this record
 		// and the whole tail after it, so acknowledging it would violate
 		// acked <= recovered.
-		return l.fail(fmt.Errorf("wal: append: frame payload %d bytes: %w", len(l.buf)-8, ErrTooLarge))
+		return l.fail(fmt.Errorf("wal: append: frame payload %d bytes: %w", len(l.buf)-frameHeader, ErrTooLarge))
 	}
 	t0 := time.Now()
-	allow, injected := l.opts.Injector.beforeWrite(len(l.buf))
-	var n int
-	var err error
-	if allow > 0 {
-		n, err = l.f.Write(l.buf[:allow])
-	}
+	n, err := l.opts.Injector.write(l.f, l.buf)
 	if n > 0 {
 		l.dirty = true
 		l.appendBytes.Add(uint64(n))
 	}
-	if injected != nil && err == nil {
-		err = injected
-	}
-	if err != nil || n < len(l.buf) {
-		if err == nil {
-			err = fmt.Errorf("wal: short append (%d of %d bytes)", n, len(l.buf))
-		}
+	if err != nil {
 		return l.fail(fmt.Errorf("wal: append: %w", err))
 	}
 	l.appends.Add(1)
@@ -191,10 +180,7 @@ func (l *Log) Sync() error {
 		return nil
 	}
 	t0 := time.Now()
-	if err := l.opts.Injector.beforeSync(); err != nil {
-		return l.fail(fmt.Errorf("wal: fsync: %w", err))
-	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.opts.Injector.sync(l.f); err != nil {
 		return l.fail(fmt.Errorf("wal: fsync: %w", err))
 	}
 	l.dirty = false
@@ -218,10 +204,7 @@ func (l *Log) Reset() error {
 	}
 	// O_APPEND writes always go to the (now zero) end of file, so no seek
 	// is needed; sync the metadata change.
-	if err := l.opts.Injector.beforeSync(); err != nil {
-		return l.fail(fmt.Errorf("wal: truncate fsync: %w", err))
-	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.opts.Injector.sync(l.f); err != nil {
 		return l.fail(fmt.Errorf("wal: truncate fsync: %w", err))
 	}
 	l.dirty = false

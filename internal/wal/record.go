@@ -39,10 +39,44 @@ type Record struct {
 
 const recUpdate = 1 // payload type tag
 
+// frameHeader is the size of every frame's header (update, route and
+// checkpoint frames alike): uint32 LE payload length, uint32 LE CRC32C.
+const frameHeader = 8
+
+// openFrame appends a placeholder header to dst; sealFrame fills it in.
+func openFrame(dst []byte) []byte { return append(dst, 0, 0, 0, 0, 0, 0, 0, 0) }
+
+// sealFrame fills in the header at dst[start:] for the payload after it.
+func sealFrame(dst []byte, start int) []byte {
+	payload := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
+}
+
+// readFrame parses the frame at the head of data, whose payload may be at
+// most limit bytes. It returns the checksummed payload and the number of
+// bytes the frame spans, or an error wrapping ErrCorrupt when the head of
+// data is not a whole frame with a matching CRC.
+func readFrame(data []byte, limit uint32) (payload []byte, consumed int, err error) {
+	if len(data) < frameHeader {
+		return nil, 0, fmt.Errorf("%w: short frame header (%d bytes)", ErrCorrupt, len(data))
+	}
+	n := binary.LittleEndian.Uint32(data)
+	if n == 0 || n > limit || int(n) > len(data)-frameHeader {
+		return nil, 0, fmt.Errorf("%w: frame length %d overruns buffer", ErrCorrupt, n)
+	}
+	payload = data[frameHeader : frameHeader+int(n)]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:]) {
+		return nil, 0, fmt.Errorf("%w: frame CRC mismatch", ErrCorrupt)
+	}
+	return payload, frameHeader + int(n), nil
+}
+
 // AppendEncode appends r's frame (header + payload) to dst and returns it.
 func AppendEncode(dst []byte, r *Record) []byte {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
+	dst = openFrame(dst)
 	dst = append(dst, recUpdate)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Graph)))
 	dst = append(dst, r.Graph...)
@@ -54,32 +88,22 @@ func AppendEncode(dst []byte, r *Record) []byte {
 	for _, w := range r.Update.Neighbors {
 		dst = binary.AppendVarint(dst, int64(w))
 	}
-	payload := dst[start+8:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
-	return dst
+	return sealFrame(dst, start)
 }
 
 // decodeFrame parses one frame at the head of data. It returns the decoded
 // record and the number of bytes consumed, or an error when the head of
 // data is not a whole, checksummed, well-formed frame.
 func decodeFrame(data []byte) (Record, int, error) {
-	if len(data) < 8 {
-		return Record{}, 0, fmt.Errorf("%w: short frame header (%d bytes)", ErrCorrupt, len(data))
-	}
-	n := binary.LittleEndian.Uint32(data)
-	if n == 0 || n > maxFrame || int(n) > len(data)-8 {
-		return Record{}, 0, fmt.Errorf("%w: frame length %d overruns buffer", ErrCorrupt, n)
-	}
-	payload := data[8 : 8+int(n)]
-	if crc := crc32.Checksum(payload, castagnoli); crc != binary.LittleEndian.Uint32(data[4:]) {
-		return Record{}, 0, fmt.Errorf("%w: frame CRC mismatch", ErrCorrupt)
+	payload, n, err := readFrame(data, maxFrame)
+	if err != nil {
+		return Record{}, 0, err
 	}
 	r, err := decodePayload(payload)
 	if err != nil {
 		return Record{}, 0, err
 	}
-	return r, 8 + int(n), nil
+	return r, n, nil
 }
 
 func decodePayload(p []byte) (Record, error) {

@@ -3,7 +3,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 )
@@ -26,20 +25,16 @@ type RouteRecord struct {
 
 const recRoute = 1 // payload type tag (route-log namespace)
 
-// appendRouteFrame appends r's CRC32C frame (same 8-byte header layout as
-// the update logs: LE payload length + Castagnoli CRC) to dst.
+// appendRouteFrame appends r's frame (the update logs' frame layout) to dst.
 func appendRouteFrame(dst []byte, r *RouteRecord) []byte {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+	dst = openFrame(dst)
 	dst = append(dst, recRoute)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Graph)))
 	dst = append(dst, r.Graph...)
 	dst = binary.AppendVarint(dst, int64(r.Shard))
 	dst = binary.AppendUvarint(dst, r.Seq)
-	payload := dst[start+8:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
-	return dst
+	return sealFrame(dst, start)
 }
 
 // decodeRouteFrame parses one frame at the head of data, returning the
@@ -47,18 +42,10 @@ func appendRouteFrame(dst []byte, r *RouteRecord) []byte {
 // checksummed, well-formed route frame.
 func decodeRouteFrame(data []byte) (RouteRecord, int, error) {
 	var r RouteRecord
-	if len(data) < 8 {
-		return r, 0, fmt.Errorf("%w: short route frame header (%d bytes)", ErrCorrupt, len(data))
+	p, consumed, err := readFrame(data, maxFrame)
+	if err != nil {
+		return r, 0, err
 	}
-	n := binary.LittleEndian.Uint32(data)
-	if n == 0 || n > maxFrame || int(n) > len(data)-8 {
-		return r, 0, fmt.Errorf("%w: route frame length %d overruns buffer", ErrCorrupt, n)
-	}
-	p := data[8 : 8+int(n)]
-	if crc := crc32.Checksum(p, castagnoli); crc != binary.LittleEndian.Uint32(data[4:]) {
-		return r, 0, fmt.Errorf("%w: route frame CRC mismatch", ErrCorrupt)
-	}
-	consumed := 8 + int(n)
 	if len(p) < 1 || p[0] != recRoute {
 		return r, 0, fmt.Errorf("%w: unknown route record type", ErrCorrupt)
 	}
@@ -142,36 +129,19 @@ func (l *RouteLog) Append(r RouteRecord) error {
 	return nil
 }
 
-// Compact atomically rewrites the log to exactly the live records (temp
-// file, fsync, rename, directory sync) and reopens it for append. Called at
-// recovery, after dead entries — dropped graphs, superseded flips, removals
-// — have been folded out, so the file never grows without bound.
+// Compact atomically rewrites the log to exactly the live records
+// (replaceFile) and reopens it for append. Called at recovery, after dead
+// entries — dropped graphs, superseded flips, removals — have been folded
+// out, so the file never grows without bound. Route I/O is outside the
+// Injector: the rewrite passes none.
 func (l *RouteLog) Compact(live []RouteRecord) error {
 	var buf []byte
 	for i := range live {
 		buf = appendRouteFrame(buf, &live[i])
 	}
-	dir := filepath.Dir(l.path)
-	tmp, err := os.CreateTemp(dir, RoutesFile+".tmp-*")
-	if err != nil {
+	if err := replaceFile(filepath.Dir(l.path), RoutesFile, buf, nil); err != nil {
 		return fmt.Errorf("wal: compact routes: %w", err)
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("wal: compact routes: %w", err)
-	}
-	if err := os.Rename(tmpName, l.path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("wal: compact routes: %w", err)
-	}
-	syncDir(dir)
 	old := l.f
 	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
