@@ -4,7 +4,7 @@
 // periodic full DFS verification) and — for a -querymix slice of reads —
 // the snapshot analytics engine (LCA, k-th ancestors, subtree aggregates,
 // tree paths, biconnectivity) through Service.Query, then the per-shard
-// metrics are printed with index-cache hit rates.
+// metrics are printed with query-handle hit rates.
 //
 // Usage:
 //
@@ -56,7 +56,6 @@ func main() {
 		batch    = flag.Int("batch", 4, "updates per ApplyBatch round (1 = plain Apply)")
 		verifyPc = flag.Int("verify", 2, "percent of reads running full DFS verification")
 		queryMix = flag.Int("querymix", 25, "percent of reads using the snapshot analytics engine (LCA/bicon/subtree via Service.Query)")
-		qcache   = flag.Int("querycache", 0, "index-cache capacity per shard (0 = default)")
 		sample   = flag.Duration("sample", 0, "metrics sampler interval — the width of one /debug/service/history window (0 = default 1s)")
 		hotK     = flag.Int("hot", 8, "rows in the final hottest-graphs table (0 disables)")
 		duration = flag.Duration("duration", 5*time.Second, "load duration")
@@ -76,7 +75,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := dfs.ServiceConfig{Shards: *shards, QueryCache: *qcache, SampleInterval: *sample}
+	cfg := dfs.ServiceConfig{Shards: *shards, SampleInterval: *sample}
 	if *walDir != "" {
 		var policy = dfs.WALSyncBatch
 		switch *walSync {
@@ -455,10 +454,10 @@ func main() {
 			m.Migrations, m.MigrationFailures, m.RoutedGraphs, pq(m.MigrationPauseHist))
 	}
 	if lookups := m.IndexCacheHits + m.IndexCacheMisses; lookups > 0 {
-		fmt.Printf("index queries %d (%.0f/sec); cache: %.1f%% hit over %d lookups, %d evictions, %d index builds in %v\n",
+		fmt.Printf("index queries %d (%.0f/sec); handles: %.1f%% already on their snapshot over %d lookups, %d index builds in %v\n",
 			idxQueries.Load(), float64(idxQueries.Load())/secs,
 			100*float64(m.IndexCacheHits)/float64(lookups), lookups,
-			m.IndexCacheEvictions, m.IndexBuilds, m.IndexBuildTime.Round(time.Microsecond))
+			m.IndexBuilds, m.IndexBuildTime.Round(time.Microsecond))
 	}
 }
 

@@ -59,13 +59,14 @@
 // ancestors, subtree aggregates, tree paths, and biconnectivity queries
 // (articulation points, bridges, component IDs). Subtree aggregates and
 // tree paths scan the pinned tree; the biconnectivity analysis is built at
-// most once per snapshot version under a sync.Once and retained in a
-// bounded per-shard LRU, so warm queries do zero index construction. The
+// most once per snapshot version under a sync.Once and kept on the
+// snapshot's own handle as long as the snapshot lives, so warm queries do
+// zero index construction. The
 // LCA index, which also answers the level ancestors, is part of the DFS
 // tree itself, built once by the first such query on a tree and shared by
 // every version that keeps that tree; the update path never builds it.
-// NewSnapshotQuery is the standalone (uncached) equivalent for any frozen
-// graph+tree pair.
+// NewSnapshotQuery is the standalone equivalent for any frozen graph+tree
+// pair.
 //
 // # Observability
 //
@@ -207,7 +208,8 @@ type QueryStats = dstruct.Stats
 // Service is the sharded, snapshot-isolated multi-graph serving layer.
 type Service = service.Service
 
-// ServiceConfig sizes a Service (shards, mailbox depth, caches, WAL).
+// ServiceConfig sizes a Service (shards, mailbox depth, observability
+// rings, WAL).
 type ServiceConfig = service.Config
 
 // GraphID names one tenant graph of a Service.
@@ -275,10 +277,10 @@ type StageTimes = service.StageTimes
 // LCA, level/k-th ancestors, subtree aggregates, tree paths and the full
 // biconnectivity family, answered from the pinned tree and one derived
 // index (biconnectivity) built at most once per snapshot version. Obtain
-// one from Service.Query / QuerySnapshot (cached per shard) or
-// NewSnapshotQuery (standalone). A handle stays valid — and keeps
-// answering for its pinned version — across any number of later updates
-// and cache evictions.
+// one from Service.Query / QuerySnapshot (the snapshot's own handle, made
+// by its first query) or NewSnapshotQuery (standalone). A handle stays
+// valid — and keeps answering for its pinned version — across any number
+// of later updates and after its graph is dropped.
 type QueryHandle = service.QueryHandle
 
 // SubtreeAgg is the aggregate QueryHandle.SubtreeAgg reports over one
@@ -345,10 +347,10 @@ func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 // loops, and Service.WaitRecovered unblocks once every shard is live.
 func OpenService(cfg ServiceConfig) (*Service, error) { return service.Open(cfg) }
 
-// NewSnapshotQuery builds an uncached analytics handle over any frozen
+// NewSnapshotQuery builds a standalone analytics handle over any frozen
 // (graph, DFS tree) pair — a retained GraphSnapshot's fields, or a paused
-// Maintainer's Graph/Tree/PseudoRoot. The serving layer's Service.Query is
-// the cached equivalent.
+// Maintainer's Graph/Tree/PseudoRoot. Each call makes a new handle; the
+// serving layer's Service.Query returns the one handle a snapshot owns.
 func NewSnapshotQuery(g *Graph, t *Tree, pseudoRoot int) *QueryHandle {
 	return snapquery.New(g, t, pseudoRoot)
 }

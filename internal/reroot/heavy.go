@@ -293,23 +293,7 @@ func (e *Engine) heavy(c *Comp, rcPiece, vH int) ([]*Comp, error) {
 	}
 
 	// ---- Special case (τd = τp geometry). ----
-	return e.heavySpecial(c, rcPiece, heavyCtx{
-		vH: vH, vl: vl, vL: vL, rPrime: rPrime,
-		pcIdx: pcIdx, pcVerts: pcVerts,
-		xp: xp, yp: yp, x2: x2, y2: hit2.Z, xr: xr, yr: yr,
-		pLwalk: pLwalk,
-	})
-}
-
-// heavyCtx carries the scenario state into the special case.
-type heavyCtx struct {
-	vH, vl, vL, rPrime int
-	pcIdx              int
-	pcVerts            []int
-	xp, yp             int
-	x2, y2             int
-	xr, yr             int
-	pLwalk             []int
+	return e.heavySpecial(c, rcPiece)
 }
 
 // heavyFallback abandons the scenario chain for the always-valid l walk.

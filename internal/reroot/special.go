@@ -14,7 +14,7 @@ package reroot
 // the random or adversarial workloads in the test suite (asserted there).
 // The effect of this substitution is only on the round bound for inputs that
 // repeatedly regenerate the special case, never on correctness.
-func (e *Engine) heavySpecial(c *Comp, rcPiece int, _ heavyCtx) ([]*Comp, error) {
+func (e *Engine) heavySpecial(c *Comp, rcPiece int) ([]*Comp, error) {
 	e.Stats.HeavySpecial++
 	return e.fallback(c, rcPiece)
 }

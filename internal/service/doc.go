@@ -61,8 +61,9 @@
 //     update lost or doubled. TestCrashRecoveryKill9's second epoch kills
 //     a service mid-migration-storm and proves exactly that.
 //  4. Complete (source loop): retire the source copy and replay the parked
-//     tasks to the destination in order; cached query indexes and the
-//     tenant's attribution meter follow the graph.
+//     tasks to the destination in order; the tenant's attribution meter
+//     follows the graph. Query handles do not: the destination publishes
+//     its own snapshots, and each builds its bicon index on first query.
 //
 // Writers observe a migration as latency, never as errors: a synchronous
 // writer (one update in flight, awaiting each ack) sees its updates apply
@@ -135,32 +136,30 @@
 //
 // Index sharing and lifetime guarantees:
 //
-//   - One handle per version. Every reader resolving the same (graph,
-//     version) through a shard gets the same *QueryHandle, so the bicon
-//     index is built at most once per version: the first readers to need
-//     it share a single build under a sync.Once, and every later query
-//     reads it with zero construction and zero allocation
-//     (BenchmarkSnapshotQuery pins the warm path at ≤1 alloc and the
-//     cold/warm gap at ≥100×).
+//   - One handle per version, owned by its snapshot. The first Query or
+//     QuerySnapshot on a snapshot creates its *QueryHandle and installs it
+//     in the snapshot with a compare-and-swap; readers racing on that
+//     first call adopt the winner's handle, and every later call is one
+//     atomic load. So the bicon index is built at most once per version:
+//     the first readers to need it share a single build under a sync.Once,
+//     and every later query reads it with zero construction and zero
+//     allocation (BenchmarkSnapshotQuery pins the warm path at ≤1 alloc
+//     and the cold/warm gap at ≥100×).
 //   - Handles are independent. A handle holds its own version's graph,
-//     tree and indexes and no reference to any other version's handle, so
-//     evicting or dropping one version never affects another.
+//     tree and index and no reference to any other version's handle, so
+//     dropping or migrating a graph never affects a handle handed out.
 //   - A QueryHandle pins exactly one version. Later updates never change
 //     its answers (the pinned graph and tree are persistent; updates
 //     path-copy away from them), so a handle obtained before k further
 //     updates still answers for its original version, consistent with the
-//     Snapshot it came from.
-//   - Eviction never invalidates a held handle. The per-shard LRU
-//     (Config.QueryCache versions) bounds how many versions keep their
-//     bicon index resident; evicting a version only drops the cache's
-//     reference. A reader still holding the handle keeps querying it;
-//     re-querying an evicted version through QuerySnapshot simply rebuilds
-//     (a cache miss), with answers identical to the evicted handle's.
-//   - DropGraph purges the dropped graph's cached versions; handles and
-//     snapshots already handed out stay valid. A graph re-created under a
-//     dropped ID cannot alias stale indexes — the cache detects the
-//     incarnation change (a different tree object under the same version)
-//     and drops the stale entry.
+//     Snapshot it came from; QuerySnapshot on that retained Snapshot
+//     returns the same handle, with no rebuild.
+//   - A handle lives exactly as long as its snapshot. No cache holds
+//     handles, so nothing retains an old version's index once its snapshot
+//     is unreachable, and nothing has to be purged on DropGraph or moved on
+//     MigrateGraph: a graph re-created under a dropped ID, or installed on
+//     another shard, publishes new snapshots whose handles pin its own
+//     trees, and each builds its bicon index on its first query.
 //
 // # Observability
 //
@@ -207,9 +206,9 @@
 // Latency ships as lock-free log-bucketed histograms (obs.Histogram):
 // maintainer apply time, mailbox wait, snapshot publish, batch-round size
 // on the write path; index build and handle resolution on the read path
-// (from the shard's snapquery cache, alongside the cache counters —
-// IndexCacheHits/Misses/Evictions/Dropped/Size and IndexBuilds). Per-shard
-// snapshots merge exactly, and the
+// (alongside the read-path counters: IndexCacheHits and IndexCacheMisses,
+// resolutions that found the snapshot's handle or installed it, and
+// IndexBuilds). Per-shard snapshots merge exactly, and the
 // aggregate Metrics carries that merge plus a cumulative StageTimes
 // breakdown of where the update loops' wall-clock went.
 //
@@ -228,7 +227,7 @@
 // /debug/service/history (the sampler's time-series), /debug/metrics
 // (Prometheus text exposition, format v0.0.4, written with the stdlib-only
 // obs.PromWriter: shard gauges and counters labeled by shard, stage times,
-// WAL counters, snapquery cache stats, and the obs histograms as native
+// WAL counters, read-path counters, and the obs histograms as native
 // Prometheus histograms — the power-of-2 buckets map directly to le
 // bounds; per-tenant data stays on the JSON endpoints because unbounded
 // tenant IDs do not belong in label sets) and /debug/pprof — so a running

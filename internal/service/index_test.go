@@ -205,9 +205,11 @@ func TestCheckSyncedCatchesForeignIndex(t *testing.T) {
 	if err := svc.CheckSynced("g"); err != nil {
 		t.Fatal(err)
 	}
-	forged := *snap
-	forged.Tree = other.Tree
-	svc.shardFor("g").lookup("g").snap.Store(&forged)
+	forged := &Snapshot{
+		ID: snap.ID, Version: snap.Version, Graph: snap.Graph, Tree: other.Tree,
+		PseudoRoot: snap.PseudoRoot, LastStats: snap.LastStats, PublishedAt: snap.PublishedAt,
+	}
+	svc.shardFor("g").lookup("g").snap.Store(forged)
 	if err := svc.CheckSynced("g"); err == nil {
 		t.Fatal("a snapshot with another tree's index passed CheckSynced")
 	}

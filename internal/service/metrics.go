@@ -86,27 +86,23 @@ type ShardMetrics struct {
 	// wait vs planning queries vs rerooting vs D maintenance vs publish).
 	Stages StageTimes
 
-	// Index-cache counters of the shard's snapshot analytics engine:
-	// IndexCacheHits/Misses count Query resolutions served from / added to
-	// the per-shard LRU of query handles, IndexCacheEvictions the
-	// versions aged out by capacity, IndexCacheDropped the versions removed
-	// by a graph drop or a stale-incarnation collision, IndexCacheSize the
-	// versions currently resident. IndexBuilds counts index constructions
-	// (≤ 1 per published version, the bicon analysis: the LCA index is the
-	// snapshot tree's own, built by its first query, and SubtreeAgg is an
-	// O(|T(v)|) scan of the tree's pre-order) and IndexBuildTime their
-	// summed wall-clock cost.
+	// Read-path counters of the shard's snapshot analytics engine. Each
+	// published snapshot owns one query handle, created by its first
+	// Query/QuerySnapshot: IndexCacheHits counts resolutions that found the
+	// handle already on the snapshot, IndexCacheMisses the resolutions that
+	// installed it. IndexBuilds counts index constructions (≤ 1 per
+	// published version, the bicon analysis: the LCA index is the snapshot
+	// tree's own, built by its first query, and SubtreeAgg is an O(|T(v)|)
+	// scan of the tree's pre-order) and IndexBuildTime their summed
+	// wall-clock cost.
 	// The two histograms carry the corresponding read-path distributions:
 	// bicon build durations and handle-resolution latency.
-	IndexCacheHits      uint64
-	IndexCacheMisses    uint64
-	IndexCacheEvictions uint64
-	IndexCacheDropped   uint64
-	IndexCacheSize      int
-	IndexBuilds         uint64
-	IndexBuildTime      time.Duration
-	IndexBuildHist      obs.HistSnapshot
-	QueryResolveHist    obs.HistSnapshot
+	IndexCacheHits   uint64
+	IndexCacheMisses uint64
+	IndexBuilds      uint64
+	IndexBuildTime   time.Duration
+	IndexBuildHist   obs.HistSnapshot
+	QueryResolveHist obs.HistSnapshot
 
 	// Migration traffic: graphs this shard received from / handed to other
 	// shards through completed live migrations.
@@ -150,15 +146,13 @@ type Metrics struct {
 	BatchSizeHist   obs.HistSnapshot
 	Stages          StageTimes
 
-	// Aggregated index-cache counters across shards.
-	IndexCacheHits      uint64
-	IndexCacheMisses    uint64
-	IndexCacheEvictions uint64
-	IndexCacheDropped   uint64
-	IndexBuilds         uint64
-	IndexBuildTime      time.Duration
-	IndexBuildHist      obs.HistSnapshot
-	QueryResolveHist    obs.HistSnapshot
+	// Aggregated read-path counters across shards.
+	IndexCacheHits   uint64
+	IndexCacheMisses uint64
+	IndexBuilds      uint64
+	IndexBuildTime   time.Duration
+	IndexBuildHist   obs.HistSnapshot
+	QueryResolveHist obs.HistSnapshot
 
 	// Deprecated: always zero. Snapshot indexes are no longer patched from
 	// a parent version; these remain only because perfbench reads them.
@@ -260,36 +254,32 @@ func (s *Service) Metrics() Metrics {
 			DMaint:  time.Duration(sh.stageNanos[3].Load()),
 			Publish: time.Duration(sh.stageNanos[4].Load()),
 		}
-		qs := sh.qcache.Stats()
 		out.Shards[i] = ShardMetrics{
-			Shard:               sh.idx,
-			Graphs:              graphs,
-			QueueDepth:          depth,
-			QueueCap:            cap(sh.mailbox),
-			QueueHighWater:      hwm,
-			Updates:             updates,
-			Rejected:            sh.rejected.Load(),
-			UpdatesPerSec:       rate,
-			OldestSnapshotAge:   oldest,
-			PRAMDepth:           sh.mach.Depth(),
-			PRAMWork:            sh.mach.Work(),
-			PRAMProcs:           sh.mach.Procs(),
-			ApplyHist:           sh.applyHist.Snapshot(),
-			MailboxWaitHist:     sh.waitHist.Snapshot(),
-			PublishHist:         sh.publishHist.Snapshot(),
-			BatchSizeHist:       sh.batchHist.Snapshot(),
-			Stages:              stages,
-			IndexCacheHits:      qs.Hits,
-			IndexCacheMisses:    qs.Misses,
-			IndexCacheEvictions: qs.Evictions,
-			IndexCacheDropped:   qs.Dropped,
-			IndexCacheSize:      qs.Size,
-			IndexBuilds:         qs.Builds,
-			IndexBuildTime:      qs.BuildTime,
-			IndexBuildHist:      qs.BuildHist,
-			QueryResolveHist:    qs.ResolveHist,
-			MigrationsIn:        sh.migrationsIn.Load(),
-			MigrationsOut:       sh.migrationsOut.Load(),
+			Shard:             sh.idx,
+			Graphs:            graphs,
+			QueueDepth:        depth,
+			QueueCap:          cap(sh.mailbox),
+			QueueHighWater:    hwm,
+			Updates:           updates,
+			Rejected:          sh.rejected.Load(),
+			UpdatesPerSec:     rate,
+			OldestSnapshotAge: oldest,
+			PRAMDepth:         sh.mach.Depth(),
+			PRAMWork:          sh.mach.Work(),
+			PRAMProcs:         sh.mach.Procs(),
+			ApplyHist:         sh.applyHist.Snapshot(),
+			MailboxWaitHist:   sh.waitHist.Snapshot(),
+			PublishHist:       sh.publishHist.Snapshot(),
+			BatchSizeHist:     sh.batchHist.Snapshot(),
+			Stages:            stages,
+			IndexCacheHits:    sh.queryHits.Load(),
+			IndexCacheMisses:  sh.queryMisses.Load(),
+			IndexBuilds:       sh.indexBuilds.Load(),
+			IndexBuildTime:    time.Duration(sh.indexBuildNanos.Load()),
+			IndexBuildHist:    sh.indexBuildHist.Snapshot(),
+			QueryResolveHist:  sh.queryResolveHist.Snapshot(),
+			MigrationsIn:      sh.migrationsIn.Load(),
+			MigrationsOut:     sh.migrationsOut.Load(),
 		}
 		sm := &out.Shards[i]
 		if w := sh.w; w != nil {
@@ -331,12 +321,10 @@ func (s *Service) Metrics() Metrics {
 		out.PublishHist.Merge(sm.PublishHist)
 		out.BatchSizeHist.Merge(sm.BatchSizeHist)
 		out.Stages.Add(sm.Stages)
-		out.IndexCacheHits += qs.Hits
-		out.IndexCacheMisses += qs.Misses
-		out.IndexCacheEvictions += qs.Evictions
-		out.IndexCacheDropped += qs.Dropped
-		out.IndexBuilds += qs.Builds
-		out.IndexBuildTime += qs.BuildTime
+		out.IndexCacheHits += sm.IndexCacheHits
+		out.IndexCacheMisses += sm.IndexCacheMisses
+		out.IndexBuilds += sm.IndexBuilds
+		out.IndexBuildTime += sm.IndexBuildTime
 		out.IndexBuildHist.Merge(sm.IndexBuildHist)
 		out.QueryResolveHist.Merge(sm.QueryResolveHist)
 	}

@@ -78,7 +78,7 @@ func (s *Service) MigrateGraph(id GraphID, dst int) error {
 		// The flip never became durable: tear the invisible destination copy
 		// back down and resume serving from the source, exactly as if the
 		// migration had not been attempted.
-		s.runOn(dsh, func() error { dsh.migRemove(id); return nil })
+		s.runOn(dsh, func() error { dsh.removeGraph(id); return nil })
 		s.abortMigration(src, id)
 		s.migFailures.Add(1)
 		return fmt.Errorf("service: migrate %q: commit: %w", id, err)
@@ -97,7 +97,6 @@ func (s *Service) MigrateGraph(id GraphID, dst int) error {
 			dt.fut.resolve(-1, nil, err)
 		}
 	}
-	src.qcache.MoveGraph(string(id), dsh.qcache)
 
 	s.migrations.Add(1)
 	src.migrationsOut.Add(1)
@@ -186,20 +185,11 @@ func (sh *shard) migInstall(id GraphID, pkg *migPackage) error {
 // route flipped: retire the source copy and hand the parked tasks back to
 // the coordinator for replay on the destination. Tasks still behind this one
 // in the mailbox find no graph and forward themselves via the routing table.
-// The graph's cached query indexes move with it, so they are not dropped.
 func (sh *shard) migComplete(id GraphID) []task {
 	if gs := sh.removeGraph(id); gs != nil {
 		return gs.unfreeze()
 	}
 	return nil
-}
-
-// migRemove tears down a copy installed by migInstall whose migration failed
-// to commit; the source copy is still authoritative.
-func (sh *shard) migRemove(id GraphID) {
-	if sh.removeGraph(id) != nil {
-		sh.qcache.DropGraph(string(id))
-	}
 }
 
 // migAbort unfreezes id after a failed migration and replays its parked

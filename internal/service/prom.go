@@ -77,16 +77,10 @@ func writePromMetrics(w io.Writer, m Metrics) error {
 	hist("dfs_publish_seconds", "snapshot publication time", m.PublishHist, 1e-9)
 	hist("dfs_batch_size", "entries per coalesced batch round", m.BatchSizeHist, 1)
 
-	p.Family("dfs_index_cache_hits_total", "counter", "query resolutions served from the index LRU")
+	p.Family("dfs_index_cache_hits_total", "counter", "query resolutions that found the snapshot's handle")
 	p.Value(float64(m.IndexCacheHits))
-	p.Family("dfs_index_cache_misses_total", "counter", "query resolutions that created a handle")
+	p.Family("dfs_index_cache_misses_total", "counter", "query resolutions that installed the snapshot's handle")
 	p.Value(float64(m.IndexCacheMisses))
-	p.Family("dfs_index_cache_evictions_total", "counter", "index versions aged out by capacity")
-	p.Value(float64(m.IndexCacheEvictions))
-	p.Family("dfs_index_cache_dropped_total", "counter", "index versions removed by graph drop or stale incarnation")
-	p.Value(float64(m.IndexCacheDropped))
-	perShard("dfs_index_cache_size", "gauge", "index versions currently resident",
-		func(sm *ShardMetrics) float64 { return float64(sm.IndexCacheSize) })
 	p.Family("dfs_index_builds_total", "counter", "fresh index constructions")
 	p.Value(float64(m.IndexBuilds))
 	hist("dfs_index_build_seconds", "per-index fresh build time", m.IndexBuildHist, 1e-9)

@@ -36,14 +36,12 @@ func goldenMetrics() Metrics {
 				Updates: 120, Rejected: 3, UpdatesPerSec: 12.5,
 				OldestSnapshotAge: 250 * time.Millisecond,
 				PRAMDepth:         900, PRAMWork: 40000, PRAMProcs: 512,
-				IndexCacheSize: 4,
-				MigrationsIn:   1, MigrationsOut: 2,
+				MigrationsIn: 1, MigrationsOut: 2,
 			},
 			{
 				Shard: 1, Graphs: 1, QueueDepth: 0, QueueCap: 256, QueueHighWater: 2,
 				Updates: 30, Rejected: 0, UpdatesPerSec: 2,
 				PRAMDepth: 100, PRAMWork: 2000, PRAMProcs: 64,
-				IndexCacheSize: 1,
 			},
 		},
 		Graphs: 3, Updates: 150, Rejected: 3, UpdatesPerSec: 14.5,
@@ -56,7 +54,7 @@ func goldenMetrics() Metrics {
 			Engine: 3 * time.Millisecond, DMaint: 4 * time.Millisecond,
 			Publish: 500 * time.Microsecond,
 		},
-		IndexCacheHits: 40, IndexCacheMisses: 9, IndexCacheEvictions: 2, IndexCacheDropped: 1,
+		IndexCacheHits: 40, IndexCacheMisses: 9,
 		IndexBuilds: 12, IndexBuildTime: 6 * time.Millisecond,
 		IndexBuildHist:   histOf(400_000, 600_000),
 		QueryResolveHist: histOf(700, 900, 1_200),

@@ -71,7 +71,7 @@ func checkHandleAgainstPinned(t *testing.T, h *QueryHandle, rng *rand.Rand, ctx 
 
 // TestServiceQueryBasic: Query returns a handle pinned to the latest
 // version, shared across readers of that version, correct against naive
-// recomputation, and Metrics reports the cache traffic.
+// recomputation, and Metrics reports the handle resolutions.
 func TestServiceQueryBasic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := New(Config{Shards: 2})
@@ -99,7 +99,7 @@ func TestServiceQueryBasic(t *testing.T) {
 		t.Fatalf("handle version %d, snapshot %d", h1.Version(), snap.Version)
 	}
 	if s.QuerySnapshot(snap) != h1 {
-		t.Fatal("QuerySnapshot(latest) should share the cached handle")
+		t.Fatal("QuerySnapshot(latest) should return the snapshot's handle")
 	}
 	checkHandleAgainstPinned(t, h1, rng, "initial")
 
@@ -112,13 +112,14 @@ func TestServiceQueryBasic(t *testing.T) {
 	}
 }
 
-// TestServiceQueryEvictThenRequery: with a tiny index cache, old versions
-// age out under version churn; held handles keep answering for their
-// pinned version, and re-querying an evicted retained snapshot rebuilds
-// with identical answers.
-func TestServiceQueryEvictThenRequery(t *testing.T) {
+// TestServiceQueryRetainedSnapshot: each snapshot owns its handle. Over a
+// chain of versions, QuerySnapshot on a retained older snapshot returns the
+// very handle Query gave out for it, with no rebuild, and every held
+// handle keeps answering for its pinned version after later updates and
+// after its graph is dropped.
+func TestServiceQueryRetainedSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	s := New(Config{Shards: 1, QueryCache: 2})
+	s := New(Config{Shards: 1})
 	defer s.Close()
 	g := graph.GnpConnected(60, 0.1, rng)
 	mirror := g
@@ -160,45 +161,125 @@ func TestServiceQueryEvictThenRequery(t *testing.T) {
 		h.Warm()
 		pins = append(pins, pinned{snap, h})
 	}
-	m := s.Metrics()
-	if m.IndexCacheEvictions == 0 {
-		t.Fatalf("no evictions with cache=2 over 8 versions")
-	}
-	// Every held handle — including long-evicted ones — still answers for
-	// its pinned version.
+	// Every held handle still answers for its pinned version.
 	for i, p := range pins {
 		if p.h.Version() != p.snap.Version {
 			t.Fatalf("pin %d: handle@%d vs snapshot@%d", i, p.h.Version(), p.snap.Version)
 		}
 		checkHandleAgainstPinned(t, p.h, rng, fmt.Sprintf("pin %d", i))
 	}
-	// Re-querying the oldest retained snapshot is a rebuild (miss), with
-	// answers identical to the evicted handle's.
-	missesBefore := s.Metrics().IndexCacheMisses
-	h0 := s.QuerySnapshot(pins[0].snap)
-	if h0 == pins[0].h {
-		t.Fatal("evicted version served the old handle (expected rebuild)")
+	// Re-querying the retained snapshots is a hit on the handle each one
+	// already owns: the same pointer, no rebuild.
+	before := s.Metrics()
+	for i, p := range pins {
+		if h := s.QuerySnapshot(p.snap); h != p.h {
+			t.Fatalf("QuerySnapshot(pin %d) returned a new handle", i)
+		}
 	}
-	if s.Metrics().IndexCacheMisses != missesBefore+1 {
-		t.Fatal("requery of evicted version was not a miss")
+	after := s.Metrics()
+	if after.IndexBuilds != before.IndexBuilds || after.IndexCacheMisses != before.IndexCacheMisses {
+		t.Fatalf("requerying retained snapshots: builds %d -> %d, misses %d -> %d, want unchanged",
+			before.IndexBuilds, after.IndexBuilds, before.IndexCacheMisses, after.IndexCacheMisses)
 	}
-	if h0.Tree() != pins[0].h.Tree() {
-		t.Fatal("rebuilt handle pins a different snapshot")
+	if got := after.IndexCacheHits - before.IndexCacheHits; got != uint64(len(pins)) {
+		t.Fatalf("requerying %d retained snapshots counted %d hits", len(pins), got)
 	}
-	checkHandleAgainstPinned(t, h0, rng, "requeried pin 0")
 
-	// DropGraph purges the cache; held handles survive.
-	fut := newFuture()
-	if err := s.shardFor("e").submit(task{kind: taskDrop, id: "e", fut: fut}); err != nil {
+	// Held handles survive the graph's drop.
+	if err := s.DropGraph("e"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := fut.Wait(); err != nil {
+	for i, p := range pins {
+		checkHandleAgainstPinned(t, p.h, rng, fmt.Sprintf("pin %d after drop", i))
+	}
+}
+
+// TestServiceQueryDropRecreate: a graph dropped and re-created under the
+// same ID starts again at version 0, so (ID, version) names two different
+// snapshots. The new incarnation's Query handle must pin its own tree, not
+// the handle of the dropped one, which keeps answering for its own.
+func TestServiceQueryDropRecreate(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	s := New(Config{Shards: 2})
+	defer s.Close()
+	old := mustCreate(t, s, "a", graph.GnpConnected(30, 0.15, rng))
+	hOld, err := s.Query("a")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if size := s.Metrics().Shards[0].IndexCacheSize; size != 0 {
-		t.Fatalf("index cache size %d after DropGraph, want 0", size)
+	hOld.Warm()
+	if err := s.DropGraph("a"); err != nil {
+		t.Fatal(err)
 	}
-	checkHandleAgainstPinned(t, h0, rng, "after drop")
+	if _, err := s.Query("a"); err == nil {
+		t.Fatal("Query on a dropped graph succeeded")
+	}
+
+	snap := mustCreate(t, s, "a", graph.GnpConnected(30, 0.15, rng))
+	if snap.Version != old.Version {
+		t.Fatalf("re-created graph at version %d, want the dropped one's %d", snap.Version, old.Version)
+	}
+	h, err := s.Query("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h == hOld || h.Tree() != snap.Tree || h.Graph() != snap.Graph {
+		t.Fatal("the re-created graph's handle aliases the dropped incarnation")
+	}
+	if h.Key() != hOld.Key() {
+		t.Fatalf("keys %v and %v differ; the test needs a colliding (ID, version)", h.Key(), hOld.Key())
+	}
+	checkHandleAgainstPinned(t, h, rng, "new incarnation")
+	checkHandleAgainstPinned(t, hOld, rng, "dropped incarnation")
+}
+
+// TestServiceQueryFirstUseRace is the -race check of the handle slot: 8
+// goroutines make the first Query on one snapshot at once. All get one
+// pointer, and warming it counts exactly one miss and one build.
+func TestServiceQueryFirstUseRace(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	s := New(Config{Shards: 1})
+	defer s.Close()
+	snap := mustCreate(t, s, "r", graph.GnpConnected(200, 0.03, rng))
+	before := s.Metrics()
+
+	const readers = 8
+	handles := make([]*QueryHandle, readers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range handles {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			h, err := s.Query("r")
+			if err != nil {
+				panic(err)
+			}
+			h.Warm()
+			handles[i] = h
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, h := range handles {
+		if h != handles[0] {
+			t.Fatalf("reader %d got a different handle", i)
+		}
+	}
+	if h := s.QuerySnapshot(snap); h != handles[0] {
+		t.Fatal("the snapshot does not hold the handle its readers got")
+	}
+	after := s.Metrics()
+	if got := after.IndexCacheMisses - before.IndexCacheMisses; got != 1 {
+		t.Fatalf("first use counted %d misses, want 1", got)
+	}
+	if got := after.IndexBuilds - before.IndexBuilds; got != 1 {
+		t.Fatalf("first use built %d indexes, want 1 (bicon)", got)
+	}
+	if got := after.IndexCacheHits - before.IndexCacheHits; got != readers {
+		t.Fatalf("hits = %d, want %d (7 racers adopting the winner's handle, plus QuerySnapshot)", got, readers)
+	}
 }
 
 // TestServiceQueryConcurrent is the -race hammer: writers churn versions
@@ -213,7 +294,7 @@ func TestServiceQueryConcurrent(t *testing.T) {
 		updates = 60
 		readers = 6
 	)
-	s := New(Config{Shards: 2, QueryCache: 3})
+	s := New(Config{Shards: 2})
 	defer s.Close()
 	ids := make([]GraphID, graphs)
 	mirrors := make([]*graph.Persistent, graphs)

@@ -46,11 +46,6 @@ type Config struct {
 	// Headroom is the vertex-ID headroom reserved per graph for vertex
 	// insertions. Default 64.
 	Headroom int
-	// QueryCache is the number of snapshot versions per shard whose query
-	// handles, and so their biconnectivity index (the only index a handle
-	// builds; subtree aggregates are O(|T(v)|) scans of the tree), stay
-	// resident in the shard's LRU. Default snapquery.DefaultCapacity.
-	QueryCache int
 	// SlowTraces is the number of slowest update traces retained per shard
 	// for inspection through SlowTraces() and the debug endpoint. Default
 	// obs.DefaultSlowRingSize.
@@ -93,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Headroom <= 0 {
 		c.Headroom = 64
-	}
-	if c.QueryCache <= 0 {
-		c.QueryCache = snapquery.DefaultCapacity
 	}
 	if c.SlowTraces <= 0 {
 		c.SlowTraces = obs.DefaultSlowRingSize
@@ -207,20 +199,11 @@ func Open(cfg Config) (*Service, error) {
 			mach:    pram.NewMachine(1),
 			mailbox: make(chan task, cfg.MailboxDepth),
 			graphs:  make(map[GraphID]*graphState),
-			qcache:  snapquery.NewCache(cfg.QueryCache),
 			slow:    obs.NewSlowRing(cfg.SlowTraces),
 			hot:     obs.NewSpaceSaving(cfg.HotTenants),
 			series:  obs.NewSeriesRing(seriesFields, cfg.SampleWindows),
 			started: started,
 		}
-		// Charge index builds performed by reader goroutines back to the
-		// graph that owns the index. A dropped graph's in-flight build
-		// simply finds no state and goes unattributed.
-		sh.qcache.SetAttribution(func(graphName string, d time.Duration) {
-			if gs := sh.lookup(GraphID(graphName)); gs != nil {
-				gs.meter.RecordIndex(d)
-			}
-		})
 		s.shards[i] = sh
 	}
 	if cfg.WAL != nil {
@@ -393,15 +376,16 @@ func (s *Service) Path(id GraphID, down, up int) ([]int, error) {
 // QueryHandle is a version-pinned analytics handle over one published
 // snapshot: LCA, KthAncestor, subtree aggregates, tree paths and the full
 // biconnectivity family (articulation points, bridges, component IDs).
-// Its one index, the biconnectivity analysis, is built at most once per
-// version and shared by every reader of that version. A handle pins
-// exactly one version: it keeps answering consistently after any number
-// of later updates, and after the shard's index cache evicts the version.
+// Each snapshot owns one handle, created by its first query, so its one
+// index, the biconnectivity analysis, is built at most once per version
+// and shared by every reader of that version. A handle pins exactly one
+// version: it keeps answering consistently after any number of later
+// updates, and after its graph is dropped.
 type QueryHandle = snapquery.Handle
 
-// Query returns the analytics handle for id's latest published snapshot.
-// The hot path (version already cached on the shard) is lock-free reads
-// plus one LRU bump — no allocation and no index construction.
+// Query returns the analytics handle of id's latest published snapshot.
+// Once the snapshot has its handle, resolving it is one atomic load — no
+// allocation and no index construction.
 func (s *Service) Query(id GraphID) (*QueryHandle, error) {
 	sh, gs := s.lookupState(id)
 	if gs == nil {
@@ -410,9 +394,10 @@ func (s *Service) Query(id GraphID) (*QueryHandle, error) {
 	return sh.queryHandle(gs.snap.Load()), nil
 }
 
-// QuerySnapshot returns the analytics handle for a specific retained
-// snapshot — pinned old versions stay queryable (and cacheable) even while
-// newer versions are being published and served.
+// QuerySnapshot returns the analytics handle of a specific retained
+// snapshot — the same handle every earlier query of that snapshot got, so
+// pinned old versions stay queryable, with no rebuild, while newer
+// versions are published and served.
 func (s *Service) QuerySnapshot(snap *Snapshot) *QueryHandle {
 	return s.shardFor(snap.ID).queryHandle(snap)
 }

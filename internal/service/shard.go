@@ -111,10 +111,15 @@ type shard struct {
 	mu     sync.RWMutex
 	graphs map[GraphID]*graphState
 
-	// qcache retains the query handles (and their bicon indexes) of the
-	// shard's recently queried snapshot versions. Read-side only: the
-	// update loop never touches it except to purge dropped graphs.
-	qcache *snapquery.Cache
+	// Read-path counters, written by reader goroutines: handle resolutions
+	// that found the snapshot's handle installed (hits) or installed it
+	// (misses), bicon builds with their summed and distributed durations,
+	// and resolution latency.
+	queryHits, queryMisses atomic.Uint64
+	indexBuilds            atomic.Uint64
+	indexBuildNanos        atomic.Int64
+	indexBuildHist         obs.Histogram
+	queryResolveHist       obs.Histogram
 
 	updates  atomic.Uint64 // successfully applied updates
 	rejected atomic.Uint64 // updates rejected by the maintainer
@@ -249,8 +254,7 @@ func (sh *shard) restore(c *wal.Checkpoint) *core.DynamicDFS {
 
 // removeGraph unregisters id and forgets its heat and its share of the
 // model processor budget, returning the removed state (nil when the shard
-// did not hold id). Cached query indexes are the caller's: a drop discards
-// them, a completed migration moves them.
+// did not hold id).
 func (sh *shard) removeGraph(id GraphID) *graphState {
 	sh.mu.Lock()
 	gs := sh.graphs[id]
@@ -370,7 +374,6 @@ func (sh *shard) handle(t task, headroom int) {
 		if sh.svc != nil {
 			sh.svc.dropRoute(t.id)
 		}
-		sh.qcache.DropGraph(string(t.id))
 		if w := sh.w; w != nil {
 			// Remove the graph durably: delete its checkpoints first, then
 			// rotate (re-checkpoint survivors + truncate the log) so its
@@ -601,9 +604,33 @@ func (sh *shard) publish(id GraphID, gs *graphState) *Snapshot {
 	return snap
 }
 
-// queryHandle resolves snap's version-pinned analytics handle through the
-// shard's index cache (shared by all readers of that version).
+// queryHandle returns snap's analytics handle, creating it on first use.
+// Readers racing on that first use each build a candidate, but only the
+// compare-and-swap winner's is installed and the rest adopt it, so a
+// version has one handle and one bicon build. Every later call is one
+// atomic load. The build is charged to the graph registered under snap.ID
+// when it runs; a dropped graph's build goes unattributed.
 func (sh *shard) queryHandle(snap *Snapshot) *snapquery.Handle {
-	key := snapquery.Key{Graph: string(snap.ID), Version: snap.Version}
-	return sh.qcache.Handle(key, snap.Graph, snap.Tree, snap.PseudoRoot)
+	start := time.Now()
+	h := snap.query.Load()
+	if h == nil {
+		key := snapquery.Key{Graph: string(snap.ID), Version: snap.Version}
+		fresh := snapquery.NewObserved(key, snap.Graph, snap.Tree, snap.PseudoRoot, func(d time.Duration) {
+			sh.indexBuilds.Add(1)
+			sh.indexBuildNanos.Add(int64(d))
+			sh.indexBuildHist.Record(d)
+			if gs := sh.lookup(snap.ID); gs != nil {
+				gs.meter.RecordIndex(d)
+			}
+		})
+		if snap.query.CompareAndSwap(nil, fresh) {
+			sh.queryMisses.Add(1)
+			sh.queryResolveHist.Record(time.Since(start))
+			return fresh
+		}
+		h = snap.query.Load()
+	}
+	sh.queryHits.Add(1)
+	sh.queryResolveHist.Record(time.Since(start))
+	return h
 }

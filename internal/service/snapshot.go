@@ -2,21 +2,24 @@ package service
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/reroot"
+	"repro/internal/snapquery"
 	"repro/internal/tree"
 	"repro/internal/verify"
 )
 
-// Snapshot is one graph's state frozen at an update boundary. All fields
-// are immutable: the Tree is the maintainer's persistent per-update tree,
-// the Graph the maintainer's persistent adjacency version — both shared
-// with the maintainer zero-copy, so publication costs O(1) rather than a
-// deep clone. A Snapshot stays valid forever — readers may retain it across
-// any number of later updates (they will simply be reading an old version;
-// later updates path-copy away from it without ever writing into it).
+// Snapshot is one graph's state frozen at an update boundary. All exported
+// fields are immutable: the Tree is the maintainer's persistent per-update
+// tree, the Graph the maintainer's persistent adjacency version — both
+// shared with the maintainer zero-copy, so publication costs O(1) rather
+// than a deep clone. A Snapshot stays valid forever — readers may retain it
+// across any number of later updates (they will simply be reading an old
+// version; later updates path-copy away from it without ever writing into
+// it).
 //
 // Graph exposes the read API of *graph.Persistent (IsVertex, HasEdge, Degree,
 // Row, Edges, ...). A driver that keeps a private mirror starts from Graph
@@ -34,6 +37,11 @@ type Snapshot struct {
 	LastStats reroot.Stats
 
 	PublishedAt time.Time
+
+	// query is the snapshot's analytics handle, set once by the first
+	// Service.Query or QuerySnapshot on it (shard.queryHandle). The slot
+	// makes a Snapshot unsafe to copy: share it by pointer.
+	query atomic.Pointer[snapquery.Handle]
 }
 
 // IsAncestor reports whether a is an ancestor of v (not necessarily proper)

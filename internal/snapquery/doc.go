@@ -35,9 +35,9 @@
 // must equal a fresh derivation from the tree's numbering (tree.CheckIndex,
 // which builds them if no query has).
 //
-// Cache retains handles in an LRU keyed by (graph, version) so a bounded
-// number of hot versions keep their bicon index alive while old versions
-// age out. Eviction never invalidates a held Handle — it only drops the
-// cache's reference; readers still holding the handle keep querying it,
-// exactly like a retained Snapshot.
+// A handle owns nothing a later version needs, so the serving layer keeps
+// no cache of them: each published snapshot carries its own handle,
+// installed by its first query (NewObserved, which also reports the bicon
+// build's duration), and the handle and its index live exactly as long as
+// the snapshot does.
 package snapquery

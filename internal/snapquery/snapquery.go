@@ -20,31 +20,39 @@ type Key struct {
 // Handle answers derived queries against exactly one pinned snapshot
 // version. It is immutable from the caller's perspective and safe for
 // unbounded concurrent use; all mutation is the internal build-once of the
-// biconnectivity index. A Handle obtained from a Cache (or dfs.Service.Query)
-// remains valid after the cache evicts it and after any number of later
-// graph updates.
+// biconnectivity index. The serving layer hangs one handle on each
+// published snapshot (dfs.Service.Query), so it lives exactly as long as
+// that snapshot and keeps answering for its version after any number of
+// later graph updates.
 type Handle struct {
 	key     Key
 	g       *graph.Persistent
 	t       *tree.Tree
 	pseudo  int
-	observe func(string, time.Duration) // cache metrics observer (graph, build cost); nil standalone
+	observe func(time.Duration) // bicon build observer; nil when unobserved
 
 	biconOnce sync.Once
 	biconIx   *biconIndex
 }
 
-// New builds an uncached handle over a frozen (graph, tree, pseudo root)
-// triple, e.g. a retained service Snapshot or a paused maintainer. pseudo
-// is the artificial forest root (tree.None when the root is a real vertex).
-// The handle answers the LCA family and level ancestors from t's own index,
-// and subtree aggregates and tree paths from t's pre-order and parents.
+// New builds an unkeyed, unobserved handle over a frozen (graph, tree,
+// pseudo root) triple, e.g. a retained service Snapshot or a paused
+// maintainer. pseudo is the artificial forest root (tree.None when the root
+// is a real vertex). The handle answers the LCA family and level ancestors
+// from t's own index, and subtree aggregates and tree paths from t's
+// pre-order and parents.
 func New(g *graph.Persistent, t *tree.Tree, pseudo int) *Handle {
-	return &Handle{g: g, t: t, pseudo: pseudo}
+	return NewObserved(Key{}, g, t, pseudo, nil)
+}
+
+// NewObserved is New for a handle pinned to key's version whose one index
+// build, bicon, reports its duration to observe (nil: nobody).
+func NewObserved(key Key, g *graph.Persistent, t *tree.Tree, pseudo int, observe func(time.Duration)) *Handle {
+	return &Handle{key: key, g: g, t: t, pseudo: pseudo, observe: observe}
 }
 
 // Key returns the (graph, version) pair the handle is pinned to (zero for
-// standalone handles).
+// handles built by New).
 func (h *Handle) Key() Key { return h.key }
 
 // Version returns the pinned snapshot version.
@@ -237,14 +245,14 @@ type biconIndex struct {
 }
 
 // bicon builds the index on first use under a sync.Once: concurrent first
-// readers share one build, and its duration goes to the cache's observer.
+// readers share one build, and its duration goes to the handle's observer.
 func (h *Handle) bicon() *biconIndex {
 	h.biconOnce.Do(func() {
 		start := time.Now()
 		an := bicon.Analyze(h.g, h.t, h.pseudo, nil)
 		h.biconIx = &biconIndex{an: an, bridges: an.Bridges(), artic: an.ArticulationPoints()}
 		if h.observe != nil {
-			h.observe(h.key.Graph, time.Since(start))
+			h.observe(time.Since(start))
 		}
 	})
 	return h.biconIx

@@ -3,7 +3,9 @@ package snapquery
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/bicon"
@@ -237,15 +239,15 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestSingleflightBuildsOnce: a cached handle hammered by concurrent first
+// TestSingleflightBuildsOnce: a handle hammered by concurrent first
 // readers builds its one index, bicon, exactly once (the LCA family reads
 // the tree's own index, and SubtreeAgg scans the tree's pre-order).
 func TestSingleflightBuildsOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.GnpConnected(300, 0.05, rng)
 	tr := baseline.StaticDFS(g)
-	c := NewCache(4)
-	h := c.Handle(Key{Graph: "g", Version: 1}, g, tr, g.NumVertexSlots())
+	var builds atomic.Int64
+	h := NewObserved(Key{Graph: "g", Version: 1}, g, tr, g.NumVertexSlots(), func(time.Duration) { builds.Add(1) })
 
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {
@@ -271,108 +273,7 @@ func TestSingleflightBuildsOnce(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-	st := c.Stats()
-	if st.Builds != 1 {
-		t.Fatalf("index builds = %d, want exactly 1 (bicon)", st.Builds)
-	}
-	if st.Hits != 0 || st.Misses != 1 {
-		t.Fatalf("cache hits=%d misses=%d, want 0/1", st.Hits, st.Misses)
-	}
-}
-
-// TestCacheLRUAndEvictionSafety: the LRU bounds resident versions, evicts
-// in recency order, and eviction never invalidates a held handle.
-func TestCacheLRUAndEvictionSafety(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c := NewCache(2)
-	type ver struct {
-		g  *graph.Persistent
-		tr *tree.Tree
-		h  *Handle
-	}
-	var vers []ver
-	for i := 0; i < 4; i++ {
-		g := graph.GnpConnected(40, 0.12, rng)
-		tr := baseline.StaticDFS(g)
-		h := c.Handle(Key{Graph: "g", Version: uint64(i)}, g, tr, g.NumVertexSlots())
-		h.Warm()
-		vers = append(vers, ver{g, tr, h})
-	}
-	st := c.Stats()
-	if st.Evictions != 2 || st.Size != 2 {
-		t.Fatalf("evictions=%d size=%d, want 2/2", st.Evictions, st.Size)
-	}
-	// The evicted handles (versions 0 and 1) still answer, identically to a
-	// fresh recomputation on their pinned snapshots.
-	for _, v := range vers[:2] {
-		checkHandle(t, v.h, rng)
-	}
-	// Re-querying an evicted version is a miss that rebuilds — and evicts
-	// the now-oldest resident version.
-	h0b := c.Handle(Key{Graph: "g", Version: 0}, vers[0].g, vers[0].tr, vers[0].g.NumVertexSlots())
-	if h0b == vers[0].h {
-		t.Fatal("evicted handle returned on re-query (should be a fresh build)")
-	}
-	checkHandle(t, h0b, rng)
-	st = c.Stats()
-	if st.Misses != 5 || st.Evictions != 3 {
-		t.Fatalf("misses=%d evictions=%d after requery, want 5/3", st.Misses, st.Evictions)
-	}
-	// A hit bumps recency: touch version 0, insert version 4, version 3
-	// (not 0) should be evicted.
-	c.Handle(Key{Graph: "g", Version: 0}, vers[0].g, vers[0].tr, vers[0].g.NumVertexSlots())
-	if st := c.Stats(); st.Hits != 1 {
-		t.Fatalf("hits=%d, want 1", st.Hits)
-	}
-	g4 := graph.GnpConnected(40, 0.12, rng)
-	c.Handle(Key{Graph: "g", Version: 4}, g4, baseline.StaticDFS(g4), g4.NumVertexSlots())
-	if got := c.Handle(Key{Graph: "g", Version: 0}, vers[0].g, vers[0].tr, vers[0].g.NumVertexSlots()); got != h0b {
-		t.Fatal("recently-used version 0 was evicted instead of version 3")
-	}
-}
-
-// TestCacheDropGraphAndIncarnations: DropGraph purges all of a graph's
-// versions, and a (graph, version) collision across incarnations is
-// detected via snapshot identity instead of serving stale indexes.
-func TestCacheDropGraphAndIncarnations(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	c := NewCache(8)
-	gA := graph.GnpConnected(30, 0.15, rng)
-	trA := baseline.StaticDFS(gA)
-	hA := c.Handle(Key{Graph: "a", Version: 1}, gA, trA, gA.NumVertexSlots())
-	gB := graph.GnpConnected(30, 0.15, rng)
-	trB := baseline.StaticDFS(gB)
-	c.Handle(Key{Graph: "b", Version: 1}, gB, trB, gB.NumVertexSlots())
-
-	c.DropGraph("a")
-	st := c.Stats()
-	if st.Size != 1 || st.Dropped != 1 || st.Evictions != 0 {
-		t.Fatalf("size=%d dropped=%d evictions=%d after DropGraph, want 1/1/0", st.Size, st.Dropped, st.Evictions)
-	}
-	if _, err := hA.LCA(0, 1); err != nil {
-		t.Fatalf("held handle broken by DropGraph: %v", err)
-	}
-
-	// Same key, different snapshot (re-created incarnation): must not alias.
-	gA2 := graph.GnpConnected(30, 0.15, rng)
-	trA2 := baseline.StaticDFS(gA2)
-	hA2 := c.Handle(Key{Graph: "a", Version: 1}, gA2, trA2, gA2.NumVertexSlots())
-	if hA2.Tree() != trA2 {
-		t.Fatal("stale incarnation served from cache")
-	}
-	hA3 := c.Handle(Key{Graph: "a", Version: 1}, gA2, trA2, gA2.NumVertexSlots())
-	if hA3 != hA2 {
-		t.Fatal("same incarnation not shared")
-	}
-	// The re-created incarnation evicted its stale predecessor in place:
-	// counted under Dropped, not capacity Evictions.
-	gA3 := graph.GnpConnected(30, 0.15, rng)
-	trA3 := baseline.StaticDFS(gA3)
-	if h := c.Handle(Key{Graph: "a", Version: 1}, gA3, trA3, gA3.NumVertexSlots()); h == hA2 {
-		t.Fatal("colliding incarnation aliased")
-	}
-	st = c.Stats()
-	if st.Dropped != 2 || st.Evictions != 0 {
-		t.Fatalf("dropped=%d evictions=%d after incarnation collision, want 2/0", st.Dropped, st.Evictions)
+	if got := builds.Load(); got != 1 {
+		t.Fatalf("index builds = %d, want exactly 1 (bicon)", got)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/tree"
 )
 
 // intner draws the choices of applyRandomUpdate: a *rand.Rand, or the
@@ -77,7 +76,7 @@ func applyRandomUpdate(t *testing.T, dd *core.DynamicDFS, rng intner) bool {
 
 // countBuilds makes h count its index builds into n.
 func countBuilds(h *Handle, n *int) *Handle {
-	h.observe = func(string, time.Duration) { *n++ }
+	h.observe = func(time.Duration) { *n++ }
 	return h
 }
 
@@ -185,18 +184,19 @@ func TestSameTreeSharesIndexes(t *testing.T) {
 	checkHandle(t, nh, rng)
 }
 
-// TestCacheEvictionMidChain: a version chain through a capacity-2 cache.
-// When a version ages out, a reader still holding its handle keeps
-// answering for that version, and the next version's handle answers LCA
-// and level-ancestor queries from its tree without building an index.
-func TestCacheEvictionMidChain(t *testing.T) {
+// TestHeldHandleAcrossVersions: a version chain. A reader still holding
+// the first version's handle keeps answering for that version after the
+// graph moved on, and the next version's handle answers LCA and
+// level-ancestor queries from its tree without building an index.
+func TestHeldHandleAcrossVersions(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := graph.GnpConnected(60, 0.08, rng)
 	dd := core.NewFullyDynamic(g)
-	c := NewCache(2)
 	key := func(v uint64) Key { return Key{Graph: "g", Version: v} }
+	var builds atomic.Int64
+	observe := func(time.Duration) { builds.Add(1) }
 
-	h0 := c.Handle(key(0), dd.Frozen(), dd.Tree(), dd.PseudoRoot())
+	h0 := NewObserved(key(0), dd.Frozen(), dd.Tree(), dd.PseudoRoot(), observe)
 	h0.Warm()
 	if dd.Frozen().HasEdge(0, 1) {
 		if err := dd.DeleteEdge(0, 1); err != nil {
@@ -205,28 +205,20 @@ func TestCacheEvictionMidChain(t *testing.T) {
 	} else if err := dd.InsertEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-
-	// Age version 0 out of the capacity-2 LRU before the next version arrives.
-	odd := core.NewFullyDynamic(graph.GnpConnected(10, 0.3, rng))
-	c.Handle(Key{Graph: "o", Version: 0}, odd.Frozen(), odd.Tree(), odd.PseudoRoot())
-	c.Handle(Key{Graph: "o", Version: 1}, odd.Frozen(), odd.Tree(), odd.PseudoRoot())
-	if st := c.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions=%d, want 1", st.Evictions)
-	}
 	if err := h0.CheckSynced(); err != nil {
-		t.Fatalf("evicted handle: %v", err)
+		t.Fatalf("held handle: %v", err)
 	}
 	checkHandle(t, h0, rng)
 
-	before := c.Stats().Builds
-	h1 := c.Handle(key(1), dd.Frozen(), dd.Tree(), dd.PseudoRoot())
+	before := builds.Load()
+	h1 := NewObserved(key(1), dd.Frozen(), dd.Tree(), dd.PseudoRoot(), observe)
 	if _, err := h1.LCA(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h1.KthAncestor(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Stats().Builds - before; got != 0 {
+	if got := builds.Load() - before; got != 0 {
 		t.Fatalf("LCA and level-ancestor queries on a published version built %d indexes, want 0", got)
 	}
 	if err := h1.CheckSynced(); err != nil {
@@ -236,30 +228,25 @@ func TestCacheEvictionMidChain(t *testing.T) {
 }
 
 // TestConcurrentVersionHandles is the -race soak: one writer publishes
-// versions, each a maintainer's tree with its index, through a shared
-// cache while readers query whichever version is latest. The build-once
-// contract is asserted by accounting: every created handle builds its one
-// index (bicon) exactly once, so builds == created handles; the LCA index
-// is the tree's, outside the count.
+// versions, each a maintainer's tree with its index and one handle made
+// at publication (as the service hangs one on each snapshot), while
+// readers query whichever version is latest. The build-once contract is
+// asserted by accounting: every created handle builds its one index
+// (bicon) exactly once, so builds == created handles; the LCA index is
+// the tree's, outside the count.
 func TestConcurrentVersionHandles(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	g := graph.GnpConnected(200, 0.03, rng)
 	dd := core.New(g, core.Options{RebuildD: true, Headroom: 16})
-	c := NewCache(32)
-
-	type published struct {
-		version uint64
-		g       *graph.Persistent
-		t       *tree.Tree
-		pseudo  int
+	var builds, created atomic.Int64
+	publish := func() *Handle {
+		created.Add(1)
+		key := Key{Graph: "g", Version: uint64(dd.Updates())}
+		return NewObserved(key, dd.Frozen(), dd.Tree(), dd.PseudoRoot(), func(time.Duration) { builds.Add(1) })
 	}
-	var latest atomic.Pointer[published]
-	resolve := func(p *published) *Handle {
-		return c.Handle(Key{Graph: "g", Version: p.version}, p.g, p.t, p.pseudo)
-	}
-	first := &published{version: 0, g: dd.Frozen(), t: dd.Tree(), pseudo: dd.PseudoRoot()}
-	latest.Store(first)
-	resolve(first).Warm()
+	var latest atomic.Pointer[Handle]
+	latest.Store(publish())
+	latest.Load().Warm()
 
 	const updates = 120
 	var wg sync.WaitGroup
@@ -275,8 +262,7 @@ func TestConcurrentVersionHandles(t *testing.T) {
 					return
 				default:
 				}
-				p := latest.Load()
-				h := resolve(p)
+				h := latest.Load()
 				h.Warm()
 				live := liveVertices(h.Tree(), h.PseudoRoot())
 				u := live[rr.Intn(len(live))]
@@ -302,14 +288,11 @@ func TestConcurrentVersionHandles(t *testing.T) {
 		if !applyRandomUpdate(t, dd, wrng) {
 			continue
 		}
-		p := &published{
-			version: uint64(dd.Updates()),
-			g:       dd.Frozen(), t: dd.Tree(), pseudo: dd.PseudoRoot(),
-		}
-		latest.Store(p)
+		h := publish()
+		latest.Store(h)
 		// The writer doubles as a querier of its own publication, so every
-		// created handle is warmed by its creator.
-		resolve(p).Warm()
+		// created handle is warmed at least once.
+		h.Warm()
 	}
 	close(stop)
 	wg.Wait()
@@ -317,17 +300,14 @@ func TestConcurrentVersionHandles(t *testing.T) {
 		return
 	}
 
-	st := c.Stats()
 	// Warm() builds bicon once per handle across all concurrent warmers,
-	// and every handle instance ever created — misses counts exactly those
-	// — was warmed by its creator. A double build, or an LCA build, breaks
-	// the equality.
-	if st.Builds != st.Misses {
-		t.Fatalf("builds = %d, want %d (one per created handle)", st.Builds, st.Misses)
+	// and every created handle was warmed by the writer. A double build,
+	// or an LCA build, breaks the equality.
+	if b, c := builds.Load(), created.Load(); b != c {
+		t.Fatalf("builds = %d, want %d (one per created handle)", b, c)
 	}
 	// The survivors must be coherent.
-	h := resolve(latest.Load())
-	h.Warm()
+	h := latest.Load()
 	if err := h.CheckSynced(); err != nil {
 		t.Fatal(err)
 	}
