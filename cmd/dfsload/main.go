@@ -190,8 +190,8 @@ func main() {
 			}
 			// Skewed load: rank 0 of each writer's slice becomes its hot
 			// tenant, drawing a Zipf-sized share of the writer's updates, so
-			// the hottest-graphs ranking and the rebalancer have a real
-			// imbalance to see instead of uniform noise.
+			// the hottest-graphs ranking (-hot) has a real imbalance to
+			// see instead of uniform noise.
 			var zipf *rand.Zipf
 			if *skew > 1 && len(mine) > 1 {
 				zipf = rand.NewZipf(rng, *skew, 1, uint64(len(mine)-1))
@@ -325,9 +325,9 @@ func main() {
 
 	// Forced migrations: rotate through the graphs, shipping one to a random
 	// shard every -migrate interval, so live handoffs (and, under the crash
-	// harness, kills landing inside the migration window) happen without
-	// waiting for the rebalancer's hysteresis. Migrating to the graph's
-	// current shard is a no-op; errors after shutdown began are expected.
+	// harness, kills landing inside the migration window) happen through
+	// MigrateGraph on a fixed schedule. Migrating to the graph's current
+	// shard is a no-op; errors after shutdown began are expected.
 	var wgM sync.WaitGroup
 	if *migrate > 0 {
 		wgM.Add(1)
@@ -447,8 +447,8 @@ func main() {
 		conflicts.Load(),
 		reads.Load(), float64(reads.Load())/secs,
 		verifies.Load(), readErrs.Load())
-	// Live handoffs observed this run: forced (-migrate), rebalancer-driven,
-	// or none — with the write pause each one imposed on its tenant.
+	// Live handoffs observed this run (forced by -migrate, or none), with
+	// the write pause each one imposed on its tenant.
 	if m.Migrations+m.MigrationFailures > 0 || *migrate > 0 {
 		fmt.Printf("migrations %d completed, %d failed; %d graphs routed off their hash shard; pause %s\n",
 			m.Migrations, m.MigrationFailures, m.RoutedGraphs, pq(m.MigrationPauseHist))

@@ -311,13 +311,6 @@ func Preprocess(g *Graph, maxUpdates int) *FaultTolerant {
 // snapshot reads while the log tail replays.
 type WALConfig = service.WALConfig
 
-// RebalanceConfig enables the serving layer's background rebalancer
-// (ServiceConfig.Rebalance): when one shard's busy time stays above a
-// multiple of the cross-shard mean for several ticks, a hot graph is
-// migrated to the coldest shard with Service.MigrateGraph — a live handoff
-// that pauses only that graph's writes and survives kill -9 at any point.
-type RebalanceConfig = service.RebalanceConfig
-
 // WALInjector is the crash-injection hook for durability testing: it
 // counts WAL and checkpoint I/O operations and fails the Nth one.
 type WALInjector = wal.Injector

@@ -1,8 +1,9 @@
-// Package baseline implements the comparison algorithms the paper measures
-// against: the classical static O(m+n) DFS (Tarjan 1972), the
-// recompute-from-scratch dynamic strategy, and a sequential Õ(n)-per-update
-// rerooting algorithm in the style of Baswana, Chaudhury, Choudhary and Khan
-// (SODA 2016), which the paper's parallel algorithm is built upon.
+// Package baseline implements two of the comparison algorithms the paper
+// measures against: the classical static O(m+n) DFS (Tarjan 1972) and the
+// recompute-from-scratch dynamic strategy. The third, the sequential
+// Õ(n)-per-update rerooting of Baswana, Chaudhury, Choudhary and Khan
+// (SODA 2016) that the paper's parallel algorithm builds upon, is an
+// executor of package reroot (reroot.Sequential, core.Options.Executor).
 package baseline
 
 import (

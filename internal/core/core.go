@@ -90,7 +90,9 @@ type Options struct {
 	// InsertVertex).
 	RebuildD bool
 	// Headroom reserves vertex-ID slots between the graph and the pseudo
-	// root so vertex insertions do not displace it. Default 64.
+	// root so vertex insertions do not displace it. Default 64. When a
+	// fully dynamic maintainer runs out of slots, it moves the pseudo root
+	// to n + max(Headroom, n/4) over the graph's n vertex slots.
 	Headroom int
 	// Machine receives the PRAM cost accounting; a fresh one is created if
 	// nil.
@@ -130,7 +132,7 @@ type DynamicDFS struct {
 	pseudo int
 
 	rebuildD  bool
-	headroom  int
+	headroom  int // Options.Headroom: the relocation rule's minimum gap
 	exec      Executor
 	present   []bool // tree presence mask: graph vertices + pseudo, kept in step with g
 	lastStats reroot.Stats
@@ -171,9 +173,6 @@ func ModelProcs(g *graph.Persistent) int { return 2*g.NumEdges() + g.NumVertexSl
 // tree (static preprocessing) and, unless the executor is SubtreeDFS, the
 // data structure D.
 func New(g *graph.Persistent, opt Options) *DynamicDFS {
-	if opt.Headroom <= 0 {
-		opt.Headroom = 64
-	}
 	m := opt.Machine
 	if m == nil {
 		m = pram.NewMachine(ModelProcs(g))
@@ -182,7 +181,7 @@ func New(g *graph.Persistent, opt Options) *DynamicDFS {
 		g:        g,
 		m:        m,
 		rebuildD: opt.RebuildD,
-		headroom: opt.Headroom,
+		headroom: opt.headroom(),
 		exec:     opt.Executor,
 	}
 	dd.pseudo = dd.g.NumVertexSlots() + dd.headroom
@@ -198,6 +197,14 @@ func (dd *DynamicDFS) buildD() {
 	if dd.exec != SubtreeDFS {
 		dd.d = dstruct.Build(dd.g, dd.t, dd.m)
 	}
+}
+
+// headroom is Options.Headroom with its default applied.
+func (opt Options) headroom() int {
+	if opt.Headroom <= 0 {
+		return 64
+	}
+	return opt.Headroom
 }
 
 // NewFullyDynamic is New with fully dynamic defaults.
@@ -224,7 +231,6 @@ func NewFromState(g *graph.Persistent, t *tree.Tree, d *dstruct.D, pseudo int, o
 		m:        m,
 		pseudo:   pseudo,
 		rebuildD: false,
-		headroom: pseudo - g.NumVertexSlots(),
 		exec:     opt.Executor,
 	}
 	dd.fillPresent()
@@ -235,10 +241,11 @@ func NewFromState(g *graph.Persistent, t *tree.Tree, d *dstruct.D, pseudo int, o
 // state — a deserialized WAL checkpoint, or any (graph, DFS tree) pair the
 // caller already holds: g's DFS tree t rooted at pseudo, with updates
 // already counted against the pair. D, for the executors that hold one, is
-// built fresh from (g, t), so the result is exactly the maintainer that
-// produced the pair, minus per-update scratch. g and t are retained, not
-// copied: both are immutable under the maintainer's regime (updates
-// path-copy away from g; t is replaced, never mutated).
+// built fresh from (g, t), so under the producer's Headroom and Executor
+// the result is exactly the maintainer that produced the pair, minus
+// per-update scratch. g and t are retained, not copied: both are immutable
+// under the maintainer's regime (updates path-copy away from g; t is
+// replaced, never mutated).
 func NewDynamicRestored(g *graph.Persistent, t *tree.Tree, pseudo, updates int, opt Options) *DynamicDFS {
 	m := opt.Machine
 	if m == nil {
@@ -251,7 +258,7 @@ func NewDynamicRestored(g *graph.Persistent, t *tree.Tree, pseudo, updates int, 
 		pseudo:   pseudo,
 		updates:  updates,
 		rebuildD: true,
-		headroom: pseudo - g.NumVertexSlots(),
+		headroom: opt.headroom(),
 		exec:     opt.Executor,
 	}
 	dd.fillPresent()
@@ -423,13 +430,16 @@ func (dd *DynamicDFS) engine() *reroot.Engine {
 	return e
 }
 
-// relocatePseudo moves the pseudo root to a higher ID with doubled
-// headroom, renaming it in the tree (all other vertex IDs are stable) and
-// rebuilding the derived structures.
+// relocatePseudo moves the pseudo root to n + max(headroom, n/4) over the
+// graph's n vertex slots, renaming it in the tree (all other vertex IDs are
+// stable) and rebuilding the derived structures. The new ID depends only on
+// n and the configured headroom, so a restored maintainer relocates exactly
+// like the live one. The gap grows with n, so a run of insertions relocates
+// O(log n) times, and it holds at most max(headroom, n/4) holes.
 func (dd *DynamicDFS) relocatePseudo() {
 	oldPseudo := dd.pseudo
-	dd.headroom *= 2
-	dd.pseudo = dd.g.NumVertexSlots() + dd.headroom
+	n := dd.g.NumVertexSlots()
+	dd.pseudo = n + max(dd.headroom, n/4)
 	parent := make([]int, dd.pseudo+1)
 	for i := range parent {
 		parent[i] = tree.None

@@ -307,6 +307,67 @@ func TestHeadroomRelocation(t *testing.T) {
 	}
 }
 
+// TestRestoredRelocatesLikeLive pins that the pseudo-root relocation rule
+// depends only on the graph and Options.Headroom, not on the maintainer's
+// history: a maintainer restored from a live one's (graph, tree, pseudo)
+// state must answer every later vertex insertion exactly as the live one,
+// relocations included.
+func TestRestoredRelocatesLikeLive(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	opt := Options{RebuildD: true, Headroom: 4}
+	live := New(graph.GnpConnected(32, 4.0/32, rng), opt)
+	insert := func(dd *DynamicDFS, nbrs []int) int {
+		t.Helper()
+		u, err := dd.InsertVertex(nbrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u
+	}
+	neighbors := func(n int) []int {
+		k := 1 + rng.Intn(3)
+		seen := map[int]bool{}
+		var out []int
+		for len(out) < k {
+			if v := rng.Intn(n); !seen[v] {
+				seen[v] = true
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	for i := 0; i < 6; i++ {
+		insert(live, neighbors(live.Graph().NumVertexSlots()))
+	}
+	restored := NewDynamicRestored(live.Graph(), live.Tree(), live.PseudoRoot(), live.Updates(), opt)
+	relocated := false
+	for i := 0; i < 34; i++ {
+		nbrs := neighbors(live.Graph().NumVertexSlots())
+		before := live.PseudoRoot()
+		u, ru := insert(live, nbrs), insert(restored, nbrs)
+		relocated = relocated || live.PseudoRoot() != before
+		if u != ru {
+			t.Fatalf("insert %d: live vertex %d, restored vertex %d", i, u, ru)
+		}
+		if lp, rp := live.PseudoRoot(), restored.PseudoRoot(); lp != rp {
+			t.Fatalf("insert %d (vertex %d): live pseudo root %d, restored %d", i, u, lp, rp)
+		}
+		lt, rt := live.Tree().Parent, restored.Tree().Parent
+		if len(lt) != len(rt) {
+			t.Fatalf("insert %d: live tree has %d slots, restored %d", i, len(lt), len(rt))
+		}
+		for v := range lt {
+			if lt[v] != rt[v] {
+				t.Fatalf("insert %d: parent of %d is %d live, %d restored", i, v, lt[v], rt[v])
+			}
+		}
+		check(t, restored, "restored insert")
+	}
+	if !relocated {
+		t.Fatal("no insert relocated the pseudo root; the test checks nothing")
+	}
+}
+
 func TestDeleteEverything(t *testing.T) {
 	dd := NewFullyDynamic(graph.Complete(5))
 	for v := 0; v < 5; v++ {

@@ -71,7 +71,7 @@ func (dd *DynamicDFS) InsertVertex(neighbors []int) (int, error) {
 	if dd.g.NumVertexSlots()+1 >= dd.pseudo {
 		// The next ID would collide with the pseudo root. In fully dynamic
 		// mode D, if any, follows every new tree anyway, so relocate the
-		// pseudo root with doubled headroom; in fault tolerant mode D is
+		// pseudo root (see relocatePseudo); in fault tolerant mode D is
 		// pinned to the original numbering, so this is an error.
 		if !dd.rebuildD {
 			return -1, fmt.Errorf("core: vertex headroom exhausted (pseudo %d); preprocess with larger Options.Headroom", dd.pseudo)

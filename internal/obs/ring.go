@@ -32,9 +32,6 @@ func NewSlowRing(capacity int) *SlowRing {
 	return &SlowRing{capacity: capacity, traces: make([]Trace, 0, capacity)}
 }
 
-// Capacity returns the ring's retention.
-func (r *SlowRing) Capacity() int { return r.capacity }
-
 // Offer submits t for retention; it is admitted iff the ring has room or t
 // is slower than the current slowest-K floor. t is copied on admission, so
 // the caller may reuse its Trace.

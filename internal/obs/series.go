@@ -43,9 +43,6 @@ func NewSeriesRing(fields []string, capacity int) *SeriesRing {
 // Fields returns the ring's field names, in value order.
 func (r *SeriesRing) Fields() []string { return r.fields }
 
-// Capacity returns the maximum number of retained points.
-func (r *SeriesRing) Capacity() int { return len(r.buf) }
-
 // Add appends one point, evicting the oldest when full. len(values) must
 // equal len(Fields()).
 func (r *SeriesRing) Add(at time.Time, values ...int64) {

@@ -78,16 +78,6 @@
 // MigrationFailures, RoutedGraphs, and per-shard in/out counters — all of
 // it also in the Prometheus exposition.
 //
-// Config.Rebalance runs the rebalancer on top: a background goroutine that
-// samples per-shard busy time every Interval, and when one shard's stays
-// above Threshold× the mean for Sustain consecutive ticks, migrates one
-// hot — but not dominant — graph from it to the coldest shard, with a
-// per-graph Cooldown. A tenant exceeding MaxShare of its shard's load is
-// deliberately never the victim: its updates are serial on any shard, so
-// moving it cannot reduce the imbalance, only thrash it around the
-// cluster. The victim choice comes from the shard's Space-Saving sketch —
-// exactly the HotGraphs signal described under Observability.
-//
 // # Snapshot isolation
 //
 // Readers never touch a maintainer. Once per touched graph per round (so
@@ -200,8 +190,8 @@
 // sketch (obs.SpaceSaving) with every update's apply nanoseconds; HotGraphs
 // merges the per-shard sketches into the k most expensive graphs, hottest
 // first, each with its exact meter sample and the sketch's error bound.
-// This ranking is exactly the signal the shard-rebalancing roadmap item
-// consumes: it names the tenant that is 90% of a saturated shard's load.
+// The ranking names the tenant that is 90% of a saturated shard's load;
+// MigrateGraph is the lever that moves it, or its neighbours, elsewhere.
 //
 // Latency ships as lock-free log-bucketed histograms (obs.Histogram):
 // maintainer apply time, mailbox wait, snapshot publish, batch-round size

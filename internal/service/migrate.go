@@ -121,8 +121,7 @@ func (s *Service) runOn(sh *shard, fn func() error) error {
 // restoring the pre-migration world. Best-effort: if the shard is closing,
 // run()'s cleanup resolves the parked futures instead.
 func (s *Service) abortMigration(src *shard, id GraphID) {
-	headroom := s.cfg.Headroom
-	s.runOn(src, func() error { src.migAbort(id, headroom); return nil })
+	s.runOn(src, func() error { src.migAbort(id); return nil })
 }
 
 // migFreeze is migration step 1, on the source shard's loop: checkpoint the
@@ -194,12 +193,12 @@ func (sh *shard) migComplete(id GraphID) []task {
 
 // migAbort unfreezes id after a failed migration and replays its parked
 // tasks locally, in order, through the normal handler.
-func (sh *shard) migAbort(id GraphID, headroom int) {
+func (sh *shard) migAbort(id GraphID) {
 	gs := sh.lookup(id)
 	if gs == nil || !gs.migrating {
 		return
 	}
 	for _, dt := range gs.unfreeze() {
-		sh.handle(dt, headroom)
+		sh.handle(dt)
 	}
 }

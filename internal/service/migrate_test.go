@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -371,68 +370,7 @@ func TestMigrationSoak(t *testing.T) {
 	}
 }
 
-// TestRebalancerMovesHotGraph drives load onto one shard and ticks the
-// rebalancer by hand: after Sustain hot windows it must migrate a graph off
-// the hot shard — and with the whale above MaxShare, the sibling, not the
-// whale itself. The applies feed shard 0's hot-graph sketch with their
-// wall-clock cost, which one preempted sibling apply could tip; so the
-// whale's dominance is fed to the sketch as a fixed weight, and the test
-// pins the rebalancer's decision, not the host's timing. That applies feed
-// the sketch is TestHotGraphsSkewedLoad's subject.
-func TestRebalancerMovesHotGraph(t *testing.T) {
-	s := New(Config{Shards: 2})
-	defer s.Close()
-	rng := rand.New(rand.NewSource(5))
-	whale := idOnShard(0, 2, "whale")
-	sib := idOnShard(0, 2, "sib")
-	if whale == sib {
-		t.Fatal("bad test ids")
-	}
-	mustCreate(t, s, whale, graph.GnpConnected(96, 4.0/96, rng))
-	mustCreate(t, s, sib, graph.GnpConnected(48, 4.0/48, rng))
-
-	cfg := RebalanceConfig{Threshold: 1.2, Sustain: 2, Cooldown: time.Minute, MaxShare: 0.5}.withDefaults()
-	st := newRebalState(2)
-	s.rebalanceOnce(cfg, st, time.Now()) // prime the baseline
-	// The sketch has one writer, the shard loop: feed it there.
-	if err := s.runOn(s.shards[0], func() error {
-		s.shards[0].hot.Observe(string(whale), 1<<40)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	for tick := 0; tick < 2; tick++ {
-		drive(t, s, whale, s.mustSnap(t, whale).Graph, rng, 30)
-		drive(t, s, sib, s.mustSnap(t, sib).Graph, rng, 10)
-		s.rebalanceOnce(cfg, st, time.Now())
-	}
-	m := s.Metrics()
-	if m.Migrations != 1 {
-		t.Fatalf("migrations after sustained load = %d, want 1", m.Migrations)
-	}
-	// The whale dominates shard 0's cost (> MaxShare), so the sibling moved.
-	tm, err := s.TenantMetrics(sib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tm.Shard != 1 {
-		t.Fatalf("sibling on shard %d, want 1 (whale isolation)", tm.Shard)
-	}
-	if wm, _ := s.TenantMetrics(whale); wm.Shard != 0 {
-		t.Fatalf("whale moved to shard %d; should stay pinned", wm.Shard)
-	}
-	// Cooldown: further hot ticks must not ping-pong the sibling back.
-	for tick := 0; tick < 3; tick++ {
-		drive(t, s, whale, s.mustSnap(t, whale).Graph, rng, 20)
-		s.rebalanceOnce(cfg, st, time.Now())
-	}
-	if got := s.Metrics().Migrations; got != 1 {
-		t.Fatalf("cooldown violated: %d migrations", got)
-	}
-}
-
-// mustSnap is a tiny helper for tests above.
+// mustSnap returns id's current snapshot or fails the test.
 func (s *Service) mustSnap(t *testing.T, id GraphID) *Snapshot {
 	t.Helper()
 	snap, err := s.Snapshot(id)

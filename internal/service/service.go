@@ -71,12 +71,6 @@ type Config struct {
 	// the directory's state after a crash. nil disables durability; use
 	// Open (not New) when set, so recovery failures surface as errors.
 	WAL *WALConfig
-	// Rebalance enables the background rebalancer: a goroutine that watches
-	// the shards' busy-time deltas and, when one shard's load stays above
-	// the configured multiple of the mean for the configured number of
-	// ticks, migrates a hot graph off it with MigrateGraph. nil disables
-	// automatic rebalancing; MigrateGraph remains available either way.
-	Rebalance *RebalanceConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -125,10 +119,6 @@ type Service struct {
 	migrations   atomic.Uint64
 	migFailures  atomic.Uint64
 	migPauseHist obs.Histogram
-
-	// Rebalancer lifecycle (nil channels when Config.Rebalance is unset).
-	rebalStop chan struct{}
-	rebalDone chan struct{}
 
 	// Sampler state: the background goroutine ticks every SampleInterval,
 	// cutting each shard's rate/high-water window and appending one point
@@ -224,14 +214,9 @@ func Open(cfg Config) (*Service, error) {
 	}
 	for _, sh := range s.shards {
 		s.wg.Add(1)
-		go sh.run(&s.wg, cfg.Headroom)
+		go sh.run(&s.wg)
 	}
 	go s.runSampler()
-	if cfg.Rebalance != nil {
-		s.rebalStop = make(chan struct{})
-		s.rebalDone = make(chan struct{})
-		go s.runRebalancer(*cfg.Rebalance)
-	}
 	return s, nil
 }
 
@@ -470,13 +455,7 @@ func (s *Service) CloseContext(ctx context.Context) error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return ErrClosed
 	}
-	// Stop the rebalancer first — it submits migration tasks and must not
-	// race the mailbox close — then the sampler: neither goroutine may
-	// outlive the service.
-	if s.rebalStop != nil {
-		close(s.rebalStop)
-		<-s.rebalDone
-	}
+	// Stop the sampler first: it must not outlive the service.
 	close(s.samplerStop)
 	<-s.samplerDone
 	for _, sh := range s.shards {

@@ -204,14 +204,14 @@ func (sh *shard) submit(t task) error {
 // it, applying every task in submission order. Under WAL the loop is
 // bracketed by the recovery prologue (replay the log tail while reads serve
 // the checkpoint snapshots) and a closing sync of the log.
-func (sh *shard) run(wg *sync.WaitGroup, headroom int) {
+func (sh *shard) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer sh.stopped.Store(true)
 	if sh.w != nil {
 		sh.recoverReplay()
 	}
 	for t := range sh.mailbox {
-		sh.handle(t, headroom)
+		sh.handle(t)
 	}
 	// A migration frozen when the service closed leaves parked tasks whose
 	// futures nobody will replay: resolve them so their writers never hang.
@@ -249,7 +249,10 @@ func (sh *shard) addGraph(id GraphID, gs *graphState) *Snapshot {
 // checkpoint value the source handed over.
 func (sh *shard) restore(c *wal.Checkpoint) *core.DynamicDFS {
 	sh.growProcs(c.Graph)
-	return core.NewDynamicRestored(c.Graph, c.Tree, c.Pseudo, int(c.Seq), core.Options{Machine: sh.mach})
+	return core.NewDynamicRestored(c.Graph, c.Tree, c.Pseudo, int(c.Seq), core.Options{
+		Headroom: sh.svc.cfg.Headroom,
+		Machine:  sh.mach,
+	})
 }
 
 // removeGraph unregisters id and forgets its heat and its share of the
@@ -330,7 +333,7 @@ func (gs *graphState) unfreeze() []task {
 	return deferred
 }
 
-func (sh *shard) handle(t task, headroom int) {
+func (sh *shard) handle(t task) {
 	switch t.kind {
 	case taskCreate:
 		if sh.lookup(t.id) != nil {
@@ -347,7 +350,7 @@ func (sh *shard) handle(t task, headroom int) {
 		sh.growProcs(t.g)
 		gs := &graphState{meter: &obs.TenantMeter{}, dd: core.New(t.g, core.Options{
 			RebuildD: true,
-			Headroom: headroom,
+			Headroom: sh.svc.cfg.Headroom,
 			Machine:  sh.mach,
 		})}
 		if sh.w != nil {

@@ -59,9 +59,8 @@ type HotGraph struct {
 // which would double-count the seed. Each entry carries the graph's exact
 // meter sample, read from its current owning shard (the routing table, not
 // the sketch's shard); entries whose graph was dropped after the sketch
-// snapshot are omitted. This is the rebalancer's signal: a shard whose hot
-// set is dominated by one tenant is a candidate for moving its cold tenants
-// elsewhere.
+// snapshot are omitted. A shard whose hot set is dominated by one tenant is
+// a candidate for moving its cold tenants elsewhere with MigrateGraph.
 func (s *Service) HotGraphs(k int) []HotGraph {
 	if k <= 0 {
 		return nil

@@ -82,8 +82,9 @@ func rebuilt(tr *tree.Tree) *tree.Tree {
 
 // sameAnswers compares every per-vertex answer of h against fresh, a
 // handle built from scratch over the same snapshot, plus one pairwise
-// query per vertex. SubtreeAgg and TreePath are also held to the naive
-// walks, since fresh answers them with the same scans as h.
+// query per vertex. SubtreeAgg, TreePath and SameComponent are also held to
+// the naive walks, since fresh answers them with the same code as h, and
+// SameComponent must refuse IDs out of range and the pseudo root.
 func sameAnswers(t *testing.T, step int, h, fresh *Handle) {
 	t.Helper()
 	live := liveVertices(h.Tree(), h.PseudoRoot())
@@ -119,9 +120,23 @@ func sameAnswers(t *testing.T, step int, h, fresh *Handle) {
 		} else if ge == nil {
 			t.Fatalf("step %d: TreePath(%d,%d) = %v across components", step, u, v, gp)
 		}
+		gs, ge := h.SameComponent(u, v)
+		ws, we := fresh.SameComponent(u, v)
+		check("SameComponent", gs, ws, ge, we)
+		check("SameComponent naive", gs, naivePath(h.Tree(), u, v, h.PseudoRoot()) != nil, ge, nil)
 		gc, ge := h.BiconnectedComponentOf(u)
 		wc, we := fresh.BiconnectedComponentOf(u)
 		check("BiconnectedComponentOf", gc, wc, ge, we)
+	}
+	if len(live) > 0 {
+		for _, bad := range []int{-1, h.Tree().N(), h.PseudoRoot()} {
+			if _, err := h.SameComponent(live[0], bad); err == nil {
+				t.Fatalf("step %d: SameComponent(%d,%d) accepted a non-vertex", step, live[0], bad)
+			}
+			if _, err := h.SameComponent(bad, live[0]); err == nil {
+				t.Fatalf("step %d: SameComponent(%d,%d) accepted a non-vertex", step, bad, live[0])
+			}
+		}
 	}
 	if !slices.Equal(h.ArticulationPoints(), fresh.ArticulationPoints()) ||
 		!slices.Equal(h.Bridges(), fresh.Bridges()) {

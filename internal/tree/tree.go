@@ -292,10 +292,6 @@ func (t *Tree) IsAncestor(a, v int) bool {
 	return t.pre[a] <= t.pre[v] && t.pre[v] < t.pre[a]+t.size[a]
 }
 
-// InSubtree reports whether v lies in T(w). Identical to IsAncestor(w, v);
-// provided for readability at call sites phrased in subtree terms.
-func (t *Tree) InSubtree(v, w int) bool { return t.IsAncestor(w, v) }
-
 // PathLen returns the number of vertices on the tree path between
 // ancestor-descendant pair (a "down" below or equal to "up"), i.e.
 // level(down)-level(up)+1. It panics if up is not an ancestor of down.

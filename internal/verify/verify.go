@@ -98,14 +98,35 @@ func DFSForest(g *graph.Persistent, t *tree.Tree, pseudoRoot int) error {
 		}
 	}
 	// Component structure: vertices in the same component must share the
-	// same child subtree of the pseudo root, and vice versa.
+	// same child subtree of the pseudo root, and vice versa. A vertex's
+	// root child (its top) is found by climbing Parent to the first vertex
+	// whose top is known and labelling the climbed path, so every vertex is
+	// climbed through once: O(n) in all, and independent of the pre-order
+	// numbering the checks above rely on.
 	label, _ := g.ConnectedComponents()
+	tops := make([]int, t.N())
+	for v := range tops {
+		tops[v] = tree.None
+	}
+	var path []int
 	compOf := map[int]int{} // pseudo-root child -> component label
 	for v := 0; v < n; v++ {
 		if !t.Present(v) {
 			continue
 		}
-		top := t.AncestorAtLevel(v, 1)
+		u := v
+		for tops[u] == tree.None && t.Parent[u] != pseudoRoot {
+			path = append(path, u)
+			u = t.Parent[u]
+		}
+		if tops[u] == tree.None {
+			tops[u] = u
+		}
+		top := tops[u]
+		for _, w := range path {
+			tops[w] = top
+		}
+		path = path[:0]
 		if want, ok := compOf[top]; ok {
 			if want != label[v] {
 				return fmt.Errorf("verify: tree of root-child %d mixes components", top)

@@ -1,8 +1,11 @@
 package verify
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/graph"
 	"repro/internal/tree"
 )
@@ -114,5 +117,29 @@ func TestSubtreeDFS(t *testing.T) {
 	star := tree.MustBuild(0, starParent, nil)
 	if err := SubtreeDFS(graph.Cycle(5), star); err == nil {
 		t.Fatal("star tree over cycle not rejected")
+	}
+}
+
+// BenchmarkDFSForest prices one full check of a static DFS forest: on a
+// path every vertex sits at its own depth (the deepest tree for n), on a
+// sparse random graph the tree is bushy. perfbench's final-state check,
+// Snapshot.Verify and every core test call DFSForest.
+func BenchmarkDFSForest(b *testing.B) {
+	const n = 1 << 14
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct {
+		name string
+		g    *graph.Persistent
+	}{{"path", graph.Path(n)}, {"gnp", graph.GnpConnected(n, 3.0/n, rng)}} {
+		pseudo := c.g.NumVertexSlots()
+		tr := baseline.StaticDFSUnder(c.g, pseudo)
+		b.Run(fmt.Sprintf("n=%d/shape=%s", n, c.name), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := DFSForest(c.g, tr, pseudo); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
